@@ -21,8 +21,8 @@ import numpy as np
 from . import criteria as crit
 from .errors import CapsymError
 from .geometry import DomainSpec, build_quadrature
-from .harmonic import (HarmonicSolution, SolverOptions, decay_report,
-                       solve_exterior, solve_interior)
+from .harmonic import (DEFAULT_ORDER, HarmonicSolution, SolverOptions,
+                       decay_report, solve_exterior, solve_interior)
 from .identities import WeightSpec, bochner_residual, weighted_identity_check
 from .levelset import extract_level_set
 
@@ -56,6 +56,8 @@ class RunConfig:
 
         solver = dict(data.get("solver", {}))
         order = solver.get("order")
+        if order is None and refine:
+            order = DEFAULT_ORDER[self.domain.kind]
         if order is not None:
             order = int(order) + 8 * refine
         self.solver = SolverOptions(
@@ -275,11 +277,11 @@ def cmd_capacity(args):
     if config.problem_kind != "exterior":
         raise ConfigError("capacity requires an exterior problem")
     level = args.level if args.level is not None else 0.5 * config.c
-    cap = crit.capacity(sol, level=level)
+    cap = float(crit.capacity(sol, level=level))
     payload = {
         "capacity": cap,
         "level": level,
-        "inferredBallRadius": crit.inferred_ball_radius(cap),
+        "inferredBallRadius": float(crit.inferred_ball_radius(cap)),
     }
     path = _out_path(args, "capacity.json")
     _write_json(path, payload)
@@ -342,8 +344,6 @@ def build_parser():
                                           "interior:c=1,d=1")
     common.add_argument("--solution", help="reuse a saved solution.json")
     common.add_argument("--out", default="capsym-out", help="output directory")
-    common.add_argument("--threads", type=int, default=1,
-                        help="worker threads (recorded; evaluation is vectorized)")
     common.add_argument("--refine", type=int, default=0,
                         help="refinement level: bumps orders and level counts")
     sub.add_parser("solve", parents=[common]).set_defaults(func=cmd_solve)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .conformal import p_function
-from .errors import IrregularLevelSetError
+from .errors import CapsymError, IrregularLevelSetError
 from .geometry import build_quadrature, unit_sphere_area
 from .identities import interior_flux_cubed_limit
 from .levelset import extract_level_set, require_regular, surface_integral
@@ -515,8 +515,9 @@ def symmetry_certificate(sol, levels=None, order=None,
 def run_battery(sol, criteria=None, levels=None, quad=None, order=None):
     """Run the criteria compatible with the solution's problem kind.
 
-    Per-criterion errors are embedded in the result list (the run
-    continues); returns a list of CriterionReport-or-error dicts.
+    A CapsymError or ValueError raised by one criterion is embedded in the
+    result list and the run continues; any other exception propagates.
+    Returns a list of CriterionReport-or-error dicts.
     """
     compatible = (EXTERIOR_CRITERIA if sol.problem == "exterior"
                   else INTERIOR_CRITERIA)
@@ -530,7 +531,7 @@ def run_battery(sol, criteria=None, levels=None, quad=None, order=None):
                 f"criterion {cid} is incompatible with the {sol.problem} problem")
         try:
             results.append(_dispatch(sol, cid, levels, quad, order))
-        except Exception as exc:   # keep the battery running
+        except (CapsymError, ValueError) as exc:
             results.append({"criterionId": cid, "error": f"{type(exc).__name__}: {exc}"})
     return results
 

@@ -128,7 +128,14 @@ class DomainSpec:
 
     def rho(self, theta, phi):
         """Radial graph rho(theta, phi) about the center."""
-        return self.rho_derivatives(theta, phi)[0]
+        if self.kind != "star":
+            return self.rho_derivatives(theta, phi)[0]
+        theta = np.asarray(theta, dtype=float)
+        phi = np.asarray(phi, dtype=float)
+        vals = np.full(np.broadcast(theta, phi).shape, self.mean_radius)
+        for (l, m, c) in self.terms:
+            vals = vals + c * real_sph_harm(l, m, theta, phi)
+        return vals
 
     def rho_derivatives(self, theta, phi):
         """rho and its angular derivatives (r, r_t, r_p, r_tt, r_tp, r_pp)."""

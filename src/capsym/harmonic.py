@@ -18,6 +18,16 @@ nodes on the focal set (segment or disk), which the analytic continuation
 of the exterior potential requires.  A uniformly contracted copy of an
 elongated ellipsoid does not enclose the focal set and the fit then stalls
 far above the tolerances needed here.
+
+Kernel sums are evaluated in BLAS form.  Points and sources are first
+centred on the domain center; the squared distances then come from one
+matrix product, r^2 = |x|^2 + |y|^2 - 2 x.y^T, and u and Du from products
+of 1/r and 1/r^3 with the charges and their first moments q y.  The Hessian
+is one product of 1/r^5 with the moments [q, q y, q y y], never a tensor of
+differences x - y.  Points are taken in row chunks of about a million
+point-source pairs, so the temporaries stay a few (chunk, M) arrays however
+many points are evaluated.  The collocation matrix of the solve is built by
+the same inverse-distance routine.
 """
 
 from __future__ import annotations
@@ -144,26 +154,9 @@ class HarmonicSolution:
 
     def _kernel_field(self, points, want):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        d = pts[:, None, :] - self.sources[None, :, :]
-        r2 = np.einsum("nms,nms->nm", d, d)
-        inv_r = 1.0 / np.sqrt(r2)
-        u = inv_r @ self.charges
-        if want == "u":
-            return u, None, None
-        inv_r3 = inv_r / r2
-        g = -np.einsum("nms,nm,m->ns", d, inv_r3, self.charges)
-        if want == "grad":
-            return u, g, None
-        inv_r5 = inv_r3 / r2
-        h = np.empty((len(pts), 3, 3))
-        for a in range(3):
-            for b in range(a, 3):
-                hab = (3.0 * d[:, :, a] * d[:, :, b] * inv_r5) @ self.charges
-                if a == b:
-                    hab = hab - inv_r3 @ self.charges
-                h[:, a, b] = hab
-                h[:, b, a] = hab
-        return u, g, h
+        center = np.asarray(self.domain.center)
+        return _kernel_sums(pts - center, self.sources - center,
+                            self.charges, want)
 
     def _singular_field(self, points, want):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -272,6 +265,82 @@ def evaluate(sol, x, check_region=True):
 
 
 # ---------------------------------------------------------------------------
+# kernel sums
+# ---------------------------------------------------------------------------
+
+# Point-source pairs per row chunk of a kernel sum; each temporary is one
+# (chunk, M) float array of 8 MiB, whatever the number of points.
+_CHUNK_PAIRS = 1 << 20
+
+# S[:, _SYM[a, b]] picks entry (a, b) of a symmetric 3x3 matrix stored as
+# its upper triangle in the order of np.triu_indices(3).
+_TRIU = np.triu_indices(3)
+_SYM = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])
+
+
+def _inverse_distance(x, y):
+    """The (len(x), len(y)) matrix 1/|x_i - y_j|.
+
+    r^2 = |x|^2 + |y|^2 - 2 x.y^T takes one matrix product and is turned
+    into 1/r in place.  Callers centre x and y on the domain first, which
+    keeps |x|^2 + |y|^2 small next to r^2 and so limits cancellation.
+    """
+    w = (-2.0 * x) @ y.T
+    w += np.einsum("ij,ij->i", y, y)
+    w += np.einsum("ij,ij->i", x, x)[:, None]
+    np.sqrt(w, out=w)
+    np.divide(1.0, w, out=w)
+    return w
+
+
+def _kernel_sums(x, y, q, want):
+    """u = sum_j q_j / |x - y_j| with its gradient and Hessian.
+
+    want is "u", "grad" or "hess"; the parts not asked for are None.  With
+    d = x - y, the sums are reduced to products of powers of 1/r with
+    charge-weighted moments of the sources:
+
+        Du   = T1 - x T0,                 T = r^-3 @ [q, q y]
+        D2u  = 3 (x x S0 - x S1 - S1 x + S2) - I T0,
+                                          S = r^-5 @ [q, q y, q y y]
+
+    Rows of x are taken in chunks of about _CHUNK_PAIRS pairs.
+    """
+    if want != "u":
+        qy = q[:, None] * y
+        m1 = np.column_stack([q, qy])
+        m2 = np.column_stack([m1, qy[:, _TRIU[0]] * y[:, _TRIU[1]]])
+    n = len(x)
+    u = np.empty(n)
+    g = np.empty((n, 3)) if want != "u" else None
+    h = np.empty((n, 3, 3)) if want == "hess" else None
+    rows = max(1, _CHUNK_PAIRS // len(y))
+    for lo in range(0, n, rows):
+        sl = slice(lo, lo + rows)
+        xc = x[sl]
+        w = _inverse_distance(xc, y)
+        u[sl] = w @ q
+        if want == "u":
+            continue
+        w2 = w * w
+        w *= w2                                     # 1/r^3
+        t = w @ m1
+        g[sl] = t[:, 1:] - xc * t[:, :1]
+        if want == "grad":
+            continue
+        w *= w2                                     # 1/r^5
+        s = w @ m2
+        x_s1 = xc[:, :, None] * s[:, None, 1:4]
+        hc = xc[:, :, None] * xc[:, None, :] * s[:, 0, None, None]
+        hc -= x_s1 + x_s1.transpose(0, 2, 1)
+        hc += s[:, 4 + _SYM]
+        hc *= 3.0
+        hc -= np.eye(3) * t[:, 0, None, None]
+        h[sl] = hc
+    return u, g, h
+
+
+# ---------------------------------------------------------------------------
 # source placement
 # ---------------------------------------------------------------------------
 
@@ -344,9 +413,9 @@ def _interior_sources(spec, opts, order):
 # solves
 # ---------------------------------------------------------------------------
 
-def _collocation_solve(quad, sources, rhs, rcond):
-    diff = quad.nodes[:, None, :] - sources[None, :, :]
-    A = 1.0 / np.linalg.norm(diff, axis=-1)
+def _collocation_solve(quad, sources, center, rhs, rcond):
+    center = np.asarray(center)
+    A = _inverse_distance(quad.nodes - center, sources - center)
     sw = np.sqrt(quad.weights)
     charges, _, rank, sv = np.linalg.lstsq(A * sw[:, None], rhs * sw, rcond=rcond)
     cond = float(sv[0] / sv[min(rank, len(sv)) - 1]) if len(sv) else math.inf
@@ -368,7 +437,8 @@ def solve_exterior(spec, quad=None, c=1.0, opts=SolverOptions()):
         quad = build_quadrature(spec, order)
     sources = _exterior_sources(spec, opts, order)
     rhs = np.full(len(quad.nodes), float(c))
-    charges, fit, cond = _collocation_solve(quad, sources, rhs, opts.rcond)
+    charges, fit, cond = _collocation_solve(quad, sources, spec.center,
+                                             rhs, opts.rcond)
     tol = opts.resolved_tolerance(spec.kind, "exterior")
     if fit > tol:
         raise SolverFailureError(
@@ -399,7 +469,8 @@ def solve_interior(spec, quad=None, c=1.0, d=1.0, opts=SolverOptions()):
     sources = _interior_sources(spec, opts, order)
     r_nodes = np.linalg.norm(quad.nodes, axis=1)
     rhs = c - s0 / r_nodes
-    charges, fit, cond = _collocation_solve(quad, sources, rhs, opts.rcond)
+    charges, fit, cond = _collocation_solve(quad, sources, spec.center,
+                                             rhs, opts.rcond)
     tol = opts.resolved_tolerance(spec.kind, "interior")
     if fit > tol:
         raise SolverFailureError(

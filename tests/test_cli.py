@@ -31,6 +31,14 @@ def test_solve_writes_solution(tmp_path, capsys):
     assert "fitResidual" in capsys.readouterr().out
 
 
+def test_refine_raises_default_order(tmp_path):
+    rc = main(["solve", "--domain", "sphere:1", "--refine", "1",
+               "--out", str(tmp_path / "out")])
+    assert rc == 0
+    data = json.loads((tmp_path / "out" / "solution.json").read_text())
+    assert data["order"] == 24
+
+
 def test_solve_shorthand(tmp_path):
     rc = main(["solve", "--domain", "sphere:1", "--problem", "exterior:c=1",
                "--out", str(tmp_path / "out")])
@@ -138,6 +146,9 @@ def test_capacity_command(tmp_path, capsys):
     data = json.loads((tmp_path / "out" / "capacity.json").read_text())
     assert abs(data["capacity"] - 4 * math.pi) / (4 * math.pi) < 1e-6
     assert abs(data["inferredBallRadius"] - 1.0) < 1e-6
+    out = capsys.readouterr().out
+    assert out.startswith(f"capacity {data['capacity']!r} (inferred ball "
+                          f"radius {data['inferredBallRadius']!r})")
 
 
 def test_decay_command(tmp_path):

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from capsym import (DomainSpec, capacity, check_C12, check_C13, check_C17,
-                    check_neumann, check_pointwise, check_T11, check_T16,
-                    check_T19, inferred_ball_radius, normalization_c1,
-                    normalization_c2, p_function_spread, run_battery,
-                    solve_exterior, solve_interior, symmetry_certificate)
+from capsym import (DomainSpec, IrregularLevelSetError, capacity, check_C12,
+                    check_C13, check_C17, check_neumann, check_pointwise,
+                    check_T11, check_T16, check_T19, inferred_ball_radius,
+                    normalization_c1, normalization_c2, p_function_spread,
+                    run_battery, solve_exterior, solve_interior,
+                    symmetry_certificate)
 
 
 @pytest.fixture(scope="module")
@@ -284,6 +285,26 @@ def test_battery_rejects_incompatible_criteria(ball_solution, ball_interior):
         run_battery(ball_interior, criteria=["C1.2-global"])
     with pytest.raises(ValueError):
         run_battery(ball_solution, criteria=["bogus"])
+
+
+def test_battery_embeds_named_errors_and_propagates_bugs(ball_solution,
+                                                        monkeypatch):
+    import capsym.criteria as crit
+
+    def invalid(sol, quad=None):
+        raise IrregularLevelSetError("level set is not regular")
+
+    monkeypatch.setattr(crit, "check_C13", invalid)
+    [row] = run_battery(ball_solution, criteria=["C1.3-capacity"])
+    assert row == {"criterionId": "C1.3-capacity",
+                   "error": "IrregularLevelSetError: level set is not regular"}
+
+    def broken(sol, quad=None):
+        raise TypeError("unsupported operand")
+
+    monkeypatch.setattr(crit, "check_C13", broken)
+    with pytest.raises(TypeError, match="unsupported operand"):
+        run_battery(ball_solution, criteria=["C1.3-capacity"])
 
 
 def test_battery_runs_to_completion(ball_interior):

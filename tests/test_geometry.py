@@ -151,6 +151,16 @@ def test_ray_exit_radius():
     assert abs(r - float(star.rho(np.array([th]), np.array([0.7]))[0])) < 1e-10
 
 
+def test_star_rho_matches_rho_derivatives():
+    spec = DomainSpec(kind="star", mean_radius=1.0,
+                      terms=((1, 0, 0.05), (2, 2, 0.12), (3, -1, 0.08),
+                             (4, 3, -0.03), (5, 0, 0.02)))
+    theta, phi, _ = angular_grid(24)
+    rho = spec.rho(theta, phi)
+    assert rho.shape == theta.shape
+    assert np.abs(rho - spec.rho_derivatives(theta, phi)[0]).max() <= 1e-15
+
+
 # ---------------------------------------------------------------------------
 # radial closed forms
 # ---------------------------------------------------------------------------

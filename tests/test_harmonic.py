@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from capsym import (DomainSpec, InsufficientSamplesError, OutOfRegionError,
                     RadialGeometry, SolverOptions, decay_report, evaluate,
                     radial_solution, solve_exterior, solve_interior)
 from capsym.geometry import build_quadrature
+from capsym.harmonic import _CHUNK_PAIRS
 
 
 @pytest.fixture(scope="module")
@@ -23,6 +25,13 @@ def ellipsoid_solution():
 @pytest.fixture(scope="module")
 def ball_interior():
     return solve_interior(DomainSpec(kind="sphere", radius=1.0), c=1.0, d=1.0)
+
+
+@pytest.fixture(scope="module")
+def star_solution():
+    spec = DomainSpec(kind="star", mean_radius=1.0,
+                      terms=((2, 0, 0.1), (3, 1, 0.05)))
+    return solve_exterior(spec)
 
 
 def random_exterior_points(spec, count, seed=0, r_max=20.0):
@@ -103,6 +112,73 @@ def test_oblate_and_triaxial_sources():
     for axes in ((1.0, 1.0, 0.5), (1.4, 1.2, 1.0)):
         sol = solve_exterior(DomainSpec(kind="ellipsoid", axes=axes))
         assert sol.fit_residual < 1e-7
+
+
+# ---------------------------------------------------------------------------
+# kernel evaluation
+# ---------------------------------------------------------------------------
+
+def difference_tensor_field(sol, pts):
+    """Reference (u, Du, D2u): kernel sums over the (N, M, 3) tensor of
+    differences x - y_j, plus the closed-form singular term."""
+    d = pts[:, None, :] - sol.sources[None, :, :]
+    r2 = np.einsum("nms,nms->nm", d, d)
+    inv_r = 1.0 / np.sqrt(r2)
+    inv_r3 = inv_r / r2
+    inv_r5 = inv_r3 / r2
+    u = inv_r @ sol.charges
+    g = -np.einsum("nms,nm,m->ns", d, inv_r3, sol.charges)
+    h = np.empty((len(pts), 3, 3))
+    for a in range(3):
+        for b in range(a, 3):
+            hab = (3.0 * d[:, :, a] * d[:, :, b] * inv_r5) @ sol.charges
+            if a == b:
+                hab = hab - inv_r3 @ sol.charges
+            h[:, a, b] = hab
+            h[:, b, a] = hab
+    s0 = sol.singular_coefficient
+    r = np.linalg.norm(pts, axis=1)
+    u = u + s0 / r
+    g = g - s0 * pts / r[:, None] ** 3
+    h = h + s0 * (3.0 * pts[:, :, None] * pts[:, None, :] / r[:, None, None] ** 5
+                  - np.eye(3)[None] / r[:, None, None] ** 3)
+    return u, g, h
+
+
+# The interior ball is compared as a full field: its fitted remainder
+# c - s0/r vanishes on the sphere, so the kernel part alone is roundoff.
+@pytest.mark.parametrize("name, radii", [
+    ("ball_solution", (1.0, 1.5, 10.0, 1e3)),
+    ("star_solution", (1.2, 3.0, 100.0)),
+    ("ball_interior", (0.05, 0.5, 1.0)),
+], ids=["exterior-ball", "star", "interior-ball"])
+def test_kernel_matches_difference_tensor_reference(name, radii, request):
+    sol = request.getfixturevalue(name)
+    rows = _CHUNK_PAIRS // len(sol.sources)
+    rng = np.random.default_rng(5)
+    for r in radii:
+        for count in (1, rows - 1, rows + 1):
+            dirs = rng.normal(size=(count, 3))
+            pts = r * dirs / np.linalg.norm(dirs, axis=1)[:, None]
+            ref = dict(zip(("u", "grad", "hess"),
+                           difference_tensor_field(sol, pts)))
+            for want in ("u", "grad", "hess"):
+                st = sol.field(pts, want=want, check_region=False)
+                got = {"u": st.u, "grad": st.grad, "hess": st.hess}[want]
+                err = np.abs(got - ref[want]).max()
+                assert err <= 1e-13 * np.abs(ref[want]).max(), (want, r, count)
+
+
+def test_hessian_evaluation_memory_is_bounded(star_solution):
+    assert len(star_solution.sources) == 800
+    pts = random_exterior_points(star_solution.domain, 8192, seed=6)
+    tracemalloc.start()
+    try:
+        star_solution.field(pts, want="hess", check_region=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20
 
 
 # ---------------------------------------------------------------------------
