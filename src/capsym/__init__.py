@@ -31,6 +31,6 @@ from .identities import (IdentityResidual, WeightSpec, bochner_residual,
                          prop_exterior_truncated_identity,
                          weighted_identity_check)
 from .levelset import (LevelSet, coarea_volume_integral, extract_level_set,
-                       surface_integral)
+                       extract_level_sets, surface_integral)
 
 __version__ = "0.1.0"

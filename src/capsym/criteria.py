@@ -22,7 +22,8 @@ from .conformal import p_function
 from .errors import CapsymError, IrregularLevelSetError
 from .geometry import build_quadrature, unit_sphere_area
 from .identities import interior_flux_cubed_limit
-from .levelset import extract_level_set, require_regular, surface_integral
+from .levelset import (coarea_volume_integral, extract_level_set,
+                       extract_level_sets, require_regular, surface_integral)
 
 _N = 3
 _SPHERE_AREA = unit_sphere_area(_N)
@@ -180,22 +181,26 @@ def check_C12(sol, levels=32, order=None):
         raise ValueError("C1.2 needs at least 16 coarea levels")
     order = order if order is not None else sol.order
 
-    def phi_at(c, use_order):
-        ls = require_regular(extract_level_set(sol, c, order=use_order))
-        return surface_integral(ls, ls.u_grad ** 3 / c)
+    phi = {}
 
-    # int_0^1 Phi(c) dc by Gauss-Legendre in the level variable
-    from numpy.polynomial.legendre import leggauss
-    x, w = leggauss(levels)
-    cs = 0.5 + 0.5 * x
-    ws = 0.5 * w
-    integral = sum(wk * phi_at(float(ck), order) for ck, wk in zip(cs, ws))
-    phi_top = phi_at(sol.c, order)
+    def flux_cubed(ls):
+        # F with F/|Du| = |Du|^3/u; Phi at each coarea level is kept for
+        # the refinement probes
+        phi[ls.level] = surface_integral(ls, ls.u_grad ** 3 / ls.level)
+        return ls.u_grad ** 4 / ls.level
+
+    # int_0^1 Phi(c) dc = int_{0 < u < 1} |Du|^4/u dmu by coarea
+    integral = coarea_volume_integral(sol, flux_cubed, 0.0, 1.0, levels, order)
+    cs = list(phi)
+    top = require_regular(extract_level_set(sol, sol.c, order=order))
+    phi_top = phi[sol.c] = surface_integral(top, top.u_grad ** 3 / sol.c)
     lhs = phi_top / integral
     # error bar from one angular refinement at a few probe levels
-    probe = [float(cs[0]), float(cs[levels // 2]), sol.c]
-    diffs = [abs(phi_at(p, order) - phi_at(p, order + 8)) /
-             max(phi_at(p, order), 1e-300) for p in probe]
+    probe = [cs[0], cs[levels // 2], sol.c]
+    refs = extract_level_sets(sol, probe, order=order + 8)
+    diffs = [abs(phi[p] - surface_integral(ls, ls.u_grad ** 3 / p)) /
+             max(phi[p], 1e-300)
+             for p, ls in zip(probe, map(require_regular, refs))]
     err = max(max(diffs) * 4.0 * abs(lhs), _solver_error_floor(sol))
     rhs = 2.0 * (_N - 1) / (_N - 2)
     return _report("C1.2-global", lhs, rhs, err,

@@ -149,6 +149,9 @@ class HarmonicSolution:
     boundary_area: float
     order: int
     condition_estimate: float
+    # rays and level sets extracted from this solution (capsym.levelset)
+    _levelset_cache: dict = field(default_factory=dict, init=False,
+                                  repr=False, compare=False)
 
     # -- raw field sums -----------------------------------------------------
 

@@ -27,13 +27,13 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .conformal import (dsigma_g_weight, dmu_g_weight, hess_f_conformal,
                         mean_curvature_conformal, p_function)
 from .errors import CutoffTooLargeError, InsufficientSamplesError
 from .geometry import unit_sphere_area
-from .levelset import extract_level_set, require_regular, surface_integral
+from .levelset import (coarea_volume_integral, extract_level_set,
+                       require_regular)
 
 _N = 3
 _QEXP = 2.0 * (_N - 1) / (_N - 2)
@@ -183,20 +183,14 @@ def curvature_flux_integral(sol, c, order=None):
     return _level_data(sol, c, order)[2]
 
 
-def _volume_term(sol, weight, ca, cb, levels, order):
-    """2 int e^phi |hess_g f|^2 dmu_g over {ca < u < cb} by coarea in u."""
-    x, w = leggauss(levels)
-    cs = 0.5 * (ca + cb) + 0.5 * (cb - ca) * x
-    ws = 0.5 * (cb - ca) * w
-    total = 0.0
-    for ck, wk in zip(cs, ws):
-        ls = require_regular(extract_level_set(sol, float(ck), order=order))
-        uvals = np.full_like(ls.u_grad, ck)
+def _hessian_density(weight):
+    """Integrand of the volume term: e^phi |hess_g f|_g^2 dmu_g/dmu per node."""
+    def density(ls):
+        uvals = np.full_like(ls.u_grad, ls.level)
         hnorm = hess_f_conformal(uvals, ls.grad, ls.hess)[1]
-        dens = hnorm ** 2 * dmu_g_weight(uvals) / ls.u_grad
-        total += wk * float(np.exp(weight.phi(math.log(ck)))
-                            * (ls.weights @ dens))
-    return 2.0 * total
+        return (float(np.exp(weight.phi(math.log(ls.level))))
+                * hnorm ** 2 * dmu_g_weight(uvals))
+    return density
 
 
 @dataclass(frozen=True)
@@ -257,8 +251,10 @@ def weighted_identity_check(sol, weight, a, b, levels=16, order=None):
         "curvatureBottom": -2.0 * ea * i2h_a,
     }
     rhs = sum(terms.values())
-    lhs = _volume_term(sol, weight, ca, cb, levels, order)
-    lhs_half = _volume_term(sol, weight, ca, cb, max(8, levels // 2), order)
+    density = _hessian_density(weight)
+    lhs = 2.0 * coarea_volume_integral(sol, density, ca, cb, levels, order)
+    lhs_half = 2.0 * coarea_volume_integral(sol, density, ca, cb,
+                                            max(8, levels // 2), order)
     scale = abs(i3_b) + abs(i3_a)
     abs_res = abs(lhs - rhs)
     rel = abs_res / max(abs(lhs), abs(rhs), 1e-14)
@@ -302,7 +298,8 @@ def prop_exterior_truncated_identity(sol, c, eps=2e-3, levels=16, order=None,
             f"far-field cutoff estimate {cutoff_estimate:.3e} exceeds "
             f"{cutoff_bound:.1e} x scale; shrink eps")
     weight = WeightSpec.linear()
-    volume = 0.5 * _volume_term(sol, weight, eps, c, levels, order)
+    volume = coarea_volume_integral(sol, _hessian_density(weight), eps, c,
+                                    levels, order)
     return volume, c * j_c, eps * j_eps
 
 
@@ -341,6 +338,7 @@ def interior_truncated_identity(sol, c, t_level, levels=16, order=None):
     weight = WeightSpec.shifted_log(t_level)
     _, i3_t, i2h_t, _ = _level_data(sol, t_level * (1 - 1e-9), order)
     _, i3_c, i2h_c, _ = _level_data(sol, c, order)
-    volume = _volume_term(sol, weight, c, t_level * (1 - 1e-9), levels, order)
+    volume = 2.0 * coarea_volume_integral(sol, _hessian_density(weight), c,
+                                          t_level * (1 - 1e-9), levels, order)
     rhs = i3_t - i3_c - 2.0 * (1.0 - c / t_level) * i2h_c
     return volume, rhs

@@ -1,14 +1,30 @@
 """Level sets {u = c} extracted as star-shaped radial graphs.
 
-Each angular direction gets one ray from the origin; the crossing radius is
-bracketed on a geometric scan grid (raising an error if a ray crosses the
-level more than once) and then solved by bisection plus a Newton polish to
-1e-12 relative accuracy in the radius.
+Each angular direction gets one ray from the origin.  The levels requested
+together share one scan of u along the rays, on a geometric grid of 16
+radii per decade from the boundary to the lowest exterior (or highest
+interior) level.  The scan is also the star-shapedness check: u - c must
+change sign exactly once on every ray, else the level is reported
+(NonStarShapedLevelSetError, LevelRangeError), not worked around.
+
+Each level is then solved per ray by safeguarded Newton iteration (rtsafe,
+Numerical Recipes section 9.4) inside its scan bracket.  The first iterate
+interpolates log u linearly in log r between the bracketing scan values,
+exact for u ~ r^-p; a step that leaves the bracket, or does not halve the
+previous one, is replaced by bisection.  A ray stops when its step or its
+bracket is below 1e-14 r, so |u - c| <= 1e-12 c at the nodes; a ray that
+does not converge raises IrregularLevelSetError.  One Hessian evaluation
+per level at the nodes gives the weights and curvatures.
 
 Surface weights use the solid-angle projection dsigma = r^2 dOmega / <nu, omega>
 with nu = -Du/|Du|, so no numerical differentiation of the extracted graph is
 ever needed; mean curvature comes from the solution's analytic Hessian via
 H = D2u(nu, nu)/|Du|.
+
+Each solution caches the angular grid, directions and boundary exit radii
+per order, and every LevelSet that extract_level_set returns, per (level,
+order); cached arrays are read-only.  extract_level_sets reads the cache
+but does not add to it.
 """
 
 from __future__ import annotations
@@ -26,8 +42,10 @@ from .geometry import angular_grid, unit_directions
 
 REGULARITY_THRESHOLD = 1e-8
 _SCAN_PER_DECADE = 16
-_BISECT_ITERS = 22
-_NEWTON_ITERS = 5
+_RTOL = 1e-14
+# a scan interval spans at most a factor 10^(1/14) in r; pure bisection
+# narrows it to _RTOL * r in 45 steps
+_MAX_STEPS = 64
 
 
 @dataclass(frozen=True)
@@ -46,6 +64,12 @@ class LevelSet:
     grad: np.ndarray
     hess: np.ndarray
     regular: bool
+
+    def __post_init__(self):
+        # level sets are shared through the solution's cache
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
 
     @property
     def area(self):
@@ -66,22 +90,73 @@ class LevelSet:
                                   self.mean_curv[i])])
 
 
-def _scan_radii(r_lo, r_hi):
+def _rays(sol, order):
+    """Angular grid, unit directions and boundary exit radii at ``order``,
+    computed once per solution."""
+    rays = sol._levelset_cache.get(order)
+    if rays is None:
+        theta, phi, W = angular_grid(order)
+        om = unit_directions(theta, phi)
+        r_exit = np.atleast_1d(sol.domain.ray_exit_radius(om))
+        rays = sol._levelset_cache[order] = (theta, phi, W, om, r_exit)
+    return rays
+
+
+def _scan_bounds(sol, om, r_exit, levels):
+    """Per-ray radii between which u passes through every level."""
+    if sol.problem == "exterior":
+        for c in levels:
+            if not 0 < c <= sol.c:
+                raise LevelRangeError(
+                    f"exterior levels lie in (0, {sol.c}]; got {c}")
+        c = min(levels)
+        r_lo = r_exit * (1.0 - 1e-5)
+        # push the outer bound until u sits below the lowest level with
+        # margin, so the scan endpoints cannot flip sign through roundoff
+        r_hi = np.full_like(r_lo, 2.0 * r_exit.max())
+        for _ in range(60):
+            u_hi = sol.field(r_hi[:, None] * om, want="u", check_region=False).u
+            if np.all(u_hi < c * (1.0 - 1e-6)):
+                return r_lo, r_hi
+            r_hi = np.where(u_hi < c * (1.0 - 1e-6), r_hi, r_hi * 2.0)
+        raise LevelRangeError(f"could not enclose level {c} from above")
+    for c in levels:
+        if not c >= sol.c:
+            raise LevelRangeError(
+                f"interior levels lie in [{sol.c}, inf); got {c}")
+    c = max(levels)
+    r_hi = r_exit * (1.0 + 1e-12)
+    # inside the singular term dominates: u >= s0/r - |v| surely exceeds c
+    v_bound = abs(sol.c) + abs(sol.singular_coefficient) / r_exit.min() + abs(c)
+    r_lo = np.full_like(r_hi, min(
+        0.25 * r_exit.min(),
+        sol.singular_coefficient / (c + 2.0 * v_bound)))
+    return r_lo, r_hi
+
+
+def _scan(sol, om, r_lo, r_hi):
+    """u on a geometric grid of radii along every ray, one call per column."""
     n = max(8, int(_SCAN_PER_DECADE * np.log10(r_hi.max() / r_lo.min())) + 1)
     t = np.linspace(0.0, 1.0, n)
-    return np.exp(np.log(r_lo)[:, None] * (1 - t)[None, :]
+    grid = np.exp(np.log(r_lo)[:, None] * (1 - t)[None, :]
                   + np.log(r_hi)[:, None] * t[None, :])
-
-
-def _bracket(sol, om, c, r_lo, r_hi):
-    """One sign change of u - c per ray, else a non-star-shaped error."""
-    grid = _scan_radii(r_lo, r_hi)
     vals = np.empty_like(grid)
-    for j in range(grid.shape[1]):
+    for j in range(n):
         vals[:, j] = sol.field(grid[:, j][:, None] * om, want="u",
                                check_region=False).u
-    sign = np.sign(vals - c)
-    changes = np.abs(np.diff(sign, axis=1)) > 0
+    return grid, vals
+
+
+def _bracket(grid, vals, c):
+    """Scan interval and u values at its ends where each ray crosses c.
+
+    u - c must change sign exactly once per ray, else a named error.  The
+    change runs from positive at the inner end to non-positive at the outer
+    one, because in both problems u falls off along rays away from the
+    high-u region.
+    """
+    above = vals > c
+    changes = above[:, 1:] != above[:, :-1]
     n_changes = changes.sum(axis=1)
     if np.any(n_changes > 1):
         i = int(np.argmax(n_changes))
@@ -93,69 +168,49 @@ def _bracket(sol, om, c, r_lo, r_hi):
         raise LevelRangeError(
             f"level {c} not bracketed along some ray "
             f"(u in [{vals[i].min():.3e}, {vals[i].max():.3e}])")
-    first = np.argmax(changes, axis=1)
-    rows = np.arange(len(om))
-    return grid[rows, first], grid[rows, first + 1]
+    j = np.argmax(changes, axis=1)
+    rows = np.arange(len(grid))
+    return grid[rows, j], grid[rows, j + 1], vals[rows, j], vals[rows, j + 1]
 
 
-def extract_level_set(sol, c, order=None):
-    """Extract {u = c} as a star-shaped radial graph over an angular grid.
+def _solve_radii(sol, om, c, lo, hi, u_lo, u_hi):
+    """Radius of {u = c} on every ray by safeguarded Newton iteration.
 
-    The level must be in the range of u: (0, c_boundary] for exterior
-    solutions, [c_boundary, infinity) for interior ones.  Raises
-    NonStarShapedLevelSetError when a ray crosses the level more than once
-    (reported, not worked around).
+    u - c is positive at lo and non-positive at hi.  Every evaluation
+    narrows the bracket; a Newton step that leaves it, or is not at most
+    half the previous step, is replaced by bisection (rtsafe).
     """
-    order = order if order is not None else sol.order
-    theta, phi, W = angular_grid(order)
-    om = unit_directions(theta, phi)
-    r_exit = np.atleast_1d(sol.domain.ray_exit_radius(om))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = lo * (hi / lo) ** (np.log(c / u_lo) / np.log(u_hi / u_lo))
+    r = np.where((r > lo) & (r < hi), r, 0.5 * (lo + hi))
+    dx_old = hi - lo
+    radii = np.empty_like(r)
+    todo = np.arange(len(r))
+    for _ in range(_MAX_STEPS):
+        st = sol.field(r[:, None] * om[todo], want="grad", check_region=False)
+        f = st.u - c
+        slope = np.einsum("ns,ns->n", st.grad, om[todo])
+        lo = np.where(f > 0, r, lo)
+        hi = np.where(f > 0, hi, r)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            dx = np.where(f == 0, 0.0, f / slope)
+        newton = ((r - dx >= lo) & (r - dx <= hi)
+                  & (np.abs(dx) <= 0.5 * dx_old))
+        dx = np.where(newton, dx, r - 0.5 * (lo + hi))
+        r = r - dx
+        done = (np.abs(dx) <= _RTOL * r) | (hi - lo <= _RTOL * r)
+        radii[todo[done]] = r[done]
+        if done.all():
+            return radii
+        keep = ~done
+        todo, r, lo, hi = todo[keep], r[keep], lo[keep], hi[keep]
+        dx_old = np.abs(dx[keep])
+    raise IrregularLevelSetError(
+        f"radius of level set {c} did not converge on {len(todo)} rays in "
+        f"{_MAX_STEPS} safeguarded Newton steps", level=c)
 
-    if sol.problem == "exterior":
-        if not 0 < c <= sol.c:
-            raise LevelRangeError(
-                f"exterior levels lie in (0, {sol.c}]; got {c}")
-        r_lo = r_exit * (1.0 - 1e-5)
-        # push the outer bound until u sits below the level with margin, so
-        # the scan endpoints cannot flip sign through roundoff
-        r_hi = np.full_like(r_lo, 2.0 * r_exit.max())
-        for _ in range(60):
-            u_hi = sol.field(r_hi[:, None] * om, want="u", check_region=False).u
-            if np.all(u_hi < c * (1.0 - 1e-6)):
-                break
-            r_hi = np.where(u_hi < c * (1.0 - 1e-6), r_hi, r_hi * 2.0)
-        else:
-            raise LevelRangeError(f"could not enclose level {c} from above")
-    else:
-        if not c >= sol.c:
-            raise LevelRangeError(
-                f"interior levels lie in [{sol.c}, inf); got {c}")
-        r_hi = r_exit * (1.0 + 1e-12)
-        # inside the singular term dominates: u >= s0/r - |v| surely exceeds c
-        v_bound = abs(sol.c) + abs(sol.singular_coefficient) / r_exit.min() + abs(c)
-        r_lo = np.full_like(r_hi, min(
-            0.25 * r_exit.min(),
-            sol.singular_coefficient / (c + 2.0 * v_bound)))
 
-    lo, hi = _bracket(sol, om, c, r_lo, r_hi)
-    # bisection to a tight bracket; u - c is positive at lo, negative at hi
-    # for both problems (u falls off along rays away from the high-u region)
-    for _ in range(_BISECT_ITERS):
-        mid = 0.5 * (lo + hi)
-        u_mid = sol.field(mid[:, None] * om, want="u", check_region=False).u
-        above = u_mid > c
-        lo = np.where(above, mid, lo)
-        hi = np.where(above, hi, mid)
-    r = 0.5 * (lo + hi)
-    # Newton polish on the radial profile
-    for _ in range(_NEWTON_ITERS):
-        st = sol.field(r[:, None] * om, want="grad", check_region=False)
-        slope = np.einsum("ns,ns->n", st.grad, om)
-        step = np.where(slope != 0.0, (st.u - c) / np.where(slope == 0, 1, slope), 0.0)
-        r_new = r - step
-        ok = (r_new > lo) & (r_new < hi)
-        r = np.where(ok, r_new, r)
-
+def _level_set(sol, c, r, om, theta, phi, W):
     nodes = r[:, None] * om
     st = sol.field(nodes, want="hess", check_region=False)
     gn = np.linalg.norm(st.grad, axis=1)
@@ -171,10 +226,62 @@ def extract_level_set(sol, c, order=None):
     weights = W * r ** 2 / cos
     H = level_set_mean_curvature(st.grad, st.hess)
     regular = bool(gn.min() > REGULARITY_THRESHOLD)
-    return LevelSet(level=float(c), nodes=nodes, weights=weights,
+    return LevelSet(level=c, nodes=nodes, weights=weights,
                     normals=normals, u_grad=gn, mean_curv=H, radii=r,
                     theta=theta, phi=phi, grad=st.grad, hess=st.hess,
                     regular=regular)
+
+
+def _extract(sol, levels, order):
+    """Yield the level sets of the float ``levels`` at ``order`` in turn,
+    from one scan that checks every level before the first is solved."""
+    theta, phi, W, om, r_exit = _rays(sol, order)
+    grid, vals = _scan(sol, om, *_scan_bounds(sol, om, r_exit, levels))
+    brackets = [_bracket(grid, vals, c) for c in levels]
+    del grid, vals      # not needed while the levels are solved
+    for c, b in zip(levels, brackets):
+        yield _level_set(sol, c, _solve_radii(sol, om, c, *b), om, theta, phi, W)
+
+
+def _level_sets(sol, levels, order):
+    """Yield a LevelSet per level, in order: cached ones from the cache, the
+    others from one shared scan, each built only when it is consumed."""
+    order = order if order is not None else sol.order
+    levels = [float(c) for c in levels]
+    hits = [sol._levelset_cache.get((c, order)) for c in levels]
+    new = _extract(sol, [c for c, ls in zip(levels, hits) if ls is None], order)
+    for ls in hits:
+        yield ls if ls is not None else next(new)
+
+
+def extract_level_set(sol, c, order=None):
+    """Extract {u = c} as a star-shaped radial graph over an angular grid.
+
+    The level must be in the range of u: (0, c_boundary] for exterior
+    solutions, [c_boundary, infinity) for interior ones.  Raises
+    NonStarShapedLevelSetError when a ray crosses the level more than once
+    (reported, not worked around).  The result is cached on the solution:
+    asking again for the same (level, order) returns the same read-only
+    LevelSet.
+    """
+    order = order if order is not None else sol.order
+    key = (float(c), order)
+    ls = sol._levelset_cache.get(key)
+    if ls is None:
+        ls = sol._levelset_cache[key] = next(_extract(sol, [key[0]], order))
+    return ls
+
+
+def extract_level_sets(sol, levels, order=None):
+    """Extract several level sets {u = c} with one shared radial scan.
+
+    Returns one LevelSet per entry of ``levels``, in order, equal to what
+    extract_level_set gives to roundoff, and raises the same errors, naming
+    the offending level.  Levels cached by extract_level_set are reused;
+    the others are not cached, so they live only as long as the caller
+    keeps them.
+    """
+    return list(_level_sets(sol, levels, order))
 
 
 def require_regular(ls):
@@ -211,8 +318,8 @@ def coarea_volume_integral(sol, integrand, c_min, c_max, levels=16, order=None):
     cs = 0.5 * (c_min + c_max) + 0.5 * (c_max - c_min) * x
     ws = 0.5 * (c_max - c_min) * w
     total = 0.0
-    for ck, wk in zip(cs, ws):
-        ls = extract_level_set(sol, float(ck), order=order)
+    # one level set alive at a time
+    for ls, wk in zip(_level_sets(sol, cs, order), ws):
         require_regular(ls)
         vals = np.asarray(integrand(ls), dtype=float)
         total += wk * float(ls.weights @ (vals / ls.u_grad))

@@ -1,15 +1,16 @@
+import collections
 import math
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from capsym import (DomainSpec, IrregularLevelSetError, capacity, check_C12,
-                    check_C13, check_C17, check_neumann, check_pointwise,
-                    check_T11, check_T16, check_T19, inferred_ball_radius,
-                    normalization_c1, normalization_c2, p_function_spread,
-                    run_battery, solve_exterior, solve_interior,
-                    symmetry_certificate)
+from capsym import (DomainSpec, HarmonicSolution, IrregularLevelSetError,
+                    capacity, check_C12, check_C13, check_C17, check_neumann,
+                    check_pointwise, check_T11, check_T16, check_T19,
+                    inferred_ball_radius, levelset, normalization_c1,
+                    normalization_c2, p_function_spread, run_battery,
+                    solve_exterior, solve_interior, symmetry_certificate)
 
 
 @pytest.fixture(scope="module")
@@ -82,6 +83,24 @@ def test_C12_ball_is_equality_case(ball_solution):
     assert abs(rep.lhs - 4.0) < 1e-4
     assert rep.verdict == "satisfied"
     assert rep.witnesses["equality"]
+
+
+def test_C12_extracts_each_level_once(monkeypatch, ball_solution):
+    # 32 coarea levels plus the top level at the order, and three probes at
+    # order + 8, each (level, order) pair solved once
+    extracted = collections.Counter()
+    extract = levelset._extract
+
+    def counted(sol, levels, order):
+        extracted.update((c, order) for c in levels)
+        return extract(sol, levels, order)
+
+    monkeypatch.setattr(levelset, "_extract", counted)
+    sol = HarmonicSolution.from_json_dict(ball_solution.to_json_dict())
+    check_C12(sol)
+    assert set(extracted.values()) == {1}
+    orders = collections.Counter(order for _, order in extracted)
+    assert orders == {sol.order: 33, sol.order + 8: 3}
 
 
 def test_C12_near_ball(ball_solution):

@@ -1,14 +1,21 @@
+import collections
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from capsym import (DomainSpec, HarmonicSolution, InsufficientSamplesError,
-                    LevelRangeError, NonStarShapedLevelSetError,
-                    RadialGeometry, coarea_volume_integral, extract_level_set,
-                    radial_solution, solve_exterior, solve_interior,
-                    surface_integral)
+                    IrregularLevelSetError, LevelRangeError,
+                    NonStarShapedLevelSetError, RadialGeometry, angular_grid,
+                    coarea_volume_integral, extract_level_set,
+                    extract_level_sets, levelset, radial_solution,
+                    solve_exterior, solve_interior, surface_integral,
+                    unit_directions)
+
+BENCH_STAR = DomainSpec(kind="star", mean_radius=1.0,
+                        terms=((2, 0, 0.1), (3, 1, 0.05)))
 
 
 @pytest.fixture(scope="module")
@@ -19,6 +26,78 @@ def ball_solution():
 @pytest.fixture(scope="module")
 def ellipsoid_solution():
     return solve_exterior(DomainSpec(kind="ellipsoid", axes=(2.0, 1.0, 1.0)))
+
+
+@pytest.fixture(scope="module")
+def star_solution():
+    return solve_exterior(BENCH_STAR)
+
+
+@pytest.fixture(scope="module")
+def interior_ball():
+    return solve_interior(DomainSpec(kind="sphere", radius=1.0), c=1.0, d=1.0)
+
+
+def fresh(sol):
+    """The same solution with an empty level-set cache."""
+    return HarmonicSolution.from_json_dict(sol.to_json_dict())
+
+
+def reference_radii(sol, c, order=None):
+    """Level-set radii by the earlier extractor: a log-spaced scan to
+    bracket the crossing, 22 bisection steps, then 5 Newton steps kept
+    inside the bisection bracket."""
+    order = order if order is not None else sol.order
+    om = unit_directions(*angular_grid(order)[:2])
+    r_exit = np.atleast_1d(sol.domain.ray_exit_radius(om))
+
+    def u(r):
+        return sol.field(r[:, None] * om, want="u", check_region=False).u
+
+    if sol.problem == "exterior":
+        r_lo = r_exit * (1.0 - 1e-5)
+        r_hi = np.full_like(r_lo, 2.0 * r_exit.max())
+        while not np.all(u(r_hi) < c * (1.0 - 1e-6)):
+            r_hi = np.where(u(r_hi) < c * (1.0 - 1e-6), r_hi, 2.0 * r_hi)
+    else:
+        r_hi = r_exit * (1.0 + 1e-12)
+        v_bound = (abs(sol.c) + abs(sol.singular_coefficient) / r_exit.min()
+                   + abs(c))
+        r_lo = np.full_like(r_hi, min(
+            0.25 * r_exit.min(), sol.singular_coefficient / (c + 2.0 * v_bound)))
+    n = max(8, int(16 * np.log10(r_hi.max() / r_lo.min())) + 1)
+    t = np.linspace(0.0, 1.0, n)
+    grid = np.exp(np.log(r_lo)[:, None] * (1 - t) + np.log(r_hi)[:, None] * t)
+    sign = np.sign(np.stack([u(grid[:, j]) for j in range(n)], axis=1) - c)
+    changes = np.abs(np.diff(sign, axis=1)) > 0
+    assert np.all(changes.sum(axis=1) == 1)
+    first = np.argmax(changes, axis=1)
+    rows = np.arange(len(om))
+    lo, hi = grid[rows, first], grid[rows, first + 1]
+    for _ in range(22):
+        mid = 0.5 * (lo + hi)
+        above = u(mid) > c
+        lo, hi = np.where(above, mid, lo), np.where(above, hi, mid)
+    r = 0.5 * (lo + hi)
+    for _ in range(5):
+        st = sol.field(r[:, None] * om, want="grad", check_region=False)
+        slope = np.einsum("ns,ns->n", st.grad, om)
+        r_new = r - (st.u - c) / slope
+        r = np.where((r_new > lo) & (r_new < hi), r_new, r)
+    return r
+
+
+def count_field_calls(monkeypatch):
+    """Count HarmonicSolution.field calls by ``want`` from now on."""
+    calls = collections.Counter()
+    field = HarmonicSolution.field
+
+    def counted(self, points, want="hess", check_region=True):
+        calls[want] += 1
+        return field(self, points, want=want, check_region=check_region)
+
+    monkeypatch.setattr(HarmonicSolution, "field", counted)
+    return calls
 
 
 def phi_oracle_ball(c, n=3, r0=1.0):
@@ -79,6 +158,8 @@ def test_level_range_errors(ball_solution):
         extract_level_set(ball_solution, 1.5)
     with pytest.raises(LevelRangeError):
         extract_level_set(ball_solution, 0.0)
+    with pytest.raises(LevelRangeError, match="1.5"):
+        extract_level_sets(ball_solution, [0.25, 0.5, 1.5])
 
 
 def test_non_star_shaped_level_reported():
@@ -93,6 +174,128 @@ def test_non_star_shaped_level_reported():
         condition_estimate=1.0)
     with pytest.raises(NonStarShapedLevelSetError):
         extract_level_set(sol, 3.0)
+    # the +x ray crosses both levels twice; the shared scan sees it too
+    with pytest.raises(NonStarShapedLevelSetError):
+        extract_level_sets(sol, [3.0, 4.0])
+
+
+# ---------------------------------------------------------------------------
+# shared scan, safeguarded Newton and the per-solution cache
+# ---------------------------------------------------------------------------
+
+AGREEMENT_CASES = [("ball_solution", (1.0, 0.5, 0.002)),
+                   ("ellipsoid_solution", (1.0 - 1e-9, 0.8, 0.1)),
+                   ("star_solution", (0.9, 0.5, 0.05)),
+                   ("interior_ball", (1.0, 1.5, 4.0))]
+
+
+@pytest.mark.parametrize("name,levels", AGREEMENT_CASES)
+def test_agrees_with_reference_extractor(request, name, levels):
+    sol = fresh(request.getfixturevalue(name))
+    batch = extract_level_sets(sol, levels)
+    for c, ls_batch in zip(levels, batch):
+        ls = extract_level_set(sol, c)
+        ref = reference_radii(sol, c)
+        assert np.abs(ls.radii - ref).max() <= 1e-12 * ref.max()
+        u = sol.field(ls.nodes, want="u", check_region=False).u
+        assert np.abs(u - c).max() <= 1e-12 * c
+        # derivatives come from Hessians whose roundoff on the star is
+        # ~3e-14, so they get a looser bound than the radii and weights
+        for key, tol in (("radii", 1e-13), ("weights", 1e-13),
+                         ("u_grad", 1e-12), ("mean_curv", 1e-12)):
+            single, shared = getattr(ls, key), getattr(ls_batch, key)
+            assert np.abs(single - shared).max() <= tol * np.abs(single).max()
+
+
+def test_batch_keeps_order_and_duplicates(ball_solution):
+    sol = fresh(ball_solution)
+    sets = extract_level_sets(sol, [0.5, 0.25, 0.5])
+    assert [ls.level for ls in sets] == [0.5, 0.25, 0.5]
+    assert np.array_equal(sets[0].radii, sets[2].radii)
+    assert extract_level_sets(sol, []) == []
+
+
+def test_repeat_extraction_is_cached_and_read_only(ball_solution):
+    sol = fresh(ball_solution)
+    ls = extract_level_set(sol, 0.42)
+    assert extract_level_set(sol, np.float64(0.42)) is ls
+    assert extract_level_set(sol, 0.42, order=sol.order + 8) is not ls
+    with pytest.raises(ValueError):
+        ls.radii[0] = 1.0
+    for key in ("nodes", "weights", "normals", "u_grad", "mean_curv", "theta",
+                "phi", "grad", "hess"):
+        assert not getattr(ls, key).flags.writeable
+    # batches reuse cached level sets but do not add theirs
+    shared = extract_level_sets(sol, [0.42, 0.3])
+    assert shared[0] is ls
+    assert extract_level_set(sol, 0.3) is not shared[1]
+
+
+def test_rays_computed_once_per_order(monkeypatch, star_solution):
+    sol = fresh(star_solution)
+    calls = []
+    ray_exit = DomainSpec.ray_exit_radius
+
+    def counted(self, omega):
+        calls.append(len(omega))
+        return ray_exit(self, omega)
+
+    monkeypatch.setattr(DomainSpec, "ray_exit_radius", counted)
+    extract_level_set(sol, 0.5, order=16)
+    extract_level_set(sol, 0.7, order=16)
+    assert len(calls) == 1
+
+
+def test_batch_scans_once(monkeypatch, ball_solution, ellipsoid_solution):
+    levels = [0.9, 0.6, 0.3, 0.1, 0.05]
+    for sol in (ball_solution, ellipsoid_solution):
+        calls = count_field_calls(monkeypatch)
+        extract_level_sets(fresh(sol), [0.05])
+        lowest_alone = calls["u"]
+        calls.clear()
+        extract_level_sets(fresh(sol), levels)
+        assert calls["u"] == lowest_alone
+        assert calls["hess"] == len(levels)
+
+
+@pytest.mark.parametrize("name", ["ball_solution", "ellipsoid_solution",
+                                  "star_solution"])
+@pytest.mark.parametrize("c", [0.5, 0.002])
+def test_newton_gradient_calls_per_level(monkeypatch, request, name, c):
+    sol = fresh(request.getfixturevalue(name))
+    calls = count_field_calls(monkeypatch)
+    extract_level_set(sol, c)
+    assert 1 <= calls["grad"] <= 6
+    assert calls["hess"] == 1
+    if name == "ball_solution":
+        # the log-log start is exact for u = 1/r
+        assert calls["grad"] <= 2
+
+
+def test_safeguard_keeps_newton_in_the_bracket():
+    # u = 3 - atan(4 (r - 2)) along every ray: plain Newton from the log-log
+    # start overshoots and diverges; the safeguarded solve still finds r = 2
+    class Profile:
+        def field(self, points, want, check_region):
+            r = np.linalg.norm(points, axis=1)
+            dudr = -4.0 / (1.0 + 16.0 * (r - 2.0) ** 2)
+            return SimpleNamespace(u=3.0 - np.arctan(4.0 * (r - 2.0)),
+                                   grad=dudr[:, None] * points / r[:, None])
+
+    def u(r):
+        return 3.0 - np.arctan(4.0 * (r - 2.0))
+
+    lo, hi = np.full(3, 0.5), np.full(3, 6.0)
+    r = levelset._solve_radii(Profile(), np.eye(3), 3.0, lo, hi, u(lo), u(hi))
+    assert np.abs(r - 2.0).max() <= 1e-13
+
+
+def test_unconverged_rays_raise_named_error(monkeypatch, ellipsoid_solution):
+    # one safeguarded Newton step cannot reach 1e-14 r from the scan bracket
+    monkeypatch.setattr(levelset, "_MAX_STEPS", 1)
+    with pytest.raises(IrregularLevelSetError) as info:
+        extract_level_set(fresh(ellipsoid_solution), 0.8)
+    assert info.value.level == 0.8
 
 
 # ---------------------------------------------------------------------------
