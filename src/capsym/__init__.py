@@ -2,8 +2,7 @@
 electrostatic capacity, conformal level-set geometry, and the numerical
 symmetry criteria that single out the round ball."""
 
-from .conformal import (QuasiEinsteinResidual, dmu_g_weight, dsigma_g_weight,
-                        hess_f_conformal, hess_f_norm_g,
+from .conformal import (dmu_g_weight, dsigma_g_weight, hess_f_conformal,
                         level_set_mean_curvature, mean_curvature_conformal,
                         p_function, quasi_einstein_residual, ricci_conformal,
                         scalar_curvature)
@@ -25,8 +24,8 @@ from .harmonic import (DecayReport, FieldStates, HarmonicSolution, PointState,
                        SolverOptions, decay_report, evaluate, solve_exterior,
                        solve_interior)
 from .identities import (IdentityResidual, WeightSpec, bochner_residual,
-                         bochner_sides, curvature_flux_integral,
-                         flux_cubed_integral, interior_flux_cubed_limit,
+                         bochner_sides, flux_cubed_integral,
+                         interior_flux_cubed_limit,
                          interior_truncated_identity,
                          prop_exterior_truncated_identity,
                          weighted_identity_check)

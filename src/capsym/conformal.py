@@ -18,13 +18,14 @@ and the quasi-Einstein combination Ric_g + hess_g f + df x df/(n-2)
 
 Everything is assembled from Euclidean (u, Du, D2u) values; nothing here
 differentiates a discretized metric, so the only error sources are the
-solver's derivative values themselves.  All functions accept scalars with
-vector/matrix data for one point, or batched arrays with a leading axis.
+solver's derivative values themselves.  Du has shape (..., 3) and D2u
+shape (..., 3, 3) for any leading shape (...), u has shape (...) or one
+that broadcasts to it (a level set passes its scalar level), and results
+have shape (...) or (..., 3, 3): one point (shape ()) and a batch of
+points run the same broadcast code.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,8 +34,36 @@ from .errors import CriticalPointError
 _EYE3 = np.eye(3)
 
 
-def _batched(grad):
-    return np.asarray(grad).ndim == 2
+def _log_derivatives(u, grad, hess):
+    """u, df x df, D^2 f and |Df|^2 of f = log u.
+
+    Shapes as in the module docstring.  |Df|^2 keeps two unit axes so that
+    it broadcasts against the (..., 3, 3) tensors.
+    """
+    u = np.asarray(u, dtype=float)
+    if np.any(u <= 0):
+        raise ValueError("f = log u requires u > 0")
+    df = np.asarray(grad, dtype=float) / u[..., None]
+    outer = df[..., :, None] * df[..., None, :]
+    d2f = np.asarray(hess, dtype=float) / u[..., None, None] - outer
+    df2 = np.sum(df * df, axis=-1)[..., None, None]
+    return u, outer, d2f, df2
+
+
+def _hess_g_f(d, n):
+    """(hess_g f, |hess_g f|_g, |Delta_g f|) from _log_derivatives output d."""
+    u, outer, d2f, df2 = d
+    tensor = d2f - (2.0 * outer - df2 * _EYE3) / (n - 2)
+    conf = u ** (-2.0 / (n - 2))
+    return (tensor, np.sqrt(np.sum(tensor * tensor, axis=(-2, -1))) * conf,
+            np.abs(np.trace(tensor, axis1=-2, axis2=-1)) * conf)
+
+
+def _ricci_g(d, n):
+    """Ric_g from _log_derivatives output d."""
+    _, outer, d2f, df2 = d
+    lapf = np.trace(d2f, axis1=-2, axis2=-1)[..., None, None]
+    return -d2f + outer / (n - 2) - (lapf + df2) / (n - 2) * _EYE3
 
 
 def p_function(u, grad, n=3):
@@ -58,30 +87,7 @@ def hess_f_conformal(u, grad, hess, n=3):
     Delta_g f = u^(-2/(n-2)) * (Delta f + |Df|^2), which vanishes for
     harmonic u, so the reported Laplacian residual bounds derivative error.
     """
-    u = np.asarray(u, dtype=float)
-    if np.any(u <= 0):
-        raise ValueError("hess_f_conformal requires u > 0")
-    grad = np.asarray(grad, dtype=float)
-    hess = np.asarray(hess, dtype=float)
-    batched = _batched(grad)
-    uu = u[..., None] if batched else u
-    df = grad / uu
-    outer = df[..., :, None] * df[..., None, :]
-    d2f = hess / (uu[..., None] if batched else u) - outer
-    df2 = np.sum(df * df, axis=-1)
-    eye = _EYE3 if not batched else _EYE3[None]
-    df2e = df2[..., None, None] if batched else df2
-    tensor = d2f - (2.0 * outer - df2e * eye) / (n - 2)
-    frob2 = np.sum(tensor * tensor, axis=(-2, -1))
-    hess_norm = np.sqrt(frob2) * u ** (-2.0 / (n - 2))
-    trace = np.trace(tensor, axis1=-2, axis2=-1)
-    lap_res = np.abs(trace) * u ** (-2.0 / (n - 2))
-    return tensor, hess_norm, lap_res
-
-
-def hess_f_norm_g(u, grad, hess, n=3):
-    """|hess_g f|_g only (vectorized convenience wrapper)."""
-    return hess_f_conformal(u, grad, hess, n=n)[1]
+    return _hess_g_f(_log_derivatives(u, grad, hess), n)
 
 
 def mean_curvature_conformal(h_euclid, u, grad_norm, n=3):
@@ -118,63 +124,30 @@ def ricci_conformal(u, grad, hess, n=3):
     out for harmonic u but is kept so that non-harmonic perturbations
     register.
     """
-    u = np.asarray(u, dtype=float)
-    grad = np.asarray(grad, dtype=float)
-    hess = np.asarray(hess, dtype=float)
-    batched = _batched(grad)
-    uu = u[..., None] if batched else u
-    df = grad / uu
-    outer = df[..., :, None] * df[..., None, :]
-    d2f = hess / (uu[..., None] if batched else u) - outer
-    df2 = np.sum(df * df, axis=-1)
-    lapf = np.trace(hess, axis1=-2, axis2=-1) / u - df2
-    eye = _EYE3 if not batched else _EYE3[None]
-    scal = (lapf + df2) / (n - 2)
-    scal = scal[..., None, None] if batched else scal
-    return -d2f + outer / (n - 2) - scal * eye
-
-
-@dataclass(frozen=True)
-class QuasiEinsteinResidual:
-    """Componentwise defect of the quasi-Einstein equation plus |Delta_g f|."""
-
-    tensor_residual_norm: float
-    laplacian_residual: float
+    return _ricci_g(_log_derivatives(u, grad, hess), n)
 
 
 def quasi_einstein_residual(u, grad, hess, n=3):
     """Max-norm defect of Ric_g + hess_g f + df x df/(n-2)
     - |grad f|_g^2 g/(n-2); identically zero in exact arithmetic for
     harmonic u, so the value bounds solver and derivative error.
+
+    Returns (defect, |Delta_g f|), each of the leading shape of u.
     """
-    u = np.asarray(u, dtype=float)
-    grad = np.asarray(grad, dtype=float)
-    hess = np.asarray(hess, dtype=float)
-    batched = _batched(grad)
-    ric = ricci_conformal(u, grad, hess, n=n)
-    tensor, _, lap_res = hess_f_conformal(u, grad, hess, n=n)
-    uu = u[..., None] if batched else u
-    df = grad / uu
-    outer = df[..., :, None] * df[..., None, :]
-    df2 = np.sum(df * df, axis=-1)
-    eye = _EYE3 if not batched else _EYE3[None]
-    df2e = df2[..., None, None] if batched else df2
+    d = _log_derivatives(u, grad, hess)
+    tensor, _, lap_res = _hess_g_f(d, n)
+    _, outer, _, df2 = d
     # |grad f|_g^2 g = |Df|^2 g_eucl in Euclidean components
-    total = ric + tensor + outer / (n - 2) - df2e * eye / (n - 2)
-    resid = np.max(np.abs(total), axis=(-2, -1))
-    if batched:
-        return resid, lap_res
-    return QuasiEinsteinResidual(tensor_residual_norm=float(resid),
-                                 laplacian_residual=float(lap_res))
+    total = _ricci_g(d, n) + tensor + (outer - df2 * _EYE3) / (n - 2)
+    return np.max(np.abs(total), axis=(-2, -1)), lap_res
 
 
 def scalar_curvature(u, grad, hess, n=3):
     """Scalar curvature of g; satisfies R_g/(n-1) = |grad f|_g^2/(n-2)
     for harmonic u."""
-    ric = ricci_conformal(u, grad, hess, n=n)
-    u = np.asarray(u, dtype=float)
-    trace = np.trace(ric, axis1=-2, axis2=-1)
-    return u ** (-2.0 / (n - 2)) * trace
+    d = _log_derivatives(u, grad, hess)
+    trace = np.trace(_ricci_g(d, n), axis1=-2, axis2=-1)
+    return d[0] ** (-2.0 / (n - 2)) * trace
 
 
 def dsigma_g_weight(u, n=3):

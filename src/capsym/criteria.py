@@ -14,7 +14,7 @@ field names criterionId/lhs/rhs/margin/errorEstimate/verdict/witnesses.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -27,18 +27,6 @@ from .levelset import (coarea_volume_integral, extract_level_set,
 
 _N = 3
 _SPHERE_AREA = unit_sphere_area(_N)
-
-CRITERION_IDS = (
-    "T1.1-integral",
-    "C1.2-global",
-    "C1.3-capacity",
-    "C1.4-pointwise",
-    "T1.5-neumann",
-    "T1.6-interior-integral",
-    "C1.7-interior-pointwise",
-    "T1.8-interior-neumann",
-    "T1.9-two-boundary",
-)
 
 EXTERIOR_CRITERIA = ("T1.1-integral", "C1.2-global", "C1.3-capacity",
                      "C1.4-pointwise", "T1.5-neumann", "T1.9-two-boundary")
@@ -103,6 +91,22 @@ def _report(criterion_id, lhs, rhs, error, witnesses=None):
 
 def _solver_error_floor(sol):
     return max(1e-11, 50.0 * sol.fit_residual)
+
+
+def _boundary(sol):
+    """(quadrature, |Du| at its nodes, averages of |Du|, |Du|^2, |Du|^3)
+    on the boundary at the solution's order, built once per solution and
+    shared read-only through its cache."""
+    data = sol._levelset_cache.get("boundary")
+    if data is None:
+        quad = build_quadrature(sol.domain, sol.order)
+        gn = sol.field(quad.nodes, want="grad", check_region=False).grad_norm
+        for value in (*vars(quad).values(), gn):
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+        moments = tuple(quad.integrate(gn ** k) / quad.area for k in (1, 2, 3))
+        data = sol._levelset_cache["boundary"] = (quad, gn, moments)
+    return data
 
 
 # ---------------------------------------------------------------------------
@@ -208,14 +212,12 @@ def check_C12(sol, levels=32, order=None):
                     "coareaLevels": levels})
 
 
-def check_C13(sol, quad=None):
+def check_C13(sol):
     """Capacity condition on the boundary:
     (max|Du|^2 / min|Du|^2) int H/(n-1) dsigma <= Cap/(n-2)."""
     if sol.problem != "exterior":
         raise ValueError("C1.3 applies to the exterior problem")
-    quad = quad if quad is not None else build_quadrature(sol.domain, sol.order)
-    st = sol.field(quad.nodes, want="grad", check_region=False)
-    gn = np.linalg.norm(st.grad, axis=1)
+    quad, gn, _ = _boundary(sol)
     ratio = float(gn.max() ** 2 / gn.min() ** 2)
     total_mean_curv = quad.integrate(quad.mean_curvature / (_N - 1))
     lhs = ratio * total_mean_curv
@@ -227,45 +229,29 @@ def check_C13(sol, quad=None):
                     "capacity": cap})
 
 
-def check_pointwise(sol, c, direction="<=", order=None):
-    """Pointwise level-set condition.
-
-    direction "<=" (exterior): H/(n-1) <= |Du|/((n-2)u) at every node of
-    {u=c}.  direction ">=" (interior): H/(n-1) >= the boundary-average
-    right-hand side built from the three |Du| moments and the area ratio,
-    checked on the boundary level set.
-    """
+def check_pointwise(sol, c, order=None):
+    """Pointwise exterior condition C1.4: H/(n-1) <= |Du|/((n-2)u) at every
+    node of {u=c}.  Its interior counterpart is check_C17."""
+    if sol.problem != "exterior":
+        raise ValueError("C1.4 applies to the exterior problem")
     order = order if order is not None else sol.order
-    if direction == "<=":
-        if sol.problem != "exterior":
-            raise ValueError("the <= pointwise condition applies to the "
-                             "exterior problem")
-        ls = require_regular(extract_level_set(sol, c, order=order))
-        gap = _equality_gap(ls)          # lhs - rhs per node
-        worst = int(np.argmax(gap))
-        err = max(_solver_error_floor(sol), 1e-10 * float(np.abs(gap).max() + 1))
-        return _report("C1.4-pointwise", float(gap.max()), 0.0, err,
-                       {"level": c, "worstNode": worst,
-                        "worstPoint": ls.nodes[worst],
-                        "nodeCount": len(gap)})
-    if direction == ">=":
-        return check_C17(sol)
-    raise ValueError("direction must be '<=' or '>='")
+    ls = require_regular(extract_level_set(sol, c, order=order))
+    gap = _equality_gap(ls)          # lhs - rhs per node
+    worst = int(np.argmax(gap))
+    err = max(_solver_error_floor(sol), 1e-10 * float(np.abs(gap).max() + 1))
+    return _report("C1.4-pointwise", float(gap.max()), 0.0, err,
+                   {"level": c, "worstNode": worst,
+                    "worstPoint": ls.nodes[worst],
+                    "nodeCount": len(gap)})
 
 
-def check_C17(sol, quad=None):
+def check_C17(sol):
     """Interior pointwise condition on the boundary: H/(n-1) >= area-ratio
     and |Du|-moment right-hand side at every node."""
     if sol.problem != "interior":
         raise ValueError("C1.7 applies to the interior problem")
-    quad = quad if quad is not None else build_quadrature(sol.domain, sol.order)
-    st = sol.field(quad.nodes, want="grad", check_region=False)
-    gn = np.linalg.norm(st.grad, axis=1)
-    area = quad.area
-    m1 = quad.integrate(gn) / area
-    m2 = quad.integrate(gn ** 2) / area
-    m3 = quad.integrate(gn ** 3) / area
-    area_ratio = (_SPHERE_AREA / area) ** (1.0 / (_N - 1))
+    quad, _, (m1, m2, m3) = _boundary(sol)
+    area_ratio = (_SPHERE_AREA / quad.area) ** (1.0 / (_N - 1))
     rhs = area_ratio * (m1 ** 2 / m2) * (m3 / m1 ** 3) ** (_N / (2.0 * (_N - 1)))
     h_over = quad.mean_curvature / (_N - 1)
     worst = int(np.argmin(h_over))
@@ -275,7 +261,7 @@ def check_C17(sol, quad=None):
                     "gradMoments": [m1, m2, m3], "areaRatio": area_ratio})
 
 
-def check_neumann(sol, c=None, quad=None, order=None):
+def check_neumann(sol, c=None, order=None):
     """Constant-Neumann criteria.
 
     Exterior (on {u=c}): |Du| must be constant (relative spread below
@@ -306,9 +292,7 @@ def check_neumann(sol, c=None, quad=None, order=None):
         }
     else:
         cid = "T1.8-interior-neumann"
-        quad = quad if quad is not None else build_quadrature(sol.domain, sol.order)
-        st = sol.field(quad.nodes, want="grad", check_region=False)
-        gn = np.linalg.norm(st.grad, axis=1)
+        quad, gn, _ = _boundary(sol)
         h_over = quad.mean_curvature / (_N - 1)
         # oriented so margin >= 0 means sup H/(n-1) >= area ratio
         lhs = float((_SPHERE_AREA / quad.area) ** (1.0 / (_N - 1)))
@@ -320,12 +304,7 @@ def check_neumann(sol, c=None, quad=None, order=None):
     err = max(_solver_error_floor(sol), 1e-10)
     report = _report(cid, lhs, rhs, err, witnesses)
     if witnesses["gradientSpread"] > NEUMANN_SPREAD_THRESHOLD:
-        report = CriterionReport(criterion_id=report.criterion_id,
-                                 lhs=report.lhs, rhs=report.rhs,
-                                 margin=report.margin,
-                                 error_estimate=report.error_estimate,
-                                 verdict="hypothesis-not-met",
-                                 witnesses=report.witnesses)
+        report = replace(report, verdict="hypothesis-not-met")
     return report
 
 
@@ -333,7 +312,7 @@ def check_neumann(sol, c=None, quad=None, order=None):
 # interior criteria
 # ---------------------------------------------------------------------------
 
-def check_T16(sol, quad=None):
+def check_T16(sol):
     """Interior integral condition built from the three boundary |Du|
     moments:
 
@@ -345,20 +324,15 @@ def check_T16(sol, quad=None):
     """
     if sol.problem != "interior":
         raise ValueError("T1.6 applies to the interior problem")
-    quad = quad if quad is not None else build_quadrature(sol.domain, sol.order)
-    st = sol.field(quad.nodes, want="grad", check_region=False)
-    gn = np.linalg.norm(st.grad, axis=1)
+    quad, gn, (m1, m2, m3) = _boundary(sol)
     area = quad.area
-    m1 = quad.integrate(gn) / area
-    m2 = quad.integrate(gn ** 2) / area
-    m3 = quad.integrate(gn ** 3) / area
     h_term = quad.integrate(quad.mean_curvature / (_N - 1) * gn ** 2) / area
     lhs_value = h_term / m1 ** 2
     area_ratio = (_SPHERE_AREA / area) ** (1.0 / (_N - 1))
     rhs_value = area_ratio * (m3 / m1 ** 3) ** (_N / (2.0 * (_N - 1)))
     err = max(_solver_error_floor(sol), 1e-9 * abs(rhs_value))
     witnesses = {
-        "c1": normalization_c1(sol, quad=quad),
+        "c1": normalization_c1(sol),
         "c2": normalization_c2(sol, quad=quad),
         "gradMoments": [m1, m2, m3],
         "fluxRatio": m1 * area / (sol.d * area),
@@ -368,15 +342,13 @@ def check_T16(sol, quad=None):
                    witnesses)
 
 
-def normalization_c1(sol, quad=None):
+def normalization_c1(sol):
     """Dirichlet normalization making the flux-cubed integral match its
     singular-limit value; depends only on (n, domain, d)."""
     if sol.problem != "interior":
         raise ValueError("c1 is defined for the interior problem")
-    quad = quad if quad is not None else build_quadrature(sol.domain, sol.order)
-    st = sol.field(quad.nodes, want="grad", check_region=False)
-    gn = np.linalg.norm(st.grad, axis=1)   # gradient is normalization-free
-    i3 = quad.integrate(gn ** 3)
+    quad, _, (_, _, m3) = _boundary(sol)   # |Du| is normalization-free
+    i3 = m3 * quad.area
     return (i3 / interior_flux_cubed_limit(sol)) ** ((_N - 2) / (2.0 * (_N - 1)))
 
 
@@ -517,7 +489,7 @@ def symmetry_certificate(sol, levels=None, order=None,
 # battery
 # ---------------------------------------------------------------------------
 
-def run_battery(sol, criteria=None, levels=None, quad=None, order=None):
+def run_battery(sol, criteria=None, levels=None, order=None):
     """Run the criteria compatible with the solution's problem kind.
 
     A CapsymError or ValueError raised by one criterion is embedded in the
@@ -527,6 +499,7 @@ def run_battery(sol, criteria=None, levels=None, quad=None, order=None):
     compatible = (EXTERIOR_CRITERIA if sol.problem == "exterior"
                   else INTERIOR_CRITERIA)
     wanted = criteria if criteria is not None else compatible
+    c, pair = _battery_levels(sol, levels)
     results = []
     for cid in wanted:
         if cid not in CRITERION_IDS:
@@ -535,38 +508,42 @@ def run_battery(sol, criteria=None, levels=None, quad=None, order=None):
             raise ValueError(
                 f"criterion {cid} is incompatible with the {sol.problem} problem")
         try:
-            results.append(_dispatch(sol, cid, levels, quad, order))
+            results.append(_DISPATCH[cid](sol, c, pair, order))
         except (CapsymError, ValueError) as exc:
             results.append({"criterionId": cid, "error": f"{type(exc).__name__}: {exc}"})
     return results
 
 
-def _dispatch(sol, cid, levels, quad, order):
-    mid_level = (0.5 * sol.c if sol.problem == "exterior" else 2.0 * sol.c)
+def _battery_levels(sol, levels):
+    """The battery's middle level and level pair: taken from ``levels``
+    when given, else defaults in the range of u."""
+    if sol.problem == "exterior":
+        c, pair = 0.5 * sol.c, (0.3 * sol.c, 0.7 * sol.c)
+    else:
+        c, pair = 2.0 * sol.c, (1.5 * sol.c, 3.0 * sol.c)
     if levels:
-        mid_level = levels[len(levels) // 2]
-    if cid == "T1.1-integral":
-        return check_T11(sol, mid_level, order=order)
-    if cid == "C1.2-global":
-        return check_C12(sol, order=order)
-    if cid == "C1.3-capacity":
-        return check_C13(sol, quad=quad)
-    if cid == "C1.4-pointwise":
-        return check_pointwise(sol, mid_level, "<=", order=order)
-    if cid == "T1.5-neumann":
-        return check_neumann(sol, c=mid_level, order=order)
-    if cid == "T1.6-interior-integral":
-        return check_T16(sol, quad=quad)
-    if cid == "C1.7-interior-pointwise":
-        return check_C17(sol, quad=quad)
-    if cid == "T1.8-interior-neumann":
-        return check_neumann(sol, quad=quad)
-    if cid == "T1.9-two-boundary":
-        if sol.problem == "exterior":
-            a, b = 0.3 * sol.c, 0.7 * sol.c
-        else:
-            a, b = 1.5 * sol.c, 3.0 * sol.c
-        if levels and len(levels) >= 2:
-            a, b = min(levels), max(levels)
-        return check_T19(sol, a, b, order=order)
-    raise ValueError(cid)
+        c = levels[len(levels) // 2]
+    if levels and len(levels) >= 2:
+        pair = min(levels), max(levels)
+    return c, pair
+
+
+# Criterion id -> call with (sol, middle level, level pair, order).  The
+# checks are looked up by name at call time, so a rebound module name (a
+# wrapper or a test double) is the one that runs.
+_DISPATCH = {
+    "T1.1-integral": lambda sol, c, pair, order: check_T11(sol, c, order=order),
+    "C1.2-global": lambda sol, c, pair, order: check_C12(sol, order=order),
+    "C1.3-capacity": lambda sol, c, pair, order: check_C13(sol),
+    "C1.4-pointwise": lambda sol, c, pair, order:
+        check_pointwise(sol, c, order=order),
+    "T1.5-neumann": lambda sol, c, pair, order:
+        check_neumann(sol, c=c, order=order),
+    "T1.6-interior-integral": lambda sol, c, pair, order: check_T16(sol),
+    "C1.7-interior-pointwise": lambda sol, c, pair, order: check_C17(sol),
+    "T1.8-interior-neumann": lambda sol, c, pair, order: check_neumann(sol),
+    "T1.9-two-boundary": lambda sol, c, pair, order:
+        check_T19(sol, *pair, order=order),
+}
+
+CRITERION_IDS = tuple(_DISPATCH)

@@ -10,7 +10,6 @@ the outward normal, so a sphere of radius r has H = (n-1)/r = 2/r.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -262,10 +261,6 @@ class DomainSpec:
             raise InvalidDomainError(f"unknown domain kind {kind!r}")
         return cls(kind=kind, **kwargs)
 
-    @classmethod
-    def from_json(cls, text):
-        return cls.from_json_dict(json.loads(text))
-
 
 def _ellipsoid_rho(theta, phi, axes):
     a, b, c = axes
@@ -332,7 +327,6 @@ class SurfaceQuadrature:
     order: int
     theta: np.ndarray
     phi: np.ndarray
-    solid_angle_weights: np.ndarray
 
     @property
     def area(self):
@@ -395,7 +389,7 @@ def build_quadrature(spec, order):
     weights = W * dA / st
     return SurfaceQuadrature(nodes=nodes, weights=weights, normals=nu,
                              mean_curvature=H, order=order, theta=theta,
-                             phi=phi, solid_angle_weights=W)
+                             phi=phi)
 
 
 # ---------------------------------------------------------------------------

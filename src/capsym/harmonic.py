@@ -11,6 +11,9 @@ sources sit inside the domain.  For the interior problem with a point
 singularity of strength d*|dOmega| at the origin, the singular term
 d |dOmega| a_n |x|^(2-n) is carried in closed form (never discretized) and
 only the bounded remainder v is fitted, with sources outside the domain.
+The singular term is evaluated as one more kernel sum, with the single
+charge d |dOmega| a_n at the origin and the points left uncentred, so that
+r = |x| stays exact near the singularity.
 
 Source placement: spheres and star-shaped graphs use a contracted (or, for
 the interior remainder, dilated) copy of the radial graph; ellipsoids use
@@ -90,18 +93,12 @@ class SolverOptions:
 
 @dataclass(frozen=True)
 class PointState:
-    """Potential data at one point: u, Du, D2u, and D(Laplacian u).
-
-    lap_grad is identically zero for exact kernel superpositions; it is kept
-    as an explicit slot so identity checks remain sensitive when fed
-    artificially non-harmonic data.
-    """
+    """Potential data at one point: u, Du and D2u."""
 
     point: np.ndarray
     u: float
     grad: np.ndarray
     hess: np.ndarray
-    lap_grad: np.ndarray
 
     @property
     def grad_norm(self):
@@ -127,7 +124,7 @@ class FieldStates:
 
     def __getitem__(self, i):
         return PointState(self.points[i], float(self.u[i]), self.grad[i],
-                          self.hess[i], np.zeros(3))
+                          self.hess[i])
 
 
 @dataclass(frozen=True)
@@ -150,30 +147,9 @@ class HarmonicSolution:
     order: int
     condition_estimate: float
     # rays and level sets extracted from this solution (capsym.levelset)
+    # and its boundary data (capsym.criteria)
     _levelset_cache: dict = field(default_factory=dict, init=False,
                                   repr=False, compare=False)
-
-    # -- raw field sums -----------------------------------------------------
-
-    def _kernel_field(self, points, want):
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        center = np.asarray(self.domain.center)
-        return _kernel_sums(pts - center, self.sources - center,
-                            self.charges, want)
-
-    def _singular_field(self, points, want):
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        s0 = self.singular_coefficient
-        r = np.linalg.norm(pts, axis=1)
-        u = s0 / r
-        if want == "u":
-            return u, None, None
-        g = -s0 * pts / r[:, None] ** 3
-        if want == "grad":
-            return u, g, None
-        h = s0 * (3.0 * pts[:, :, None] * pts[:, None, :] / r[:, None, None] ** 5
-                  - np.eye(3)[None] / r[:, None, None] ** 3)
-        return u, g, h
 
     def field(self, points, want="hess", check_region=True):
         """Evaluate (u, Du, D2u) at many points.
@@ -183,14 +159,16 @@ class HarmonicSolution:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if check_region:
             self._check_region(pts)
-        u, g, h = self._kernel_field(pts, want)
+        center = np.asarray(self.domain.center)
+        parts = _kernel_sums(pts - center, self.sources - center,
+                             self.charges, want)
         if self.singular_coefficient != 0.0:
-            us, gs, hs = self._singular_field(pts, want)
-            u = u + us
-            if g is not None:
-                g = g + gs
-            if h is not None:
-                h = h + hs
+            # one charge at the origin, not centred, so r = |x| stays exact
+            singular = _kernel_sums(pts, np.zeros((1, 3)),
+                                    np.array([self.singular_coefficient]), want)
+            parts = [None if p is None else p + s
+                     for p, s in zip(parts, singular)]
+        u, g, h = parts
         return FieldStates(points=pts, u=u, grad=g, hess=h)
 
     def _check_region(self, pts):
@@ -260,7 +238,7 @@ def evaluate(sol, x, check_region=True):
     """Evaluate (u, Du, D2u) at a single point, returned as a PointState.
 
     The Hessian is exactly symmetric and exactly trace-free up to roundoff
-    (the kernels are harmonic); D(Laplacian u) is identically zero.
+    (the kernels are harmonic).
     """
     states = sol.field(np.asarray(x, dtype=float)[None, :], want="hess",
                        check_region=check_region)
@@ -420,9 +398,10 @@ def _collocation_solve(quad, sources, center, rhs, rcond):
     center = np.asarray(center)
     A = _inverse_distance(quad.nodes - center, sources - center)
     sw = np.sqrt(quad.weights)
-    charges, _, rank, sv = np.linalg.lstsq(A * sw[:, None], rhs * sw, rcond=rcond)
+    A *= sw[:, None]    # weighted in place: the solve holds one matrix
+    charges, _, rank, sv = np.linalg.lstsq(A, rhs * sw, rcond=rcond)
     cond = float(sv[0] / sv[min(rank, len(sv)) - 1]) if len(sv) else math.inf
-    fit = float(np.abs(A @ charges - rhs).max())
+    fit = float(np.abs((A @ charges) / sw - rhs).max())
     return charges, fit, cond
 
 

@@ -24,7 +24,7 @@ provided: phi(f) = f (K = 0) and phi_t(f) = log(1 - e^f/t) (K = 1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -109,21 +109,18 @@ class WeightSpec:
 # pointwise Bochner identity
 # ---------------------------------------------------------------------------
 
-def bochner_sides(u, grad, hess, lap_grad=None, n=3):
-    """Both sides of the specialized Bochner identity at a point (or batch).
+def bochner_sides(u, grad, hess, lap_grad=0.0, n=3):
+    """Both sides of the specialized Bochner identity at a point or a batch.
 
-    Returns (Delta_g P, 2|hess_g f|_g^2 - <grad P, grad f>_g).  No
-    harmonicity is assumed: the Laplacian of u enters through the Hessian
+    Shapes are those of capsym.conformal: u (...), grad (..., 3), hess
+    (..., 3, 3).  Returns (Delta_g P, 2|hess_g f|_g^2 - <grad P, grad f>_g).
+    No harmonicity is assumed: the Laplacian of u enters through the Hessian
     trace and third derivatives through lap_grad = D(Delta u), which is
     identically zero for kernel superpositions.
     """
     u = np.asarray(u, dtype=float)
     grad = np.asarray(grad, dtype=float)
     hess = np.asarray(hess, dtype=float)
-    if lap_grad is None:
-        lap_grad = np.zeros_like(grad)
-    batched = grad.ndim == 2
-    uu = u[..., None] if batched else u
 
     g2 = np.sum(grad * grad, axis=-1)
     hg = np.einsum("...ab,...b->...a", hess, grad)
@@ -133,10 +130,7 @@ def bochner_sides(u, grad, hess, lap_grad=None, n=3):
 
     psi = u ** (-_QEXP)
     coef = _QEXP * g2 * psi / u
-    if batched:
-        grad_p = 2.0 * psi[:, None] * hg - coef[:, None] * grad
-    else:
-        grad_p = 2.0 * psi * hg - coef * grad
+    grad_p = 2.0 * psi[..., None] * hg - coef[..., None] * grad
     lap_phi = 2.0 * (h2 + np.sum(grad * lap_grad, axis=-1))
     lap_psi = -_QEXP * psi / u * lap_u + _QEXP * (_QEXP + 1) * psi / u ** 2 * g2
     lap_p = psi * lap_phi - 4.0 * _QEXP * (psi / u) * hgg + g2 * lap_psi
@@ -151,8 +145,7 @@ def bochner_sides(u, grad, hess, lap_grad=None, n=3):
 
 def bochner_residual(state, n=3):
     """|LHS - RHS| of the Bochner identity at one PointState."""
-    lhs, rhs = bochner_sides(state.u, state.grad, state.hess,
-                             lap_grad=state.lap_grad, n=n)
+    lhs, rhs = bochner_sides(state.u, state.grad, state.hess, n=n)
     return float(np.abs(lhs - rhs))
 
 
@@ -162,8 +155,8 @@ def bochner_residual(state, n=3):
 
 def _level_data(sol, c, order):
     ls = require_regular(extract_level_set(sol, c, order=order))
-    p = p_function(ls.level * np.ones_like(ls.u_grad), ls.grad)
-    dsg = ls.weights * dsigma_g_weight(np.full_like(ls.u_grad, ls.level))
+    p = p_function(ls.level, ls.grad)
+    dsg = ls.weights * dsigma_g_weight(ls.level)
     h_g = mean_curvature_conformal(ls.mean_curv, ls.level, ls.u_grad)
     i3 = float(np.sum(dsg * p ** 1.5))
     i2h = float(np.sum(dsg * p * h_g))
@@ -177,19 +170,12 @@ def flux_cubed_integral(sol, c, order=None):
     return _level_data(sol, c, order)[1]
 
 
-def curvature_flux_integral(sol, c, order=None):
-    """int_{f=log c} |grad f|_g^2 H_g dsigma_g over the level set {u=c}."""
-    order = order if order is not None else sol.order
-    return _level_data(sol, c, order)[2]
-
-
 def _hessian_density(weight):
     """Integrand of the volume term: e^phi |hess_g f|_g^2 dmu_g/dmu per node."""
     def density(ls):
-        uvals = np.full_like(ls.u_grad, ls.level)
-        hnorm = hess_f_conformal(uvals, ls.grad, ls.hess)[1]
+        hnorm = hess_f_conformal(ls.level, ls.grad, ls.hess)[1]
         return (float(np.exp(weight.phi(math.log(ls.level))))
-                * hnorm ** 2 * dmu_g_weight(uvals))
+                * hnorm ** 2 * dmu_g_weight(ls.level))
     return density
 
 
@@ -198,8 +184,9 @@ class IdentityResidual:
     """Two sides of the weighted identity plus the relative residual.
 
     rhs_terms holds the individually computed boundary contributions;
-    ``scale`` is the size reference sum of the |grad f|_g^3 fluxes, useful
-    when both sides vanish (the radial case).
+    ``scale`` is the sum of the two |grad f|_g^3 fluxes, the size of the
+    problem, and rel_residual is |lhs - rhs| / scale, which stays
+    meaningful when both sides vanish (the radial case).
     """
 
     lhs: float
@@ -227,9 +214,10 @@ def weighted_identity_check(sol, weight, a, b, levels=16, order=None):
 
     Both sides are produced by independent numerical pipelines: the left by
     coarea integration of 2 e^phi |hess_g f|_g^2 over the slab, the right
-    from the four boundary integrals.  rel_residual is
-    |lhs - rhs| / max(|lhs|, |rhs|, 1e-14); the quadrature error field is the
-    change of the volume term when the number of coarea levels is halved.
+    from the four boundary integrals.  rel_residual is |lhs - rhs| / scale,
+    with scale = I3(a) + I3(b) the two flux-cubed integrals; the quadrature
+    error field is the change of the volume term when the number of coarea
+    levels is halved.
     """
     if not a < b:
         raise ValueError("need a < b")
@@ -257,9 +245,8 @@ def weighted_identity_check(sol, weight, a, b, levels=16, order=None):
                                             max(8, levels // 2), order)
     scale = abs(i3_b) + abs(i3_a)
     abs_res = abs(lhs - rhs)
-    rel = abs_res / max(abs(lhs), abs(rhs), 1e-14)
     return IdentityResidual(lhs=lhs, rhs=rhs, rhs_terms=terms,
-                            rel_residual=rel, abs_residual=abs_res,
+                            rel_residual=abs_res / scale, abs_residual=abs_res,
                             scale=scale,
                             quadrature_error=abs(lhs - lhs_half))
 
@@ -284,11 +271,9 @@ def prop_exterior_truncated_identity(sol, c, eps=2e-3, levels=16, order=None,
         raise ValueError("need 0 < eps < c")
     order = order if order is not None else sol.order
     ls_eps, _, j_eps, _ = _level_data(sol, eps, order)
-    p_eps = p_function(eps * np.ones_like(ls_eps.u_grad), ls_eps.grad)
-    h_eps = hess_f_conformal(np.full_like(ls_eps.u_grad, eps), ls_eps.grad,
-                             ls_eps.hess)[1]
-    area_g = float(np.sum(ls_eps.weights
-                          * dsigma_g_weight(np.full_like(ls_eps.u_grad, eps))))
+    p_eps = p_function(eps, ls_eps.grad)
+    h_eps = hess_f_conformal(eps, ls_eps.grad, ls_eps.hess)[1]
+    area_g = float(np.sum(ls_eps.weights * dsigma_g_weight(eps)))
     cutoff_estimate = eps * float(np.sqrt(p_eps).max()) * float(h_eps.max()) \
         * area_g
     _, _, j_c, j_c_abs = _level_data(sol, c, order)

@@ -129,7 +129,7 @@ def test_C13_verdict_scale_invariant(ellipsoid_solution):
 
 
 def test_C14_ball_equality(ball_solution):
-    rep = check_pointwise(ball_solution, 0.5, "<=")
+    rep = check_pointwise(ball_solution, 0.5)
     assert rep.verdict == "satisfied" and rep.witnesses["equality"]
     assert abs(rep.lhs) < 1e-8
 
@@ -170,7 +170,7 @@ def test_T11_ellipsoid_recorded(ellipsoid_solution):
 
 
 def test_C14_ellipsoid_violated_at_boundary(ellipsoid_solution):
-    rep = check_pointwise(ellipsoid_solution, 1.0, "<=")
+    rep = check_pointwise(ellipsoid_solution, 1.0)
     assert rep.verdict == "violated"
     assert rep.lhs > 1e-3   # worst-node gap
 
@@ -290,7 +290,7 @@ def test_pointwise_implies_integral(ball_solution):
     # C1.4 holding pointwise makes the T1.1 integrand nonpositive, so the
     # integral condition must hold as well
     c = 0.5
-    pw = check_pointwise(ball_solution, c, "<=")
+    pw = check_pointwise(ball_solution, c)
     integ = check_T11(ball_solution, c)
     assert pw.verdict == "satisfied"
     assert integ.verdict == "satisfied"
@@ -310,7 +310,7 @@ def test_battery_embeds_named_errors_and_propagates_bugs(ball_solution,
                                                         monkeypatch):
     import capsym.criteria as crit
 
-    def invalid(sol, quad=None):
+    def invalid(sol):
         raise IrregularLevelSetError("level set is not regular")
 
     monkeypatch.setattr(crit, "check_C13", invalid)
@@ -318,12 +318,37 @@ def test_battery_embeds_named_errors_and_propagates_bugs(ball_solution,
     assert row == {"criterionId": "C1.3-capacity",
                    "error": "IrregularLevelSetError: level set is not regular"}
 
-    def broken(sol, quad=None):
+    def broken(sol):
         raise TypeError("unsupported operand")
 
     monkeypatch.setattr(crit, "check_C13", broken)
     with pytest.raises(TypeError, match="unsupported operand"):
         run_battery(ball_solution, criteria=["C1.3-capacity"])
+
+
+def test_interior_battery_builds_boundary_data_once(ball_interior,
+                                                    monkeypatch):
+    import capsym.criteria as crit
+
+    sol = HarmonicSolution.from_json_dict(ball_interior.to_json_dict())
+    quads, boundary_fields = [], []
+    build, field = crit.build_quadrature, HarmonicSolution.field
+
+    def counting_build(spec, order):
+        quads.append(build(spec, order))
+        return quads[-1]
+
+    def counting_field(self, points, *args, **kwargs):
+        if any(points is quad.nodes for quad in quads):
+            boundary_fields.append(points)
+        return field(self, points, *args, **kwargs)
+
+    monkeypatch.setattr(crit, "build_quadrature", counting_build)
+    monkeypatch.setattr(HarmonicSolution, "field", counting_field)
+    run_battery(sol)
+    assert (len(quads), len(boundary_fields)) == (1, 1)
+    run_battery(sol)
+    assert (len(quads), len(boundary_fields)) == (1, 1)
 
 
 def test_battery_runs_to_completion(ball_interior):

@@ -9,7 +9,7 @@ from capsym import (DomainSpec, InsufficientSamplesError, OutOfRegionError,
                     RadialGeometry, SolverOptions, decay_report, evaluate,
                     radial_solution, solve_exterior, solve_interior)
 from capsym.geometry import build_quadrature
-from capsym.harmonic import _CHUNK_PAIRS
+from capsym.harmonic import _CHUNK_PAIRS, _kernel_sums
 
 
 @pytest.fixture(scope="module")
@@ -25,6 +25,12 @@ def ellipsoid_solution():
 @pytest.fixture(scope="module")
 def ball_interior():
     return solve_interior(DomainSpec(kind="sphere", radius=1.0), c=1.0, d=1.0)
+
+
+@pytest.fixture(scope="module")
+def ellipsoid_interior():
+    return solve_interior(DomainSpec(kind="ellipsoid", axes=(2.0, 1.0, 1.0)),
+                          c=1.0, d=1.0)
 
 
 @pytest.fixture(scope="module")
@@ -167,6 +173,38 @@ def test_kernel_matches_difference_tensor_reference(name, radii, request):
                 got = {"u": st.u, "grad": st.grad, "hess": st.hess}[want]
                 err = np.abs(got - ref[want]).max()
                 assert err <= 1e-13 * np.abs(ref[want]).max(), (want, r, count)
+
+
+def closed_form_singular_term(sol, pts):
+    """Reference (u, Du, D2u) of the interior term s0/|x| from its closed
+    form."""
+    s0 = sol.singular_coefficient
+    r = np.linalg.norm(pts, axis=1)
+    u = s0 / r
+    g = -s0 * pts / r[:, None] ** 3
+    h = s0 * (3.0 * pts[:, :, None] * pts[:, None, :] / r[:, None, None] ** 5
+              - np.eye(3)[None] / r[:, None, None] ** 3)
+    return u, g, h
+
+
+@pytest.mark.parametrize("name", ["ball_interior", "ellipsoid_interior"])
+def test_singular_term_matches_closed_form(name, request):
+    sol = request.getfixturevalue(name)
+    center = np.asarray(sol.domain.center)
+    dirs = np.random.default_rng(7).normal(size=(64, 3))
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    for r in np.logspace(-4, 0, 9):
+        pts = r * dirs
+        fitted = _kernel_sums(pts - center, sol.sources - center, sol.charges,
+                              "hess")
+        singular = closed_form_singular_term(sol, pts)
+        for k, want in enumerate(("u", "grad", "hess")):
+            st = sol.field(pts, want=want, check_region=False)
+            got = (st.u, st.grad, st.hess)[k].reshape(len(pts), -1)
+            ref = (fitted[k] + singular[k]).reshape(len(pts), -1)
+            scale = np.abs(ref).max(axis=1)
+            assert np.all(np.abs(got - ref).max(axis=1) <= 1e-13 * scale), \
+                (want, r)
 
 
 def test_hessian_evaluation_memory_is_bounded(star_solution):

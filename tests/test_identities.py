@@ -6,8 +6,10 @@ from numpy.testing import assert_allclose
 
 from capsym import (CutoffTooLargeError, DomainSpec, WeightSpec,
                     bochner_residual, bochner_sides, flux_cubed_integral,
-                    interior_flux_cubed_limit, interior_truncated_identity,
-                    prop_exterior_truncated_identity, solve_exterior,
+                    hess_f_conformal, interior_flux_cubed_limit,
+                    interior_truncated_identity,
+                    prop_exterior_truncated_identity, quasi_einstein_residual,
+                    ricci_conformal, scalar_curvature, solve_exterior,
                     solve_interior, weighted_identity_check)
 from capsym.harmonic import PointState
 
@@ -84,20 +86,44 @@ def test_bochner_detects_broken_harmonicity(ellipsoid_solution):
             point=st.point,
             u=st.u + eps * float(p @ p),
             grad=st.grad + 2 * eps * p,
-            hess=st.hess + 2 * eps * np.eye(3),
-            lap_grad=np.zeros(3))
+            hess=st.hess + 2 * eps * np.eye(3))
         worst = max(worst, bochner_residual(broken))
         assert bochner_residual(broken) >= 1e-4
     assert worst > 1e-4
 
 
-def test_bochner_sides_vectorized_consistency(ellipsoid_solution):
+@pytest.mark.parametrize("fn", [hess_f_conformal, ricci_conformal,
+                                quasi_einstein_residual, scalar_curvature,
+                                bochner_sides], ids=lambda fn: fn.__name__)
+def test_single_point_equals_batch_row(fn, ellipsoid_solution):
+    # one point and a batch run the same broadcast code
     pts = sample_points(ellipsoid_solution, 8, seed=4)
     st = ellipsoid_solution.field(pts)
-    lhs, rhs = bochner_sides(st.u, st.grad, st.hess)
+    batch = fn(st.u, st.grad, st.hess)
+    batch = batch if isinstance(batch, tuple) else (batch,)
     for i in range(len(pts)):
-        l1, r1 = bochner_sides(st.u[i], st.grad[i], st.hess[i])
-        assert_allclose([lhs[i], rhs[i]], [l1, r1], rtol=1e-12)
+        single = fn(st.u[i], st.grad[i], st.hess[i])
+        single = single if isinstance(single, tuple) else (single,)
+        assert len(single) == len(batch)
+        for one, rows in zip(single, batch):
+            assert np.shape(one) == rows.shape[1:]
+            assert np.abs(one - rows[i]).max() <= 1e-14 * np.abs(rows[i]).max()
+
+
+def test_bochner_lap_grad_moves_lhs_only(ellipsoid_solution):
+    # Delta_g P gains 2 u^(-2/(n-2)) u^(-2(n-1)/(n-2)) <Du, D(Delta u)>,
+    # which is 2 u^-6 <Du, lap_grad> at n = 3; the right side has no
+    # third derivatives
+    pts = sample_points(ellipsoid_solution, 8, seed=12)
+    st = ellipsoid_solution.field(pts)
+    lap_grad = np.random.default_rng(13).normal(size=(8, 3))
+    lhs0, rhs0 = bochner_sides(st.u, st.grad, st.hess)
+    lhs1, rhs1 = bochner_sides(st.u, st.grad, st.hess, lap_grad=lap_grad)
+    shift = 2.0 * st.u ** -6 * np.sum(st.grad * lap_grad, axis=1)
+    assert np.all(np.abs(shift) > 1e-3 * np.abs(lhs0))
+    err = np.abs(lhs1 - lhs0 - shift)
+    assert np.all(err <= 1e-13 * np.maximum(np.abs(lhs0), np.abs(lhs1)))
+    assert np.array_equal(rhs1, rhs0)
 
 
 # ---------------------------------------------------------------------------
@@ -114,6 +140,22 @@ def test_weighted_identity_ball_all_terms_vanish(ball_solution):
     assert abs(res.lhs) < 1e-6 * res.scale
     assert abs(res.rhs) < 1e-6 * res.scale
     assert res.abs_residual < 1e-6 * res.scale
+
+
+@pytest.mark.parametrize("name, c_lo, c_hi", [
+    ("ball_solution", 0.25, 0.75),
+    ("ball_interior", 1.5, 3.0),
+], ids=["exterior-ball", "interior-ball"])
+def test_weighted_identity_residual_is_relative_to_scale(name, c_lo, c_hi,
+                                                         request):
+    # both sides vanish on the ball, so the residual is measured against
+    # the flux-cubed scale, not against the two roundoff-sized sides
+    sol = request.getfixturevalue(name)
+    res = weighted_identity_check(sol, WeightSpec.linear(), math.log(c_lo),
+                                  math.log(c_hi))
+    assert res.scale > 1.0
+    assert res.rel_residual == res.abs_residual / res.scale
+    assert res.rel_residual <= 1e-12
 
 
 def test_weighted_identity_ellipsoid_linear(ellipsoid_solution):
