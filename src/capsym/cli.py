@@ -1,10 +1,17 @@
-"""Batch front-end: solve -> extract -> check pipelines driven by a JSON
-config, with JSON/CSV reports.
+"""Batch front-end: each run builds one RunConfig and one HarmonicSolution,
+loaded from ``--solution`` or else solved, and runs the stages of its
+subcommand on that pair.  A loaded solution must have the config's problem
+kind, c, d and domain (its order may differ), else a ConfigError names the
+field that differs.  The stages are solve (solution.json), check
+(criteria.json), identities (identities.json, identity_terms.csv), and, for
+exterior problems only, capacity and decay (capacity.json, decay.json);
+report runs them all in that order.  They share the solution and so its
+level-set cache: no level set is solved twice.
 
-Subcommands: solve, check, identities, capacity, decay, report.  Exit code 0
-means the run completed; criterion verdicts live in the reports, not the
-exit code.  Reports are written deterministically (sorted keys, repr floats,
-no timestamps), so identical configs produce byte-identical output.
+Exit code 0 means the run completed; criterion verdicts live in the
+reports, not the exit code.  Reports are written deterministically (sorted
+keys, repr floats, no timestamps), so identical configs produce
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -20,11 +27,10 @@ import numpy as np
 
 from . import criteria as crit
 from .errors import CapsymError
-from .geometry import DomainSpec, build_quadrature
+from .geometry import DomainSpec
 from .harmonic import (DEFAULT_ORDER, HarmonicSolution, SolverOptions,
                        decay_report, solve_exterior, solve_interior)
-from .identities import WeightSpec, bochner_residual, weighted_identity_check
-from .levelset import extract_level_set
+from .identities import WeightSpec, bochner_sides, weighted_identity_check
 
 
 class ConfigError(CapsymError):
@@ -35,15 +41,37 @@ class ConfigError(CapsymError):
 # run configuration
 # ---------------------------------------------------------------------------
 
+_CONFIG_KEYS = {"domain", "problem", "solver", "levels", "criteria",
+                "identities", "seed"}
+_PROBLEM_KEYS = {"kind", "c", "d"}
+_SOLVER_KEYS = {"order", "source_order", "source_factor", "rcond", "tolerance"}
+_IDENTITY_KEYS = {"weight", "t", "a", "b", "levels"}
+
+
+def _known(entry, where, keys):
+    """entry, once it is known to be a JSON object with only known keys."""
+    if not isinstance(entry, dict):
+        raise ConfigError(f"{where} must be a JSON object")
+    unknown = sorted(set(entry) - keys)
+    if unknown:
+        raise ConfigError(f"unknown key {unknown[0]!r} in {where}")
+    return entry
+
+
 class RunConfig:
-    """Validated view of the JSON run configuration."""
+    """Validated view of the JSON run configuration.  Unknown keys are
+    rejected by name, so that a misspelt key cannot leave a default in place.
+    """
 
     def __init__(self, data, refine=0):
+        _known(data, "config", _CONFIG_KEYS)
+        if "domain" not in data:
+            raise ConfigError("config needs a 'domain' entry")
         try:
             self.domain = DomainSpec.from_json_dict(data["domain"])
-        except KeyError:
-            raise ConfigError("config needs a 'domain' entry")
-        problem = data.get("problem", {"kind": "exterior", "c": 1.0})
+        except KeyError as exc:
+            raise ConfigError(f"domain is missing {exc.args[0]!r}") from None
+        problem = _known(data.get("problem", {}), "problem", _PROBLEM_KEYS)
         self.problem_kind = problem.get("kind", "exterior")
         if self.problem_kind not in ("exterior", "interior"):
             raise ConfigError(f"unknown problem kind {self.problem_kind!r}")
@@ -54,7 +82,7 @@ class RunConfig:
         if self.problem_kind == "interior" and self.d <= 0:
             raise ConfigError("flux density d must be positive")
 
-        solver = dict(data.get("solver", {}))
+        solver = _known(data.get("solver", {}), "solver", _SOLVER_KEYS)
         order = solver.get("order")
         if order is None and refine:
             order = DEFAULT_ORDER[self.domain.kind]
@@ -67,7 +95,6 @@ class RunConfig:
             rcond=float(solver.get("rcond", 1e-12)),
             tolerance=solver.get("tolerance"),
         )
-        self.refine = refine
         self.levels = [float(v) for v in data.get("levels", [])]
         for lv in self.levels:
             lo, hi = (0.0, self.c) if self.problem_kind == "exterior" \
@@ -87,17 +114,27 @@ class RunConfig:
                     raise ConfigError(
                         f"criterion {cid} is incompatible with the "
                         f"{self.problem_kind} problem")
+        entries = data.get("identities")
+        if not entries:
+            # one linear-weight check between two levels inside the range of u
+            lo, hi = (0.25, 0.75) if self.problem_kind == "exterior" else (1.5, 3.0)
+            entries = [{"a": math.log(lo * self.c), "b": math.log(hi * self.c)}]
         self.identity_checks = []
-        for entry in data.get("identities", []):
-            kind = entry.get("weight", "linear")
-            if kind == "linear":
-                weight = WeightSpec.linear()
-            elif kind in ("shifted-log", "shifted_log"):
-                weight = WeightSpec.shifted_log(float(entry["t"]))
-            else:
-                raise ConfigError(f"unknown identity weight {kind!r}")
-            a = float(entry["a"])
-            b = float(entry["b"])
+        for entry in entries:
+            _known(entry, "identity check", _IDENTITY_KEYS)
+            try:
+                kind = entry.get("weight", "linear")
+                if kind == "linear":
+                    weight = WeightSpec.linear()
+                elif kind in ("shifted-log", "shifted_log"):
+                    weight = WeightSpec.shifted_log(float(entry["t"]))
+                else:
+                    raise ConfigError(f"unknown identity weight {kind!r}")
+                a = float(entry["a"])
+                b = float(entry["b"])
+            except KeyError as exc:
+                raise ConfigError(
+                    f"identity check is missing {exc.args[0]!r}") from None
             if not a < b:
                 raise ConfigError("identity check needs a < b")
             if weight.kind == "shifted-log" and b >= math.log(weight.t):
@@ -123,41 +160,53 @@ class RunConfig:
 def _parse_domain_shorthand(text):
     kind, _, rest = text.partition(":")
     if kind == "sphere":
-        return DomainSpec(kind="sphere", radius=float(rest or 1.0))
+        return {"kind": "sphere", "radius": float(rest or 1.0)}
     if kind == "ellipsoid":
-        axes = tuple(float(v) for v in rest.split(","))
-        return DomainSpec(kind="ellipsoid", axes=axes)
+        return {"kind": "ellipsoid", "axes": [float(v) for v in rest.split(",")]}
     if text.startswith("@"):
         with open(text[1:], "r", encoding="utf-8") as fh:
-            return DomainSpec.from_json_dict(json.load(fh))
+            return json.load(fh)
     raise ConfigError(f"cannot parse domain shorthand {text!r} "
                       "(use sphere:R, ellipsoid:A,B,C, or @file.json)")
 
 
 def _parse_problem_shorthand(text):
     kind, _, rest = text.partition(":")
-    params = {}
+    problem = {"kind": kind}
     for piece in filter(None, rest.split(",")):
         key, _, val = piece.partition("=")
-        params[key] = float(val)
-    if kind not in ("exterior", "interior"):
-        raise ConfigError(f"unknown problem kind {kind!r}")
-    return {"kind": kind, **params}
+        problem[key] = float(val)
+    return problem
 
 
 def _config_from_args(args):
     if args.config:
         return RunConfig.from_path(args.config, refine=args.refine)
-    if getattr(args, "domain", None):
-        data = {"domain": _parse_domain_shorthand(args.domain).to_json_dict()}
-        if getattr(args, "problem", None):
+    if args.domain:
+        data = {"domain": _parse_domain_shorthand(args.domain)}
+        if args.problem:
             data["problem"] = _parse_problem_shorthand(args.problem)
         return RunConfig(data, refine=args.refine)
     raise ConfigError("either --config or --domain is required")
 
 
+def _load_matching(config, path):
+    """The solution saved at path, which must solve the config's problem."""
+    sol = HarmonicSolution.load(path)
+    for name, want, got in (
+            ("problem", config.problem_kind, sol.problem),
+            ("c", config.c, sol.c), ("d", config.d, sol.d),
+            ("domain", config.domain.to_json_dict(), sol.domain.to_json_dict())):
+        if got != want:
+            raise ConfigError(f"solution {path} does not match the config: "
+                              f"{name} is {got!r} in the solution, "
+                              f"{want!r} in the config")
+    return sol
+
+
 # ---------------------------------------------------------------------------
-# deterministic output helpers
+# stages: each takes (args, config, sol), writes its reports and prints a
+# summary; failures raise
 # ---------------------------------------------------------------------------
 
 def _write_json(path, payload):
@@ -166,34 +215,15 @@ def _write_json(path, payload):
         fh.write("\n")
 
 
-def _out_path(args, name):
-    os.makedirs(args.out, exist_ok=True)
-    return os.path.join(args.out, name)
-
-
-# ---------------------------------------------------------------------------
-# subcommands
-# ---------------------------------------------------------------------------
-
-def cmd_solve(args):
-    config = _config_from_args(args)
-    sol = config.solve()
-    path = _out_path(args, "solution.json")
+def _solve_stage(args, config, sol):
+    path = os.path.join(args.out, "solution.json")
     sol.save(path)
-    print(f"solved {config.problem_kind} problem on {config.domain.kind}: "
-          f"fitResidual {sol.fit_residual:.6e} -> {path}")
-    return 0
+    print(f"{'loaded' if args.solution else 'solved'} {config.problem_kind} "
+          f"problem on {config.domain.kind}: fitResidual "
+          f"{sol.fit_residual:.6e} -> {path}")
 
 
-def _load_solution(args, config):
-    if args.solution:
-        return HarmonicSolution.load(args.solution)
-    return config.solve()
-
-
-def cmd_check(args):
-    config = _config_from_args(args)
-    sol = _load_solution(args, config)
+def _check_stage(args, config, sol):
     reports = crit.run_battery(sol, criteria=config.criteria,
                                levels=config.levels or None)
     certificate = crit.symmetry_certificate(
@@ -206,7 +236,7 @@ def cmd_check(args):
                      for r in reports],
         "certificate": certificate.to_json_dict(),
     }
-    path = _out_path(args, "criteria.json")
+    path = os.path.join(args.out, "criteria.json")
     _write_json(path, payload)
     print(f"{'criterion':<26} {'lhs':>13} {'rhs':>13} {'margin':>12} verdict")
     for r in reports:
@@ -221,22 +251,12 @@ def cmd_check(args):
           + ("" if certificate.granted
              else f" (failing metric: {certificate.failing_metric})"))
     print(f"report -> {path}")
-    return 0
 
 
-def cmd_identities(args):
-    config = _config_from_args(args)
-    sol = _load_solution(args, config)
-    checks = config.identity_checks
-    if not checks:
-        if config.problem_kind == "exterior":
-            a, b = math.log(0.25 * config.c), math.log(0.75 * config.c)
-        else:
-            a, b = math.log(1.5 * config.c), math.log(3.0 * config.c)
-        checks = [(WeightSpec.linear(), a, b, 16 * 2 ** args.refine)]
+def _identities_stage(args, config, sol):
     rows = []
     results = []
-    for weight, a, b, levels in checks:
+    for weight, a, b, levels in config.identity_checks:
         res = weighted_identity_check(sol, weight, a, b, levels=levels)
         results.append({
             "weight": weight.kind,
@@ -249,15 +269,16 @@ def cmd_identities(args):
     # pointwise Bochner residuals at deterministic sample points
     pts = crit.sample_region_points(sol, count=20, seed=config.seed)
     states = sol.field(pts, want="hess", check_region=False)
-    boch = [bochner_residual(states[i]) for i in range(len(pts))]
+    lhs, rhs = bochner_sides(states.u, states.grad, states.hess)
+    boch = float(np.abs(lhs - rhs).max())
     payload = {
         "identityChecks": results,
-        "bochnerMaxResidual": max(boch),
-        "bochnerSampleCount": len(boch),
+        "bochnerMaxResidual": boch,
+        "bochnerSampleCount": len(pts),
     }
-    path = _out_path(args, "identities.json")
+    path = os.path.join(args.out, "identities.json")
     _write_json(path, payload)
-    csv_path = _out_path(args, "identity_terms.csv")
+    csv_path = os.path.join(args.out, "identity_terms.csv")
     with open(csv_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["weight", "a", "b", "term", "value"])
@@ -266,16 +287,11 @@ def cmd_identities(args):
         print(f"identity [{res['weight']}] a={res['a']:.4g} b={res['b']:.4g}: "
               f"lhs {res['lhs']:.6e} rhs {res['rhs']:.6e} "
               f"rel {res['relResidual']:.3e}")
-    print(f"bochner max residual over {len(boch)} points: {max(boch):.3e}")
+    print(f"bochner max residual over {len(pts)} points: {boch:.3e}")
     print(f"reports -> {path}, {csv_path}")
-    return 0
 
 
-def cmd_capacity(args):
-    config = _config_from_args(args)
-    sol = _load_solution(args, config)
-    if config.problem_kind != "exterior":
-        raise ConfigError("capacity requires an exterior problem")
+def _capacity_stage(args, config, sol):
     level = args.level if args.level is not None else 0.5 * config.c
     cap = float(crit.capacity(sol, level=level))
     payload = {
@@ -283,46 +299,36 @@ def cmd_capacity(args):
         "level": level,
         "inferredBallRadius": float(crit.inferred_ball_radius(cap)),
     }
-    path = _out_path(args, "capacity.json")
+    path = os.path.join(args.out, "capacity.json")
     _write_json(path, payload)
     print(f"capacity {cap!r} (inferred ball radius "
           f"{payload['inferredBallRadius']!r}) -> {path}")
-    return 0
 
 
-def cmd_decay(args):
-    config = _config_from_args(args)
-    sol = _load_solution(args, config)
-    lo, hi, count = args.radii
-    radii = np.geomspace(lo, hi, int(count))
-    report = decay_report(sol, radii)
+def _decay_stage(args, config, sol):
+    if args.radii is not None:
+        lo, hi, count = args.radii
+    else:
+        r_hi = config.domain.bounding_radii()[1]
+        lo, hi, count = max(10.0, 3 * r_hi), max(100.0, 30 * r_hi), 8
+    report = decay_report(sol, np.geomspace(lo, hi, count))
     payload = {
         "fittedExponent": report.fitted_exponent,
         "gradientExponent": report.gradient_exponent,
         "hessianExponent": report.hessian_exponent,
         "sampleRadii": list(report.sample_radii),
     }
-    path = _out_path(args, "decay.json")
+    path = os.path.join(args.out, "decay.json")
     _write_json(path, payload)
     print(f"decay exponents: u {report.fitted_exponent:.6f}, "
           f"|Du| {report.gradient_exponent:.6f}, "
           f"|D2u| {report.hessian_exponent:.6f} -> {path}")
-    return 0
 
 
-def cmd_report(args):
-    rc = cmd_solve(args)
-    args.solution = os.path.join(args.out, "solution.json")
-    rc |= cmd_check(args)
-    rc |= cmd_identities(args)
-    config = _config_from_args(args)
-    if config.problem_kind == "exterior":
-        rc |= cmd_capacity(args)
-        r_hi = config.domain.bounding_radii()[1]
-        if args.radii is None:
-            args.radii = (max(10.0, 3 * r_hi), max(100.0, 30 * r_hi), 8)
-        rc |= cmd_decay(args)
-    return rc
+# in the order report runs them; capacity and decay are exterior-only
+_STAGES = {"solve": _solve_stage, "check": _check_stage,
+           "identities": _identities_stage, "capacity": _capacity_stage,
+           "decay": _decay_stage}
 
 
 def _radii_triple(text):
@@ -342,35 +348,42 @@ def build_parser():
                                          " | @domain.json")
     common.add_argument("--problem", help="shorthand: exterior:c=1 | "
                                           "interior:c=1,d=1")
-    common.add_argument("--solution", help="reuse a saved solution.json")
+    common.add_argument("--solution",
+                        help="use this saved solution.json instead of "
+                             "solving; its problem, c, d and domain must "
+                             "match the config")
     common.add_argument("--out", default="capsym-out", help="output directory")
     common.add_argument("--refine", type=int, default=0,
                         help="refinement level: bumps orders and level counts")
-    sub.add_parser("solve", parents=[common]).set_defaults(func=cmd_solve)
-    sub.add_parser("check", parents=[common]).set_defaults(func=cmd_check)
-    sub.add_parser("identities", parents=[common]).set_defaults(func=cmd_identities)
-    cap = sub.add_parser("capacity", parents=[common])
-    cap.add_argument("--level", type=float, default=None)
-    cap.set_defaults(func=cmd_capacity)
-    dec = sub.add_parser("decay", parents=[common])
-    dec.add_argument("--radii", type=_radii_triple, default=(10.0, 100.0, 8),
-                     help="lo:hi:count geometric radii")
-    dec.set_defaults(func=cmd_decay)
-    rep = sub.add_parser("report", parents=[common])
-    rep.add_argument("--level", type=float, default=None)
-    rep.add_argument("--radii", type=_radii_triple, default=None)
-    rep.set_defaults(func=cmd_report)
+    for name in ("solve", "check", "identities", "capacity", "decay", "report"):
+        cmd = sub.add_parser(name, parents=[common])
+        if name in ("capacity", "report"):
+            cmd.add_argument("--level", type=float, default=None,
+                             help="level of the capacity flux (default c/2)")
+        if name in ("decay", "report"):
+            cmd.add_argument("--radii", type=_radii_triple, default=None,
+                             help="lo:hi:count geometric radii (default: "
+                                  "3 and 30 domain radii, at least 10:100:8)")
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        config = _config_from_args(args)
+        sol = (_load_matching(config, args.solution) if args.solution
+               else config.solve())
+        stages = [args.command]
+        if args.command == "report":
+            stages = list(_STAGES) if config.problem_kind == "exterior" \
+                else ["solve", "check", "identities"]
+        os.makedirs(args.out, exist_ok=True)
+        for name in stages:
+            _STAGES[name](args, config, sol)
     except (CapsymError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 0
 
 
 if __name__ == "__main__":

@@ -71,9 +71,6 @@ class SolverOptions:
     rcond: float = 1e-12
     tolerance: float | None = None
 
-    def resolved_order(self, kind):
-        return self.order if self.order is not None else DEFAULT_ORDER[kind]
-
     def resolved_source_order(self, kind, order):
         if self.source_order is not None:
             return self.source_order
@@ -367,29 +364,6 @@ def _graph_sources(spec, src_order, factor):
     return np.asarray(spec.center) + factor * rho[:, None] * unit_directions(th, ph)
 
 
-def _exterior_sources(spec, opts, order):
-    src_order = opts.resolved_source_order(spec.kind, order)
-    if spec.kind == "ellipsoid":
-        pts = _ellipsoid_focal_sources(spec, order + 8)
-        if pts is not None:
-            return pts
-    return _graph_sources(spec, src_order, opts.source_factor)
-
-
-def _interior_sources(spec, opts, order):
-    src_order = opts.resolved_source_order(spec.kind, order)
-    dilation = 1.0 / opts.source_factor
-    if spec.kind == "ellipsoid":
-        a, b, c = spec.axes
-        mu = (dilation ** 2 - 1.0) * min(a, b, c) ** 2
-        outer = DomainSpec(kind="ellipsoid",
-                           axes=(math.sqrt(a * a + mu), math.sqrt(b * b + mu),
-                                 math.sqrt(c * c + mu)),
-                           center=spec.center)
-        return _graph_sources(outer, src_order, 1.0)
-    return _graph_sources(spec, src_order, dilation)
-
-
 # ---------------------------------------------------------------------------
 # solves
 # ---------------------------------------------------------------------------
@@ -405,6 +379,49 @@ def _collocation_solve(quad, sources, center, rhs, rcond):
     return charges, fit, cond
 
 
+def _solve(spec, quad, opts, problem, c, d):
+    """The collocation solve of either problem; d is None for the exterior."""
+    if quad is None:
+        quad = build_quadrature(spec, opts.order if opts.order is not None
+                                else DEFAULT_ORDER[spec.kind])
+    order = quad.order
+    src_order = opts.resolved_source_order(spec.kind, order)
+    if problem == "exterior":
+        s0 = 0.0
+        rhs = np.full(len(quad.nodes), float(c))
+        sources = (_ellipsoid_focal_sources(spec, order + 8)
+                   if spec.kind == "ellipsoid" else None)
+        if sources is None:
+            sources = _graph_sources(spec, src_order, opts.source_factor)
+    else:
+        s0 = d * quad.area * A_N
+        rhs = c - s0 / np.linalg.norm(quad.nodes, axis=1)
+        dilation = 1.0 / opts.source_factor
+        if spec.kind == "ellipsoid":
+            # on a larger confocal ellipsoid
+            mu = (dilation ** 2 - 1.0) * min(spec.axes) ** 2
+            outer = DomainSpec(kind="ellipsoid", center=spec.center,
+                               axes=tuple(math.sqrt(a * a + mu)
+                                          for a in spec.axes))
+            sources = _graph_sources(outer, src_order, 1.0)
+        else:
+            sources = _graph_sources(spec, src_order, dilation)
+    charges, fit, cond = _collocation_solve(quad, sources, spec.center,
+                                             rhs, opts.rcond)
+    tol = opts.resolved_tolerance(spec.kind, problem)
+    if fit > tol:
+        raise SolverFailureError(
+            f"{problem} boundary misfit {fit:.3e} exceeds tolerance "
+            f"{tol:.1e} (condition estimate {cond:.3e}); raise the order or "
+            "adjust source placement", fit_residual=fit, condition=cond)
+    return HarmonicSolution(problem=problem, c=float(c),
+                            d=None if d is None else float(d), domain=spec,
+                            sources=sources, charges=charges,
+                            singular_coefficient=s0, fit_residual=fit,
+                            boundary_area=quad.area, order=order,
+                            condition_estimate=cond)
+
+
 def solve_exterior(spec, quad=None, c=1.0, opts=SolverOptions()):
     """Solve the exterior problem: harmonic outside the domain, u = c on the
     boundary, u -> 0 at infinity.
@@ -414,24 +431,7 @@ def solve_exterior(spec, quad=None, c=1.0, opts=SolverOptions()):
     """
     if not c > 0:
         raise ValueError("boundary value c must be positive")
-    order = quad.order if quad is not None else opts.resolved_order(spec.kind)
-    if quad is None:
-        quad = build_quadrature(spec, order)
-    sources = _exterior_sources(spec, opts, order)
-    rhs = np.full(len(quad.nodes), float(c))
-    charges, fit, cond = _collocation_solve(quad, sources, spec.center,
-                                             rhs, opts.rcond)
-    tol = opts.resolved_tolerance(spec.kind, "exterior")
-    if fit > tol:
-        raise SolverFailureError(
-            f"boundary misfit {fit:.3e} exceeds tolerance {tol:.1e} "
-            f"(condition estimate {cond:.3e}); raise the order or adjust "
-            "source placement", fit_residual=fit, condition=cond)
-    return HarmonicSolution(problem="exterior", c=float(c), d=None, domain=spec,
-                            sources=sources, charges=charges,
-                            singular_coefficient=0.0, fit_residual=fit,
-                            boundary_area=quad.area, order=order,
-                            condition_estimate=cond)
+    return _solve(spec, quad, opts, "exterior", c, None)
 
 
 def solve_interior(spec, quad=None, c=1.0, d=1.0, opts=SolverOptions()):
@@ -443,26 +443,7 @@ def solve_interior(spec, quad=None, c=1.0, d=1.0, opts=SolverOptions()):
     """
     if not d > 0:
         raise ValueError("flux density d must be positive")
-    order = quad.order if quad is not None else opts.resolved_order(spec.kind)
-    if quad is None:
-        quad = build_quadrature(spec, order)
-    area = quad.area
-    s0 = d * area * A_N
-    sources = _interior_sources(spec, opts, order)
-    r_nodes = np.linalg.norm(quad.nodes, axis=1)
-    rhs = c - s0 / r_nodes
-    charges, fit, cond = _collocation_solve(quad, sources, spec.center,
-                                             rhs, opts.rcond)
-    tol = opts.resolved_tolerance(spec.kind, "interior")
-    if fit > tol:
-        raise SolverFailureError(
-            f"boundary misfit {fit:.3e} exceeds tolerance {tol:.1e} "
-            f"(condition estimate {cond:.3e})", fit_residual=fit, condition=cond)
-    return HarmonicSolution(problem="interior", c=float(c), d=float(d),
-                            domain=spec, sources=sources, charges=charges,
-                            singular_coefficient=s0, fit_residual=fit,
-                            boundary_area=area, order=order,
-                            condition_estimate=cond)
+    return _solve(spec, quad, opts, "interior", c, d)
 
 
 # ---------------------------------------------------------------------------

@@ -186,3 +186,138 @@ def test_solution_round_trip_through_cli(tmp_path):
     assert np.abs(a.u - b.u).max() < 1e-14
     assert np.abs(a.grad - b.grad).max() < 1e-14
     assert np.abs(a.hess - b.hess).max() < 1e-14
+
+
+# ---------------------------------------------------------------------------
+# one config and one solution per run
+# ---------------------------------------------------------------------------
+
+REPORT_FILES = ("solution.json", "criteria.json", "identities.json",
+                "identity_terms.csv", "capacity.json", "decay.json")
+BALL_DOMAIN = {"kind": "sphere", "radius": 1.0}
+INTERIOR_BALL = {"domain": BALL_DOMAIN,
+                 "problem": {"kind": "interior", "c": 1.0, "d": 1.0}}
+
+
+def solve_at_order_24(tmp_path, data):
+    """A solution.json of the config's problem at order 24, not the default
+    16, so that a run that solves again instead of loading it shows."""
+    cfg = write_config(tmp_path / "order24.json",
+                       {**data, "solver": {"order": 24}})
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "s24")]) == 0
+    return tmp_path / "s24" / "solution.json"
+
+
+@pytest.mark.parametrize("data, stages", [
+    ({"domain": BALL_DOMAIN}, ["check", "identities", "capacity", "decay"]),
+    (INTERIOR_BALL, ["check", "identities"]),
+], ids=["exterior", "interior"])
+def test_report_equals_its_stages(tmp_path, data, stages):
+    sol = str(solve_at_order_24(tmp_path, data))
+    cfg = write_config(tmp_path / "run.json", data)
+    rep, sep = tmp_path / "report", tmp_path / "stages"
+    assert main(["report", "--config", cfg, "--solution", sol,
+                 "--out", str(rep)]) == 0
+    for stage in ["solve"] + stages:
+        assert main([stage, "--config", cfg, "--solution", sol,
+                     "--out", str(sep)]) == 0
+    written = sorted(p.name for p in rep.iterdir())
+    assert written == sorted(REPORT_FILES[:2 + len(stages)])
+    assert written == sorted(p.name for p in sep.iterdir())
+    for name in written:
+        assert (rep / name).read_bytes() == (sep / name).read_bytes(), name
+
+
+def test_report_keeps_the_given_solution(tmp_path):
+    sol = solve_at_order_24(tmp_path, {"domain": BALL_DOMAIN})
+    out = tmp_path / "out"
+    assert main(["report", "--domain", "sphere:1", "--solution", str(sol),
+                 "--out", str(out)]) == 0
+    assert json.loads((out / "solution.json").read_text())["order"] == 24
+    assert (out / "solution.json").read_bytes() == sol.read_bytes()
+
+
+def test_report_parses_once_loads_once_never_solves(tmp_path, monkeypatch):
+    from capsym import HarmonicSolution
+    from capsym.cli import RunConfig
+    cfg = write_config(tmp_path / "run.json", BALL_CONFIG)
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "s")]) == 0
+    calls = {"config": 0, "load": 0, "solve": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(RunConfig, "__init__",
+                        counted("config", RunConfig.__init__))
+    monkeypatch.setattr(RunConfig, "solve", counted("solve", RunConfig.solve))
+    monkeypatch.setattr(HarmonicSolution, "load",
+                        staticmethod(counted("load", HarmonicSolution.load)))
+    assert main(["report", "--config", cfg, "--solution",
+                 str(tmp_path / "s" / "solution.json"),
+                 "--out", str(tmp_path / "out")]) == 0
+    assert calls == {"config": 1, "load": 1, "solve": 0}
+
+
+@pytest.fixture(scope="module")
+def saved_solutions(tmp_path_factory):
+    """solution.json of the exterior and the interior unit ball."""
+    root = tmp_path_factory.mktemp("solutions")
+    paths = {}
+    for kind in ("exterior", "interior"):
+        out = root / kind
+        assert main(["solve", "--domain", "sphere:1", "--problem", kind,
+                     "--out", str(out)]) == 0
+        paths[kind] = str(out / "solution.json")
+    return paths
+
+
+@pytest.mark.parametrize("saved, argv, field", [
+    ("interior", ["--domain", "sphere:1"], "problem"),
+    ("exterior", ["--domain", "ellipsoid:2,1,1"], "domain"),
+    ("exterior", ["--domain", "sphere:1", "--problem", "exterior:c=2"], "c"),
+    ("interior", ["--domain", "sphere:1", "--problem", "interior:d=2"], "d"),
+])
+def test_solution_must_match_config(tmp_path, capsys, saved_solutions,
+                                    saved, argv, field):
+    out = tmp_path / "out"
+    rc = main(["check", *argv, "--solution", saved_solutions[saved],
+               "--out", str(out)])
+    assert rc == 2
+    assert f"does not match the config: {field} is" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("data, named", [
+    ({"domain": {"kind": "sphere", "radus": 2}}, "domain is missing 'radius'"),
+    ({"domain": BALL_DOMAIN, "identities": [{"b": -0.3}]},
+     "identity check is missing 'a'"),
+    ({"domain": BALL_DOMAIN,
+      "identities": [{"weight": "shifted-log", "a": -1.0, "b": -0.3}]},
+     "identity check is missing 't'"),
+    ({"domain": BALL_DOMAIN, "level": [0.5]}, "unknown key 'level' in config"),
+    ({"domain": BALL_DOMAIN, "solver": {"ordr": 24}},
+     "unknown key 'ordr' in solver"),
+    ({"domain": BALL_DOMAIN, "problem": {"kind": "exterior", "cc": 2}},
+     "unknown key 'cc' in problem"),
+    ({"domain": BALL_DOMAIN,
+      "identities": [{"a": -1.0, "b": -0.3, "level": 8}]},
+     "unknown key 'level' in identity check"),
+    ({"domain": BALL_DOMAIN, "solver": 24}, "solver must be a JSON object"),
+], ids=["domain-field", "identity-a", "identity-t", "top-key", "solver-key",
+        "problem-key", "identity-key", "not-an-object"])
+def test_malformed_config_names_the_field(tmp_path, capsys, data, named):
+    cfg = write_config(tmp_path / "run.json", data)
+    rc = main(["solve", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert named in capsys.readouterr().err
+
+
+def test_decay_default_radii_follow_the_domain(tmp_path):
+    rc = main(["decay", "--domain", "sphere:6", "--out", str(tmp_path / "out")])
+    assert rc == 0
+    data = json.loads((tmp_path / "out" / "decay.json").read_text())
+    assert data["sampleRadii"][0] == pytest.approx(18.0)
+    assert abs(data["fittedExponent"] + 1.0) < 1e-6
