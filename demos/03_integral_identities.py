@@ -32,7 +32,7 @@ print(f"Bochner residual over 30 points: max {np.abs(lhs - rhs).max():.3e}")
 # weighted identity between the levels u = 0.2 and u = 0.8
 a, b = math.log(0.2), math.log(0.8)
 for weight in (WeightSpec.linear(), WeightSpec.shifted_log(5.0)):
-    res = weighted_identity_check(sol, weight, a, b, levels=16)
+    res = weighted_identity_check(sol, weight, a, b)
     print(f"weight {weight.kind:<11} K={weight.first_integral}: "
           f"lhs {res.lhs:.8e}  rhs {res.rhs:.8e}  "
           f"rel residual {res.rel_residual:.2e}")

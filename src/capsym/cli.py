@@ -6,7 +6,8 @@ field that differs.  The stages are solve (solution.json), check
 (criteria.json), identities (identities.json, identity_terms.csv), and, for
 exterior problems only, capacity and decay (capacity.json, decay.json);
 report runs them all in that order.  They share the solution and so its
-level-set cache: no level set is solved twice.
+level-set cache: no level set is solved twice.  An interior config asking
+for capacity or decay fails before anything is solved or loaded.
 
 Exit code 0 means the run completed; criterion verdicts live in the
 reports, not the exit code.  Reports are written deterministically (sorted
@@ -45,7 +46,7 @@ _CONFIG_KEYS = {"domain", "problem", "solver", "levels", "criteria",
                 "identities", "seed"}
 _PROBLEM_KEYS = {"kind", "c", "d"}
 _SOLVER_KEYS = {"order", "source_order", "source_factor", "rcond", "tolerance"}
-_IDENTITY_KEYS = {"weight", "t", "a", "b", "levels"}
+_IDENTITY_KEYS = {"weight", "t", "a", "b"}
 
 
 def _known(entry, where, keys):
@@ -103,17 +104,11 @@ class RunConfig:
                 raise ConfigError(
                     f"level {lv} outside the range of u for the "
                     f"{self.problem_kind} problem")
-        compatible = (crit.EXTERIOR_CRITERIA if self.problem_kind == "exterior"
-                      else crit.INTERIOR_CRITERIA)
         self.criteria = data.get("criteria")
-        if self.criteria is not None:
-            for cid in self.criteria:
-                if cid not in crit.CRITERION_IDS:
-                    raise ConfigError(f"unknown criterion id {cid!r}")
-                if cid not in compatible:
-                    raise ConfigError(
-                        f"criterion {cid} is incompatible with the "
-                        f"{self.problem_kind} problem")
+        try:
+            crit.select_criteria(self.problem_kind, self.criteria)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         entries = data.get("identities")
         if not entries:
             # one linear-weight check between two levels inside the range of u
@@ -140,8 +135,7 @@ class RunConfig:
             if weight.kind == "shifted-log" and b >= math.log(weight.t):
                 raise ConfigError(
                     f"shifted-log weight needs t > e^b = {math.exp(b):.6g}")
-            levels = int(entry.get("levels", 16)) * (2 ** refine)
-            self.identity_checks.append((weight, a, b, levels))
+            self.identity_checks.append((weight, a, b))
         self.seed = int(data.get("seed", 0))
 
     @classmethod
@@ -192,7 +186,11 @@ def _config_from_args(args):
 
 def _load_matching(config, path):
     """The solution saved at path, which must solve the config's problem."""
-    sol = HarmonicSolution.load(path)
+    try:
+        sol = HarmonicSolution.load(path)
+    except KeyError as exc:
+        raise ConfigError(
+            f"solution {path} is missing {exc.args[0]!r}") from None
     for name, want, got in (
             ("problem", config.problem_kind, sol.problem),
             ("c", config.c, sol.c), ("d", config.d, sol.d),
@@ -256,12 +254,12 @@ def _check_stage(args, config, sol):
 def _identities_stage(args, config, sol):
     rows = []
     results = []
-    for weight, a, b, levels in config.identity_checks:
-        res = weighted_identity_check(sol, weight, a, b, levels=levels)
+    for weight, a, b in config.identity_checks:
+        res = weighted_identity_check(sol, weight, a, b)
         results.append({
             "weight": weight.kind,
             "t": None if math.isinf(weight.t) else weight.t,
-            "a": a, "b": b, "levels": levels,
+            "a": a, "b": b,
             **res.to_json_dict(),
         })
         for name, value in sorted(res.rhs_terms.items()):
@@ -325,10 +323,11 @@ def _decay_stage(args, config, sol):
           f"|D2u| {report.hessian_exponent:.6f} -> {path}")
 
 
-# in the order report runs them; capacity and decay are exterior-only
+# in the order report runs them
 _STAGES = {"solve": _solve_stage, "check": _check_stage,
            "identities": _identities_stage, "capacity": _capacity_stage,
            "decay": _decay_stage}
+_EXTERIOR_ONLY = {"capacity", "decay"}
 
 
 def _radii_triple(text):
@@ -354,7 +353,8 @@ def build_parser():
                              "match the config")
     common.add_argument("--out", default="capsym-out", help="output directory")
     common.add_argument("--refine", type=int, default=0,
-                        help="refinement level: bumps orders and level counts")
+                        help="refinement level: raises the solver order by 8 "
+                             "per level")
     for name in ("solve", "check", "identities", "capacity", "decay", "report"):
         cmd = sub.add_parser(name, parents=[common])
         if name in ("capacity", "report"):
@@ -371,12 +371,14 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         config = _config_from_args(args)
+        stages = list(_STAGES) if args.command == "report" else [args.command]
+        if config.problem_kind != "exterior":
+            if args.command in _EXTERIOR_ONLY:
+                raise ConfigError(f"{args.command} is defined for the "
+                                  "exterior problem only")
+            stages = [s for s in stages if s not in _EXTERIOR_ONLY]
         sol = (_load_matching(config, args.solution) if args.solution
                else config.solve())
-        stages = [args.command]
-        if args.command == "report":
-            stages = list(_STAGES) if config.problem_kind == "exterior" \
-                else ["solve", "check", "identities"]
         os.makedirs(args.out, exist_ok=True)
         for name in stages:
             _STAGES[name](args, config, sol)

@@ -34,6 +34,12 @@ INTERIOR_CRITERIA = ("T1.6-interior-integral", "C1.7-interior-pointwise",
                      "T1.8-interior-neumann", "T1.9-two-boundary")
 
 NEUMANN_SPREAD_THRESHOLD = 1e-6
+# the certificate's metrics in the order they are checked, each with the
+# largest value it may take
+CERTIFICATE_THRESHOLDS = {"pFunctionSpread": 1e-5, "levelSetSphericity": 1e-5,
+                          "equalityResidual": 1e-6}
+# exterior sample points reach out to this multiple of the enclosing radius
+_SAMPLE_RADIUS_FACTOR = 4.0
 
 
 @dataclass(frozen=True)
@@ -152,12 +158,13 @@ def _equality_gap(ls):
     return ls.mean_curv / (_N - 1) - ls.u_grad / ((_N - 2) * ls.level)
 
 
-def _integral_with_error(sol, c, node_values_fn, order):
-    ls = require_regular(extract_level_set(sol, c, order=order))
-    val = surface_integral(ls, node_values_fn(ls))
-    ls_ref = require_regular(extract_level_set(sol, c, order=order + 8))
-    val_ref = surface_integral(ls_ref, node_values_fn(ls_ref))
-    return val, abs(val - val_ref) * 4.0
+def _refinement_errors(sol, levels, values, node_values_fn, order):
+    """Angular error bars of level-set integrals: per level, 4 |I - I'|
+    for I = values[k], the integral of node_values_fn over that level at
+    ``order``, and I' the same integral at order + 8."""
+    refs = extract_level_sets(sol, levels, order=order + 8)
+    return [abs(val - surface_integral(ls, node_values_fn(ls))) * 4.0
+            for val, ls in zip(values, map(require_regular, refs))]
 
 
 # ---------------------------------------------------------------------------
@@ -170,46 +177,53 @@ def check_T11(sol, c, order=None):
     if sol.problem != "exterior":
         raise ValueError("T1.1 applies to the exterior problem")
     order = order if order is not None else sol.order
-    lhs, err = _integral_with_error(
-        sol, c, lambda ls: ls.u_grad ** 2 * _equality_gap(ls), order)
+
+    def gap_flux(ls):
+        return ls.u_grad ** 2 * _equality_gap(ls)
+
+    ls = require_regular(extract_level_set(sol, c, order=order))
+    lhs = surface_integral(ls, gap_flux(ls))
+    err, = _refinement_errors(sol, [c], [lhs], gap_flux, order)
     err = max(err, _solver_error_floor(sol))
     return _report("T1.1-integral", lhs, 0.0, err, {"level": c})
 
 
-def check_C12(sol, levels=32, order=None):
+def check_C12(sol, order=None):
     """Global coarea condition: Phi(1)/int_0^1 Phi(c) dc <= 2 (n-1)/(n-2),
-    with Phi(c) the flux-cubed-over-u integral over {u=c}."""
+    with Phi(c) the flux-cubed-over-u integral over {u=c}.  The error bar
+    is the G7/K15 error of int_0^1 Phi plus the largest change of Phi under
+    one angular refinement at three probe levels, relative, times lhs."""
     if sol.problem != "exterior":
         raise ValueError("C1.2 applies to the exterior problem")
-    if levels < 16:
-        raise ValueError("C1.2 needs at least 16 coarea levels")
     order = order if order is not None else sol.order
 
     phi = {}
 
     def flux_cubed(ls):
+        return ls.u_grad ** 3 / ls.level
+
+    def coarea_density(ls):
         # F with F/|Du| = |Du|^3/u; Phi at each coarea level is kept for
         # the refinement probes
-        phi[ls.level] = surface_integral(ls, ls.u_grad ** 3 / ls.level)
+        phi[ls.level] = surface_integral(ls, flux_cubed(ls))
         return ls.u_grad ** 4 / ls.level
 
     # int_0^1 Phi(c) dc = int_{0 < u < 1} |Du|^4/u dmu by coarea
-    integral = coarea_volume_integral(sol, flux_cubed, 0.0, 1.0, levels, order)
+    integral, level_err = coarea_volume_integral(sol, coarea_density,
+                                                 0.0, 1.0, order)
     cs = list(phi)
     top = require_regular(extract_level_set(sol, sol.c, order=order))
-    phi_top = phi[sol.c] = surface_integral(top, top.u_grad ** 3 / sol.c)
+    phi_top = phi[sol.c] = surface_integral(top, flux_cubed(top))
     lhs = phi_top / integral
-    # error bar from one angular refinement at a few probe levels
-    probe = [cs[0], cs[levels // 2], sol.c]
-    refs = extract_level_sets(sol, probe, order=order + 8)
-    diffs = [abs(phi[p] - surface_integral(ls, ls.u_grad ** 3 / p)) /
-             max(phi[p], 1e-300)
-             for p, ls in zip(probe, map(require_regular, refs))]
-    err = max(max(diffs) * 4.0 * abs(lhs), _solver_error_floor(sol))
+    probe = [cs[0], cs[len(cs) // 2], sol.c]
+    diffs = _refinement_errors(sol, probe, [phi[p] for p in probe],
+                               flux_cubed, order)
+    angular = max(d / max(phi[p], 1e-300) for d, p in zip(diffs, probe))
+    err = max((angular + level_err / integral) * abs(lhs),
+              _solver_error_floor(sol))
     rhs = 2.0 * (_N - 1) / (_N - 2)
     return _report("C1.2-global", lhs, rhs, err,
-                   {"phiTop": phi_top, "phiIntegral": integral,
-                    "coareaLevels": levels})
+                   {"phiTop": phi_top, "phiIntegral": integral})
 
 
 def check_C13(sol):
@@ -412,12 +426,13 @@ class SymmetryCertificate:
         }
 
 
-def sample_region_points(sol, count=200, seed=0, radius_factor=4.0):
+def sample_region_points(sol, count=200, seed=0):
     """Deterministic sample of points in the solution's region.
 
     Exterior: uniform directions with radii between the ray exit radius and
-    radius_factor times the enclosing radius.  Interior: radii between a
-    small multiple of the enclosing radius and the ray exit radius.
+    _SAMPLE_RADIUS_FACTOR times the enclosing radius.  Interior: radii
+    between a small multiple of the enclosing radius and the ray exit
+    radius.
     """
     rng = np.random.default_rng(seed)
     dirs = rng.normal(size=(count, 3))
@@ -425,7 +440,7 @@ def sample_region_points(sol, count=200, seed=0, radius_factor=4.0):
     r_exit = np.atleast_1d(sol.domain.ray_exit_radius(dirs))
     t = rng.uniform(0.0, 1.0, count)
     if sol.problem == "exterior":
-        r_max = radius_factor * sol.domain.bounding_radii()[1]
+        r_max = _SAMPLE_RADIUS_FACTOR * sol.domain.bounding_radii()[1]
         radii = r_exit * (1 + 1e-6) * (r_max / (r_exit * (1 + 1e-6))) ** t
     else:
         r_min = 0.05 * sol.domain.bounding_radii()[0]
@@ -441,9 +456,7 @@ def p_function_spread(sol, count=200, seed=0):
     return float((p.max() - p.min()) / p.mean())
 
 
-def symmetry_certificate(sol, levels=None, order=None,
-                         p_threshold=1e-5, sphericity_threshold=1e-5,
-                         equality_threshold=1e-6, seed=0):
+def symmetry_certificate(sol, levels=None, order=None, seed=0):
     """Grant or deny the rigidity certificate over the given levels.
 
     All three metrics must pass their thresholds; a denied certificate
@@ -466,13 +479,11 @@ def symmetry_certificate(sol, levels=None, order=None,
     if sol.problem == "exterior":
         inferred = float(inferred_ball_radius(capacity(sol, cross_check=False,
                                                        order=order)))
-    failing = None
-    if spread > p_threshold:
-        failing = "pFunctionSpread"
-    elif max(sphericity.values()) > sphericity_threshold:
-        failing = "levelSetSphericity"
-    elif eq_res > equality_threshold:
-        failing = "equalityResidual"
+    metrics = {"pFunctionSpread": spread,
+               "levelSetSphericity": max(sphericity.values()),
+               "equalityResidual": eq_res}
+    failing = next((name for name, limit in CERTIFICATE_THRESHOLDS.items()
+                    if metrics[name] > limit), None)
     return SymmetryCertificate(
         granted=failing is None,
         p_function_spread=spread,
@@ -480,9 +491,7 @@ def symmetry_certificate(sol, levels=None, order=None,
         equality_residual=eq_res,
         inferred_radius=inferred,
         failing_metric=failing,
-        thresholds={"pFunctionSpread": p_threshold,
-                    "levelSetSphericity": sphericity_threshold,
-                    "equalityResidual": equality_threshold})
+        thresholds=dict(CERTIFICATE_THRESHOLDS))
 
 
 # ---------------------------------------------------------------------------
@@ -496,22 +505,31 @@ def run_battery(sol, criteria=None, levels=None, order=None):
     result list and the run continues; any other exception propagates.
     Returns a list of CriterionReport-or-error dicts.
     """
-    compatible = (EXTERIOR_CRITERIA if sol.problem == "exterior"
-                  else INTERIOR_CRITERIA)
-    wanted = criteria if criteria is not None else compatible
     c, pair = _battery_levels(sol, levels)
     results = []
-    for cid in wanted:
-        if cid not in CRITERION_IDS:
-            raise ValueError(f"unknown criterion id {cid!r}")
-        if cid not in compatible:
-            raise ValueError(
-                f"criterion {cid} is incompatible with the {sol.problem} problem")
+    for cid in select_criteria(sol.problem, criteria):
         try:
             results.append(_DISPATCH[cid](sol, c, pair, order))
         except (CapsymError, ValueError) as exc:
             results.append({"criterionId": cid, "error": f"{type(exc).__name__}: {exc}"})
     return results
+
+
+def select_criteria(problem, criteria=None):
+    """The criterion ids to run on a ``problem`` ("exterior" or "interior")
+    solution: ``criteria`` when given, else all compatible ones.  Raises
+    ValueError naming an unknown or incompatible id."""
+    compatible = (EXTERIOR_CRITERIA if problem == "exterior"
+                  else INTERIOR_CRITERIA)
+    if criteria is None:
+        return compatible
+    for cid in criteria:
+        if cid not in CRITERION_IDS:
+            raise ValueError(f"unknown criterion id {cid!r}")
+        if cid not in compatible:
+            raise ValueError(
+                f"criterion {cid} is incompatible with the {problem} problem")
+    return tuple(criteria)
 
 
 def _battery_levels(sol, levels):

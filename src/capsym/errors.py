@@ -43,7 +43,7 @@ class IrregularLevelSetError(CapsymError):
 
 
 class InsufficientSamplesError(CapsymError):
-    """Too few sample radii or levels for the requested fit."""
+    """Too few sample radii for the requested fit."""
 
 
 class CutoffTooLargeError(CapsymError):

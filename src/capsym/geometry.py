@@ -21,7 +21,8 @@ from .errors import InvalidDomainError
 
 MIN_ORDER = 6
 DEFAULT_MAX_DEGREE = 8
-DEFAULT_RHO_MIN = 1e-2
+# radial graphs must stay this far from the center
+RHO_MIN = 1e-2
 
 
 def unit_sphere_area(n):
@@ -93,7 +94,6 @@ class DomainSpec:
     terms: tuple = ()
     center: tuple = (0.0, 0.0, 0.0)
     max_degree: int = DEFAULT_MAX_DEGREE
-    rho_min: float = DEFAULT_RHO_MIN
 
     def __post_init__(self):
         object.__setattr__(self, "center", tuple(float(c) for c in self.center))
@@ -215,9 +215,9 @@ class DomainSpec:
     def _validate_star_rho(self):
         th, ph, _ = angular_grid(48)
         r = self.rho(th, ph)
-        if r.min() < self.rho_min:
+        if r.min() < RHO_MIN:
             raise InvalidDomainError(
-                f"radial graph dips to {r.min():.3g} < rho_min={self.rho_min}"
+                f"radial graph dips to {r.min():.3g} < rho_min={RHO_MIN}"
             )
 
     def _origin_is_interior(self):
@@ -350,7 +350,7 @@ def build_quadrature(spec, order):
         raise InvalidDomainError(f"quadrature order must be >= {MIN_ORDER}")
     theta, phi, W = angular_grid(order)
     rho, rho_t, rho_p, rho_tt, rho_tp, rho_pp = spec.rho_derivatives(theta, phi)
-    if rho.min() < spec.rho_min:
+    if rho.min() < RHO_MIN:
         raise InvalidDomainError("radial graph violates the rho_min guard")
 
     st, ct = np.sin(theta), np.cos(theta)

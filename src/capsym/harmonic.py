@@ -460,7 +460,11 @@ class DecayReport:
     sample_radii: tuple
 
 
-def decay_report(sol, radii, order=16):
+# order of the sphere rule that averages the far-field samples
+_DECAY_ORDER = 16
+
+
+def decay_report(sol, radii):
     """Fit far-field decay exponents of (u, |Du|, |D2u|).
 
     Samples are averaged over directions with a symmetric sphere rule before
@@ -479,7 +483,7 @@ def decay_report(sol, radii, order=16):
     if radii[0] < 2.0 * r_enc:
         raise ValueError(f"radii must start at >= twice the enclosing radius "
                          f"{r_enc:.3g}")
-    th, ph, W = angular_grid(order)
+    th, ph, W = angular_grid(_DECAY_ORDER)
     om = unit_directions(th, ph)
     Wn = W / W.sum()
     avg_u, avg_g, avg_h = [], [], []

@@ -19,6 +19,8 @@ with I3(l) = int_{f=l} |grad f|_g^3 dsigma_g, J(l) = int_{f=l} |grad f|_g^2 H_g
 dsigma_g, valid whenever the weight phi solves phi'' + (phi')^2 - phi' = 0;
 K = (1 - phi') e^phi is then a first integral.  Two such weights are
 provided: phi(f) = f (K = 0) and phi_t(f) = log(1 - e^f/t) (K = 1).
+The volume term is a coarea integral over the levels of u with the G7/K15
+rule of capsym.levelset, which gives its quadrature error |K15 - G7| too.
 """
 
 from __future__ import annotations
@@ -30,13 +32,16 @@ import numpy as np
 
 from .conformal import (dsigma_g_weight, dmu_g_weight, hess_f_conformal,
                         mean_curvature_conformal, p_function)
-from .errors import CutoffTooLargeError, InsufficientSamplesError
+from .errors import CutoffTooLargeError
 from .geometry import unit_sphere_area
 from .levelset import (coarea_volume_integral, extract_level_set,
                        require_regular)
 
 _N = 3
 _QEXP = 2.0 * (_N - 1) / (_N - 2)
+# largest far-field cutoff estimate of the truncated exterior identity,
+# relative to its scale
+CUTOFF_BOUND = 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -187,6 +192,8 @@ class IdentityResidual:
     ``scale`` is the sum of the two |grad f|_g^3 fluxes, the size of the
     problem, and rel_residual is |lhs - rhs| / scale, which stays
     meaningful when both sides vanish (the radial case).
+    quadrature_error is the error estimate of lhs in the level variable:
+    twice |K15 - G7| of the coarea volume integral.
     """
 
     lhs: float
@@ -209,20 +216,17 @@ class IdentityResidual:
         }
 
 
-def weighted_identity_check(sol, weight, a, b, levels=16, order=None):
+def weighted_identity_check(sol, weight, a, b, order=None):
     """Check the weighted identity between the f-levels a < b.
 
     Both sides are produced by independent numerical pipelines: the left by
     coarea integration of 2 e^phi |hess_g f|_g^2 over the slab, the right
     from the four boundary integrals.  rel_residual is |lhs - rhs| / scale,
     with scale = I3(a) + I3(b) the two flux-cubed integrals; the quadrature
-    error field is the change of the volume term when the number of coarea
-    levels is halved.
+    error field is the G7/K15 error of the left side.
     """
     if not a < b:
         raise ValueError("need a < b")
-    if levels < 8:
-        raise InsufficientSamplesError("weighted identity needs >= 8 levels")
     weight.validate_range(b)
     order = order if order is not None else sol.order
     ca, cb = math.exp(a), math.exp(b)
@@ -239,20 +243,18 @@ def weighted_identity_check(sol, weight, a, b, levels=16, order=None):
         "curvatureBottom": -2.0 * ea * i2h_a,
     }
     rhs = sum(terms.values())
-    density = _hessian_density(weight)
-    lhs = 2.0 * coarea_volume_integral(sol, density, ca, cb, levels, order)
-    lhs_half = 2.0 * coarea_volume_integral(sol, density, ca, cb,
-                                            max(8, levels // 2), order)
+    volume, volume_err = coarea_volume_integral(
+        sol, _hessian_density(weight), ca, cb, order)
+    lhs = 2.0 * volume
     scale = abs(i3_b) + abs(i3_a)
     abs_res = abs(lhs - rhs)
     return IdentityResidual(lhs=lhs, rhs=rhs, rhs_terms=terms,
                             rel_residual=abs_res / scale, abs_residual=abs_res,
                             scale=scale,
-                            quadrature_error=abs(lhs - lhs_half))
+                            quadrature_error=2.0 * volume_err)
 
 
-def prop_exterior_truncated_identity(sol, c, eps=2e-3, levels=16, order=None,
-                                     cutoff_bound=1e-6):
+def prop_exterior_truncated_identity(sol, c, eps=2e-3, order=None):
     """Truncated linear-weight identity on {eps < u < c} for an exterior
     solution:
 
@@ -262,7 +264,7 @@ def prop_exterior_truncated_identity(sol, c, eps=2e-3, levels=16, order=None,
     boundary_term, cutoff_term) where boundary_term = c J(c) and
     cutoff_term = eps J(eps), the O(eps) far-field remainder.  The cutoff
     estimate eps * max|grad f|_g * max|hess_g f|_g * area_g(eps-level) must
-    stay below cutoff_bound relative to the problem scale, else the call
+    stay below CUTOFF_BOUND relative to the problem scale, else the call
     fails rather than report a polluted comparison.
     """
     if sol.problem != "exterior":
@@ -278,13 +280,12 @@ def prop_exterior_truncated_identity(sol, c, eps=2e-3, levels=16, order=None,
         * area_g
     _, _, j_c, j_c_abs = _level_data(sol, c, order)
     scale = max(abs(c * j_c), c * j_c_abs, 1e-14)
-    if cutoff_estimate > cutoff_bound * max(1.0, scale):
+    if cutoff_estimate > CUTOFF_BOUND * max(1.0, scale):
         raise CutoffTooLargeError(
             f"far-field cutoff estimate {cutoff_estimate:.3e} exceeds "
-            f"{cutoff_bound:.1e} x scale; shrink eps")
-    weight = WeightSpec.linear()
-    volume = coarea_volume_integral(sol, _hessian_density(weight), eps, c,
-                                    levels, order)
+            f"{CUTOFF_BOUND:.1e} x scale; shrink eps")
+    volume = coarea_volume_integral(
+        sol, _hessian_density(WeightSpec.linear()), eps, c, order)[0]
     return volume, c * j_c, eps * j_eps
 
 
@@ -305,7 +306,7 @@ def interior_flux_cubed_limit(sol):
             * (s_area / d_area) ** (2.0 / (n - 2)) * d_area)
 
 
-def interior_truncated_identity(sol, c, t_level, levels=16, order=None):
+def interior_truncated_identity(sol, c, t_level, order=None):
     """Shifted-log identity specialization for the interior problem on
     {c < u < t}: returns (volume_term, rhs) with
 
@@ -324,6 +325,6 @@ def interior_truncated_identity(sol, c, t_level, levels=16, order=None):
     _, i3_t, i2h_t, _ = _level_data(sol, t_level * (1 - 1e-9), order)
     _, i3_c, i2h_c, _ = _level_data(sol, c, order)
     volume = 2.0 * coarea_volume_integral(sol, _hessian_density(weight), c,
-                                          t_level * (1 - 1e-9), levels, order)
+                                          t_level * (1 - 1e-9), order)[0]
     rhs = i3_t - i3_c - 2.0 * (1.0 - c / t_level) * i2h_c
     return volume, rhs

@@ -149,10 +149,9 @@ def test_criterion_6_weighted_identity(ellipsoid_solution):
     ok = True
     details = []
     for weight in (WeightSpec.linear(), WeightSpec.shifted_log(5.0)):
-        res = weighted_identity_check(ellipsoid_solution, weight, a, b,
-                                      levels=16)
+        res = weighted_identity_check(ellipsoid_solution, weight, a, b)
         res_fine = weighted_identity_check(ellipsoid_solution, weight, a, b,
-                                           levels=32, order=32)
+                                           order=32)
         ok = ok and res.rel_residual <= 2e-2 and res_fine.rel_residual <= 1e-2
         ok = ok and res_fine.rel_residual <= res.rel_residual
         details.append(f"{weight.kind}: {res.rel_residual:.2e} -> "
@@ -219,7 +218,7 @@ def test_criterion_10_determinism(tmp_path):
         "problem": {"kind": "exterior", "c": 1.0},
         "levels": [0.25, 0.5, 0.75],
         "identities": [{"weight": "linear", "a": math.log(0.25),
-                        "b": math.log(0.75), "levels": 8}],
+                        "b": math.log(0.75)}],
     }))
     outs = (tmp_path / "run1", tmp_path / "run2")
     for out in outs:

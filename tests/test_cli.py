@@ -17,7 +17,7 @@ BALL_CONFIG = {
     "problem": {"kind": "exterior", "c": 1.0},
     "levels": [0.25, 0.5, 0.75],
     "identities": [{"weight": "linear", "a": math.log(0.25),
-                    "b": math.log(0.75), "levels": 8}],
+                    "b": math.log(0.75)}],
 }
 
 
@@ -321,3 +321,31 @@ def test_decay_default_radii_follow_the_domain(tmp_path):
     data = json.loads((tmp_path / "out" / "decay.json").read_text())
     assert data["sampleRadii"][0] == pytest.approx(18.0)
     assert abs(data["fittedExponent"] + 1.0) < 1e-6
+
+
+def test_solution_missing_a_key_is_named(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"problem": "exterior"}))
+    out = tmp_path / "out"
+    rc = main(["check", "--domain", "sphere:1", "--solution", str(bad),
+               "--out", str(out)])
+    assert rc == 2
+    assert f"solution {bad} is missing 'c'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["capacity", "decay"])
+def test_exterior_only_commands_fail_before_solving(tmp_path, capsys,
+                                                    monkeypatch, command):
+    from capsym import cli
+    calls = []
+    monkeypatch.setattr(cli, "solve_interior",
+                        lambda *args, **kwargs: calls.append(args))
+    out = tmp_path / "out"
+    rc = main([command, "--domain", "sphere:1", "--problem", "interior",
+               "--out", str(out)])
+    assert rc == 2
+    assert calls == []
+    assert f"{command} is defined for the exterior problem only" \
+        in capsys.readouterr().err
+    assert not out.exists()

@@ -86,8 +86,8 @@ def test_C12_ball_is_equality_case(ball_solution):
 
 
 def test_C12_extracts_each_level_once(monkeypatch, ball_solution):
-    # 32 coarea levels plus the top level at the order, and three probes at
-    # order + 8, each (level, order) pair solved once
+    # 15 G7/K15 coarea levels plus the top level at the order, and three
+    # probes at order + 8, each (level, order) pair solved once
     extracted = collections.Counter()
     extract = levelset._extract
 
@@ -100,12 +100,12 @@ def test_C12_extracts_each_level_once(monkeypatch, ball_solution):
     check_C12(sol)
     assert set(extracted.values()) == {1}
     orders = collections.Counter(order for _, order in extracted)
-    assert orders == {sol.order: 33, sol.order + 8: 3}
+    assert orders == {sol.order: 16, sol.order + 8: 3}
 
 
 def test_C12_near_ball(ball_solution):
     sol = solve_exterior(DomainSpec(kind="ellipsoid", axes=(1.05, 1.0, 1.0)))
-    rep = check_C12(sol, levels=16)
+    rep = check_C12(sol)
     assert abs(rep.lhs - 4.0) / 4.0 < 0.05
 
 

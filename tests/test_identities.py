@@ -134,8 +134,7 @@ def test_weighted_identity_ball_all_terms_vanish(ball_solution):
     # radial rigidity: the hessian term, K-coefficient, and curvature fluxes
     # all vanish individually; compare them against the flux-cubed scale
     res = weighted_identity_check(ball_solution, WeightSpec.linear(),
-                                  a=math.log(0.25), b=math.log(0.75),
-                                  levels=8)
+                                  a=math.log(0.25), b=math.log(0.75))
     assert res.scale > 1.0
     assert abs(res.lhs) < 1e-6 * res.scale
     assert abs(res.rhs) < 1e-6 * res.scale
@@ -160,8 +159,7 @@ def test_weighted_identity_residual_is_relative_to_scale(name, c_lo, c_hi,
 
 def test_weighted_identity_ellipsoid_linear(ellipsoid_solution):
     res = weighted_identity_check(ellipsoid_solution, WeightSpec.linear(),
-                                  a=math.log(0.2), b=math.log(0.8),
-                                  levels=16)
+                                  a=math.log(0.2), b=math.log(0.8))
     assert res.rel_residual < 2e-2
     assert res.lhs > 0
     # volume term is a square: a negative value beyond quadrature noise
@@ -172,8 +170,7 @@ def test_weighted_identity_ellipsoid_linear(ellipsoid_solution):
 def test_weighted_identity_ellipsoid_shifted_log(ellipsoid_solution):
     weight = WeightSpec.shifted_log(5.0)
     res = weighted_identity_check(ellipsoid_solution, weight,
-                                  a=math.log(0.2), b=math.log(0.8),
-                                  levels=16)
+                                  a=math.log(0.2), b=math.log(0.8))
     assert res.rel_residual < 2e-2
     # boundary coefficient (1 - phi') e^phi equals K = 1 identically
     assert np.abs(weight.first_integral_residual(
@@ -183,10 +180,10 @@ def test_weighted_identity_ellipsoid_shifted_log(ellipsoid_solution):
 def test_weighted_identity_converges_under_refinement(ellipsoid_solution):
     coarse = weighted_identity_check(ellipsoid_solution, WeightSpec.linear(),
                                      a=math.log(0.2), b=math.log(0.8),
-                                     levels=8, order=12)
+                                     order=12)
     fine = weighted_identity_check(ellipsoid_solution, WeightSpec.linear(),
                                    a=math.log(0.2), b=math.log(0.8),
-                                   levels=16, order=24)
+                                   order=24)
     assert fine.rel_residual < 0.5 * coarse.rel_residual
 
 
@@ -196,7 +193,7 @@ def test_weighted_identity_converges_under_refinement(ellipsoid_solution):
 
 def test_truncated_identity_ball(ball_solution):
     volume, boundary, cutoff = prop_exterior_truncated_identity(
-        ball_solution, c=0.8, eps=2e-3, levels=8)
+        ball_solution, c=0.8, eps=2e-3)
     assert abs(volume) < 1e-8
     assert abs(boundary) < 1e-8
     assert abs(cutoff) < 1e-10
@@ -204,7 +201,7 @@ def test_truncated_identity_ball(ball_solution):
 
 def test_truncated_identity_ellipsoid(ellipsoid_solution):
     volume, boundary, cutoff = prop_exterior_truncated_identity(
-        ellipsoid_solution, c=0.8, eps=2e-3, levels=16)
+        ellipsoid_solution, c=0.8, eps=2e-3)
     assert volume > 0 and boundary > 0
     # two-sided evaluation of the same identity
     assert abs(volume - (boundary - cutoff)) / boundary < 2e-2
@@ -213,16 +210,15 @@ def test_truncated_identity_ellipsoid(ellipsoid_solution):
 
 def test_truncated_identity_cutoff_shrinks_linearly(ellipsoid_solution):
     _, _, cut1 = prop_exterior_truncated_identity(ellipsoid_solution, c=0.8,
-                                                  eps=2e-3, levels=8)
+                                                  eps=2e-3)
     _, _, cut2 = prop_exterior_truncated_identity(ellipsoid_solution, c=0.8,
-                                                  eps=1e-3, levels=8)
+                                                  eps=1e-3)
     assert abs(cut2) <= 0.5 * abs(cut1)
 
 
 def test_truncated_identity_rejects_large_cutoff(ellipsoid_solution):
     with pytest.raises(CutoffTooLargeError):
-        prop_exterior_truncated_identity(ellipsoid_solution, c=0.8, eps=0.05,
-                                         levels=8)
+        prop_exterior_truncated_identity(ellipsoid_solution, c=0.8, eps=0.05)
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +252,7 @@ def test_interior_flux_cubed_limit_ellipsoid():
 
 def test_interior_truncated_identity_ball(ball_interior):
     volume, rhs = interior_truncated_identity(ball_interior, c=2.0,
-                                              t_level=32.0, levels=8)
+                                              t_level=32.0)
     limit = interior_flux_cubed_limit(ball_interior)
     assert abs(volume) < 1e-6 * limit
     assert abs(rhs) < 1e-6 * limit

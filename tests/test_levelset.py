@@ -4,15 +4,17 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 from numpy.testing import assert_allclose
 
-from capsym import (DomainSpec, HarmonicSolution, InsufficientSamplesError,
-                    IrregularLevelSetError, LevelRangeError,
-                    NonStarShapedLevelSetError, RadialGeometry, angular_grid,
-                    coarea_volume_integral, extract_level_set,
-                    extract_level_sets, levelset, radial_solution,
-                    solve_exterior, solve_interior, surface_integral,
-                    unit_directions)
+from capsym import (DomainSpec, HarmonicSolution, IrregularLevelSetError,
+                    LevelRangeError, NonStarShapedLevelSetError,
+                    RadialGeometry, WeightSpec, angular_grid, check_C12,
+                    coarea_volume_integral, criteria, extract_level_set,
+                    extract_level_sets, identities, levelset,
+                    radial_solution, solve_exterior, solve_interior,
+                    surface_integral, unit_directions,
+                    weighted_identity_check)
 
 BENCH_STAR = DomainSpec(kind="star", mean_radius=1.0,
                         terms=((2, 0, 0.1), (3, 1, 0.05)))
@@ -355,10 +357,11 @@ def test_surface_integral_length_mismatch(ball_solution):
 def test_coarea_of_flux_cubed_over_u(ball_solution):
     # int_0^1 Phi(c) dc = int |Du|^4/u dmu = pi for the unit ball, from
     # integrating the hand-composed 4 pi c^3
-    val = coarea_volume_integral(
+    val, err = coarea_volume_integral(
         ball_solution, lambda ls: ls.u_grad ** 4 / ls.level,
-        c_min=0.0, c_max=1.0, levels=24)
+        c_min=0.0, c_max=1.0)
     assert abs(val - math.pi) / math.pi < 1e-6
+    assert 0 < err < 1e-6 * math.pi
 
 
 def test_coarea_ratio_is_equality_case(ball_solution):
@@ -367,9 +370,9 @@ def test_coarea_ratio_is_equality_case(ball_solution):
     # check below for every n)
     ls = extract_level_set(ball_solution, 1.0)
     phi_top = surface_integral(ls, ls.u_grad ** 3 / 1.0)
-    integral = coarea_volume_integral(
+    integral, _ = coarea_volume_integral(
         ball_solution, lambda ls: ls.u_grad ** 4 / ls.level,
-        c_min=0.0, c_max=1.0, levels=24)
+        c_min=0.0, c_max=1.0)
     assert abs(phi_top / integral - 4.0) < 1e-4
 
 
@@ -385,16 +388,63 @@ def test_coarea_ratio_closed_form_every_dimension():
 
 
 def test_coarea_zero_integrand(ball_solution):
-    val = coarea_volume_integral(
+    assert coarea_volume_integral(
         ball_solution, lambda ls: np.zeros(len(ls.weights)),
-        c_min=0.2, c_max=0.8, levels=8)
-    assert val == 0.0
+        c_min=0.2, c_max=0.8) == (0.0, 0.0)
 
 
-def test_coarea_needs_enough_levels(ball_solution):
-    with pytest.raises(InsufficientSamplesError):
-        coarea_volume_integral(ball_solution, lambda ls: ls.u_grad,
-                               c_min=0.2, c_max=0.8, levels=4)
+def test_gauss_nodes_are_every_second_kronrod_node():
+    x, w = leggauss(7)
+    gauss = levelset._G7_WEIGHTS != 0
+    assert_allclose(levelset._GK15_NODES[gauss], x, rtol=0, atol=1e-15)
+    assert_allclose(levelset._G7_WEIGHTS[gauss], w, rtol=0, atol=1e-15)
+    assert gauss.sum() == 7 and len(levelset._GK15_NODES) == 15
+
+
+def test_kronrod_rule_is_exact_to_degree_22():
+    x, w = levelset._GK15_NODES, levelset._K15_WEIGHTS
+    for k in range(23):
+        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        assert abs(w @ x ** k - exact) <= 1e-14, k
+
+
+def gauss_legendre_coarea(sol, integrand, c_min, c_max, levels=32):
+    """The coarea sum of coarea_volume_integral with a 32-level
+    Gauss-Legendre rule instead of G7/K15: the reference it must match."""
+    x, w = leggauss(levels)
+    half = 0.5 * (c_max - c_min)
+    lss = extract_level_sets(sol, 0.5 * (c_min + c_max) + half * x)
+    return half * sum(wk * float(ls.weights @ (integrand(ls) / ls.u_grad))
+                      for wk, ls in zip(w, lss))
+
+
+@pytest.mark.parametrize("name", ["ellipsoid_solution", "star_solution"])
+def test_kronrod_coarea_matches_32_gauss_levels(monkeypatch, request, name):
+    # C1.2's int_0^1 Phi and the weighted identity's volume term, each
+    # against the 32-level rule; the returned error bounds the difference
+    sol = request.getfixturevalue(name)
+    returned = []
+
+    def kept(*args):
+        returned.append(coarea_volume_integral(*args))
+        return returned[-1]
+
+    monkeypatch.setattr(criteria, "coarea_volume_integral", kept)
+    report = check_C12(sol)
+    (phi_integral, err), = returned
+    assert report.witnesses["phiIntegral"] == phi_integral
+    ref = gauss_legendre_coarea(sol, lambda ls: ls.u_grad ** 4 / ls.level,
+                                0.0, 1.0)
+    assert abs(phi_integral - ref) <= 1e-12 * abs(ref)
+    assert err >= abs(phi_integral - ref)
+
+    a, b = math.log(0.25), math.log(0.75)
+    res = weighted_identity_check(sol, WeightSpec.linear(), a, b)
+    ref = 2.0 * gauss_legendre_coarea(
+        sol, identities._hessian_density(WeightSpec.linear()),
+        math.exp(a), math.exp(b))
+    assert abs(res.lhs - ref) <= 1e-12 * abs(ref)
+    assert res.quadrature_error >= abs(res.lhs - ref)
 
 
 # ---------------------------------------------------------------------------
