@@ -37,9 +37,11 @@ for weight in (WeightSpec.linear(), WeightSpec.shifted_log(5.0)):
           f"lhs {res.lhs:.8e}  rhs {res.rhs:.8e}  "
           f"rel residual {res.rel_residual:.2e}")
 
-# truncated identity with an explicit far-field cutoff level
-volume, boundary, cutoff = prop_exterior_truncated_identity(sol, c=0.8,
-                                                            eps=2e-3)
-print(f"truncated identity: volume {volume:.8e}  "
-      f"boundary {boundary:.8e}  cutoff {cutoff:.2e}")
-print(f"  relative agreement: {abs(volume - (boundary - cutoff)) / boundary:.2e}")
+# truncated identity with an explicit far-field cutoff level: the linear
+# weight between u = 2e-3 and u = 0.8, whose lower boundary term is the cutoff
+res = prop_exterior_truncated_identity(sol, c=0.8, eps=2e-3)
+print(f"truncated identity: volume {res.lhs / 2:.8e}  "
+      f"boundary {res.rhs_terms['curvatureTop'] / 2:.8e}  "
+      f"cutoff {-res.rhs_terms['curvatureBottom'] / 2:.2e}")
+print(f"  rel residual {res.rel_residual:.2e}  "
+      f"quadrature error {res.quadrature_error:.2e}")

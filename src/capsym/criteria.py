@@ -13,7 +13,6 @@ field names criterionId/lhs/rhs/margin/errorEstimate/verdict/witnesses.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -23,7 +22,7 @@ from .errors import CapsymError, IrregularLevelSetError
 from .geometry import build_quadrature, unit_sphere_area
 from .identities import interior_flux_cubed_limit
 from .levelset import (coarea_volume_integral, extract_level_set,
-                       extract_level_sets, require_regular, surface_integral)
+                       extract_level_sets, surface_integral)
 
 _N = 3
 _SPHERE_AREA = unit_sphere_area(_N)
@@ -120,20 +119,20 @@ def _boundary(sol):
 # ---------------------------------------------------------------------------
 
 def capacity(sol, level=None, cross_check=True, order=None):
-    """Electrostatic capacity as the level-set flux integral of |Du|.
-
-    The flux is level-independent for an exterior potential; with
-    cross_check the value is recomputed on a second level and the relative
-    mismatch must stay below 1e-5.
+    """Electrostatic capacity as the level-set flux integral of |Du|/c, c
+    the boundary value: the flux is level-independent for an exterior
+    potential, and scaling u leaves it unchanged.  With cross_check the
+    value is recomputed on a second level and the relative mismatch must
+    stay below 1e-5.
     """
     if sol.problem != "exterior":
         raise ValueError("capacity is defined for the exterior problem")
     c = level if level is not None else 0.5 * sol.c
-    ls = require_regular(extract_level_set(sol, c, order=order))
+    ls = extract_level_set(sol, c, order=order)
     cap = surface_integral(ls, ls.u_grad)
     if cross_check:
         c2 = 0.5 * c
-        ls2 = require_regular(extract_level_set(sol, c2, order=order))
+        ls2 = extract_level_set(sol, c2, order=order)
         cap2 = surface_integral(ls2, ls2.u_grad)
         rel = abs(cap - cap2) / max(abs(cap), 1e-300)
         if rel > 1e-5:
@@ -141,7 +140,7 @@ def capacity(sol, level=None, cross_check=True, order=None):
                 f"capacity flux differs by {rel:.2e} between levels "
                 f"{c} and {c2}; the field is not a clean exterior potential",
                 level=c2)
-    return cap
+    return cap / sol.c
 
 
 def inferred_ball_radius(cap, n=3):
@@ -158,44 +157,45 @@ def _equality_gap(ls):
     return ls.mean_curv / (_N - 1) - ls.u_grad / ((_N - 2) * ls.level)
 
 
-def _refinement_errors(sol, levels, values, node_values_fn, order):
+def _refinement_errors(sol, levels, values, node_values_fn):
     """Angular error bars of level-set integrals: per level, 4 |I - I'|
     for I = values[k], the integral of node_values_fn over that level at
-    ``order``, and I' the same integral at order + 8."""
-    refs = extract_level_sets(sol, levels, order=order + 8)
+    the solution's order, and I' the same integral at order + 8."""
+    refs = extract_level_sets(sol, levels, order=sol.order + 8)
     return [abs(val - surface_integral(ls, node_values_fn(ls))) * 4.0
-            for val, ls in zip(values, map(require_regular, refs))]
+            for val, ls in zip(values, refs)]
 
 
 # ---------------------------------------------------------------------------
 # exterior criteria
 # ---------------------------------------------------------------------------
 
-def check_T11(sol, c, order=None):
+def check_T11(sol, c):
     """Integral condition on one level set:
     int |Du|^2 [H/(n-1) - |Du|/((n-2)u)] dsigma <= 0."""
     if sol.problem != "exterior":
         raise ValueError("T1.1 applies to the exterior problem")
-    order = order if order is not None else sol.order
 
     def gap_flux(ls):
         return ls.u_grad ** 2 * _equality_gap(ls)
 
-    ls = require_regular(extract_level_set(sol, c, order=order))
+    ls = extract_level_set(sol, c)
     lhs = surface_integral(ls, gap_flux(ls))
-    err, = _refinement_errors(sol, [c], [lhs], gap_flux, order)
-    err = max(err, _solver_error_floor(sol))
+    err, = _refinement_errors(sol, [c], [lhs], gap_flux)
+    # lhs scales as c^2 when u is scaled, and so does its error floor
+    err = max(err, _solver_error_floor(sol) * sol.c ** 2)
     return _report("T1.1-integral", lhs, 0.0, err, {"level": c})
 
 
-def check_C12(sol, order=None):
-    """Global coarea condition: Phi(1)/int_0^1 Phi(c) dc <= 2 (n-1)/(n-2),
-    with Phi(c) the flux-cubed-over-u integral over {u=c}.  The error bar
-    is the G7/K15 error of int_0^1 Phi plus the largest change of Phi under
-    one angular refinement at three probe levels, relative, times lhs."""
+def check_C12(sol):
+    """Global coarea condition: c Phi(c)/int_0^c Phi(s) ds <= 2 (n-1)/(n-2),
+    with Phi(s) the flux-cubed-over-u integral over {u=s} and c the boundary
+    value: Phi(1)/int_0^1 Phi for c = 1, unchanged when u is scaled.  The
+    error bar is the G7/K15 error of int Phi plus the largest change of Phi
+    under one angular refinement at three probe levels, relative, times
+    lhs."""
     if sol.problem != "exterior":
         raise ValueError("C1.2 applies to the exterior problem")
-    order = order if order is not None else sol.order
 
     phi = {}
 
@@ -208,16 +208,16 @@ def check_C12(sol, order=None):
         phi[ls.level] = surface_integral(ls, flux_cubed(ls))
         return ls.u_grad ** 4 / ls.level
 
-    # int_0^1 Phi(c) dc = int_{0 < u < 1} |Du|^4/u dmu by coarea
+    # int_0^c Phi(s) ds = int_{0 < u < c} |Du|^4/u dmu by coarea
     integral, level_err = coarea_volume_integral(sol, coarea_density,
-                                                 0.0, 1.0, order)
+                                                 0.0, sol.c)
     cs = list(phi)
-    top = require_regular(extract_level_set(sol, sol.c, order=order))
+    top = extract_level_set(sol, sol.c)
     phi_top = phi[sol.c] = surface_integral(top, flux_cubed(top))
-    lhs = phi_top / integral
+    lhs = sol.c * phi_top / integral
     probe = [cs[0], cs[len(cs) // 2], sol.c]
     diffs = _refinement_errors(sol, probe, [phi[p] for p in probe],
-                               flux_cubed, order)
+                               flux_cubed)
     angular = max(d / max(phi[p], 1e-300) for d, p in zip(diffs, probe))
     err = max((angular + level_err / integral) * abs(lhs),
               _solver_error_floor(sol))
@@ -243,13 +243,12 @@ def check_C13(sol):
                     "capacity": cap})
 
 
-def check_pointwise(sol, c, order=None):
+def check_pointwise(sol, c):
     """Pointwise exterior condition C1.4: H/(n-1) <= |Du|/((n-2)u) at every
     node of {u=c}.  Its interior counterpart is check_C17."""
     if sol.problem != "exterior":
         raise ValueError("C1.4 applies to the exterior problem")
-    order = order if order is not None else sol.order
-    ls = require_regular(extract_level_set(sol, c, order=order))
+    ls = extract_level_set(sol, c)
     gap = _equality_gap(ls)          # lhs - rhs per node
     worst = int(np.argmax(gap))
     err = max(_solver_error_floor(sol), 1e-10 * float(np.abs(gap).max() + 1))
@@ -275,7 +274,7 @@ def check_C17(sol):
                     "gradMoments": [m1, m2, m3], "areaRatio": area_ratio})
 
 
-def check_neumann(sol, c=None, order=None):
+def check_neumann(sol, c=None):
     """Constant-Neumann criteria.
 
     Exterior (on {u=c}): |Du| must be constant (relative spread below
@@ -290,8 +289,7 @@ def check_neumann(sol, c=None, order=None):
     if sol.problem == "exterior":
         cid = "T1.5-neumann"
         c = c if c is not None else sol.c
-        order = order if order is not None else sol.order
-        ls = require_regular(extract_level_set(sol, c, order=order))
+        ls = extract_level_set(sol, c)
         gn = ls.u_grad
         h_over = ls.mean_curv / (_N - 1)
         rhs_nodes = gn / ((_N - 2) * c)
@@ -374,14 +372,13 @@ def normalization_c2(sol, quad=None):
     return sol.d / (_N - 2) * (area / _SPHERE_AREA) ** (1.0 / (_N - 1))
 
 
-def check_T19(sol, a, b, order=None):
+def check_T19(sol, a, b):
     """Two-boundary condition: H/(n-1) >= |Du|/((n-2)u) on {u=a} and
     <= on {u=b}, for levels 0 < a < b in the range of u."""
     if not 0 < a < b:
         raise ValueError("need 0 < a < b")
-    order = order if order is not None else sol.order
-    ls_a = require_regular(extract_level_set(sol, a, order=order))
-    ls_b = require_regular(extract_level_set(sol, b, order=order))
+    ls_a = extract_level_set(sol, a)
+    ls_b = extract_level_set(sol, b)
     gap_a = _equality_gap(ls_a)          # want >= 0 at every node
     gap_b = _equality_gap(ls_b)          # want <= 0 at every node
     # single margin: the worst violation across both levels
@@ -467,12 +464,11 @@ def symmetry_certificate(sol, levels=None, order=None, seed=0):
         levels = ([0.25 * sol.c, 0.5 * sol.c, 0.75 * sol.c]
                   if sol.problem == "exterior"
                   else [1.5 * sol.c, 2.0 * sol.c, 3.0 * sol.c])
-    order = order if order is not None else sol.order
     spread = p_function_spread(sol, seed=seed)
     sphericity = {}
     eq_res = 0.0
     for c in levels:
-        ls = require_regular(extract_level_set(sol, c, order=order))
+        ls = extract_level_set(sol, c, order=order)
         sphericity[c] = float(ls.radii.max() / ls.radii.min() - 1.0)
         eq_res = max(eq_res, float(np.abs(_equality_gap(ls)).max()))
     inferred = None
@@ -498,7 +494,7 @@ def symmetry_certificate(sol, levels=None, order=None, seed=0):
 # battery
 # ---------------------------------------------------------------------------
 
-def run_battery(sol, criteria=None, levels=None, order=None):
+def run_battery(sol, criteria=None, levels=None):
     """Run the criteria compatible with the solution's problem kind.
 
     A CapsymError or ValueError raised by one criterion is embedded in the
@@ -509,7 +505,7 @@ def run_battery(sol, criteria=None, levels=None, order=None):
     results = []
     for cid in select_criteria(sol.problem, criteria):
         try:
-            results.append(_DISPATCH[cid](sol, c, pair, order))
+            results.append(_DISPATCH[cid](sol, c, pair))
         except (CapsymError, ValueError) as exc:
             results.append({"criterionId": cid, "error": f"{type(exc).__name__}: {exc}"})
     return results
@@ -546,22 +542,19 @@ def _battery_levels(sol, levels):
     return c, pair
 
 
-# Criterion id -> call with (sol, middle level, level pair, order).  The
-# checks are looked up by name at call time, so a rebound module name (a
-# wrapper or a test double) is the one that runs.
+# Criterion id -> call with (sol, middle level, level pair).  The checks
+# are looked up by name at call time, so a rebound module name (a wrapper
+# or a test double) is the one that runs.
 _DISPATCH = {
-    "T1.1-integral": lambda sol, c, pair, order: check_T11(sol, c, order=order),
-    "C1.2-global": lambda sol, c, pair, order: check_C12(sol, order=order),
-    "C1.3-capacity": lambda sol, c, pair, order: check_C13(sol),
-    "C1.4-pointwise": lambda sol, c, pair, order:
-        check_pointwise(sol, c, order=order),
-    "T1.5-neumann": lambda sol, c, pair, order:
-        check_neumann(sol, c=c, order=order),
-    "T1.6-interior-integral": lambda sol, c, pair, order: check_T16(sol),
-    "C1.7-interior-pointwise": lambda sol, c, pair, order: check_C17(sol),
-    "T1.8-interior-neumann": lambda sol, c, pair, order: check_neumann(sol),
-    "T1.9-two-boundary": lambda sol, c, pair, order:
-        check_T19(sol, *pair, order=order),
+    "T1.1-integral": lambda sol, c, pair: check_T11(sol, c),
+    "C1.2-global": lambda sol, c, pair: check_C12(sol),
+    "C1.3-capacity": lambda sol, c, pair: check_C13(sol),
+    "C1.4-pointwise": lambda sol, c, pair: check_pointwise(sol, c),
+    "T1.5-neumann": lambda sol, c, pair: check_neumann(sol, c=c),
+    "T1.6-interior-integral": lambda sol, c, pair: check_T16(sol),
+    "C1.7-interior-pointwise": lambda sol, c, pair: check_C17(sol),
+    "T1.8-interior-neumann": lambda sol, c, pair: check_neumann(sol),
+    "T1.9-two-boundary": lambda sol, c, pair: check_T19(sol, *pair),
 }
 
 CRITERION_IDS = tuple(_DISPATCH)

@@ -18,9 +18,11 @@ levels a < b of f = log u,
 with I3(l) = int_{f=l} |grad f|_g^3 dsigma_g, J(l) = int_{f=l} |grad f|_g^2 H_g
 dsigma_g, valid whenever the weight phi solves phi'' + (phi')^2 - phi' = 0;
 K = (1 - phi') e^phi is then a first integral.  Two such weights are
-provided: phi(f) = f (K = 0) and phi_t(f) = log(1 - e^f/t) (K = 1).
-The volume term is a coarea integral over the levels of u with the G7/K15
-rule of capsym.levelset, which gives its quadrature error |K15 - G7| too.
+provided: phi(f) = f (K = 0) and phi_t(f) = log(1 - e^f/t) (K = 1); the
+truncated exterior and interior identities are this identity with those
+weights on their own pairs of levels.  The volume term is a coarea integral
+over the levels of u with the G7/K15 rule of capsym.levelset, which gives
+its quadrature error |K15 - G7| too.
 """
 
 from __future__ import annotations
@@ -34,8 +36,7 @@ from .conformal import (dsigma_g_weight, dmu_g_weight, hess_f_conformal,
                         mean_curvature_conformal, p_function)
 from .errors import CutoffTooLargeError
 from .geometry import unit_sphere_area
-from .levelset import (coarea_volume_integral, extract_level_set,
-                       require_regular)
+from .levelset import coarea_volume_integral, extract_level_set
 
 _N = 3
 _QEXP = 2.0 * (_N - 1) / (_N - 2)
@@ -158,21 +159,19 @@ def bochner_residual(state, n=3):
 # level-set boundary integrals shared by the identity checks
 # ---------------------------------------------------------------------------
 
-def _level_data(sol, c, order):
-    ls = require_regular(extract_level_set(sol, c, order=order))
+def _level_data(sol, c, order=None):
+    """(I3, J, int |grad f|_g^2 |H_g| dsigma_g) on {u = c}."""
+    ls = extract_level_set(sol, c, order=order)
     p = p_function(ls.level, ls.grad)
     dsg = ls.weights * dsigma_g_weight(ls.level)
     h_g = mean_curvature_conformal(ls.mean_curv, ls.level, ls.u_grad)
-    i3 = float(np.sum(dsg * p ** 1.5))
-    i2h = float(np.sum(dsg * p * h_g))
-    i2h_abs = float(np.sum(dsg * p * np.abs(h_g)))
-    return ls, i3, i2h, i2h_abs
+    return (float(np.sum(dsg * p ** 1.5)), float(np.sum(dsg * p * h_g)),
+            float(np.sum(dsg * p * np.abs(h_g))))
 
 
-def flux_cubed_integral(sol, c, order=None):
+def flux_cubed_integral(sol, c):
     """int_{f=log c} |grad f|_g^3 dsigma_g = int_{u=c} P |Du| dsigma."""
-    order = order if order is not None else sol.order
-    return _level_data(sol, c, order)[1]
+    return _level_data(sol, c)[0]
 
 
 def _hessian_density(weight):
@@ -228,11 +227,10 @@ def weighted_identity_check(sol, weight, a, b, order=None):
     if not a < b:
         raise ValueError("need a < b")
     weight.validate_range(b)
-    order = order if order is not None else sol.order
     ca, cb = math.exp(a), math.exp(b)
 
-    _, i3_b, i2h_b, _ = _level_data(sol, cb, order)
-    _, i3_a, i2h_a, _ = _level_data(sol, ca, order)
+    i3_b, i2h_b, _ = _level_data(sol, cb, order)
+    i3_a, i2h_a, _ = _level_data(sol, ca, order)
     K = weight.first_integral
     eb = float(np.exp(weight.phi(b)))
     ea = float(np.exp(weight.phi(a)))
@@ -250,43 +248,39 @@ def weighted_identity_check(sol, weight, a, b, order=None):
     abs_res = abs(lhs - rhs)
     return IdentityResidual(lhs=lhs, rhs=rhs, rhs_terms=terms,
                             rel_residual=abs_res / scale, abs_residual=abs_res,
-                            scale=scale,
-                            quadrature_error=2.0 * volume_err)
+                            scale=scale, quadrature_error=2.0 * volume_err)
 
 
-def prop_exterior_truncated_identity(sol, c, eps=2e-3, order=None):
+def prop_exterior_truncated_identity(sol, c, eps=2e-3):
     """Truncated linear-weight identity on {eps < u < c} for an exterior
-    solution:
+    solution: the weighted identity with phi(f) = f between the f-levels
+    log eps and log c,
 
-        int |hess_g f|_g^2 e^f dmu_g  =  c J(c) - eps J(eps),
+        2 int |hess_g f|_g^2 e^f dmu_g  =  2 c J(c) - 2 eps J(eps),
 
-    with J the curvature flux integral.  Returns (volume_term,
-    boundary_term, cutoff_term) where boundary_term = c J(c) and
-    cutoff_term = eps J(eps), the O(eps) far-field remainder.  The cutoff
-    estimate eps * max|grad f|_g * max|hess_g f|_g * area_g(eps-level) must
-    stay below CUTOFF_BOUND relative to the problem scale, else the call
-    fails rather than report a polluted comparison.
+    with J the curvature flux integral, returned as its IdentityResidual:
+    rhs_terms "curvatureTop" is 2 c J(c) and "curvatureBottom" is
+    -2 eps J(eps), the O(eps) far-field remainder.  The cutoff estimate
+    eps * max|grad f|_g * max|hess_g f|_g * area_g(eps-level) must stay
+    below CUTOFF_BOUND relative to the problem scale, else the call fails
+    rather than report a polluted comparison.
     """
     if sol.problem != "exterior":
         raise ValueError("the truncated identity applies to exterior solutions")
     if not 0 < eps < c:
         raise ValueError("need 0 < eps < c")
-    order = order if order is not None else sol.order
-    ls_eps, _, j_eps, _ = _level_data(sol, eps, order)
-    p_eps = p_function(eps, ls_eps.grad)
-    h_eps = hess_f_conformal(eps, ls_eps.grad, ls_eps.hess)[1]
-    area_g = float(np.sum(ls_eps.weights * dsigma_g_weight(eps)))
-    cutoff_estimate = eps * float(np.sqrt(p_eps).max()) * float(h_eps.max()) \
-        * area_g
-    _, _, j_c, j_c_abs = _level_data(sol, c, order)
-    scale = max(abs(c * j_c), c * j_c_abs, 1e-14)
+    ls = extract_level_set(sol, eps)
+    h_eps = hess_f_conformal(eps, ls.grad, ls.hess)[1]
+    cutoff_estimate = (eps * float(np.sqrt(p_function(eps, ls.grad)).max())
+                       * float(h_eps.max()) * dsigma_g_weight(eps) * ls.area)
+    # |c J(c)| is at most c int |grad f|_g^2 |H_g| dsigma_g
+    scale = max(c * _level_data(sol, c)[2], 1e-14)
     if cutoff_estimate > CUTOFF_BOUND * max(1.0, scale):
         raise CutoffTooLargeError(
             f"far-field cutoff estimate {cutoff_estimate:.3e} exceeds "
             f"{CUTOFF_BOUND:.1e} x scale; shrink eps")
-    volume = coarea_volume_integral(
-        sol, _hessian_density(WeightSpec.linear()), eps, c, order)[0]
-    return volume, c * j_c, eps * j_eps
+    return weighted_identity_check(sol, WeightSpec.linear(), math.log(eps),
+                                   math.log(c))
 
 
 def interior_flux_cubed_limit(sol):
@@ -306,25 +300,20 @@ def interior_flux_cubed_limit(sol):
             * (s_area / d_area) ** (2.0 / (n - 2)) * d_area)
 
 
-def interior_truncated_identity(sol, c, t_level, order=None):
-    """Shifted-log identity specialization for the interior problem on
-    {c < u < t}: returns (volume_term, rhs) with
+def interior_truncated_identity(sol, c, t_level):
+    """Shifted-log identity for the interior problem on {c < u < t}: the
+    weighted identity with phi_t(f) = log(1 - e^f/t) between the f-levels
+    log c and log(t (1 - 1e-9)), just below the weight's singular level,
 
-        volume = 2 int |hess_g f|_g^2 (1 - u/t) dmu_g,
-        rhs = I3(t) - I3(c) - 2 (1 - c/t) J(c),
+        2 int |hess_g f|_g^2 (1 - u/t) dmu_g
+            = I3(t) - I3(c) + 2e-9 J(t) - 2 (1 - c/t) J(c),
 
-    the boundary form the shifted-log weight leaves after its top-level
-    contribution vanishes.
+    returned as its IdentityResidual.
     """
     if sol.problem != "interior":
         raise ValueError("interior identity applies to interior solutions")
     if not sol.c <= c < t_level:
         raise ValueError("need boundary value <= c < t")
-    order = order if order is not None else sol.order
-    weight = WeightSpec.shifted_log(t_level)
-    _, i3_t, i2h_t, _ = _level_data(sol, t_level * (1 - 1e-9), order)
-    _, i3_c, i2h_c, _ = _level_data(sol, c, order)
-    volume = 2.0 * coarea_volume_integral(sol, _hessian_density(weight), c,
-                                          t_level * (1 - 1e-9), order)[0]
-    rhs = i3_t - i3_c - 2.0 * (1.0 - c / t_level) * i2h_c
-    return volume, rhs
+    return weighted_identity_check(sol, WeightSpec.shifted_log(t_level),
+                                   math.log(c),
+                                   math.log(t_level * (1 - 1e-9)))

@@ -14,7 +14,9 @@ exact for u ~ r^-p; a step that leaves the bracket, or does not halve the
 previous one, is replaced by bisection.  A ray stops when its step or its
 bracket is below 1e-14 r, so |u - c| <= 1e-12 c at the nodes; a ray that
 does not converge raises IrregularLevelSetError.  One Hessian evaluation
-per level at the nodes gives the weights and curvatures.
+per level at the nodes gives the weights and curvatures.  Every LevelSet
+is regular by construction: where min |Du| <= REGULARITY_THRESHOLD, every
+extraction path raises IrregularLevelSetError naming the level.
 
 Surface weights use the solid-angle projection dsigma = r^2 dOmega / <nu, omega>
 with nu = -Du/|Du|, so no numerical differentiation of the extracted graph is
@@ -81,7 +83,6 @@ class LevelSet:
     phi: np.ndarray
     grad: np.ndarray
     hess: np.ndarray
-    regular: bool
 
     def __post_init__(self):
         # level sets are shared through the solution's cache
@@ -232,9 +233,10 @@ def _level_set(sol, c, r, om, theta, phi, W):
     nodes = r[:, None] * om
     st = sol.field(nodes, want="hess", check_region=False)
     gn = np.linalg.norm(st.grad, axis=1)
-    if np.any(gn == 0):
+    if not gn.min() > REGULARITY_THRESHOLD:
         raise IrregularLevelSetError(
-            f"vanishing gradient on level set {c}", level=c)
+            f"level set {c} fails the regularity threshold "
+            f"(min |Du| = {gn.min():.3e})", level=c)
     normals = -st.grad / gn[:, None]
     cos = np.einsum("ns,ns->n", normals, om)
     if np.any(cos <= 0.01):
@@ -243,11 +245,9 @@ def _level_set(sol, c, r, om, theta, phi, W):
             f"{cos.min():.3e}); radial-graph weights are unreliable")
     weights = W * r ** 2 / cos
     H = level_set_mean_curvature(st.grad, st.hess)
-    regular = bool(gn.min() > REGULARITY_THRESHOLD)
     return LevelSet(level=c, nodes=nodes, weights=weights,
                     normals=normals, u_grad=gn, mean_curv=H, radii=r,
-                    theta=theta, phi=phi, grad=st.grad, hess=st.hess,
-                    regular=regular)
+                    theta=theta, phi=phi, grad=st.grad, hess=st.hess)
 
 
 def _extract(sol, levels, order):
@@ -302,14 +302,6 @@ def extract_level_sets(sol, levels, order=None):
     return list(_level_sets(sol, levels, order))
 
 
-def require_regular(ls):
-    if not ls.regular:
-        raise IrregularLevelSetError(
-            f"level set {ls.level} fails the regularity threshold "
-            f"(min |Du| = {ls.u_grad.min():.3e})", level=ls.level)
-    return ls
-
-
 def surface_integral(ls, integrand):
     """Integrate per-node values over the level set (sum of weights * values)."""
     integrand = np.asarray(integrand, dtype=float)
@@ -329,8 +321,8 @@ def coarea_volume_integral(sol, integrand, c_min, c_max, order=None):
     K15 with its embedded 7-point Gauss rule G7 (QUADPACK qk15; Piessens et
     al. 1983): the G7 levels are K15 levels, so the same 15 level sets,
     each solved once and held one at a time, give the value (K15) and its
-    error estimate |K15 - G7|, returned as (value, error).  Every level set
-    must be regular; an irregular one aborts with the offending level named.
+    error estimate |K15 - G7|, returned as (value, error).  An irregular
+    level set aborts with the offending level named.
     """
     if not c_min < c_max:
         raise ValueError("need c_min < c_max")
@@ -339,7 +331,6 @@ def coarea_volume_integral(sol, integrand, c_min, c_max, order=None):
     slices = np.empty(len(cs))
     # one level set alive at a time
     for k, ls in enumerate(_level_sets(sol, cs, order)):
-        require_regular(ls)
         vals = np.asarray(integrand(ls), dtype=float)
         slices[k] = ls.weights @ (vals / ls.u_grad)
     value = half * float(_K15_WEIGHTS @ slices)

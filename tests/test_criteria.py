@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import math
 
 import numpy as np
@@ -126,6 +127,46 @@ def test_C13_verdict_scale_invariant(ellipsoid_solution):
         # both sides scale by lambda^(n-2)
         assert_allclose(rep.lhs / base.lhs, lam, rtol=1e-6)
         assert_allclose(rep.rhs / base.rhs, lam, rtol=1e-6)
+
+
+@pytest.mark.parametrize("spec", [
+    DomainSpec(kind="sphere", radius=1.0),
+    DomainSpec(kind="ellipsoid", axes=(2.0, 1.0, 1.0)),
+], ids=["ball", "ellipsoid"])
+def test_exterior_criteria_independent_of_boundary_value(spec):
+    # u = 1 on the boundary in the paper; scaling u must change no verdict,
+    # no equality flag, no C1.2 ratio and no capacity
+    def run(c):
+        sol = solve_exterior(spec, c=c)
+        rows = {r.criterion_id: r for r in run_battery(sol)}
+        return rows, capacity(sol)
+
+    base, base_cap = run(1.0)
+    for c in (0.5, 2.0):
+        rows, cap = run(c)
+        assert rows.keys() == base.keys()
+        for cid, rep in rows.items():
+            assert rep.verdict == base[cid].verdict, cid
+            assert rep.witnesses["equality"] == base[cid].witnesses["equality"]
+        assert_allclose(rows["C1.2-global"].lhs, base["C1.2-global"].lhs,
+                        rtol=1e-12)
+        assert_allclose(cap, base_cap, rtol=1e-12)
+        assert_allclose(inferred_ball_radius(cap),
+                        inferred_ball_radius(base_cap), rtol=1e-12)
+
+
+def test_T11_error_floor_scales_with_u():
+    # a 1e-5 perturbation of the ball puts T1.1's lhs (about 2e-12) under
+    # the solver error floor; at 4u the lhs is 16 times larger, and the
+    # floor must grow with it for the equality flag to stay
+    sol = solve_exterior(DomainSpec(kind="star", mean_radius=1.0,
+                                    terms=((2, 0, 1e-5),)))
+    base = check_T11(sol, 0.5)
+    assert base.verdict == "satisfied" and base.witnesses["equality"]
+    rep = check_T11(dataclasses.replace(sol, c=4.0, charges=4.0 * sol.charges),
+                    2.0)
+    assert_allclose(rep.lhs, 16.0 * base.lhs, rtol=1e-12)
+    assert rep.verdict == "satisfied" and rep.witnesses["equality"]
 
 
 def test_C14_ball_equality(ball_solution):

@@ -5,8 +5,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 from capsym import (CutoffTooLargeError, DomainSpec, WeightSpec,
-                    bochner_residual, bochner_sides, flux_cubed_integral,
-                    hess_f_conformal, interior_flux_cubed_limit,
+                    bochner_residual, bochner_sides, coarea_volume_integral,
+                    flux_cubed_integral, hess_f_conformal, identities,
+                    interior_flux_cubed_limit,
                     interior_truncated_identity,
                     prop_exterior_truncated_identity, quasi_einstein_residual,
                     ricci_conformal, scalar_curvature, solve_exterior,
@@ -191,17 +192,24 @@ def test_weighted_identity_converges_under_refinement(ellipsoid_solution):
 # truncated exterior identity with far-field cutoff
 # ---------------------------------------------------------------------------
 
+def truncated_terms(res):
+    """(volume, boundary, cutoff) of the truncated exterior identity: the
+    weighted identity's sides halved, the bottom term with its sign."""
+    return (res.lhs / 2, res.rhs_terms["curvatureTop"] / 2,
+            -res.rhs_terms["curvatureBottom"] / 2)
+
+
 def test_truncated_identity_ball(ball_solution):
-    volume, boundary, cutoff = prop_exterior_truncated_identity(
-        ball_solution, c=0.8, eps=2e-3)
+    volume, boundary, cutoff = truncated_terms(
+        prop_exterior_truncated_identity(ball_solution, c=0.8, eps=2e-3))
     assert abs(volume) < 1e-8
     assert abs(boundary) < 1e-8
     assert abs(cutoff) < 1e-10
 
 
 def test_truncated_identity_ellipsoid(ellipsoid_solution):
-    volume, boundary, cutoff = prop_exterior_truncated_identity(
-        ellipsoid_solution, c=0.8, eps=2e-3)
+    volume, boundary, cutoff = truncated_terms(
+        prop_exterior_truncated_identity(ellipsoid_solution, c=0.8, eps=2e-3))
     assert volume > 0 and boundary > 0
     # two-sided evaluation of the same identity
     assert abs(volume - (boundary - cutoff)) / boundary < 2e-2
@@ -209,11 +217,23 @@ def test_truncated_identity_ellipsoid(ellipsoid_solution):
 
 
 def test_truncated_identity_cutoff_shrinks_linearly(ellipsoid_solution):
-    _, _, cut1 = prop_exterior_truncated_identity(ellipsoid_solution, c=0.8,
-                                                  eps=2e-3)
-    _, _, cut2 = prop_exterior_truncated_identity(ellipsoid_solution, c=0.8,
-                                                  eps=1e-3)
+    _, _, cut1 = truncated_terms(prop_exterior_truncated_identity(
+        ellipsoid_solution, c=0.8, eps=2e-3))
+    _, _, cut2 = truncated_terms(prop_exterior_truncated_identity(
+        ellipsoid_solution, c=0.8, eps=1e-3))
     assert abs(cut2) <= 0.5 * abs(cut1)
+
+
+def test_truncated_identity_carries_quadrature_error(ellipsoid_solution):
+    # the volume term is the weighted identity's G7/K15 coarea integral of
+    # e^f |hess_g f|_g^2 over {2e-3 < u < 0.8}, with its own error
+    res = prop_exterior_truncated_identity(ellipsoid_solution, c=0.8,
+                                           eps=2e-3)
+    assert res.quadrature_error > 0
+    volume = coarea_volume_integral(
+        ellipsoid_solution, identities._hessian_density(WeightSpec.linear()),
+        2e-3, 0.8)[0]
+    assert abs(res.lhs - 2.0 * volume) <= 1e-12 * abs(res.lhs)
 
 
 def test_truncated_identity_rejects_large_cutoff(ellipsoid_solution):
@@ -251,8 +271,8 @@ def test_interior_flux_cubed_limit_ellipsoid():
 
 
 def test_interior_truncated_identity_ball(ball_interior):
-    volume, rhs = interior_truncated_identity(ball_interior, c=2.0,
-                                              t_level=32.0)
+    res = interior_truncated_identity(ball_interior, c=2.0, t_level=32.0)
+    volume, rhs = res.lhs, res.rhs
     limit = interior_flux_cubed_limit(ball_interior)
     assert abs(volume) < 1e-6 * limit
     assert abs(rhs) < 1e-6 * limit

@@ -120,7 +120,31 @@ def test_ball_level_set_radius(ball_solution):
     # r_c = r0 c^{-1/(n-2)}: level 0.5 sits at radius 2
     ls = extract_level_set(ball_solution, 0.5)
     assert np.abs(ls.radii - 2.0).max() < 1e-9
-    assert ls.regular
+
+
+def test_irregular_level_raises_on_every_path_and_is_not_cached(
+        monkeypatch, ball_solution):
+    # |Du| = c^2 on the unit ball's level c: with the threshold at 0.3 the
+    # level 0.5 (|Du| = 0.25) is irregular and the level 0.75 is regular
+    monkeypatch.setattr(levelset, "REGULARITY_THRESHOLD", 0.3)
+    sol = fresh(ball_solution)
+    bottom = 0.5 + 0.25 * levelset._GK15_NODES[0]   # lowest coarea level
+    for extract, level in [
+            (lambda: extract_level_set(sol, 0.5), 0.5),
+            (lambda: extract_level_sets(sol, [0.75, 0.5]), 0.5),
+            (lambda: coarea_volume_integral(sol, lambda ls: ls.u_grad,
+                                            0.25, 0.75), bottom)]:
+        with pytest.raises(IrregularLevelSetError,
+                           match="fails the regularity threshold") as info:
+            extract()
+        assert info.value.level == level
+    assert not any(isinstance(v, levelset.LevelSet)
+                   for v in sol._levelset_cache.values())
+    assert extract_level_set(sol, 0.75).u_grad.min() > 0.3
+    [row] = criteria.run_battery(sol, criteria=["C1.4-pointwise"])
+    assert row["criterionId"] == "C1.4-pointwise"
+    assert row["error"].startswith(
+        "IrregularLevelSetError: level set 0.5 fails the regularity threshold")
 
 
 def test_boundary_level_coincides_with_surface(ball_solution):

@@ -1,0 +1,69 @@
+"""Invariants over randomly drawn small star domains.
+
+Each draw is a star graph of mean radius 1 with one to three real
+spherical-harmonic terms of degree l <= 4 and amplitude at most 0.1,
+solved at order 32.  A draw that the solver's own misfit gate rejects is
+discarded.  The draws are derandomized, so the suite stays deterministic,
+and a failing draw is reported as drawn, not shrunk: shrinking would solve
+and check dozens of domains.
+"""
+
+import dataclasses
+import math
+
+from hypothesis import HealthCheck, Phase, assume, given, settings
+from hypothesis import strategies as st
+
+from capsym import (DomainSpec, SolverFailureError, SolverOptions, capacity,
+                    run_battery, sample_region_points, solve_exterior)
+
+# the criteria that the benchmark's star check runs
+STAR_CRITERIA = ("T1.1-integral", "C1.3-capacity", "C1.4-pointwise",
+                 "T1.5-neumann", "T1.9-two-boundary")
+
+
+@st.composite
+def star_domains(draw):
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        degree = draw(st.integers(1, 4))
+        terms.append((degree, draw(st.integers(-degree, degree)),
+                      draw(st.floats(-0.1, 0.1))))
+    return DomainSpec(kind="star", mean_radius=1.0, terms=tuple(terms))
+
+
+def outcomes(sol):
+    """Per criterion id: (verdict, equality flag), or the error's type."""
+    return dict(zip(STAR_CRITERIA, (
+        r["error"].split(":")[0] if isinstance(r, dict)
+        else (r.verdict, r.witnesses["equality"])
+        for r in run_battery(sol, criteria=STAR_CRITERIA))))
+
+
+@settings(max_examples=3, derandomize=True, database=None, deadline=None,
+          phases=[Phase.explicit, Phase.generate],
+          suppress_health_check=[HealthCheck.too_slow])
+@given(star_domains())
+def test_star_invariants(spec):
+    try:
+        sol = solve_exterior(spec, opts=SolverOptions(order=32))
+    except SolverFailureError:
+        assume(False)
+
+    # Gauss's law: the level-set flux is 4 pi times the total charge
+    cap = capacity(sol)
+    assert abs(4.0 * math.pi * sol.charges.sum() - cap) <= 1e-6 * cap
+
+    # maximum principle: 0 < u < c in the exterior region
+    u = sol.field(sample_region_points(sol), want="u").u
+    assert 0.0 < u.min() and u.max() < sol.c
+
+    # scaling u scales the criteria's two sides alike: same outcomes for 2u
+    base = outcomes(sol)
+    assert outcomes(dataclasses.replace(sol, c=2.0 * sol.c,
+                                        charges=2.0 * sol.charges)) == base
+
+    # pointwise C1.4 on a level set implies the integral T1.1 on it
+    verdicts = {cid: o[0] for cid, o in base.items() if isinstance(o, tuple)}
+    if verdicts.get("C1.4-pointwise") == "satisfied":
+        assert verdicts.get("T1.1-integral") == "satisfied"
