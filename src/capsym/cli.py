@@ -89,13 +89,12 @@ class RunConfig:
             order = DEFAULT_ORDER[self.domain.kind]
         if order is not None:
             order = int(order) + 8 * refine
-        self.solver = SolverOptions(
-            order=order,
-            source_order=solver.get("source_order"),
-            source_factor=float(solver.get("source_factor", 0.35)),
-            rcond=float(solver.get("rcond", 1e-12)),
-            tolerance=solver.get("tolerance"),
-        )
+        # only the keys the config sets, so SolverOptions keeps its defaults
+        floats = {key: float(solver[key]) for key in ("source_factor", "rcond")
+                  if key in solver}
+        self.solver = SolverOptions(order=order,
+                                    source_order=solver.get("source_order"),
+                                    tolerance=solver.get("tolerance"), **floats)
         self.levels = [float(v) for v in data.get("levels", [])]
         for lv in self.levels:
             lo, hi = (0.0, self.c) if self.problem_kind == "exterior" \
@@ -216,9 +215,11 @@ def _write_json(path, payload):
 def _solve_stage(args, config, sol):
     path = os.path.join(args.out, "solution.json")
     sol.save(path)
+    check = ("-" if sol.check_misfit is None
+             else f"{sol.check_misfit:.6e}")
     print(f"{'loaded' if args.solution else 'solved'} {config.problem_kind} "
           f"problem on {config.domain.kind}: fitResidual "
-          f"{sol.fit_residual:.6e} -> {path}")
+          f"{sol.fit_residual:.6e} checkMisfit {check} -> {path}")
 
 
 def _check_stage(args, config, sol):

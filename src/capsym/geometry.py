@@ -205,7 +205,7 @@ class DomainSpec:
     def bounding_radii(self):
         """(min, max) of |x| over the boundary, radii measured from the origin."""
         th, ph, _ = angular_grid(32)
-        r, *_ = self.rho_derivatives(th, ph)
+        r = self.rho(th, ph)
         pts = np.asarray(self.center) + r[:, None] * unit_directions(th, ph)
         d = np.linalg.norm(pts, axis=1)
         return float(d.min()), float(d.max())

@@ -20,7 +20,19 @@ the interior remainder, dilated) copy of the radial graph; ellipsoids use
 nodes on the focal set (segment or disk), which the analytic continuation
 of the exterior potential requires.  A uniformly contracted copy of an
 elongated ellipsoid does not enclose the focal set and the fit then stalls
-far above the tolerances needed here.
+far above the tolerances needed here.  Star placement depends on the order
+n, by a table of check misfit against solve time measured on four stars at
+orders 32, 40 and 48 (CHANGES.md).  Up to order 32 the node grid limits the
+fit, and the sources sit at contraction 0.35 on a grid of order 5n/8.  Above
+it they sit at contraction 0.5 (interior dilation 2) on a grid of order
+n/4 + 14.  At order 48 the 1,800 sources at 0.35 have numerical rank 529 at
+rcond 1e-12, so most of them carry nothing; the 1,352 sources at 0.5 have
+rank 995 and give a 4 to 46 times lower check misfit in about half the time.
+
+Every solve reports its check misfit, max |u - c|/c on an independent
+boundary grid of order n + 8, next to the fit residual at the collocation
+nodes; the fit residual alone can hide a wrong solution (Barnett & Betcke,
+J. Comput. Phys. 227, 2008).
 
 Kernel sums are evaluated in BLAS form.  Points and sources are first
 centred on the domain center; the squared distances then come from one
@@ -37,7 +49,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -55,6 +67,10 @@ DEFAULT_TOLERANCE_EXTERIOR = {"sphere": 1e-9, "ellipsoid": 1e-7, "star": 1e-7}
 DEFAULT_TOLERANCE_INTERIOR = {"sphere": 1e-9, "ellipsoid": 1e-5, "star": 1e-5}
 
 
+# Highest star order that keeps contraction 0.35 and source order 5n/8.
+STAR_COMPACT_MAX_ORDER = 32
+
+
 @dataclass(frozen=True)
 class SolverOptions:
     """Knobs for the collocation solve.
@@ -62,12 +78,17 @@ class SolverOptions:
     source_factor is the contraction of the source graph for exterior
     solves; the interior remainder uses the dilation 1/source_factor.
     rcond is the relative truncated-SVD cutoff of the least-squares solve.
-    A tolerance of None picks the per-kind default.
+    None picks the default: the per-kind tolerance, and source placement
+    by kind and order.  Stars up to order 32 take contraction 0.35 and
+    source order 5n/8; above it, contraction 0.5 and source order n/4 + 14,
+    because at order 48 the 1,800 sources at 0.35 have numerical rank 529
+    and fit worse than 1,352 sources at 0.5 (the measured table is in
+    CHANGES.md).  Spheres and ellipsoids take 0.35 at every order.
     """
 
     order: int | None = None
     source_order: int | None = None
-    source_factor: float = 0.35
+    source_factor: float | None = None
     rcond: float = 1e-12
     tolerance: float | None = None
 
@@ -77,8 +98,15 @@ class SolverOptions:
         if kind == "sphere":
             return max(8, (3 * order) // 4)
         if kind == "star":
+            if order > STAR_COMPACT_MAX_ORDER:
+                return order // 4 + 14
             return max(12, (5 * order) // 8)
         return max(12, (2 * order) // 3)
+
+    def resolved_source_factor(self, kind, order):
+        if self.source_factor is not None:
+            return self.source_factor
+        return 0.5 if kind == "star" and order > STAR_COMPACT_MAX_ORDER else 0.35
 
     def resolved_tolerance(self, kind, problem):
         if self.tolerance is not None:
@@ -130,6 +158,8 @@ class HarmonicSolution:
 
     For the interior problem ``singular_coefficient`` is d*|dOmega|*a_n, the
     closed-form coefficient of |x|^(2-n); it is zero for exterior solutions.
+    ``check_misfit`` is max |u - c|/c on the boundary grid of order + 8; it
+    is None for a solution loaded from a file that predates it.
     """
 
     problem: str                  # "exterior" | "interior"
@@ -143,6 +173,7 @@ class HarmonicSolution:
     boundary_area: float
     order: int
     condition_estimate: float
+    check_misfit: float | None = None
     # rays and level sets extracted from this solution (capsym.levelset)
     # and its boundary data (capsym.criteria)
     _levelset_cache: dict = field(default_factory=dict, init=False,
@@ -191,7 +222,7 @@ class HarmonicSolution:
     # -- serialization ------------------------------------------------------
 
     def to_json_dict(self):
-        return {
+        out = {
             "problem": self.problem,
             "c": self.c,
             "d": self.d,
@@ -204,6 +235,9 @@ class HarmonicSolution:
             "order": self.order,
             "conditionEstimate": self.condition_estimate,
         }
+        if self.check_misfit is not None:
+            out["checkMisfit"] = self.check_misfit
+        return out
 
     @classmethod
     def from_json_dict(cls, data):
@@ -219,6 +253,8 @@ class HarmonicSolution:
             boundary_area=float(data["boundaryArea"]),
             order=int(data["order"]),
             condition_estimate=float(data.get("conditionEstimate", 0.0)),
+            check_misfit=(None if data.get("checkMisfit") is None
+                          else float(data["checkMisfit"])),
         )
 
     def save(self, path):
@@ -358,8 +394,10 @@ def _ellipsoid_focal_sources(spec, n_src):
     return world + np.asarray(spec.center)
 
 
-def _graph_sources(spec, src_order, factor):
-    th, ph, _ = angular_grid(src_order)
+def _graph_points(spec, grid_order, factor):
+    """The radial graph scaled by factor about the center, on the angular
+    grid of grid_order: sources, or at factor 1 boundary points."""
+    th, ph, _ = angular_grid(grid_order)
     rho = spec.rho(th, ph)
     return np.asarray(spec.center) + factor * rho[:, None] * unit_directions(th, ph)
 
@@ -386,26 +424,27 @@ def _solve(spec, quad, opts, problem, c, d):
                                 else DEFAULT_ORDER[spec.kind])
     order = quad.order
     src_order = opts.resolved_source_order(spec.kind, order)
+    factor = opts.resolved_source_factor(spec.kind, order)
     if problem == "exterior":
         s0 = 0.0
         rhs = np.full(len(quad.nodes), float(c))
         sources = (_ellipsoid_focal_sources(spec, order + 8)
                    if spec.kind == "ellipsoid" else None)
         if sources is None:
-            sources = _graph_sources(spec, src_order, opts.source_factor)
+            sources = _graph_points(spec, src_order, factor)
     else:
         s0 = d * quad.area * A_N
         rhs = c - s0 / np.linalg.norm(quad.nodes, axis=1)
-        dilation = 1.0 / opts.source_factor
+        dilation = 1.0 / factor
         if spec.kind == "ellipsoid":
             # on a larger confocal ellipsoid
             mu = (dilation ** 2 - 1.0) * min(spec.axes) ** 2
             outer = DomainSpec(kind="ellipsoid", center=spec.center,
                                axes=tuple(math.sqrt(a * a + mu)
                                           for a in spec.axes))
-            sources = _graph_sources(outer, src_order, 1.0)
+            sources = _graph_points(outer, src_order, 1.0)
         else:
-            sources = _graph_sources(spec, src_order, dilation)
+            sources = _graph_points(spec, src_order, dilation)
     charges, fit, cond = _collocation_solve(quad, sources, spec.center,
                                              rhs, opts.rcond)
     tol = opts.resolved_tolerance(spec.kind, problem)
@@ -414,12 +453,15 @@ def _solve(spec, quad, opts, problem, c, d):
             f"{problem} boundary misfit {fit:.3e} exceeds tolerance "
             f"{tol:.1e} (condition estimate {cond:.3e}); raise the order or "
             "adjust source placement", fit_residual=fit, condition=cond)
-    return HarmonicSolution(problem=problem, c=float(c),
-                            d=None if d is None else float(d), domain=spec,
-                            sources=sources, charges=charges,
-                            singular_coefficient=s0, fit_residual=fit,
-                            boundary_area=quad.area, order=order,
-                            condition_estimate=cond)
+    sol = HarmonicSolution(problem=problem, c=float(c),
+                           d=None if d is None else float(d), domain=spec,
+                           sources=sources, charges=charges,
+                           singular_coefficient=s0, fit_residual=fit,
+                           boundary_area=quad.area, order=order,
+                           condition_estimate=cond)
+    u = sol.field(_graph_points(spec, order + 8, 1.0), want="u",
+                  check_region=False).u
+    return replace(sol, check_misfit=float(np.abs(u - c).max() / c))
 
 
 def solve_exterior(spec, quad=None, c=1.0, opts=SolverOptions()):

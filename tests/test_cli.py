@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from capsym.cli import main
+from capsym import SolverOptions
+from capsym.cli import RunConfig, main
 
 
 def write_config(path, data):
@@ -28,7 +29,17 @@ def test_solve_writes_solution(tmp_path, capsys):
     data = json.loads((tmp_path / "out" / "solution.json").read_text())
     assert data["problem"] == "exterior"
     assert data["fitResidual"] < 1e-9
-    assert "fitResidual" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "fitResidual" in out
+    assert f"checkMisfit {data['checkMisfit']:.6e}" in out
+
+
+def test_solver_defaults_come_from_solver_options():
+    assert RunConfig({"domain": BALL_CONFIG["domain"]}).solver \
+        == SolverOptions(order=None)
+    opts = RunConfig({"domain": BALL_CONFIG["domain"],
+                      "solver": {"rcond": 1e-14}}).solver
+    assert opts == SolverOptions(rcond=1e-14)
 
 
 def test_refine_raises_default_order(tmp_path):

@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 
@@ -8,8 +9,12 @@ from numpy.testing import assert_allclose
 from capsym import (DomainSpec, InsufficientSamplesError, OutOfRegionError,
                     RadialGeometry, SolverOptions, decay_report, evaluate,
                     radial_solution, solve_exterior, solve_interior)
-from capsym.geometry import build_quadrature
-from capsym.harmonic import _CHUNK_PAIRS, _kernel_sums
+from scipy.special import elliprf
+
+from capsym import HarmonicSolution
+from capsym.geometry import angular_grid, build_quadrature, unit_directions
+from capsym.harmonic import (_CHUNK_PAIRS, _ellipsoid_focal_sources,
+                             _kernel_sums)
 
 
 @pytest.fixture(scope="module")
@@ -118,6 +123,101 @@ def test_oblate_and_triaxial_sources():
     for axes in ((1.0, 1.0, 0.5), (1.4, 1.2, 1.0)):
         sol = solve_exterior(DomainSpec(kind="ellipsoid", axes=axes))
         assert sol.fit_residual < 1e-7
+
+
+def ellipsoid_potential(points, axes):
+    """Closed-form exterior potential of the ellipsoid with u = 1 on it:
+    R_F(a^2 + l, b^2 + l, c^2 + l) / R_F(a^2, b^2, c^2), with l >= 0 the
+    ellipsoidal coordinate, the root of sum x_i^2 / (a_i^2 + l) = 1."""
+    a2 = np.asarray(axes, dtype=float) ** 2
+    lo = np.zeros(len(points))
+    hi = np.sum(points * points, axis=1)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        outside = np.sum(points ** 2 / (a2 + mid[:, None]), axis=1) > 1.0
+        lo = np.where(outside, mid, lo)
+        hi = np.where(outside, hi, mid)
+    lam = 0.5 * (lo + hi)
+    return elliprf(a2[0] + lam, a2[1] + lam, a2[2] + lam) / elliprf(*a2)
+
+
+@pytest.mark.parametrize("axes", [(2.0, 1.0, 1.0), (1.0, 1.0, 0.5)],
+                         ids=["prolate", "oblate"])
+def test_check_misfit_matches_closed_form_ellipsoid(axes):
+    # u - U is harmonic outside and vanishes at infinity, so its largest
+    # value sits on the boundary; sample it there and just outside
+    spec = DomainSpec(kind="ellipsoid", axes=axes)
+    sol = solve_exterior(spec)
+    rng = np.random.default_rng(11)
+    dirs = rng.normal(size=(2000, 3))
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    r = spec.ray_exit_radius(dirs) * rng.choice([1.0, 1.001], 2000)
+    pts = dirs * r[:, None]
+    u = sol.field(pts, want="u", check_region=False).u
+    err = np.abs(u - ellipsoid_potential(pts, axes)).max()
+    assert sol.check_misfit / 10 <= err <= 10 * sol.check_misfit
+
+
+def old_graph_sources(spec, src_order, factor):
+    th, ph, _ = angular_grid(src_order)
+    return (np.asarray(spec.center)
+            + factor * spec.rho(th, ph)[:, None] * unit_directions(th, ph))
+
+
+@pytest.mark.parametrize("order", [24, 32])
+def test_star_sources_up_to_order_32_are_unchanged(order, star_solution):
+    sol = (star_solution if order == 32 else solve_exterior(
+        star_solution.domain, opts=SolverOptions(order=order, tolerance=1.0)))
+    assert np.array_equal(
+        sol.sources, old_graph_sources(sol.domain, 5 * order // 8, 0.35))
+
+
+def test_sphere_and_ellipsoid_sources_are_unchanged(
+        ball_solution, ball_interior, ellipsoid_solution, ellipsoid_interior):
+    assert np.array_equal(ball_solution.sources,
+                          old_graph_sources(ball_solution.domain, 12, 0.35))
+    assert np.array_equal(ball_interior.sources, old_graph_sources(
+        ball_interior.domain, 12, 1.0 / 0.35))
+    spec = ellipsoid_solution.domain
+    assert np.array_equal(ellipsoid_solution.sources,
+                          _ellipsoid_focal_sources(spec, 32))
+    mu = ((1.0 / 0.35) ** 2 - 1.0) * min(spec.axes) ** 2
+    outer = DomainSpec(kind="ellipsoid",
+                       axes=tuple(math.sqrt(a * a + mu) for a in spec.axes))
+    assert np.array_equal(ellipsoid_interior.sources,
+                          old_graph_sources(outer, 16, 1.0))
+    opts = SolverOptions()
+    for order in (40, 48):
+        assert opts.resolved_source_order("sphere", order) == 3 * order // 4
+        assert opts.resolved_source_order("ellipsoid", order) == 2 * order // 3
+        assert opts.resolved_source_factor("sphere", order) == 0.35
+        assert opts.resolved_source_factor("ellipsoid", order) == 0.35
+
+
+@pytest.mark.parametrize("solve", [solve_exterior, solve_interior],
+                         ids=["exterior", "interior"])
+def test_order_40_star_placement_fits_no_worse_than_before(solve):
+    spec = DomainSpec(kind="star", mean_radius=1.0,
+                      terms=((2, 2, 0.12), (3, -1, 0.08), (1, 0, 0.05)))
+    new = solve(spec, opts=SolverOptions(order=40))
+    old = solve(spec, opts=SolverOptions(order=40, source_order=25,
+                                         source_factor=0.35))
+    assert len(new.sources) < len(old.sources)
+    assert new.check_misfit <= old.check_misfit
+
+
+def test_order_48_star_solve_memory_is_bounded(star_solution):
+    tracemalloc.start()
+    try:
+        sol = solve_exterior(star_solution.domain,
+                             opts=SolverOptions(order=48))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the weighted 4,608 x 1,352 collocation matrix is 47.5 MiB; the
+    # placement before (1,800 sources) needed 63 MiB for it alone
+    assert len(sol.sources) == 1352
+    assert peak < 56 * 2 ** 20
 
 
 # ---------------------------------------------------------------------------
@@ -269,14 +369,27 @@ def test_interior_requires_positive_flux():
 def test_solution_round_trip(tmp_path, ellipsoid_solution):
     path = tmp_path / "sol.json"
     ellipsoid_solution.save(path)
-    from capsym import HarmonicSolution
     again = HarmonicSolution.load(path)
+    assert again.check_misfit == ellipsoid_solution.check_misfit
     pts = random_exterior_points(ellipsoid_solution.domain, 20, seed=4)
     a = ellipsoid_solution.field(pts)
     b = again.field(pts)
     assert np.array_equal(a.u, b.u)
     assert np.array_equal(a.grad, b.grad)
     assert np.array_equal(a.hess, b.hess)
+
+
+def test_solution_without_check_misfit_loads_and_saves_unchanged(
+        tmp_path, ball_solution):
+    data = ball_solution.to_json_dict()
+    assert data.pop("checkMisfit") == ball_solution.check_misfit
+    path, again = tmp_path / "old.json", tmp_path / "again.json"
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(data, fh, sort_keys=True, indent=1)
+    sol = HarmonicSolution.load(path)
+    assert sol.check_misfit is None
+    sol.save(again)
+    assert again.read_bytes() == path.read_bytes()
 
 
 # ---------------------------------------------------------------------------
