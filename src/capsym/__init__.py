@@ -21,8 +21,7 @@ from .geometry import (DomainSpec, RadialGeometry, SurfaceQuadrature,
                        angular_grid, build_quadrature, radial_solution,
                        real_sph_harm, unit_directions, unit_sphere_area)
 from .harmonic import (DecayReport, FieldStates, HarmonicSolution, PointState,
-                       SolverOptions, decay_report, evaluate, solve_exterior,
-                       solve_interior)
+                       decay_report, evaluate, solve_exterior, solve_interior)
 from .identities import (IdentityResidual, WeightSpec, bochner_residual,
                          bochner_sides, flux_cubed_integral,
                          interior_flux_cubed_limit,

@@ -1,13 +1,15 @@
 """Batch front-end: each run builds one RunConfig and one HarmonicSolution,
 loaded from ``--solution`` or else solved, and runs the stages of its
-subcommand on that pair.  A loaded solution must have the config's problem
-kind, c, d and domain (its order may differ), else a ConfigError names the
-field that differs.  The stages are solve (solution.json), check
-(criteria.json), identities (identities.json, identity_terms.csv), and, for
-exterior problems only, capacity and decay (capacity.json, decay.json);
-report runs them all in that order.  They share the solution and so its
-level-set cache: no level set is solved twice.  An interior config asking
-for capacity or decay fails before anything is solved or loaded.
+subcommand on that pair.  The solve is set by the config's domain, problem
+and ``solver.order``, the only solver key (unset: the per-kind default).
+A loaded solution must have the config's problem kind, c, d and domain
+(its order may differ), else a ConfigError names the field that differs.
+The stages are solve (solution.json), check (criteria.json), identities
+(identities.json, identity_terms.csv), and, for exterior problems only,
+capacity and decay (capacity.json, decay.json); report runs them all in
+that order.  They share the solution and so its level-set cache: no level
+set is solved twice.  An interior config asking for capacity or decay
+fails before anything is solved or loaded.
 
 Exit code 0 means the run completed; criterion verdicts live in the
 reports, not the exit code.  Reports are written deterministically (sorted
@@ -29,9 +31,10 @@ import numpy as np
 from . import criteria as crit
 from .errors import CapsymError
 from .geometry import DomainSpec
-from .harmonic import (DEFAULT_ORDER, HarmonicSolution, SolverOptions,
-                       decay_report, solve_exterior, solve_interior)
+from .harmonic import (HarmonicSolution, decay_report, solve_exterior,
+                       solve_interior)
 from .identities import WeightSpec, bochner_sides, weighted_identity_check
+from .levelset import check_level_range
 
 
 class ConfigError(CapsymError):
@@ -45,7 +48,7 @@ class ConfigError(CapsymError):
 _CONFIG_KEYS = {"domain", "problem", "solver", "levels", "criteria",
                 "identities", "seed"}
 _PROBLEM_KEYS = {"kind", "c", "d"}
-_SOLVER_KEYS = {"order", "source_order", "source_factor", "rcond", "tolerance"}
+_SOLVER_KEYS = {"order"}
 _IDENTITY_KEYS = {"weight", "t", "a", "b"}
 
 
@@ -64,7 +67,7 @@ class RunConfig:
     rejected by name, so that a misspelt key cannot leave a default in place.
     """
 
-    def __init__(self, data, refine=0):
+    def __init__(self, data):
         _known(data, "config", _CONFIG_KEYS)
         if "domain" not in data:
             raise ConfigError("config needs a 'domain' entry")
@@ -85,24 +88,9 @@ class RunConfig:
 
         solver = _known(data.get("solver", {}), "solver", _SOLVER_KEYS)
         order = solver.get("order")
-        if order is None and refine:
-            order = DEFAULT_ORDER[self.domain.kind]
-        if order is not None:
-            order = int(order) + 8 * refine
-        # only the keys the config sets, so SolverOptions keeps its defaults
-        floats = {key: float(solver[key]) for key in ("source_factor", "rcond")
-                  if key in solver}
-        self.solver = SolverOptions(order=order,
-                                    source_order=solver.get("source_order"),
-                                    tolerance=solver.get("tolerance"), **floats)
+        self.order = None if order is None else int(order)
         self.levels = [float(v) for v in data.get("levels", [])]
-        for lv in self.levels:
-            lo, hi = (0.0, self.c) if self.problem_kind == "exterior" \
-                else (self.c, math.inf)
-            if not lo < lv <= hi:
-                raise ConfigError(
-                    f"level {lv} outside the range of u for the "
-                    f"{self.problem_kind} problem")
+        check_level_range(self.problem_kind, self.c, self.levels)
         self.criteria = data.get("criteria")
         try:
             crit.select_criteria(self.problem_kind, self.criteria)
@@ -131,23 +119,24 @@ class RunConfig:
                     f"identity check is missing {exc.args[0]!r}") from None
             if not a < b:
                 raise ConfigError("identity check needs a < b")
-            if weight.kind == "shifted-log" and b >= math.log(weight.t):
-                raise ConfigError(
-                    f"shifted-log weight needs t > e^b = {math.exp(b):.6g}")
+            try:
+                weight.validate_range(b)
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from None
             self.identity_checks.append((weight, a, b))
         self.seed = int(data.get("seed", 0))
 
     @classmethod
-    def from_path(cls, path, refine=0):
+    def from_path(cls, path):
         if not os.path.exists(path):
             raise ConfigError(f"config file not found: {path}")
         with open(path, "r", encoding="utf-8") as fh:
-            return cls(json.load(fh), refine=refine)
+            return cls(json.load(fh))
 
     def solve(self):
         if self.problem_kind == "exterior":
-            return solve_exterior(self.domain, c=self.c, opts=self.solver)
-        return solve_interior(self.domain, c=self.c, d=self.d, opts=self.solver)
+            return solve_exterior(self.domain, c=self.c, order=self.order)
+        return solve_interior(self.domain, c=self.c, d=self.d, order=self.order)
 
 
 def _parse_domain_shorthand(text):
@@ -174,12 +163,12 @@ def _parse_problem_shorthand(text):
 
 def _config_from_args(args):
     if args.config:
-        return RunConfig.from_path(args.config, refine=args.refine)
+        return RunConfig.from_path(args.config)
     if args.domain:
         data = {"domain": _parse_domain_shorthand(args.domain)}
         if args.problem:
             data["problem"] = _parse_problem_shorthand(args.problem)
-        return RunConfig(data, refine=args.refine)
+        return RunConfig(data)
     raise ConfigError("either --config or --domain is required")
 
 
@@ -343,7 +332,9 @@ def build_parser():
                     "symmetry criteria on smooth domains")
     sub = parser.add_subparsers(dest="command", required=True)
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="JSON run configuration")
+    common.add_argument("--config",
+                        help="JSON run configuration; its solver.order sets "
+                             "the solve order (default: per domain kind)")
     common.add_argument("--domain", help="shorthand: sphere:R | ellipsoid:A,B,C"
                                          " | @domain.json")
     common.add_argument("--problem", help="shorthand: exterior:c=1 | "
@@ -353,9 +344,6 @@ def build_parser():
                              "solving; its problem, c, d and domain must "
                              "match the config")
     common.add_argument("--out", default="capsym-out", help="output directory")
-    common.add_argument("--refine", type=int, default=0,
-                        help="refinement level: raises the solver order by 8 "
-                             "per level")
     for name in ("solve", "check", "identities", "capacity", "decay", "report"):
         cmd = sub.add_parser(name, parents=[common])
         if name in ("capacity", "report"):

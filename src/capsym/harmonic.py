@@ -15,19 +15,9 @@ The singular term is evaluated as one more kernel sum, with the single
 charge d |dOmega| a_n at the origin and the points left uncentred, so that
 r = |x| stays exact near the singularity.
 
-Source placement: spheres and star-shaped graphs use a contracted (or, for
-the interior remainder, dilated) copy of the radial graph; ellipsoids use
-nodes on the focal set (segment or disk), which the analytic continuation
-of the exterior potential requires.  A uniformly contracted copy of an
-elongated ellipsoid does not enclose the focal set and the fit then stalls
-far above the tolerances needed here.  Star placement depends on the order
-n, by a table of check misfit against solve time measured on four stars at
-orders 32, 40 and 48 (CHANGES.md).  Up to order 32 the node grid limits the
-fit, and the sources sit at contraction 0.35 on a grid of order 5n/8.  Above
-it they sit at contraction 0.5 (interior dilation 2) on a grid of order
-n/4 + 14.  At order 48 the 1,800 sources at 0.35 have numerical rank 529 at
-rcond 1e-12, so most of them carry nothing; the 1,352 sources at 0.5 have
-rank 995 and give a 4 to 46 times lower check misfit in about half the time.
+A solve is set by the domain, the problem and one order.  The source
+placement (described on _placement), the SVD cutoff and the misfit
+tolerance all come from per-kind tables in this module.
 
 Every solve reports its check misfit, max |u - c|/c on an independent
 boundary grid of order n + 8, next to the fit residual at the collocation
@@ -54,10 +44,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .errors import (InsufficientSamplesError, InvalidDomainError,
-                     OutOfRegionError, SolverFailureError)
-from .geometry import (DomainSpec, SurfaceQuadrature, angular_grid,
-                       build_quadrature, unit_directions, unit_sphere_area)
+from .errors import (InsufficientSamplesError, OutOfRegionError,
+                     SolverFailureError)
+from .geometry import (DomainSpec, angular_grid, build_quadrature,
+                       unit_directions, unit_sphere_area)
 
 N_DIM = 3
 A_N = 1.0 / ((N_DIM - 2) * unit_sphere_area(N_DIM))   # 1/(4 pi)
@@ -65,55 +55,8 @@ A_N = 1.0 / ((N_DIM - 2) * unit_sphere_area(N_DIM))   # 1/(4 pi)
 DEFAULT_ORDER = {"sphere": 16, "ellipsoid": 24, "star": 32}
 DEFAULT_TOLERANCE_EXTERIOR = {"sphere": 1e-9, "ellipsoid": 1e-7, "star": 1e-7}
 DEFAULT_TOLERANCE_INTERIOR = {"sphere": 1e-9, "ellipsoid": 1e-5, "star": 1e-5}
-
-
-# Highest star order that keeps contraction 0.35 and source order 5n/8.
-STAR_COMPACT_MAX_ORDER = 32
-
-
-@dataclass(frozen=True)
-class SolverOptions:
-    """Knobs for the collocation solve.
-
-    source_factor is the contraction of the source graph for exterior
-    solves; the interior remainder uses the dilation 1/source_factor.
-    rcond is the relative truncated-SVD cutoff of the least-squares solve.
-    None picks the default: the per-kind tolerance, and source placement
-    by kind and order.  Stars up to order 32 take contraction 0.35 and
-    source order 5n/8; above it, contraction 0.5 and source order n/4 + 14,
-    because at order 48 the 1,800 sources at 0.35 have numerical rank 529
-    and fit worse than 1,352 sources at 0.5 (the measured table is in
-    CHANGES.md).  Spheres and ellipsoids take 0.35 at every order.
-    """
-
-    order: int | None = None
-    source_order: int | None = None
-    source_factor: float | None = None
-    rcond: float = 1e-12
-    tolerance: float | None = None
-
-    def resolved_source_order(self, kind, order):
-        if self.source_order is not None:
-            return self.source_order
-        if kind == "sphere":
-            return max(8, (3 * order) // 4)
-        if kind == "star":
-            if order > STAR_COMPACT_MAX_ORDER:
-                return order // 4 + 14
-            return max(12, (5 * order) // 8)
-        return max(12, (2 * order) // 3)
-
-    def resolved_source_factor(self, kind, order):
-        if self.source_factor is not None:
-            return self.source_factor
-        return 0.5 if kind == "star" and order > STAR_COMPACT_MAX_ORDER else 0.35
-
-    def resolved_tolerance(self, kind, problem):
-        if self.tolerance is not None:
-            return self.tolerance
-        table = (DEFAULT_TOLERANCE_EXTERIOR if problem == "exterior"
-                 else DEFAULT_TOLERANCE_INTERIOR)
-        return table[kind]
+# relative truncated-SVD cutoff of the collocation least-squares solve
+_RCOND = 1e-12
 
 
 @dataclass(frozen=True)
@@ -358,6 +301,33 @@ def _kernel_sums(x, y, q, want):
 # source placement
 # ---------------------------------------------------------------------------
 
+def _placement(kind, order):
+    """(source grid order, contraction) of the source graph at this order.
+
+    Sources sit on the radial graph contracted by this factor, or for the
+    interior remainder dilated by its inverse (an interior ellipsoid uses
+    the confocal ellipsoid of that dilation).  Exterior ellipsoids put them
+    on the focal set (segment or disk) instead, which the analytic
+    continuation of the exterior potential requires: a contracted copy of
+    an elongated ellipsoid does not enclose it, and the fit stalls.
+
+    Spheres and ellipsoids take 0.35 at every order.  Stars follow a table
+    of check misfit against solve time on four stars at orders 32, 40 and
+    48 (CHANGES.md).  Up to order 32 the node grid limits the fit, and 0.35
+    on a grid of order 5n/8 serves.  Above it 0.5 on a grid of order
+    n/4 + 14 wins: at order 48 the 1,800 sources at 0.35 have numerical
+    rank 529 at the SVD cutoff, while the 1,352 at 0.5 have rank 995 and a
+    4 to 46 times lower check misfit in about half the time.
+    """
+    if kind == "sphere":
+        return max(8, (3 * order) // 4), 0.35
+    if kind == "star":
+        if order > 32:
+            return order // 4 + 14, 0.5
+        return max(12, (5 * order) // 8), 0.35
+    return max(12, (2 * order) // 3), 0.35
+
+
 def _ellipsoid_focal_sources(spec, n_src):
     """Nodes on the focal set of the ellipsoid (segment, disk, or point).
 
@@ -406,25 +376,22 @@ def _graph_points(spec, grid_order, factor):
 # solves
 # ---------------------------------------------------------------------------
 
-def _collocation_solve(quad, sources, center, rhs, rcond):
+def _collocation_solve(quad, sources, center, rhs):
     center = np.asarray(center)
     A = _inverse_distance(quad.nodes - center, sources - center)
     sw = np.sqrt(quad.weights)
     A *= sw[:, None]    # weighted in place: the solve holds one matrix
-    charges, _, rank, sv = np.linalg.lstsq(A, rhs * sw, rcond=rcond)
+    charges, _, rank, sv = np.linalg.lstsq(A, rhs * sw, rcond=_RCOND)
     cond = float(sv[0] / sv[min(rank, len(sv)) - 1]) if len(sv) else math.inf
     fit = float(np.abs((A @ charges) / sw - rhs).max())
     return charges, fit, cond
 
 
-def _solve(spec, quad, opts, problem, c, d):
+def _solve(spec, order, problem, c, d):
     """The collocation solve of either problem; d is None for the exterior."""
-    if quad is None:
-        quad = build_quadrature(spec, opts.order if opts.order is not None
-                                else DEFAULT_ORDER[spec.kind])
-    order = quad.order
-    src_order = opts.resolved_source_order(spec.kind, order)
-    factor = opts.resolved_source_factor(spec.kind, order)
+    order = DEFAULT_ORDER[spec.kind] if order is None else order
+    quad = build_quadrature(spec, order)
+    src_order, factor = _placement(spec.kind, order)
     if problem == "exterior":
         s0 = 0.0
         rhs = np.full(len(quad.nodes), float(c))
@@ -432,6 +399,7 @@ def _solve(spec, quad, opts, problem, c, d):
                    if spec.kind == "ellipsoid" else None)
         if sources is None:
             sources = _graph_points(spec, src_order, factor)
+        tol = DEFAULT_TOLERANCE_EXTERIOR[spec.kind]
     else:
         s0 = d * quad.area * A_N
         rhs = c - s0 / np.linalg.norm(quad.nodes, axis=1)
@@ -445,14 +413,13 @@ def _solve(spec, quad, opts, problem, c, d):
             sources = _graph_points(outer, src_order, 1.0)
         else:
             sources = _graph_points(spec, src_order, dilation)
-    charges, fit, cond = _collocation_solve(quad, sources, spec.center,
-                                             rhs, opts.rcond)
-    tol = opts.resolved_tolerance(spec.kind, problem)
+        tol = DEFAULT_TOLERANCE_INTERIOR[spec.kind]
+    charges, fit, cond = _collocation_solve(quad, sources, spec.center, rhs)
     if fit > tol:
         raise SolverFailureError(
             f"{problem} boundary misfit {fit:.3e} exceeds tolerance "
-            f"{tol:.1e} (condition estimate {cond:.3e}); raise the order or "
-            "adjust source placement", fit_residual=fit, condition=cond)
+            f"{tol:.1e} (condition estimate {cond:.3e}); raise the order "
+            "(solver.order)", fit_residual=fit, condition=cond)
     sol = HarmonicSolution(problem=problem, c=float(c),
                            d=None if d is None else float(d), domain=spec,
                            sources=sources, charges=charges,
@@ -464,19 +431,19 @@ def _solve(spec, quad, opts, problem, c, d):
     return replace(sol, check_misfit=float(np.abs(u - c).max() / c))
 
 
-def solve_exterior(spec, quad=None, c=1.0, opts=SolverOptions()):
+def solve_exterior(spec, c=1.0, order=None):
     """Solve the exterior problem: harmonic outside the domain, u = c on the
-    boundary, u -> 0 at infinity.
+    boundary, u -> 0 at infinity.  order None takes DEFAULT_ORDER[kind].
 
     Raises SolverFailureError (with the collocation condition estimate) if
     the boundary misfit exceeds the tolerance.
     """
     if not c > 0:
         raise ValueError("boundary value c must be positive")
-    return _solve(spec, quad, opts, "exterior", c, None)
+    return _solve(spec, order, "exterior", c, None)
 
 
-def solve_interior(spec, quad=None, c=1.0, d=1.0, opts=SolverOptions()):
+def solve_interior(spec, c=1.0, d=1.0, order=None):
     """Solve the interior problem with a point source of strength d*|dOmega|
     at the origin and u = c on the boundary.
 
@@ -485,7 +452,7 @@ def solve_interior(spec, quad=None, c=1.0, d=1.0, opts=SolverOptions()):
     """
     if not d > 0:
         raise ValueError("flux density d must be positive")
-    return _solve(spec, quad, opts, "interior", c, d)
+    return _solve(spec, order, "interior", c, d)
 
 
 # ---------------------------------------------------------------------------

@@ -121,13 +121,21 @@ def _rays(sol, order):
     return rays
 
 
+def check_level_range(problem, c, levels):
+    """Raise LevelRangeError unless every level lies in the range of u:
+    (0, c] for the exterior problem, [c, inf) for the interior one."""
+    for lv in levels:
+        if problem == "exterior" and not 0 < lv <= c:
+            raise LevelRangeError(f"exterior levels lie in (0, {c}]; got {lv}")
+        if problem == "interior" and not c <= lv < np.inf:
+            raise LevelRangeError(
+                f"interior levels lie in [{c}, inf); got {lv}")
+
+
 def _scan_bounds(sol, om, r_exit, levels):
     """Per-ray radii between which u passes through every level."""
+    check_level_range(sol.problem, sol.c, levels)
     if sol.problem == "exterior":
-        for c in levels:
-            if not 0 < c <= sol.c:
-                raise LevelRangeError(
-                    f"exterior levels lie in (0, {sol.c}]; got {c}")
         c = min(levels)
         r_lo = r_exit * (1.0 - 1e-5)
         # push the outer bound until u sits below the lowest level with
@@ -139,10 +147,6 @@ def _scan_bounds(sol, om, r_exit, levels):
                 return r_lo, r_hi
             r_hi = np.where(u_hi < c * (1.0 - 1e-6), r_hi, r_hi * 2.0)
         raise LevelRangeError(f"could not enclose level {c} from above")
-    for c in levels:
-        if not c >= sol.c:
-            raise LevelRangeError(
-                f"interior levels lie in [{sol.c}, inf); got {c}")
     c = max(levels)
     r_hi = r_exit * (1.0 + 1e-12)
     # inside the singular term dominates: u >= s0/r - |v| surely exceeds c

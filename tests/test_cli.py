@@ -4,8 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from capsym import SolverOptions
-from capsym.cli import RunConfig, main
+from capsym.cli import ConfigError, RunConfig, main
 
 
 def write_config(path, data):
@@ -34,20 +33,33 @@ def test_solve_writes_solution(tmp_path, capsys):
     assert f"checkMisfit {data['checkMisfit']:.6e}" in out
 
 
-def test_solver_defaults_come_from_solver_options():
-    assert RunConfig({"domain": BALL_CONFIG["domain"]}).solver \
-        == SolverOptions(order=None)
-    opts = RunConfig({"domain": BALL_CONFIG["domain"],
-                      "solver": {"rcond": 1e-14}}).solver
-    assert opts == SolverOptions(rcond=1e-14)
+def test_solver_order_is_the_only_solver_setting():
+    assert RunConfig({"domain": BALL_CONFIG["domain"]}).order is None
+    assert RunConfig({"domain": BALL_CONFIG["domain"],
+                      "solver": {"order": 24.0}}).order == 24
 
 
-def test_refine_raises_default_order(tmp_path):
-    rc = main(["solve", "--domain", "sphere:1", "--refine", "1",
-               "--out", str(tmp_path / "out")])
-    assert rc == 0
-    data = json.loads((tmp_path / "out" / "solution.json").read_text())
-    assert data["order"] == 24
+@pytest.mark.parametrize("key, value", [
+    ("source_order", 12), ("source_factor", 0.5), ("rcond", 1e-14),
+    ("tolerance", 1.0)])
+def test_placement_solver_keys_are_rejected(tmp_path, capsys, key, value):
+    data = {"domain": BALL_CONFIG["domain"], "solver": {key: value}}
+    named = f"unknown key {key!r} in solver"
+    with pytest.raises(ConfigError, match=named):
+        RunConfig(data)
+    cfg = write_config(tmp_path / "run.json", data)
+    rc = main(["solve", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert named in capsys.readouterr().err
+
+
+def test_refine_flag_is_rejected(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--domain", "sphere:1", "--refine", "1",
+              "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert "--refine" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_solve_shorthand(tmp_path):
@@ -82,6 +94,20 @@ def test_levels_validated_against_problem(tmp_path, capsys):
     })
     rc = main(["solve", "--config", cfg, "--out", str(tmp_path / "out")])
     assert rc != 0
+
+
+def test_interior_level_at_the_boundary_value_is_accepted(tmp_path):
+    # the level range is the library's: an interior u takes the value c
+    cfg = write_config(tmp_path / "run.json", {
+        "domain": {"kind": "sphere", "radius": 1.0},
+        "problem": {"kind": "interior", "c": 1.0, "d": 1.0},
+        "levels": [1.0, 2.0],
+    })
+    out = tmp_path / "out"
+    rc = main(["check", "--config", cfg, "--out", str(out)])
+    assert rc == 0
+    report = json.loads((out / "criteria.json").read_text())
+    assert [r["verdict"] for r in report["criteria"]] == ["satisfied"] * 4
 
 
 def test_interior_criteria_rejected_for_exterior_run(tmp_path, capsys):
@@ -317,8 +343,10 @@ def test_solution_must_match_config(tmp_path, capsys, saved_solutions,
       "identities": [{"a": -1.0, "b": -0.3, "level": 8}]},
      "unknown key 'level' in identity check"),
     ({"domain": BALL_DOMAIN, "solver": 24}, "solver must be a JSON object"),
+    ({"domain": BALL_DOMAIN, "problem": {"kind": "interior"},
+      "levels": [math.inf]}, "interior levels lie in [1.0, inf); got inf"),
 ], ids=["domain-field", "identity-a", "identity-t", "top-key", "solver-key",
-        "problem-key", "identity-key", "not-an-object"])
+        "problem-key", "identity-key", "not-an-object", "infinite-level"])
 def test_malformed_config_names_the_field(tmp_path, capsys, data, named):
     cfg = write_config(tmp_path / "run.json", data)
     rc = main(["solve", "--config", cfg, "--out", str(tmp_path / "out")])

@@ -7,14 +7,14 @@ import pytest
 from numpy.testing import assert_allclose
 
 from capsym import (DomainSpec, InsufficientSamplesError, OutOfRegionError,
-                    RadialGeometry, SolverOptions, decay_report, evaluate,
+                    RadialGeometry, decay_report, evaluate, harmonic,
                     radial_solution, solve_exterior, solve_interior)
 from scipy.special import elliprf
 
 from capsym import HarmonicSolution
 from capsym.geometry import angular_grid, build_quadrature, unit_directions
 from capsym.harmonic import (_CHUNK_PAIRS, _ellipsoid_focal_sources,
-                             _kernel_sums)
+                             _graph_points, _kernel_sums, _placement)
 
 
 @pytest.fixture(scope="module")
@@ -95,8 +95,7 @@ def test_fit_residual_decreases_under_refinement():
     spec = DomainSpec(kind="ellipsoid", axes=(2.0, 1.0, 1.0))
     fits = []
     for order in (12, 18, 24):
-        sol = solve_exterior(spec, opts=SolverOptions(order=order,
-                                                      tolerance=1.0))
+        sol = solve_exterior(spec, order=order)
         fits.append(sol.fit_residual)
     assert fits[0] > fits[1] > fits[2]
 
@@ -166,10 +165,13 @@ def old_graph_sources(spec, src_order, factor):
 
 @pytest.mark.parametrize("order", [24, 32])
 def test_star_sources_up_to_order_32_are_unchanged(order, star_solution):
-    sol = (star_solution if order == 32 else solve_exterior(
-        star_solution.domain, opts=SolverOptions(order=order, tolerance=1.0)))
+    # the order-24 star fails the misfit gate, so its placement is compared
+    # without a solve
+    spec = star_solution.domain
+    sources = (star_solution.sources if order == 32
+               else _graph_points(spec, *_placement("star", order)))
     assert np.array_equal(
-        sol.sources, old_graph_sources(sol.domain, 5 * order // 8, 0.35))
+        sources, old_graph_sources(spec, 5 * order // 8, 0.35))
 
 
 def test_sphere_and_ellipsoid_sources_are_unchanged(
@@ -186,22 +188,36 @@ def test_sphere_and_ellipsoid_sources_are_unchanged(
                        axes=tuple(math.sqrt(a * a + mu) for a in spec.axes))
     assert np.array_equal(ellipsoid_interior.sources,
                           old_graph_sources(outer, 16, 1.0))
-    opts = SolverOptions()
     for order in (40, 48):
-        assert opts.resolved_source_order("sphere", order) == 3 * order // 4
-        assert opts.resolved_source_order("ellipsoid", order) == 2 * order // 3
-        assert opts.resolved_source_factor("sphere", order) == 0.35
-        assert opts.resolved_source_factor("ellipsoid", order) == 0.35
+        assert _placement("sphere", order) == (3 * order // 4, 0.35)
+        assert _placement("ellipsoid", order) == (2 * order // 3, 0.35)
+
+
+# (source grid order, contraction) per kind at orders 16, 24, 32, 40, 48
+PLACEMENT_TABLE = {
+    "sphere": [(12, 0.35), (18, 0.35), (24, 0.35), (30, 0.35), (36, 0.35)],
+    "ellipsoid": [(12, 0.35), (16, 0.35), (21, 0.35), (26, 0.35),
+                  (32, 0.35)],
+    "star": [(12, 0.35), (15, 0.35), (20, 0.35), (24, 0.5), (26, 0.5)],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(PLACEMENT_TABLE))
+def test_placement_table_is_pinned(kind):
+    assert [_placement(kind, order) for order in (16, 24, 32, 40, 48)] \
+        == PLACEMENT_TABLE[kind]
 
 
 @pytest.mark.parametrize("solve", [solve_exterior, solve_interior],
                          ids=["exterior", "interior"])
-def test_order_40_star_placement_fits_no_worse_than_before(solve):
+def test_order_40_star_placement_fits_no_worse_than_before(solve,
+                                                           monkeypatch):
     spec = DomainSpec(kind="star", mean_radius=1.0,
                       terms=((2, 2, 0.12), (3, -1, 0.08), (1, 0, 0.05)))
-    new = solve(spec, opts=SolverOptions(order=40))
-    old = solve(spec, opts=SolverOptions(order=40, source_order=25,
-                                         source_factor=0.35))
+    new = solve(spec, order=40)
+    # the placement before: source order 5n/8 at contraction 0.35
+    monkeypatch.setattr(harmonic, "_placement", lambda kind, order: (25, 0.35))
+    old = solve(spec, order=40)
     assert len(new.sources) < len(old.sources)
     assert new.check_misfit <= old.check_misfit
 
@@ -209,8 +225,7 @@ def test_order_40_star_placement_fits_no_worse_than_before(solve):
 def test_order_48_star_solve_memory_is_bounded(star_solution):
     tracemalloc.start()
     try:
-        sol = solve_exterior(star_solution.domain,
-                             opts=SolverOptions(order=48))
+        sol = solve_exterior(star_solution.domain, order=48)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -188,6 +188,14 @@ def test_level_range_errors(ball_solution):
         extract_level_sets(ball_solution, [0.25, 0.5, 1.5])
 
 
+def test_interior_level_range(interior_ball):
+    # the boundary value c is the lowest interior level; inf is not a level
+    assert np.allclose(extract_level_set(interior_ball, 1.0).radii, 1.0)
+    for level in (0.5, math.inf):
+        with pytest.raises(LevelRangeError, match="interior levels"):
+            extract_level_set(interior_ball, level)
+
+
 def test_non_star_shaped_level_reported():
     # a charge beyond the boundary makes u rise and fall along the +x ray,
     # so {u = 3} is pierced twice; the extractor must report, not guess

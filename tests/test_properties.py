@@ -14,8 +14,8 @@ import math
 from hypothesis import HealthCheck, Phase, assume, given, settings
 from hypothesis import strategies as st
 
-from capsym import (DomainSpec, SolverFailureError, SolverOptions, capacity,
-                    run_battery, sample_region_points, solve_exterior)
+from capsym import (DomainSpec, SolverFailureError, capacity, run_battery,
+                    sample_region_points, solve_exterior)
 
 # the criteria that the benchmark's star check runs
 STAR_CRITERIA = ("T1.1-integral", "C1.3-capacity", "C1.4-pointwise",
@@ -46,7 +46,7 @@ def outcomes(sol):
 @given(star_domains())
 def test_star_invariants(spec):
     try:
-        sol = solve_exterior(spec, opts=SolverOptions(order=32))
+        sol = solve_exterior(spec, order=32)
     except SolverFailureError:
         assume(False)
 
