@@ -28,7 +28,6 @@ from .identities import (IdentityResidual, WeightSpec, bochner_residual,
                          interior_truncated_identity,
                          prop_exterior_truncated_identity,
                          weighted_identity_check)
-from .levelset import (LevelSet, coarea_volume_integral, extract_level_set,
-                       extract_level_sets, surface_integral)
+from .levelset import LevelSet, extract_level_set, surface_integral
 
 __version__ = "0.1.0"

@@ -21,8 +21,7 @@ from .conformal import p_function
 from .errors import CapsymError, IrregularLevelSetError
 from .geometry import build_quadrature, unit_sphere_area
 from .identities import interior_flux_cubed_limit
-from .levelset import (coarea_volume_integral, extract_level_set,
-                       extract_level_sets, surface_integral)
+from .levelset import _ray_volume, _rays, extract_level_set, surface_integral
 
 _N = 3
 _SPHERE_AREA = unit_sphere_area(_N)
@@ -148,22 +147,9 @@ def inferred_ball_radius(cap, n=3):
     return (cap / ((n - 2) * unit_sphere_area(n))) ** (1.0 / (n - 2))
 
 
-# ---------------------------------------------------------------------------
-# level-set helper integrals with refinement error bars
-# ---------------------------------------------------------------------------
-
 def _equality_gap(ls):
     """Per-node H/(n-1) - |Du|/((n-2) u); zero exactly in the radial case."""
     return ls.mean_curv / (_N - 1) - ls.u_grad / ((_N - 2) * ls.level)
-
-
-def _refinement_errors(sol, levels, values, node_values_fn):
-    """Angular error bars of level-set integrals: per level, 4 |I - I'|
-    for I = values[k], the integral of node_values_fn over that level at
-    the solution's order, and I' the same integral at order + 8."""
-    refs = extract_level_sets(sol, levels, order=sol.order + 8)
-    return [abs(val - surface_integral(ls, node_values_fn(ls))) * 4.0
-            for val, ls in zip(values, refs)]
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +167,9 @@ def check_T11(sol, c):
 
     ls = extract_level_set(sol, c)
     lhs = surface_integral(ls, gap_flux(ls))
-    err, = _refinement_errors(sol, [c], [lhs], gap_flux)
+    # angular error bar: 4 |I - I'| with I' the integral at order + 8
+    ref = extract_level_set(sol, c, order=sol.order + 8)
+    err = 4.0 * abs(lhs - surface_integral(ref, gap_flux(ref)))
     # lhs scales as c^2 when u is scaled, and so does its error floor
     err = max(err, _solver_error_floor(sol) * sol.c ** 2)
     return _report("T1.1-integral", lhs, 0.0, err, {"level": c})
@@ -190,36 +178,30 @@ def check_T11(sol, c):
 def check_C12(sol):
     """Global coarea condition: c Phi(c)/int_0^c Phi(s) ds <= 2 (n-1)/(n-2),
     with Phi(s) the flux-cubed-over-u integral over {u=s} and c the boundary
-    value: Phi(1)/int_0^1 Phi for c = 1, unchanged when u is scaled.  The
-    error bar is the G7/K15 error of int Phi plus the largest change of Phi
-    under one angular refinement at three probe levels, relative, times
-    lhs."""
+    value: Phi(1)/int_0^1 Phi for c = 1, unchanged when u is scaled.  By
+    coarea int_0^c Phi = int |Du|^4/u dmu over the exterior, integrated with
+    G7/K15 along the rays from the boundary to infinity.  The error bar is
+    the relative G7/K15 error of that integral plus 4 times its relative
+    change at order + 8 (the angular error), times lhs."""
     if sol.problem != "exterior":
         raise ValueError("C1.2 applies to the exterior problem")
 
-    phi = {}
+    def density(st):
+        return st.grad_norm ** 4 / st.u
 
-    def flux_cubed(ls):
-        return ls.u_grad ** 3 / ls.level
-
-    def coarea_density(ls):
-        # F with F/|Du| = |Du|^3/u; Phi at each coarea level is kept for
-        # the refinement probes
-        phi[ls.level] = surface_integral(ls, flux_cubed(ls))
-        return ls.u_grad ** 4 / ls.level
-
-    # int_0^c Phi(s) ds = int_{0 < u < c} |Du|^4/u dmu by coarea
-    integral, level_err = coarea_volume_integral(sol, coarea_density,
-                                                 0.0, sol.c)
-    cs = list(phi)
     top = extract_level_set(sol, sol.c)
-    phi_top = phi[sol.c] = surface_integral(top, flux_cubed(top))
-    lhs = sol.c * phi_top / integral
-    probe = [cs[0], cs[len(cs) // 2], sol.c]
-    diffs = _refinement_errors(sol, probe, [phi[p] for p in probe],
-                               flux_cubed)
-    angular = max(d / max(phi[p], 1e-300) for d, p in zip(diffs, probe))
-    err = max((angular + level_err / integral) * abs(lhs),
+    phi_top = surface_integral(top, top.u_grad ** 3 / sol.c)
+    scale = sol.c * phi_top
+
+    def exterior_integral(order):
+        return _ray_volume(sol, density, "grad", _rays(sol, order)[4], np.inf,
+                           order, scale)
+
+    integral, quad_err = exterior_integral(sol.order)
+    refined, _ = exterior_integral(sol.order + 8)
+    lhs = scale / integral
+    angular = 4.0 * abs(integral - refined)
+    err = max((angular + quad_err) / integral * abs(lhs),
               _solver_error_floor(sol))
     rhs = 2.0 * (_N - 1) / (_N - 2)
     return _report("C1.2-global", lhs, rhs, err,

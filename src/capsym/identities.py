@@ -20,9 +20,10 @@ dsigma_g, valid whenever the weight phi solves phi'' + (phi')^2 - phi' = 0;
 K = (1 - phi') e^phi is then a first integral.  Two such weights are
 provided: phi(f) = f (K = 0) and phi_t(f) = log(1 - e^f/t) (K = 1); the
 truncated exterior and interior identities are this identity with those
-weights on their own pairs of levels.  The volume term is a coarea integral
-over the levels of u with the G7/K15 rule of capsym.levelset, which gives
-its quadrature error |K15 - G7| too.
+weights on their own pairs of levels.  The volume term is integrated with
+G7/K15 along the rays of capsym.levelset, between the radii of the two
+level sets on each ray; its quadrature error is |K15 - G7| summed over the
+rays and panels, in the units of the integral.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .conformal import (dsigma_g_weight, dmu_g_weight, hess_f_conformal,
                         mean_curvature_conformal, p_function)
 from .errors import CutoffTooLargeError
 from .geometry import unit_sphere_area
-from .levelset import coarea_volume_integral, extract_level_set
+from .levelset import _ray_volume, extract_level_set
 
 _N = 3
 _QEXP = 2.0 * (_N - 1) / (_N - 2)
@@ -160,13 +161,13 @@ def bochner_residual(state, n=3):
 # ---------------------------------------------------------------------------
 
 def _level_data(sol, c, order=None):
-    """(I3, J, int |grad f|_g^2 |H_g| dsigma_g) on {u = c}."""
+    """(I3, J, int |grad f|_g^2 |H_g| dsigma_g, radii) on {u = c}."""
     ls = extract_level_set(sol, c, order=order)
     p = p_function(ls.level, ls.grad)
     dsg = ls.weights * dsigma_g_weight(ls.level)
     h_g = mean_curvature_conformal(ls.mean_curv, ls.level, ls.u_grad)
     return (float(np.sum(dsg * p ** 1.5)), float(np.sum(dsg * p * h_g)),
-            float(np.sum(dsg * p * np.abs(h_g))))
+            float(np.sum(dsg * p * np.abs(h_g))), ls.radii)
 
 
 def flux_cubed_integral(sol, c):
@@ -175,11 +176,12 @@ def flux_cubed_integral(sol, c):
 
 
 def _hessian_density(weight):
-    """Integrand of the volume term: e^phi |hess_g f|_g^2 dmu_g/dmu per node."""
-    def density(ls):
-        hnorm = hess_f_conformal(ls.level, ls.grad, ls.hess)[1]
-        return (float(np.exp(weight.phi(math.log(ls.level))))
-                * hnorm ** 2 * dmu_g_weight(ls.level))
+    """Integrand of the volume term: e^phi |hess_g f|_g^2 dmu_g/dmu at the
+    points of a FieldStates."""
+    def density(st):
+        hnorm = hess_f_conformal(st.u, st.grad, st.hess)[1]
+        return (np.exp(weight.phi(np.log(st.u))) * hnorm ** 2
+                * dmu_g_weight(st.u))
     return density
 
 
@@ -191,8 +193,8 @@ class IdentityResidual:
     ``scale`` is the sum of the two |grad f|_g^3 fluxes, the size of the
     problem, and rel_residual is |lhs - rhs| / scale, which stays
     meaningful when both sides vanish (the radial case).
-    quadrature_error is the error estimate of lhs in the level variable:
-    twice |K15 - G7| of the coarea volume integral.
+    quadrature_error is the error estimate of lhs: twice |K15 - G7| of the
+    volume integral along the rays, summed over rays and panels.
     """
 
     lhs: float
@@ -219,18 +221,20 @@ def weighted_identity_check(sol, weight, a, b, order=None):
     """Check the weighted identity between the f-levels a < b.
 
     Both sides are produced by independent numerical pipelines: the left by
-    coarea integration of 2 e^phi |hess_g f|_g^2 over the slab, the right
-    from the four boundary integrals.  rel_residual is |lhs - rhs| / scale,
-    with scale = I3(a) + I3(b) the two flux-cubed integrals; the quadrature
-    error field is the G7/K15 error of the left side.
+    integrating 2 e^phi |hess_g f|_g^2 over the slab along the rays, between
+    the radii of the two level sets, the right from the four boundary
+    integrals.  rel_residual is |lhs - rhs| / scale, with scale = I3(a) +
+    I3(b) the two flux-cubed integrals, which also sets the accuracy the
+    left side is integrated to; the quadrature error field is the G7/K15
+    error of the left side.
     """
     if not a < b:
         raise ValueError("need a < b")
     weight.validate_range(b)
     ca, cb = math.exp(a), math.exp(b)
 
-    i3_b, i2h_b, _ = _level_data(sol, cb, order)
-    i3_a, i2h_a, _ = _level_data(sol, ca, order)
+    i3_b, i2h_b, _, r_b = _level_data(sol, cb, order)
+    i3_a, i2h_a, _, r_a = _level_data(sol, ca, order)
     K = weight.first_integral
     eb = float(np.exp(weight.phi(b)))
     ea = float(np.exp(weight.phi(a)))
@@ -241,10 +245,12 @@ def weighted_identity_check(sol, weight, a, b, order=None):
         "curvatureBottom": -2.0 * ea * i2h_a,
     }
     rhs = sum(terms.values())
-    volume, volume_err = coarea_volume_integral(
-        sol, _hessian_density(weight), ca, cb, order)
-    lhs = 2.0 * volume
     scale = abs(i3_b) + abs(i3_a)
+    # u falls off along every ray, so {u = b} is the inner level set
+    volume, volume_err = _ray_volume(
+        sol, _hessian_density(weight), "hess", r_b, r_a,
+        order if order is not None else sol.order, scale)
+    lhs = 2.0 * volume
     abs_res = abs(lhs - rhs)
     return IdentityResidual(lhs=lhs, rhs=rhs, rhs_terms=terms,
                             rel_residual=abs_res / scale, abs_residual=abs_res,

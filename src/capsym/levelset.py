@@ -1,11 +1,11 @@
-"""Level sets {u = c} extracted as star-shaped radial graphs.
+"""Level sets {u = c} extracted as star-shaped radial graphs, and volume
+integrals between them along the rays.
 
-Each angular direction gets one ray from the origin.  The levels requested
-together share one scan of u along the rays, on a geometric grid of 16
-radii per decade from the boundary to the lowest exterior (or highest
-interior) level.  The scan is also the star-shapedness check: u - c must
-change sign exactly once on every ray, else the level is reported
-(NonStarShapedLevelSetError, LevelRangeError), not worked around.
+Each angular direction gets one ray from the origin.  A level is found by a
+scan of u along the rays, on a geometric grid of 16 radii per decade from
+the boundary to the level.  The scan is also the star-shapedness check:
+u - c must change sign exactly once on every ray, else the level is
+reported (NonStarShapedLevelSetError, LevelRangeError), not worked around.
 
 Each level is then solved per ray by safeguarded Newton iteration (rtsafe,
 Numerical Recipes section 9.4) inside its scan bracket.  The first iterate
@@ -23,10 +23,15 @@ with nu = -Du/|Du|, so no numerical differentiation of the extracted graph is
 ever needed; mean curvature comes from the solution's analytic Hessian via
 H = D2u(nu, nu)/|Du|.
 
+A volume integral over a slab {a < u < b}, by coarea a sum over levels,
+needs no level between a and b: the slab is r_b(omega) < r < r_a(omega) on
+every ray, and _ray_volume integrates along the rays with G7/K15 panels
+(QUADPACK qk15; Piessens et al. 1983).  Its error is |K15 - G7| summed over
+rays and panels, in the units of the integral.
+
 Each solution caches the angular grid, directions and boundary exit radii
 per order, and every LevelSet that extract_level_set returns, per (level,
-order); cached arrays are read-only.  extract_level_sets reads the cache
-but does not add to it.
+order); cached arrays are read-only.
 """
 
 from __future__ import annotations
@@ -66,6 +71,10 @@ _GK15_NODES = np.concatenate([-np.array(_XGK[:-1]), _XGK[::-1]])
 _K15_WEIGHTS = np.concatenate([_WGK[:-1], _WGK[::-1]])
 _G7_WEIGHTS = np.zeros(15)
 _G7_WEIGHTS[1::2] = np.concatenate([_WG[:-1], _WG[::-1]])
+# _ray_volume bisects until its error is at most _RAY_TOL times the
+# caller's scale, or until it holds _MAX_PANELS panels
+_RAY_TOL = 1e-9
+_MAX_PANELS = 32
 
 
 @dataclass(frozen=True)
@@ -132,14 +141,13 @@ def check_level_range(problem, c, levels):
                 f"interior levels lie in [{c}, inf); got {lv}")
 
 
-def _scan_bounds(sol, om, r_exit, levels):
-    """Per-ray radii between which u passes through every level."""
-    check_level_range(sol.problem, sol.c, levels)
+def _scan_bounds(sol, om, r_exit, c):
+    """Per-ray radii between which u passes through the level c."""
+    check_level_range(sol.problem, sol.c, [c])
     if sol.problem == "exterior":
-        c = min(levels)
         r_lo = r_exit * (1.0 - 1e-5)
-        # push the outer bound until u sits below the lowest level with
-        # margin, so the scan endpoints cannot flip sign through roundoff
+        # push the outer bound until u sits below the level with margin, so
+        # the scan endpoints cannot flip sign through roundoff
         r_hi = np.full_like(r_lo, 2.0 * r_exit.max())
         for _ in range(60):
             u_hi = sol.field(r_hi[:, None] * om, want="u", check_region=False).u
@@ -147,8 +155,9 @@ def _scan_bounds(sol, om, r_exit, levels):
                 return r_lo, r_hi
             r_hi = np.where(u_hi < c * (1.0 - 1e-6), r_hi, r_hi * 2.0)
         raise LevelRangeError(f"could not enclose level {c} from above")
-    c = max(levels)
-    r_hi = r_exit * (1.0 + 1e-12)
+    # 1e-5 past the boundary, as the exterior scan starts 1e-5 inside it, so
+    # that the boundary value c is bracketed on an inexact fit too
+    r_hi = r_exit * (1.0 + 1e-5)
     # inside the singular term dominates: u >= s0/r - |v| surely exceeds c
     v_bound = abs(sol.c) + abs(sol.singular_coefficient) / r_exit.min() + abs(c)
     r_lo = np.full_like(r_hi, min(
@@ -254,26 +263,13 @@ def _level_set(sol, c, r, om, theta, phi, W):
                     theta=theta, phi=phi, grad=st.grad, hess=st.hess)
 
 
-def _extract(sol, levels, order):
-    """Yield the level sets of the float ``levels`` at ``order`` in turn,
-    from one scan that checks every level before the first is solved."""
+def _extract(sol, c, order):
+    """The LevelSet {u = c} at ``order``: a scan, then Newton on every ray."""
     theta, phi, W, om, r_exit = _rays(sol, order)
-    grid, vals = _scan(sol, om, *_scan_bounds(sol, om, r_exit, levels))
-    brackets = [_bracket(grid, vals, c) for c in levels]
-    del grid, vals      # not needed while the levels are solved
-    for c, b in zip(levels, brackets):
-        yield _level_set(sol, c, _solve_radii(sol, om, c, *b), om, theta, phi, W)
-
-
-def _level_sets(sol, levels, order):
-    """Yield a LevelSet per level, in order: cached ones from the cache, the
-    others from one shared scan, each built only when it is consumed."""
-    order = order if order is not None else sol.order
-    levels = [float(c) for c in levels]
-    hits = [sol._levelset_cache.get((c, order)) for c in levels]
-    new = _extract(sol, [c for c, ls in zip(levels, hits) if ls is None], order)
-    for ls in hits:
-        yield ls if ls is not None else next(new)
+    # the scan arrays are released before the level is solved
+    bracket = _bracket(*_scan(sol, om, *_scan_bounds(sol, om, r_exit, c)), c)
+    r = _solve_radii(sol, om, c, *bracket)
+    return _level_set(sol, c, r, om, theta, phi, W)
 
 
 def extract_level_set(sol, c, order=None):
@@ -290,20 +286,8 @@ def extract_level_set(sol, c, order=None):
     key = (float(c), order)
     ls = sol._levelset_cache.get(key)
     if ls is None:
-        ls = sol._levelset_cache[key] = next(_extract(sol, [key[0]], order))
+        ls = sol._levelset_cache[key] = _extract(sol, key[0], order)
     return ls
-
-
-def extract_level_sets(sol, levels, order=None):
-    """Extract several level sets {u = c} with one shared radial scan.
-
-    Returns one LevelSet per entry of ``levels``, in order, equal to what
-    extract_level_set gives to roundoff, and raises the same errors, naming
-    the offending level.  Levels cached by extract_level_set are reused;
-    the others are not cached, so they live only as long as the caller
-    keeps them.
-    """
-    return list(_level_sets(sol, levels, order))
 
 
 def surface_integral(ls, integrand):
@@ -316,26 +300,52 @@ def surface_integral(ls, integrand):
     return float(ls.weights @ integrand)
 
 
-def coarea_volume_integral(sol, integrand, c_min, c_max, order=None):
-    """Volume integral between two levels via the coarea formula.
+def _ray_volume(sol, density, want, r_in, r_out, order, scale):
+    """int F dmu over {r_in < r < r_out} on every ray, as (value, error).
 
-    Computes int_{c_min < u < c_max} F dmu as a sum over levels c of
-    int_{u=c} F/|Du| dsigma, where ``integrand`` maps a LevelSet to
-    per-node values of F.  The rule in c is the 15-point Gauss-Kronrod rule
-    K15 with its embedded 7-point Gauss rule G7 (QUADPACK qk15; Piessens et
-    al. 1983): the G7 levels are K15 levels, so the same 15 level sets,
-    each solved once and held one at a time, give the value (K15) and its
-    error estimate |K15 - G7|, returned as (value, error).  An irregular
-    level set aborts with the offending level named.
+    ``density`` maps the FieldStates of one node column (one point per ray,
+    evaluated with ``want``) to F there; r_in holds one radius per ray of
+    the angular grid at ``order``, r_out one per ray or is inf.  Panels are
+    nested G7/K15 rules in a parameter s on [0, 1] shared by all rays: in
+    log r, r = r_in (r_out/r_in)^s with dmu = r^3 log(r_out/r_in) ds dOmega,
+    or out to infinity in t = r_in/r = s with dmu = r_in^3 t^-4 dt dOmega.
+    A panel's error is |K15 - G7| summed over rays, at least 50 eps times
+    K15 of |F| (the roundoff floor of QUADPACK qk15).  The panel with the
+    largest error is bisected until the summed error is at most _RAY_TOL
+    times ``scale``; at _MAX_PANELS panels the error is returned as it is.
     """
-    if not c_min < c_max:
-        raise ValueError("need c_min < c_max")
-    half = 0.5 * (c_max - c_min)
-    cs = 0.5 * (c_min + c_max) + half * _GK15_NODES
-    slices = np.empty(len(cs))
-    # one level set alive at a time
-    for k, ls in enumerate(_level_sets(sol, cs, order)):
-        vals = np.asarray(integrand(ls), dtype=float)
-        slices[k] = ls.weights @ (vals / ls.u_grad)
-    value = half * float(_K15_WEIGHTS @ slices)
-    return value, abs(value - half * float(_G7_WEIGHTS @ slices))
+    W, om = _rays(sol, order)[2:4]
+    if np.all(np.isinf(r_out)):
+        def radius_and_measure(s):
+            return r_in / s, r_in ** 3 / s ** 4
+    else:
+        log_ratio = np.log(r_out / r_in)
+
+        def radius_and_measure(s):
+            r = r_in * np.exp(s * log_ratio)
+            return r, r ** 3 * log_ratio
+
+    def panel(lo, hi):
+        half = 0.5 * (hi - lo)
+        f = np.empty((len(_GK15_NODES), len(r_in)))
+        # one field call per node column keeps the kernel temporaries small
+        for k, x in enumerate(_GK15_NODES):
+            r, measure = radius_and_measure(lo + half * (1.0 + x))
+            st = sol.field(r[:, None] * om, want=want, check_region=False)
+            f[k] = W * measure * density(st)
+        k15, g7 = half * (_K15_WEIGHTS @ f), half * (_G7_WEIGHTS @ f)
+        roundoff = 50.0 * np.finfo(float).eps * half * np.sum(
+            _K15_WEIGHTS @ np.abs(f))
+        return float(np.sum(k15)), max(float(np.sum(np.abs(k15 - g7))),
+                                       float(roundoff))
+
+    panels = {(0.0, 1.0): panel(0.0, 1.0)}
+    while (sum(e for _, e in panels.values()) > _RAY_TOL * scale
+           and len(panels) < _MAX_PANELS):
+        lo, hi = max(panels, key=lambda p: panels[p][1])
+        del panels[(lo, hi)]
+        mid = 0.5 * (lo + hi)
+        panels[(lo, mid)] = panel(lo, mid)
+        panels[(mid, hi)] = panel(mid, hi)
+    return (sum(v for v, _ in panels.values()),
+            sum(e for _, e in panels.values()))

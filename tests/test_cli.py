@@ -110,6 +110,26 @@ def test_interior_level_at_the_boundary_value_is_accepted(tmp_path):
     assert [r["verdict"] for r in report["criteria"]] == ["satisfied"] * 4
 
 
+def test_interior_boundary_level_with_an_inexact_fit(tmp_path):
+    # the interior ellipsoid fits u = c only to ~1e-5, so on some rays u
+    # stays above c up to the boundary: the level c must still be found,
+    # by the criteria and by an identity whose lower level is c
+    cfg = write_config(tmp_path / "run.json", {
+        "domain": {"kind": "ellipsoid", "axes": [2.0, 1.0, 1.0]},
+        "problem": {"kind": "interior", "c": 2.0, "d": 1.0},
+        "levels": [2.0, 4.0],
+        "identities": [{"weight": "shifted-log", "t": 32.0,
+                        "a": math.log(2.0),
+                        "b": math.log(32.0 * (1 - 1e-9))}],
+    })
+    out = tmp_path / "out"
+    assert main(["report", "--config", cfg, "--out", str(out)]) == 0
+    report = json.loads((out / "criteria.json").read_text())
+    assert all("error" not in r for r in report["criteria"])
+    [res] = json.loads((out / "identities.json").read_text())["identityChecks"]
+    assert res["relResidual"] <= 1e-6
+
+
 def test_interior_criteria_rejected_for_exterior_run(tmp_path, capsys):
     cfg = write_config(tmp_path / "run.json", {
         "domain": {"kind": "sphere", "radius": 1.0},

@@ -87,21 +87,19 @@ def test_C12_ball_is_equality_case(ball_solution):
 
 
 def test_C12_extracts_each_level_once(monkeypatch, ball_solution):
-    # 15 G7/K15 coarea levels plus the top level at the order, and three
-    # probes at order + 8, each (level, order) pair solved once
+    # the volume integral runs along the rays from the boundary, so the top
+    # level {u = c}, for Phi(c), is the one level set C1.2 solves
     extracted = collections.Counter()
     extract = levelset._extract
 
-    def counted(sol, levels, order):
-        extracted.update((c, order) for c in levels)
-        return extract(sol, levels, order)
+    def counted(sol, c, order):
+        extracted[(c, order)] += 1
+        return extract(sol, c, order)
 
     monkeypatch.setattr(levelset, "_extract", counted)
     sol = HarmonicSolution.from_json_dict(ball_solution.to_json_dict())
     check_C12(sol)
-    assert set(extracted.values()) == {1}
-    orders = collections.Counter(order for _, order in extracted)
-    assert orders == {sol.order: 16, sol.order + 8: 3}
+    assert extracted == {(sol.c, sol.order): 1}
 
 
 def test_C12_near_ball(ball_solution):

@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 from numpy.testing import assert_allclose
 
-from capsym import (CutoffTooLargeError, DomainSpec, WeightSpec,
-                    bochner_residual, bochner_sides, coarea_volume_integral,
+from capsym import (CutoffTooLargeError, DomainSpec, FieldStates, WeightSpec,
+                    bochner_residual, bochner_sides, extract_level_set,
                     flux_cubed_integral, hess_f_conformal, identities,
                     interior_flux_cubed_limit,
                     interior_truncated_identity,
@@ -28,6 +29,12 @@ def ellipsoid_solution():
 @pytest.fixture(scope="module")
 def ball_interior():
     return solve_interior(DomainSpec(kind="sphere", radius=1.0), c=1.0, d=1.0)
+
+
+@pytest.fixture(scope="module")
+def ellipsoid_interior():
+    return solve_interior(DomainSpec(kind="ellipsoid", axes=(2.0, 1.0, 1.0)),
+                          c=1.0, d=1.0)
 
 
 def sample_points(sol, count, seed=0):
@@ -225,14 +232,22 @@ def test_truncated_identity_cutoff_shrinks_linearly(ellipsoid_solution):
 
 
 def test_truncated_identity_carries_quadrature_error(ellipsoid_solution):
-    # the volume term is the weighted identity's G7/K15 coarea integral of
-    # e^f |hess_g f|_g^2 over {2e-3 < u < 0.8}, with its own error
+    # the volume term is the weighted identity's G7/K15 integral of
+    # e^f |hess_g f|_g^2 over {2e-3 < u < 0.8} along the rays, with its own
+    # error; by coarea it is a sum over the levels of u, here 32
+    # Gauss-Legendre levels
     res = prop_exterior_truncated_identity(ellipsoid_solution, c=0.8,
                                            eps=2e-3)
     assert res.quadrature_error > 0
-    volume = coarea_volume_integral(
-        ellipsoid_solution, identities._hessian_density(WeightSpec.linear()),
-        2e-3, 0.8)[0]
+    density = identities._hessian_density(WeightSpec.linear())
+    x, w = leggauss(32)
+    mid, half = 0.5 * (0.8 + 2e-3), 0.5 * (0.8 - 2e-3)
+    volume = 0.0
+    for xk, wk in zip(x, w):
+        ls = extract_level_set(ellipsoid_solution, mid + half * xk)
+        st = FieldStates(points=ls.nodes, u=np.full(len(ls.radii), ls.level),
+                         grad=ls.grad, hess=ls.hess)
+        volume += half * wk * float(ls.weights @ (density(st) / ls.u_grad))
     assert abs(res.lhs - 2.0 * volume) <= 1e-12 * abs(res.lhs)
 
 
@@ -259,10 +274,9 @@ def test_interior_flux_cubed_converges_to_limit(ball_interior):
         assert abs(val - limit) / limit < 1e-8
 
 
-def test_interior_flux_cubed_limit_ellipsoid():
+def test_interior_flux_cubed_limit_ellipsoid(ellipsoid_interior):
     # approach to the singular limit is first order in the level radius
-    sol = solve_interior(DomainSpec(kind="ellipsoid", axes=(2.0, 1.0, 1.0)),
-                         c=1.0, d=1.0)
+    sol = ellipsoid_interior
     limit = interior_flux_cubed_limit(sol)
     errs = [abs(flux_cubed_integral(sol, t) - limit) / limit
             for t in (60.0, 600.0, 6000.0)]
@@ -276,3 +290,13 @@ def test_interior_truncated_identity_ball(ball_interior):
     limit = interior_flux_cubed_limit(ball_interior)
     assert abs(volume) < 1e-6 * limit
     assert abs(rhs) < 1e-6 * limit
+
+
+def test_interior_truncated_identity_closes_on_the_ellipsoid(
+        ellipsoid_interior):
+    # integrated in the level variable the slab {2.2 < u < 32} left
+    # |lhs - rhs| = 1.4e-3 with a quadrature error of 0.40; along the rays,
+    # in log r, both sides agree to roundoff of the scale
+    res = interior_truncated_identity(ellipsoid_interior, c=2.2, t_level=32.0)
+    assert abs(res.lhs - res.rhs) <= 1e-10 * res.scale
+    assert res.quadrature_error <= 1e-8 * res.scale

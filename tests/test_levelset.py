@@ -7,11 +7,11 @@ import pytest
 from numpy.polynomial.legendre import leggauss
 from numpy.testing import assert_allclose
 
-from capsym import (DomainSpec, HarmonicSolution, IrregularLevelSetError,
+from capsym import (DomainSpec, FieldStates, HarmonicSolution,
+                    IrregularLevelSetError,
                     LevelRangeError, NonStarShapedLevelSetError,
                     RadialGeometry, WeightSpec, angular_grid, check_C12,
-                    coarea_volume_integral, criteria, extract_level_set,
-                    extract_level_sets, identities, levelset,
+                    criteria, extract_level_set, identities, levelset,
                     radial_solution, solve_exterior, solve_interior,
                     surface_integral, unit_directions,
                     weighted_identity_check)
@@ -128,18 +128,18 @@ def test_irregular_level_raises_on_every_path_and_is_not_cached(
     # level 0.5 (|Du| = 0.25) is irregular and the level 0.75 is regular
     monkeypatch.setattr(levelset, "REGULARITY_THRESHOLD", 0.3)
     sol = fresh(ball_solution)
-    bottom = 0.5 + 0.25 * levelset._GK15_NODES[0]   # lowest coarea level
     for extract, level in [
             (lambda: extract_level_set(sol, 0.5), 0.5),
-            (lambda: extract_level_sets(sol, [0.75, 0.5]), 0.5),
-            (lambda: coarea_volume_integral(sol, lambda ls: ls.u_grad,
-                                            0.25, 0.75), bottom)]:
+            (lambda: weighted_identity_check(sol, WeightSpec.linear(),
+                                             math.log(0.5), math.log(0.75)),
+             0.5)]:
         with pytest.raises(IrregularLevelSetError,
                            match="fails the regularity threshold") as info:
             extract()
         assert info.value.level == level
-    assert not any(isinstance(v, levelset.LevelSet)
-                   for v in sol._levelset_cache.values())
+    # the identity cached its regular top level, never the irregular one
+    assert [v.level for v in sol._levelset_cache.values()
+            if isinstance(v, levelset.LevelSet)] == [0.75]
     assert extract_level_set(sol, 0.75).u_grad.min() > 0.3
     [row] = criteria.run_battery(sol, criteria=["C1.4-pointwise"])
     assert row["criterionId"] == "C1.4-pointwise"
@@ -185,7 +185,8 @@ def test_level_range_errors(ball_solution):
     with pytest.raises(LevelRangeError):
         extract_level_set(ball_solution, 0.0)
     with pytest.raises(LevelRangeError, match="1.5"):
-        extract_level_sets(ball_solution, [0.25, 0.5, 1.5])
+        weighted_identity_check(ball_solution, WeightSpec.linear(),
+                                math.log(0.25), math.log(1.5))
 
 
 def test_interior_level_range(interior_ball):
@@ -208,13 +209,13 @@ def test_non_star_shaped_level_reported():
         condition_estimate=1.0)
     with pytest.raises(NonStarShapedLevelSetError):
         extract_level_set(sol, 3.0)
-    # the +x ray crosses both levels twice; the shared scan sees it too
+    # the +x ray crosses {u = 4} twice as well
     with pytest.raises(NonStarShapedLevelSetError):
-        extract_level_sets(sol, [3.0, 4.0])
+        extract_level_set(sol, 4.0)
 
 
 # ---------------------------------------------------------------------------
-# shared scan, safeguarded Newton and the per-solution cache
+# scan, safeguarded Newton and the per-solution cache
 # ---------------------------------------------------------------------------
 
 AGREEMENT_CASES = [("ball_solution", (1.0, 0.5, 0.002)),
@@ -226,27 +227,12 @@ AGREEMENT_CASES = [("ball_solution", (1.0, 0.5, 0.002)),
 @pytest.mark.parametrize("name,levels", AGREEMENT_CASES)
 def test_agrees_with_reference_extractor(request, name, levels):
     sol = fresh(request.getfixturevalue(name))
-    batch = extract_level_sets(sol, levels)
-    for c, ls_batch in zip(levels, batch):
+    for c in levels:
         ls = extract_level_set(sol, c)
         ref = reference_radii(sol, c)
         assert np.abs(ls.radii - ref).max() <= 1e-12 * ref.max()
         u = sol.field(ls.nodes, want="u", check_region=False).u
         assert np.abs(u - c).max() <= 1e-12 * c
-        # derivatives come from Hessians whose roundoff on the star is
-        # ~3e-14, so they get a looser bound than the radii and weights
-        for key, tol in (("radii", 1e-13), ("weights", 1e-13),
-                         ("u_grad", 1e-12), ("mean_curv", 1e-12)):
-            single, shared = getattr(ls, key), getattr(ls_batch, key)
-            assert np.abs(single - shared).max() <= tol * np.abs(single).max()
-
-
-def test_batch_keeps_order_and_duplicates(ball_solution):
-    sol = fresh(ball_solution)
-    sets = extract_level_sets(sol, [0.5, 0.25, 0.5])
-    assert [ls.level for ls in sets] == [0.5, 0.25, 0.5]
-    assert np.array_equal(sets[0].radii, sets[2].radii)
-    assert extract_level_sets(sol, []) == []
 
 
 def test_repeat_extraction_is_cached_and_read_only(ball_solution):
@@ -259,10 +245,6 @@ def test_repeat_extraction_is_cached_and_read_only(ball_solution):
     for key in ("nodes", "weights", "normals", "u_grad", "mean_curv", "theta",
                 "phi", "grad", "hess"):
         assert not getattr(ls, key).flags.writeable
-    # batches reuse cached level sets but do not add theirs
-    shared = extract_level_sets(sol, [0.42, 0.3])
-    assert shared[0] is ls
-    assert extract_level_set(sol, 0.3) is not shared[1]
 
 
 def test_rays_computed_once_per_order(monkeypatch, star_solution):
@@ -278,18 +260,6 @@ def test_rays_computed_once_per_order(monkeypatch, star_solution):
     extract_level_set(sol, 0.5, order=16)
     extract_level_set(sol, 0.7, order=16)
     assert len(calls) == 1
-
-
-def test_batch_scans_once(monkeypatch, ball_solution, ellipsoid_solution):
-    levels = [0.9, 0.6, 0.3, 0.1, 0.05]
-    for sol in (ball_solution, ellipsoid_solution):
-        calls = count_field_calls(monkeypatch)
-        extract_level_sets(fresh(sol), [0.05])
-        lowest_alone = calls["u"]
-        calls.clear()
-        extract_level_sets(fresh(sol), levels)
-        assert calls["u"] == lowest_alone
-        assert calls["hess"] == len(levels)
 
 
 @pytest.mark.parametrize("name", ["ball_solution", "ellipsoid_solution",
@@ -386,12 +356,22 @@ def test_surface_integral_length_mismatch(ball_solution):
 # coarea
 # ---------------------------------------------------------------------------
 
+def flux_to_the_fourth_over_u(st):
+    return st.grad_norm ** 4 / st.u
+
+
+def exterior_volume(sol, density, want="grad", order=None, scale=1.0):
+    """int F dmu over the exterior of the domain by _ray_volume."""
+    order = order if order is not None else sol.order
+    r_exit = levelset._rays(sol, order)[4]
+    return levelset._ray_volume(sol, density, want, r_exit, np.inf, order,
+                                scale)
+
+
 def test_coarea_of_flux_cubed_over_u(ball_solution):
     # int_0^1 Phi(c) dc = int |Du|^4/u dmu = pi for the unit ball, from
     # integrating the hand-composed 4 pi c^3
-    val, err = coarea_volume_integral(
-        ball_solution, lambda ls: ls.u_grad ** 4 / ls.level,
-        c_min=0.0, c_max=1.0)
+    val, err = exterior_volume(ball_solution, flux_to_the_fourth_over_u)
     assert abs(val - math.pi) / math.pi < 1e-6
     assert 0 < err < 1e-6 * math.pi
 
@@ -402,9 +382,7 @@ def test_coarea_ratio_is_equality_case(ball_solution):
     # check below for every n)
     ls = extract_level_set(ball_solution, 1.0)
     phi_top = surface_integral(ls, ls.u_grad ** 3 / 1.0)
-    integral, _ = coarea_volume_integral(
-        ball_solution, lambda ls: ls.u_grad ** 4 / ls.level,
-        c_min=0.0, c_max=1.0)
+    integral, _ = exterior_volume(ball_solution, flux_to_the_fourth_over_u)
     assert abs(phi_top / integral - 4.0) < 1e-4
 
 
@@ -420,9 +398,68 @@ def test_coarea_ratio_closed_form_every_dimension():
 
 
 def test_coarea_zero_integrand(ball_solution):
-    assert coarea_volume_integral(
-        ball_solution, lambda ls: np.zeros(len(ls.weights)),
-        c_min=0.2, c_max=0.8) == (0.0, 0.0)
+    r_in = levelset._rays(ball_solution, ball_solution.order)[4]
+    assert levelset._ray_volume(
+        ball_solution, lambda st: np.zeros(len(st.u)), "u", r_in,
+        2.0 * r_in, ball_solution.order, 1.0) == (0.0, 0.0)
+
+
+def test_ray_volume_measures(ball_solution):
+    # the shell 1 < r < 2 has volume 28 pi/3 (panels in log r), and
+    # int_{r > 1} r^-6 dmu = 4 pi/3 (panels in t = 1/r, integrand t^2)
+    sol, order = ball_solution, ball_solution.order
+    r_in = levelset._rays(sol, order)[4]
+    shell, err = levelset._ray_volume(sol, lambda st: np.ones(len(st.u)), "u",
+                                      r_in, 2.0 * r_in, order, 1.0)
+    assert abs(shell - 28.0 * math.pi / 3.0) <= 1e-13 * shell
+    assert err < 1e-12
+    tail, err = levelset._ray_volume(
+        sol, lambda st: np.sum(st.points ** 2, axis=1) ** -3, "u", r_in,
+        np.inf, order, 1.0)
+    assert abs(tail - 4.0 * math.pi / 3.0) <= 1e-13 * tail
+    assert err < 1e-12
+
+
+def test_ray_volume_bisects_to_the_tolerance_and_reports_the_cap(
+        monkeypatch, ellipsoid_solution):
+    # the prolate ellipsoid's foci sit 0.27 inside its tips, so the exterior
+    # integral needs more than one panel; the error meets the tolerance
+    # relative to the given scale, and at a cap of one panel it is returned
+    # as it is, larger than the tolerance
+    sol = ellipsoid_solution
+    value, err = exterior_volume(sol, flux_to_the_fourth_over_u)
+    assert err <= levelset._RAY_TOL * 1.0
+    monkeypatch.setattr(levelset, "_MAX_PANELS", 1)
+    one_panel, one_err = exterior_volume(sol, flux_to_the_fourth_over_u)
+    assert one_err > levelset._RAY_TOL
+    assert abs(one_panel - value) <= one_err
+
+
+def test_ray_volume_stops_at_one_panel_on_the_ball(
+        monkeypatch, ball_solution, interior_ball):
+    # the ball's identity volume term is roundoff noise (~1e-23): a stopping
+    # rule relative to the integral itself would bisect to the cap; relative
+    # to the caller's scale one panel, 15 node columns, suffices
+    field = count_field_calls(monkeypatch)
+    calls = []
+    ray_volume = levelset._ray_volume
+
+    def counted(*args):
+        before = sum(field.values())
+        result = ray_volume(*args)
+        calls.append(sum(field.values()) - before)
+        return result
+
+    monkeypatch.setattr(criteria, "_ray_volume", counted)
+    monkeypatch.setattr(identities, "_ray_volume", counted)
+    check_C12(fresh(ball_solution))
+    assert calls == [15, 15]        # at the order and at order + 8
+    for sol, a, b in ((ball_solution, 0.25, 0.75), (interior_ball, 1.5, 3.0)):
+        calls.clear()
+        res = weighted_identity_check(fresh(sol), WeightSpec.linear(),
+                                      math.log(a), math.log(b))
+        assert calls == [15]
+        assert abs(res.lhs) < 1e-20 * res.scale
 
 
 def test_gauss_nodes_are_every_second_kronrod_node():
@@ -441,41 +478,57 @@ def test_kronrod_rule_is_exact_to_degree_22():
 
 
 def gauss_legendre_coarea(sol, integrand, c_min, c_max, levels=32):
-    """The coarea sum of coarea_volume_integral with a 32-level
-    Gauss-Legendre rule instead of G7/K15: the reference it must match."""
+    """int_{c_min < u < c_max} F dmu by the coarea formula, a 32-level
+    Gauss-Legendre rule over int_{u=c} F/|Du| dsigma, where ``integrand``
+    maps a LevelSet to F at its nodes: the reference the integrals along
+    the rays must match."""
     x, w = leggauss(levels)
     half = 0.5 * (c_max - c_min)
-    lss = extract_level_sets(sol, 0.5 * (c_min + c_max) + half * x)
-    return half * sum(wk * float(ls.weights @ (integrand(ls) / ls.u_grad))
-                      for wk, ls in zip(w, lss))
+    total = 0.0
+    for xk, wk in zip(x, w):
+        ls = extract_level_set(sol, 0.5 * (c_min + c_max) + half * xk)
+        total += wk * float(ls.weights @ (integrand(ls) / ls.u_grad))
+    return half * total
 
 
-@pytest.mark.parametrize("name", ["ellipsoid_solution", "star_solution"])
+def hessian_density_on_level(weight):
+    """The identity's volume integrand on a level set."""
+    density = identities._hessian_density(weight)
+    return lambda ls: density(FieldStates(
+        points=ls.nodes, u=np.full(len(ls.radii), ls.level), grad=ls.grad,
+        hess=ls.hess))
+
+
+@pytest.mark.parametrize("name", ["ball_solution", "ellipsoid_solution",
+                                  "star_solution"])
 def test_kronrod_coarea_matches_32_gauss_levels(monkeypatch, request, name):
-    # C1.2's int_0^1 Phi and the weighted identity's volume term, each
-    # against the 32-level rule; the returned error bounds the difference
-    sol = request.getfixturevalue(name)
+    # C1.2's int_0^1 Phi and the weighted identity's volume term along the
+    # rays, each against the 32-level coarea rule: they agree to 1e-12
+    # relative (up to roundoff of the identity's scale, where the volume
+    # term is roundoff itself) and within the returned error
+    sol = fresh(request.getfixturevalue(name))
     returned = []
+    ray_volume = levelset._ray_volume
 
     def kept(*args):
-        returned.append(coarea_volume_integral(*args))
+        returned.append(ray_volume(*args))
         return returned[-1]
 
-    monkeypatch.setattr(criteria, "coarea_volume_integral", kept)
+    monkeypatch.setattr(criteria, "_ray_volume", kept)
     report = check_C12(sol)
-    (phi_integral, err), = returned
+    phi_integral, err = returned[0]     # at the order; then order + 8
     assert report.witnesses["phiIntegral"] == phi_integral
     ref = gauss_legendre_coarea(sol, lambda ls: ls.u_grad ** 4 / ls.level,
-                                0.0, 1.0)
+                                0.0, sol.c)
     assert abs(phi_integral - ref) <= 1e-12 * abs(ref)
     assert err >= abs(phi_integral - ref)
 
     a, b = math.log(0.25), math.log(0.75)
     res = weighted_identity_check(sol, WeightSpec.linear(), a, b)
     ref = 2.0 * gauss_legendre_coarea(
-        sol, identities._hessian_density(WeightSpec.linear()),
+        sol, hessian_density_on_level(WeightSpec.linear()),
         math.exp(a), math.exp(b))
-    assert abs(res.lhs - ref) <= 1e-12 * abs(ref)
+    assert abs(res.lhs - ref) <= 1e-12 * abs(ref) + 1e-15 * res.scale
     assert res.quadrature_error >= abs(res.lhs - ref)
 
 
