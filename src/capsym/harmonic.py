@@ -26,13 +26,13 @@ J. Comput. Phys. 227, 2008).
 
 Kernel sums are evaluated in BLAS form.  Points and sources are first
 centred on the domain center; the squared distances then come from one
-matrix product, r^2 = |x|^2 + |y|^2 - 2 x.y^T, and u and Du from products
-of 1/r and 1/r^3 with the charges and their first moments q y.  The Hessian
-is one product of 1/r^5 with the moments [q, q y, q y y], never a tensor of
-differences x - y.  Points are taken in row chunks of about a million
-point-source pairs, so the temporaries stay a few (chunk, M) arrays however
-many points are evaluated.  The collocation matrix of the solve is built by
-the same inverse-distance routine.
+matrix product of augmented rows, r^2 = [x, |x|^2, 1] . [-2y, 1, |y|^2]^T,
+and u and Du from products of 1/r and 1/r^3 with the charges and their
+first moments q y.  The Hessian is one product of 1/r^5 with the moments
+[q, q y, q y y], never a tensor of differences x - y.  Points are taken in
+row chunks of at most 65,536 point-source pairs, so the temporaries are a few
+(chunk, M) arrays of 512 KiB that stay in L2 cache however many points are
+evaluated.  The collocation matrix is built by the same routine.
 """
 
 from __future__ import annotations
@@ -225,9 +225,10 @@ def evaluate(sol, x, check_region=True):
 # kernel sums
 # ---------------------------------------------------------------------------
 
-# Point-source pairs per row chunk of a kernel sum; each temporary is one
-# (chunk, M) float array of 8 MiB, whatever the number of points.
-_CHUNK_PAIRS = 1 << 20
+# Point-source pairs per row chunk of a kernel sum: each (chunk, M)
+# temporary is 512 KiB, so 1/r and its powers stay in a 2 MiB L2 cache
+# while they are formed and multiplied, however many points are evaluated.
+_CHUNK_PAIRS = 1 << 16
 
 # S[:, _SYM[a, b]] picks entry (a, b) of a symmetric 3x3 matrix stored as
 # its upper triangle in the order of np.triu_indices(3).
@@ -235,16 +236,22 @@ _TRIU = np.triu_indices(3)
 _SYM = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])
 
 
-def _inverse_distance(x, y):
-    """The (len(x), len(y)) matrix 1/|x_i - y_j|.
+def _source_rows(y):
+    """The (5, len(y)) augmented source rows [-2y, 1, |y|^2]^T."""
+    return np.vstack([-2.0 * y.T, np.ones(len(y)),
+                      np.einsum("ij,ij->i", y, y)])
 
-    r^2 = |x|^2 + |y|^2 - 2 x.y^T takes one matrix product and is turned
-    into 1/r in place.  Callers centre x and y on the domain first, which
-    keeps |x|^2 + |y|^2 small next to r^2 and so limits cancellation.
+
+def _inverse_distance(x, y_rows):
+    """The (len(x), len(y)) matrix 1/|x_i - y_j|, y_rows = _source_rows(y).
+
+    r^2 = |x|^2 + |y|^2 - 2 x.y^T is one matrix product of the rows
+    [x, |x|^2, 1] with the source rows [-2y, 1, |y|^2] and is turned into
+    1/r in place.  Callers centre x and y on the domain first, which keeps
+    |x|^2 + |y|^2 small next to r^2 and so limits cancellation.
     """
-    w = (-2.0 * x) @ y.T
-    w += np.einsum("ij,ij->i", y, y)
-    w += np.einsum("ij,ij->i", x, x)[:, None]
+    x_rows = np.column_stack([x, np.einsum("ij,ij->i", x, x), np.ones(len(x))])
+    w = x_rows @ y_rows
     np.sqrt(w, out=w)
     np.divide(1.0, w, out=w)
     return w
@@ -263,6 +270,7 @@ def _kernel_sums(x, y, q, want):
 
     Rows of x are taken in chunks of about _CHUNK_PAIRS pairs.
     """
+    y_rows = _source_rows(y)
     if want != "u":
         qy = q[:, None] * y
         m1 = np.column_stack([q, qy])
@@ -275,7 +283,7 @@ def _kernel_sums(x, y, q, want):
     for lo in range(0, n, rows):
         sl = slice(lo, lo + rows)
         xc = x[sl]
-        w = _inverse_distance(xc, y)
+        w = _inverse_distance(xc, y_rows)
         u[sl] = w @ q
         if want == "u":
             continue
@@ -378,7 +386,7 @@ def _graph_points(spec, grid_order, factor):
 
 def _collocation_solve(quad, sources, center, rhs):
     center = np.asarray(center)
-    A = _inverse_distance(quad.nodes - center, sources - center)
+    A = _inverse_distance(quad.nodes - center, _source_rows(sources - center))
     sw = np.sqrt(quad.weights)
     A *= sw[:, None]    # weighted in place: the solve holds one matrix
     charges, _, rank, sv = np.linalg.lstsq(A, rhs * sw, rcond=_RCOND)

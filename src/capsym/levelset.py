@@ -328,7 +328,7 @@ def _ray_volume(sol, density, want, r_in, r_out, order, scale):
     def panel(lo, hi):
         half = 0.5 * (hi - lo)
         f = np.empty((len(_GK15_NODES), len(r_in)))
-        # one field call per node column keeps the kernel temporaries small
+        # one field call per node column: density takes one point per ray
         for k, x in enumerate(_GK15_NODES):
             r, measure = radius_and_measure(lo + half * (1.0 + x))
             st = sol.field(r[:, None] * om, want=want, check_region=False)

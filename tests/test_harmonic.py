@@ -14,7 +14,8 @@ from scipy.special import elliprf
 from capsym import HarmonicSolution
 from capsym.geometry import angular_grid, build_quadrature, unit_directions
 from capsym.harmonic import (_CHUNK_PAIRS, _ellipsoid_focal_sources,
-                             _graph_points, _kernel_sums, _placement)
+                             _graph_points, _inverse_distance, _kernel_sums,
+                             _placement, _source_rows)
 
 
 @pytest.fixture(scope="module")
@@ -272,7 +273,8 @@ def difference_tensor_field(sol, pts):
     ("ball_solution", (1.0, 1.5, 10.0, 1e3)),
     ("star_solution", (1.2, 3.0, 100.0)),
     ("ball_interior", (0.05, 0.5, 1.0)),
-], ids=["exterior-ball", "star", "interior-ball"])
+    ("ellipsoid_solution", (2.2, 4.0, 100.0)),
+], ids=["exterior-ball", "star", "interior-ball", "exterior-ellipsoid"])
 def test_kernel_matches_difference_tensor_reference(name, radii, request):
     sol = request.getfixturevalue(name)
     rows = _CHUNK_PAIRS // len(sol.sources)
@@ -323,15 +325,36 @@ def test_singular_term_matches_closed_form(name, request):
 
 
 def test_hessian_evaluation_memory_is_bounded(star_solution):
+    # 8,192 x 800 pairs, evaluated in (chunk, 800) temporaries of 512 KiB
     assert len(star_solution.sources) == 800
     pts = random_exterior_points(star_solution.domain, 8192, seed=6)
-    tracemalloc.start()
-    try:
-        star_solution.field(pts, want="hess", check_region=False)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 32 * 2 ** 20
+    for want in ("u", "grad", "hess"):
+        tracemalloc.start()
+        try:
+            star_solution.field(pts, want=want, check_region=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20, want
+
+
+@pytest.mark.parametrize("name", [
+    "ball_solution", "ball_interior", "ellipsoid_solution",
+    "ellipsoid_interior", "star_solution", "star_48"])
+def test_collocation_matrix_matches_direct_inverse_distance(name, request):
+    if name == "star_48":
+        spec = request.getfixturevalue("star_solution").domain
+        order = 48
+        sources = _graph_points(spec, *_placement("star", order))
+    else:
+        sol = request.getfixturevalue(name)
+        spec, order, sources = sol.domain, sol.order, sol.sources
+    center = np.asarray(spec.center)
+    x = build_quadrature(spec, order).nodes - center
+    y = sources - center
+    got = _inverse_distance(x, _source_rows(y))
+    ref = 1.0 / np.linalg.norm(x[:, None] - y[None], axis=2)
+    assert np.abs(got / ref - 1.0).max() <= 1e-14
 
 
 # ---------------------------------------------------------------------------
