@@ -113,12 +113,11 @@ class HarmonicSolution:
     charges: np.ndarray
     singular_coefficient: float
     fit_residual: float
-    boundary_area: float
     order: int
     condition_estimate: float
     check_misfit: float | None = None
-    # rays and level sets extracted from this solution (capsym.levelset)
-    # and its boundary data (capsym.criteria)
+    # rays, boundary data and level sets of this solution, read and
+    # written by capsym.levelset alone
     _levelset_cache: dict = field(default_factory=dict, init=False,
                                   repr=False, compare=False)
 
@@ -174,7 +173,6 @@ class HarmonicSolution:
             "charges": [float(q) for q in self.charges],
             "singularCoefficient": self.singular_coefficient,
             "fitResidual": self.fit_residual,
-            "boundaryArea": self.boundary_area,
             "order": self.order,
             "conditionEstimate": self.condition_estimate,
         }
@@ -193,7 +191,6 @@ class HarmonicSolution:
             charges=np.asarray(data["charges"], dtype=float),
             singular_coefficient=float(data["singularCoefficient"]),
             fit_residual=float(data["fitResidual"]),
-            boundary_area=float(data["boundaryArea"]),
             order=int(data["order"]),
             condition_estimate=float(data.get("conditionEstimate", 0.0)),
             check_misfit=(None if data.get("checkMisfit") is None
@@ -432,8 +429,7 @@ def _solve(spec, order, problem, c, d):
                            d=None if d is None else float(d), domain=spec,
                            sources=sources, charges=charges,
                            singular_coefficient=s0, fit_residual=fit,
-                           boundary_area=quad.area, order=order,
-                           condition_estimate=cond)
+                           order=order, condition_estimate=cond)
     u = sol.field(_graph_points(spec, order + 8, 1.0), want="u",
                   check_region=False).u
     return replace(sol, check_misfit=float(np.abs(u - c).max() / c))

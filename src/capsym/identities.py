@@ -37,7 +37,7 @@ from .conformal import (dsigma_g_weight, dmu_g_weight, hess_f_conformal,
                         mean_curvature_conformal, p_function)
 from .errors import CutoffTooLargeError
 from .geometry import unit_sphere_area
-from .levelset import _ray_volume, extract_level_set
+from .levelset import _boundary, _ray_volume, extract_level_set
 
 _N = 3
 _QEXP = 2.0 * (_N - 1) / (_N - 2)
@@ -295,13 +295,14 @@ def interior_flux_cubed_limit(sol):
 
         (n-2)^(2(n-1)/(n-2)) (|S^{n-1}| / (d |dOmega|))^(2/(n-2)) d |dOmega|.
 
-    The limit is independent of the Dirichlet boundary constant.
+    The limit is independent of the Dirichlet boundary constant.  The area
+    |dOmega| is that of the boundary quadrature at the solution's order.
     """
     if sol.problem != "interior":
         raise ValueError("the flux-cubed limit applies to interior solutions")
     n = _N
     s_area = unit_sphere_area(n)
-    d_area = sol.d * sol.boundary_area
+    d_area = sol.d * _boundary(sol)[0].area
     return ((n - 2) ** (2.0 * (n - 1) / (n - 2))
             * (s_area / d_area) ** (2.0 / (n - 2)) * d_area)
 

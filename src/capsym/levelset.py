@@ -2,10 +2,13 @@
 integrals between them along the rays.
 
 Each angular direction gets one ray from the origin.  A level is found by a
-scan of u along the rays, on a geometric grid of 16 radii per decade from
-the boundary to the level.  The scan is also the star-shapedness check:
-u - c must change sign exactly once on every ray, else the level is
-reported (NonStarShapedLevelSetError, LevelRangeError), not worked around.
+scan of u along the rays, on a geometric grid of 16 radii per decade.  One
+rule sets its ends in both problems: 1e-5 r on the region's side of the
+boundary, and a far end, from 2 max r_exit outside or min r_exit/2 inside,
+doubled or halved per ray until u is beyond the level by 1e-6 c.  The scan
+is also the star-shapedness check: u - c must change sign exactly once on
+every ray, else the level is reported (NonStarShapedLevelSetError,
+LevelRangeError), not worked around.
 
 Each level is then solved per ray by safeguarded Newton iteration (rtsafe,
 Numerical Recipes section 9.4) inside its scan bracket.  The first iterate
@@ -29,9 +32,9 @@ every ray, and _ray_volume integrates along the rays with G7/K15 panels
 (QUADPACK qk15; Piessens et al. 1983).  Its error is |K15 - G7| summed over
 rays and panels, in the units of the integral.
 
-Each solution caches the angular grid, directions and boundary exit radii
-per order, and every LevelSet that extract_level_set returns, per (level,
-order); cached arrays are read-only.
+Only this module uses a solution's cache: the angular grid, directions and
+boundary exit radii per order, the boundary data (_boundary), and every
+LevelSet that extract_level_set returns, per (level, order), all read-only.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ import numpy as np
 from .conformal import level_set_mean_curvature
 from .errors import (IrregularLevelSetError, LevelRangeError,
                      NonStarShapedLevelSetError)
-from .geometry import angular_grid, unit_directions
+from .geometry import angular_grid, build_quadrature, unit_directions
 
 REGULARITY_THRESHOLD = 1e-8
 _SCAN_PER_DECADE = 16
@@ -95,9 +98,7 @@ class LevelSet:
 
     def __post_init__(self):
         # level sets are shared through the solution's cache
-        for value in vars(self).values():
-            if isinstance(value, np.ndarray):
-                value.setflags(write=False)
+        _frozen(*vars(self).values())
 
     @property
     def area(self):
@@ -118,6 +119,14 @@ class LevelSet:
                                   self.mean_curv[i])])
 
 
+def _frozen(*values):
+    """``values``, with the arrays among them made read-only for the cache."""
+    for value in values:
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+    return values
+
+
 def _rays(sol, order):
     """Angular grid, unit directions and boundary exit radii at ``order``,
     computed once per solution."""
@@ -126,8 +135,21 @@ def _rays(sol, order):
         theta, phi, W = angular_grid(order)
         om = unit_directions(theta, phi)
         r_exit = np.atleast_1d(sol.domain.ray_exit_radius(om))
-        rays = sol._levelset_cache[order] = (theta, phi, W, om, r_exit)
+        rays = sol._levelset_cache[order] = _frozen(theta, phi, W, om, r_exit)
     return rays
+
+
+def _boundary(sol):
+    """(quadrature, |Du| at its nodes, averages of |Du|, |Du|^2, |Du|^3)
+    on the boundary at the solution's order, built once per solution."""
+    data = sol._levelset_cache.get("boundary")
+    if data is None:
+        quad = build_quadrature(sol.domain, sol.order)
+        gn = sol.field(quad.nodes, want="grad", check_region=False).grad_norm
+        _frozen(*vars(quad).values(), gn)
+        moments = tuple(quad.integrate(gn ** k) / quad.area for k in (1, 2, 3))
+        data = sol._levelset_cache["boundary"] = (quad, gn, moments)
+    return data
 
 
 def check_level_range(problem, c, levels):
@@ -142,28 +164,22 @@ def check_level_range(problem, c, levels):
 
 
 def _scan_bounds(sol, om, r_exit, c):
-    """Per-ray radii between which u passes through the level c."""
+    """Per-ray radii (inner, outer) between which u passes through the
+    level c; the margins keep roundoff from flipping the endpoint signs."""
     check_level_range(sol.problem, sol.c, [c])
-    if sol.problem == "exterior":
-        r_lo = r_exit * (1.0 - 1e-5)
-        # push the outer bound until u sits below the level with margin, so
-        # the scan endpoints cannot flip sign through roundoff
-        r_hi = np.full_like(r_lo, 2.0 * r_exit.max())
-        for _ in range(60):
-            u_hi = sol.field(r_hi[:, None] * om, want="u", check_region=False).u
-            if np.all(u_hi < c * (1.0 - 1e-6)):
-                return r_lo, r_hi
-            r_hi = np.where(u_hi < c * (1.0 - 1e-6), r_hi, r_hi * 2.0)
-        raise LevelRangeError(f"could not enclose level {c} from above")
-    # 1e-5 past the boundary, as the exterior scan starts 1e-5 inside it, so
-    # that the boundary value c is bracketed on an inexact fit too
-    r_hi = r_exit * (1.0 + 1e-5)
-    # inside the singular term dominates: u >= s0/r - |v| surely exceeds c
-    v_bound = abs(sol.c) + abs(sol.singular_coefficient) / r_exit.min() + abs(c)
-    r_lo = np.full_like(r_hi, min(
-        0.25 * r_exit.min(),
-        sol.singular_coefficient / (c + 2.0 * v_bound)))
-    return r_lo, r_hi
+    exterior = sol.problem == "exterior"
+    if exterior:
+        near, far, step = r_exit * (1.0 - 1e-5), 2.0 * r_exit.max(), 2.0
+    else:
+        near, far, step = r_exit * (1.0 + 1e-5), 0.5 * r_exit.min(), 0.5
+    far = np.full_like(near, far)
+    for _ in range(60):
+        u = sol.field(far[:, None] * om, want="u", check_region=False).u
+        beyond = u < c * (1.0 - 1e-6) if exterior else u > c * (1.0 + 1e-6)
+        if np.all(beyond):
+            return (near, far) if exterior else (far, near)
+        far = np.where(beyond, far, far * step)
+    raise LevelRangeError(f"could not enclose level {c} away from the boundary")
 
 
 def _scan(sol, om, r_lo, r_hi):

@@ -1,4 +1,3 @@
-import collections
 import dataclasses
 import math
 
@@ -9,9 +8,10 @@ from numpy.testing import assert_allclose
 from capsym import (DomainSpec, HarmonicSolution, IrregularLevelSetError,
                     capacity, check_C12, check_C13, check_C17, check_neumann,
                     check_pointwise, check_T11, check_T16, check_T19,
-                    inferred_ball_radius, levelset, normalization_c1,
-                    normalization_c2, p_function_spread, run_battery,
-                    solve_exterior, solve_interior, symmetry_certificate)
+                    extract_level_set, inferred_ball_radius, levelset,
+                    normalization_c1, normalization_c2, p_function_spread,
+                    run_battery, solve_exterior, solve_interior,
+                    surface_integral, symmetry_certificate)
 
 
 @pytest.fixture(scope="module")
@@ -22,6 +22,12 @@ def ball_solution():
 @pytest.fixture(scope="module")
 def ellipsoid_solution():
     return solve_exterior(DomainSpec(kind="ellipsoid", axes=(2.0, 1.0, 1.0)))
+
+
+@pytest.fixture(scope="module")
+def star_solution():
+    return solve_exterior(DomainSpec(kind="star", mean_radius=1.0,
+                                     terms=((2, 0, 0.1), (3, 1, 0.05))))
 
 
 @pytest.fixture(scope="module")
@@ -86,20 +92,24 @@ def test_C12_ball_is_equality_case(ball_solution):
     assert rep.witnesses["equality"]
 
 
-def test_C12_extracts_each_level_once(monkeypatch, ball_solution):
-    # the volume integral runs along the rays from the boundary, so the top
-    # level {u = c}, for Phi(c), is the one level set C1.2 solves
-    extracted = collections.Counter()
-    extract = levelset._extract
-
-    def counted(sol, c, order):
-        extracted[(c, order)] += 1
-        return extract(sol, c, order)
-
-    monkeypatch.setattr(levelset, "_extract", counted)
+def test_C12_solves_no_level_set(ball_solution):
+    # the volume integral runs along the rays from the boundary, and the top
+    # level {u = c} is the boundary, so C1.2 solves no level set at all
     sol = HarmonicSolution.from_json_dict(ball_solution.to_json_dict())
     check_C12(sol)
-    assert extracted == {(sol.c, sol.order): 1}
+    assert not [v for v in sol._levelset_cache.values()
+                if isinstance(v, levelset.LevelSet)]
+
+
+@pytest.mark.parametrize("name", ["ball_solution", "ellipsoid_solution",
+                                  "star_solution"])
+def test_C12_phi_top_matches_the_boundary_level_set(request, name):
+    # Phi(c) from the boundary quadrature against Phi(c) on the solved
+    # level set {u = c}
+    sol = request.getfixturevalue(name)
+    top = extract_level_set(sol, sol.c)
+    phi_top = surface_integral(top, top.u_grad ** 3 / sol.c)
+    assert_allclose(check_C12(sol).witnesses["phiTop"], phi_top, rtol=1e-12)
 
 
 def test_C12_near_ball(ball_solution):
@@ -367,11 +377,9 @@ def test_battery_embeds_named_errors_and_propagates_bugs(ball_solution,
 
 def test_interior_battery_builds_boundary_data_once(ball_interior,
                                                     monkeypatch):
-    import capsym.criteria as crit
-
     sol = HarmonicSolution.from_json_dict(ball_interior.to_json_dict())
     quads, boundary_fields = [], []
-    build, field = crit.build_quadrature, HarmonicSolution.field
+    build, field = levelset.build_quadrature, HarmonicSolution.field
 
     def counting_build(spec, order):
         quads.append(build(spec, order))
@@ -382,7 +390,7 @@ def test_interior_battery_builds_boundary_data_once(ball_interior,
             boundary_fields.append(points)
         return field(self, points, *args, **kwargs)
 
-    monkeypatch.setattr(crit, "build_quadrature", counting_build)
+    monkeypatch.setattr(levelset, "build_quadrature", counting_build)
     monkeypatch.setattr(HarmonicSolution, "field", counting_field)
     run_battery(sol)
     assert (len(quads), len(boundary_fields)) == (1, 1)

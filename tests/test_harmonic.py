@@ -430,6 +430,19 @@ def test_solution_without_check_misfit_loads_and_saves_unchanged(
     assert again.read_bytes() == path.read_bytes()
 
 
+def test_solution_with_boundary_area_loads_and_saves_without_it(
+        tmp_path, ball_interior):
+    # files written before the boundary area left the solution carry it
+    data = ball_interior.to_json_dict()
+    assert "boundaryArea" not in data
+    path, again = tmp_path / "old.json", tmp_path / "again.json"
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump({**data, "boundaryArea": 4.0 * math.pi}, fh,
+                  sort_keys=True, indent=1)
+    HarmonicSolution.load(path).save(again)
+    assert json.loads(again.read_text()) == data
+
+
 # ---------------------------------------------------------------------------
 # decay fits
 # ---------------------------------------------------------------------------

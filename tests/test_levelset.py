@@ -205,7 +205,7 @@ def test_non_star_shaped_level_reported():
         problem="exterior", c=6.0, d=None, domain=spec,
         sources=np.array([[0.9, 0.0, 0.0]]),
         charges=np.array([1.0]), singular_coefficient=0.0,
-        fit_residual=0.0, boundary_area=math.pi, order=12,
+        fit_residual=0.0, order=12,
         condition_estimate=1.0)
     with pytest.raises(NonStarShapedLevelSetError):
         extract_level_set(sol, 3.0)
@@ -221,7 +221,7 @@ def test_non_star_shaped_level_reported():
 AGREEMENT_CASES = [("ball_solution", (1.0, 0.5, 0.002)),
                    ("ellipsoid_solution", (1.0 - 1e-9, 0.8, 0.1)),
                    ("star_solution", (0.9, 0.5, 0.05)),
-                   ("interior_ball", (1.0, 1.5, 4.0))]
+                   ("interior_ball", (1.0, 1.5, 4.0, 40.0))]
 
 
 @pytest.mark.parametrize("name,levels", AGREEMENT_CASES)
@@ -245,6 +245,11 @@ def test_repeat_extraction_is_cached_and_read_only(ball_solution):
     for key in ("nodes", "weights", "normals", "u_grad", "mean_curv", "theta",
                 "phi", "grad", "hess"):
         assert not getattr(ls, key).flags.writeable
+    # so are the cached rays and boundary data
+    quad, gn, _ = levelset._boundary(sol)
+    for array in (*levelset._rays(sol, sol.order), quad.nodes, quad.weights,
+                  quad.mean_curvature, gn):
+        assert not array.flags.writeable
 
 
 def test_rays_computed_once_per_order(monkeypatch, star_solution):
@@ -260,6 +265,17 @@ def test_rays_computed_once_per_order(monkeypatch, star_solution):
     extract_level_set(sol, 0.5, order=16)
     extract_level_set(sol, 0.7, order=16)
     assert len(calls) == 1
+
+
+def test_interior_scan_starts_at_half_the_boundary(monkeypatch,
+                                                  interior_ball):
+    # the far end of the interior scan starts at r_exit/2, where u = 2 on
+    # the unit ball already exceeds 1.5, so one bracketing call and one
+    # decade of scan suffice
+    sol = fresh(interior_ball)
+    calls = count_field_calls(monkeypatch)
+    extract_level_set(sol, 1.5 * sol.c)
+    assert calls["u"] <= 10
 
 
 @pytest.mark.parametrize("name", ["ball_solution", "ellipsoid_solution",
