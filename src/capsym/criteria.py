@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from numpy.random import default_rng
 
 from .conformal import p_function
 from .errors import CapsymError, IrregularLevelSetError
@@ -399,7 +400,7 @@ def sample_region_points(sol, count=200, seed=0):
     between a small multiple of the enclosing radius and the ray exit
     radius.
     """
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     dirs = rng.normal(size=(count, 3))
     dirs /= np.linalg.norm(dirs, axis=1)[:, None]
     r_exit = np.atleast_1d(sol.domain.ray_exit_radius(dirs))

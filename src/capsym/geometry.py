@@ -6,6 +6,12 @@ domain center.  Quadrature is tensor Gauss-Legendre in cos(theta) times
 trapezoid in phi, which integrates spherical harmonics up to the grid degree
 exactly.  Mean curvature is the sum of principal curvatures with respect to
 the outward normal, so a sphere of radius r has H = (n-1)/r = 2/r.
+
+Star surfaces are sums of real orthonormal spherical harmonics, evaluated
+in numpy from the stable three-term degree recurrence of the normalized
+associated Legendre functions, with the Condon-Shortley phase of
+scipy.special.sph_harm_y; their angular derivatives come from the ladder
+relation between neighbouring orders, exact at the poles.
 """
 
 from __future__ import annotations
@@ -15,7 +21,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import gamma, sph_harm_y
 
 from .errors import InvalidDomainError
 
@@ -23,11 +28,52 @@ MIN_ORDER = 6
 DEFAULT_MAX_DEGREE = 8
 # radial graphs must stay this far from the center
 RHO_MIN = 1e-2
+# a star's ray exit radius stops at a Newton step or bracket below
+# _EXIT_RTOL r; bisection alone narrows the bracket that far in about 55
+# steps
+_EXIT_RTOL = 1e-15
+_EXIT_STEPS = 100
 
 
 def unit_sphere_area(n):
     """Area of the (n-1)-dimensional unit sphere, 2 pi^(n/2) / Gamma(n/2)."""
-    return 2.0 * math.pi ** (n / 2.0) / gamma(n / 2.0)
+    return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
+
+
+def safeguarded_newton(f_and_slope, r, lo, hi, rtol, max_steps):
+    """Root of f on every ray by safeguarded Newton iteration (rtsafe,
+    Numerical Recipes section 9.4), inside brackets with f > 0 at lo and
+    f <= 0 at hi.
+
+    f_and_slope(rays, r) returns f and df/dr at the radii r of the rays
+    (indices) still running.  A first iterate r outside its bracket starts
+    at the midpoint.  Every evaluation narrows the bracket; a Newton step
+    that leaves it, or is not at most half the previous step, is replaced
+    by bisection.  A ray stops when its step or its bracket is below
+    rtol r.  Returns the radii and the rays that did not stop in
+    max_steps, which keep their last iterate.
+    """
+    r = np.where((r > lo) & (r < hi), r, 0.5 * (lo + hi))
+    dx_old = hi - lo
+    radii = r.copy()
+    todo = np.arange(len(r))
+    for _ in range(max_steps):
+        f, slope = f_and_slope(todo, r)
+        lo = np.where(f > 0, r, lo)
+        hi = np.where(f > 0, hi, r)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            dx = np.where(f == 0, 0.0, f / slope)
+        newton = ((r - dx >= lo) & (r - dx <= hi)
+                  & (np.abs(dx) <= 0.5 * dx_old))
+        dx = np.where(newton, dx, r - 0.5 * (lo + hi))
+        r = r - dx
+        radii[todo] = r
+        keep = ~((np.abs(dx) <= rtol * r) | (hi - lo <= rtol * r))
+        todo, r, lo, hi = todo[keep], r[keep], lo[keep], hi[keep]
+        dx_old = np.abs(dx[keep])
+        if not len(todo):
+            break
+    return radii, todo
 
 
 # ---------------------------------------------------------------------------
@@ -38,7 +84,14 @@ def real_sph_harm(l, m, theta, phi, derivatives=False):
     """Real orthonormal spherical harmonic of degree l and order m.
 
     The basis is sqrt(2) Re Y_l^m for m > 0, Y_l^0 for m = 0, and
-    sqrt(2) Im Y_l^|m| for m < 0, orthonormal on the unit sphere.
+    sqrt(2) Im Y_l^|m| for m < 0, orthonormal on the unit sphere, where
+    Y_l^m = Pbar_l^m(cos theta) e^(i m phi) carries the Condon-Shortley
+    phase (-1)^m, as in scipy.special.sph_harm_y.  The normalized Legendre
+    functions Pbar come from the stable three-term recurrence in the degree
+    (_legendre); theta-derivatives come from the ladder relation
+    d_theta Pbar_l^k = (a_k Pbar_l^(k+1) - a_(k-1) Pbar_l^(k-1)) / 2, with
+    a_k = sqrt((l - k)(l + k + 1)) and Pbar_l^-k = (-1)^k Pbar_l^k, which
+    has no 1/sin(theta) and so stays exact at the poles.
 
     Parameters
     ----------
@@ -50,27 +103,51 @@ def real_sph_harm(l, m, theta, phi, derivatives=False):
         If True, also return first and second angular derivatives
         (d_theta, d_phi, d_theta_theta, d_theta_phi, d_phi_phi).
     """
-    theta = np.asarray(theta, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    if not derivatives:
-        y = sph_harm_y(l, abs(m), theta, phi)
-        return _realize(y, m)
-    y, jac, hess = sph_harm_y(l, abs(m), theta, phi, diff_n=2)
-    vals = _realize(y, m)
-    d_t = _realize(jac[..., 0], m)
-    d_p = _realize(jac[..., 1], m)
-    d_tt = _realize(hess[..., 0, 0], m)
-    d_tp = _realize(hess[..., 0, 1], m)
-    d_pp = _realize(hess[..., 1, 1], m)
-    return vals, d_t, d_p, d_tt, d_tp, d_pp
-
-
-def _realize(y, m):
+    theta, phi = np.broadcast_arrays(np.asarray(theta, dtype=float),
+                                     np.asarray(phi, dtype=float))
+    k, root2 = abs(m), math.sqrt(2.0)
+    # the phi factor and its phi-derivative divided by k
     if m > 0:
-        return math.sqrt(2.0) * np.real(y)
-    if m < 0:
-        return math.sqrt(2.0) * np.imag(y)
-    return np.real(y)
+        trig, trig_p = root2 * np.cos(k * phi), -root2 * np.sin(k * phi)
+    elif m < 0:
+        trig, trig_p = root2 * np.sin(k * phi), root2 * np.cos(k * phi)
+    else:
+        trig, trig_p = np.ones_like(phi), np.zeros_like(phi)
+    x, s = np.cos(theta), np.sin(theta)
+    if not derivatives:
+        return _legendre(l, k, x, s) * trig
+    p = {j: _legendre(l, j, x, s) for j in range(k - 2, k + 3)}
+    d = {j: 0.5 * (_ladder(l, j) * p[j + 1] - _ladder(l, j - 1) * p[j - 1])
+         for j in (k - 1, k, k + 1)}
+    d_tt = 0.5 * (_ladder(l, k) * d[k + 1] - _ladder(l, k - 1) * d[k - 1])
+    return (p[k] * trig, d[k] * trig, k * p[k] * trig_p, d_tt * trig,
+            k * d[k] * trig_p, -k * k * p[k] * trig)
+
+
+def _ladder(l, k):
+    """sqrt((l - k)(l + k + 1)), zero outside -l - 1 <= k <= l."""
+    return math.sqrt((l - k) * (l + k + 1)) if -l - 1 <= k <= l else 0.0
+
+
+def _legendre(l, k, x, s):
+    """Pbar_l^k at x = cos(theta), s = sin(theta), any integer k.
+
+    Pbar_k^k is 1/sqrt(4 pi) times -sqrt((2j + 1)/(2j)) s for j = 1..k, and
+    the degree steps up by Pbar_j^k = a (x Pbar_(j-1)^k - b Pbar_(j-2)^k).
+    """
+    sign = (-1.0) ** k if k < 0 else 1.0
+    k = abs(k)
+    if k > l:
+        return np.zeros_like(x)
+    p = np.full_like(x, 1.0 / math.sqrt(4.0 * math.pi))
+    for j in range(1, k + 1):
+        p = -math.sqrt((2 * j + 1) / (2 * j)) * s * p
+    prev = np.zeros_like(x)
+    for j in range(k + 1, l + 1):
+        a = math.sqrt((4 * j * j - 1) / (j * j - k * k))
+        b = math.sqrt(((j - 1) ** 2 - k * k) / (4 * (j - 1) ** 2 - 1))
+        p, prev = a * (x * p - b * prev), p
+    return sign * p
 
 
 # ---------------------------------------------------------------------------
@@ -173,25 +250,42 @@ class DomainSpec:
         return r if r.shape[0] > 1 else float(r[0])
 
     def _ray_exit_star(self, omega):
+        """Root of f(r) = rho(angles of r omega - c) - |r omega - c|, which
+        is positive at r = 0 and negative at the bracket's far end, by
+        safeguarded Newton iteration.  The first iterate is the exit radius
+        of the sphere of the mean radius about c; with c at the origin f is
+        linear in r and one Newton step is exact."""
         c = np.asarray(self.center)
         lo = np.zeros(len(omega))
         hi = np.full(len(omega), 4.0 * (self.mean_radius + sum(abs(t[2]) for t in self.terms)
                                         + np.linalg.norm(c)))
+        b = omega @ c
+        with np.errstate(invalid="ignore"):
+            r = b + np.sqrt(b * b + self.mean_radius ** 2 - c @ c)
 
-        def over(r):
-            p = r[:, None] * omega - c
-            d = np.linalg.norm(p, axis=1)
-            d = np.maximum(d, 1e-300)
+        def f_and_slope(rays, r):
+            om = omega[rays]
+            p = r[:, None] * om - c
+            d = np.maximum(np.linalg.norm(p, axis=1), 1e-300)
             th = np.arccos(np.clip(p[:, 2] / d, -1, 1))
             ph = np.arctan2(p[:, 1], p[:, 0])
-            return d - self.rho(th, ph)
+            rho, rho_t, rho_p = self.rho_derivatives(th, ph)[:3]
+            # df/dr = rho_t dtheta/dr + rho_p dphi/dr - d|p|/dr along
+            # dp/dr = omega, with dtheta/dr = <omega, e_theta>/|p|, and
+            # dphi/dr taken as 0 on the polar axis, where rho_p = 0
+            om_e_t = (np.cos(th) * (om[:, 0] * np.cos(ph)
+                                    + om[:, 1] * np.sin(ph))
+                      - np.sin(th) * om[:, 2])
+            cross = p[:, 0] * om[:, 1] - p[:, 1] * om[:, 0]
+            pxy2 = p[:, 0] ** 2 + p[:, 1] ** 2
+            dphi = np.divide(cross, pxy2, out=np.zeros_like(cross),
+                             where=pxy2 > 0)
+            slope = ((rho_t * om_e_t - np.einsum("ns,ns->n", om, p)) / d
+                     + rho_p * dphi)
+            return rho - d, slope
 
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            out = over(mid) > 0
-            hi = np.where(out, mid, hi)
-            lo = np.where(out, lo, mid)
-        return 0.5 * (lo + hi)
+        return safeguarded_newton(f_and_slope, r, lo, hi, _EXIT_RTOL,
+                                  _EXIT_STEPS)[0]
 
     def contains(self, points, tol=1e-12):
         """True where points lie inside (or on) the closed domain."""

@@ -10,13 +10,14 @@ is also the star-shapedness check: u - c must change sign exactly once on
 every ray, else the level is reported (NonStarShapedLevelSetError,
 LevelRangeError), not worked around.
 
-Each level is then solved per ray by safeguarded Newton iteration (rtsafe,
-Numerical Recipes section 9.4) inside its scan bracket.  The first iterate
-interpolates log u linearly in log r between the bracketing scan values,
-exact for u ~ r^-p; a step that leaves the bracket, or does not halve the
-previous one, is replaced by bisection.  A ray stops when its step or its
-bracket is below 1e-14 r, so |u - c| <= 1e-12 c at the nodes; a ray that
-does not converge raises IrregularLevelSetError.  One Hessian evaluation
+Each level is then solved per ray by safeguarded Newton iteration
+(geometry.safeguarded_newton; rtsafe, Numerical Recipes section 9.4) inside
+its scan bracket.  The first iterate interpolates log u linearly in log r
+between the bracketing scan values, exact for u ~ r^-p; a step that leaves
+the bracket, or does not halve the previous one, is replaced by bisection.
+A ray stops when its step or its bracket is below 1e-14 r, so
+|u - c| <= 1e-12 c at the nodes; a ray that does not converge raises
+IrregularLevelSetError.  One Hessian evaluation
 per level at the nodes gives the weights and curvatures.  Every LevelSet
 is regular by construction: where min |Du| <= REGULARITY_THRESHOLD, every
 extraction path raises IrregularLevelSetError naming the level.
@@ -47,7 +48,8 @@ import numpy as np
 from .conformal import level_set_mean_curvature
 from .errors import (IrregularLevelSetError, LevelRangeError,
                      NonStarShapedLevelSetError)
-from .geometry import angular_grid, build_quadrature, unit_directions
+from .geometry import (angular_grid, build_quadrature, safeguarded_newton,
+                       unit_directions)
 
 REGULARITY_THRESHOLD = 1e-8
 _SCAN_PER_DECADE = 16
@@ -222,40 +224,23 @@ def _bracket(grid, vals, c):
 
 
 def _solve_radii(sol, om, c, lo, hi, u_lo, u_hi):
-    """Radius of {u = c} on every ray by safeguarded Newton iteration.
-
-    u - c is positive at lo and non-positive at hi.  Every evaluation
-    narrows the bracket; a Newton step that leaves it, or is not at most
-    half the previous step, is replaced by bisection (rtsafe).
-    """
+    """Radius of {u = c} on every ray by safeguarded Newton iteration from
+    the log-log interpolation between the bracket ends; u - c is positive
+    at lo and non-positive at hi."""
     with np.errstate(divide="ignore", invalid="ignore"):
         r = lo * (hi / lo) ** (np.log(c / u_lo) / np.log(u_hi / u_lo))
-    r = np.where((r > lo) & (r < hi), r, 0.5 * (lo + hi))
-    dx_old = hi - lo
-    radii = np.empty_like(r)
-    todo = np.arange(len(r))
-    for _ in range(_MAX_STEPS):
-        st = sol.field(r[:, None] * om[todo], want="grad", check_region=False)
-        f = st.u - c
-        slope = np.einsum("ns,ns->n", st.grad, om[todo])
-        lo = np.where(f > 0, r, lo)
-        hi = np.where(f > 0, hi, r)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            dx = np.where(f == 0, 0.0, f / slope)
-        newton = ((r - dx >= lo) & (r - dx <= hi)
-                  & (np.abs(dx) <= 0.5 * dx_old))
-        dx = np.where(newton, dx, r - 0.5 * (lo + hi))
-        r = r - dx
-        done = (np.abs(dx) <= _RTOL * r) | (hi - lo <= _RTOL * r)
-        radii[todo[done]] = r[done]
-        if done.all():
-            return radii
-        keep = ~done
-        todo, r, lo, hi = todo[keep], r[keep], lo[keep], hi[keep]
-        dx_old = np.abs(dx[keep])
-    raise IrregularLevelSetError(
-        f"radius of level set {c} did not converge on {len(todo)} rays in "
-        f"{_MAX_STEPS} safeguarded Newton steps", level=c)
+
+    def f_and_slope(rays, r):
+        st = sol.field(r[:, None] * om[rays], want="grad", check_region=False)
+        return st.u - c, np.einsum("ns,ns->n", st.grad, om[rays])
+
+    radii, todo = safeguarded_newton(f_and_slope, r, lo, hi, _RTOL,
+                                     _MAX_STEPS)
+    if len(todo):
+        raise IrregularLevelSetError(
+            f"radius of level set {c} did not converge on {len(todo)} rays "
+            f"in {_MAX_STEPS} safeguarded Newton steps", level=c)
+    return radii
 
 
 def _level_set(sol, c, r, om, theta, phi, W):
@@ -294,12 +279,14 @@ def extract_level_set(sol, c, order=None):
     The level must be in the range of u: (0, c_boundary] for exterior
     solutions, [c_boundary, infinity) for interior ones.  Raises
     NonStarShapedLevelSetError when a ray crosses the level more than once
-    (reported, not worked around).  The result is cached on the solution:
-    asking again for the same (level, order) returns the same read-only
-    LevelSet.
+    (reported, not worked around).  The level is taken to 15 significant
+    digits, which keeps any level written with at most 15 digits and maps
+    levels a few ulp apart, such as exp(log(3.0)) = 3.0000000000000004 and
+    3.0, to one.  The result is cached on the solution: asking again for
+    the same (level, order) returns the same read-only LevelSet.
     """
     order = order if order is not None else sol.order
-    key = (float(c), order)
+    key = (float(f"{c:.15g}"), order)
     ls = sol._levelset_cache.get(key)
     if ls is None:
         ls = sol._levelset_cache[key] = _extract(sol, key[0], order)

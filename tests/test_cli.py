@@ -408,3 +408,64 @@ def test_exterior_only_commands_fail_before_solving(tmp_path, capsys,
     assert f"{command} is defined for the exterior problem only" \
         in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_interior_report_solves_each_level_once(tmp_path, monkeypatch):
+    # the identity's upper level exp(log 3) = 3.0000000000000004 shares the
+    # cache entry of the level 3.0 that T1.9 and the certificate solved
+    from capsym import levelset
+    solved = []
+    extract = levelset._extract
+
+    def counted(sol, c, order):
+        solved.append((sol, c))
+        return extract(sol, c, order)
+
+    monkeypatch.setattr(levelset, "_extract", counted)
+    out = tmp_path / "out"
+    assert main(["report", "--domain", "sphere:1",
+                 "--problem", "interior:c=1,d=1", "--out", str(out)]) == 0
+    cached = [v for v in solved[0][0]._levelset_cache.values()
+              if isinstance(v, levelset.LevelSet)]
+    assert sorted(c for _, c in solved) == [1.5, 2.0, 3.0]
+    assert sorted(ls.level for ls in cached) == [1.5, 2.0, 3.0]
+    # the radial case: both sides of the identity vanish to roundoff
+    [check] = json.loads((out / "identities.json").read_text())["identityChecks"]
+    assert check["b"] == math.log(3.0) and check["relResidual"] < 1e-14
+
+
+IMPORT_PROBE = """
+import json, sys
+import capsym.cli
+loaded = set(sys.modules)
+star, out = sys.argv[1], sys.argv[2]
+assert capsym.cli.main(["report", "--domain", "sphere:1",
+                        "--out", out + "/ball"]) == 0
+assert capsym.cli.main(["check", "--domain", "@" + star,
+                        "--out", out + "/star"]) == 0
+top = lambda names: sorted(m for m in names
+                           if m.split(".")[0] in ("numpy", "scipy"))
+with open(out + "/modules.json", "w") as fh:
+    json.dump({"scipy": [m for m in top(loaded) if m.startswith("scipy")],
+               "new": top(set(sys.modules) - loaded)}, fh)
+"""
+
+
+def test_cli_runs_on_numpy_alone_and_imports_nothing_late(tmp_path):
+    # capsym needs no scipy, and a run imports no numpy module after start-up
+    # (numpy.random is imported by criteria, not at the certificate's draw)
+    import os
+    import subprocess
+    import sys
+
+    import capsym
+    src = os.path.dirname(os.path.dirname(capsym.__file__))
+    star = tmp_path / "star.json"
+    star.write_text(json.dumps({"kind": "star", "mean_radius": 1.0,
+                                "terms": [[2, 0, 0.1], [3, 1, 0.05]]}))
+    env = dict(os.environ, PYTHONPATH=src)
+    subprocess.run([sys.executable, "-c", IMPORT_PROBE, str(star),
+                    str(tmp_path)], env=env, check=True,
+                   stdout=subprocess.DEVNULL)
+    modules = json.loads((tmp_path / "modules.json").read_text())
+    assert modules == {"scipy": [], "new": []}

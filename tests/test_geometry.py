@@ -6,7 +6,8 @@ from numpy.testing import assert_allclose
 
 from capsym import (DomainSpec, InvalidDomainError, RadialGeometry,
                     build_quadrature, radial_solution, unit_sphere_area)
-from capsym.geometry import angular_grid, real_sph_harm, unit_directions
+from capsym.geometry import (DEFAULT_MAX_DEGREE, angular_grid, real_sph_harm,
+                             unit_directions)
 
 
 def prolate_spheroid_area(a, b):
@@ -89,6 +90,54 @@ def test_spherical_harmonics_are_orthonormal():
             assert abs(float(np.sum(w * y1 * y2)) - expected) < 1e-12
 
 
+def scipy_real_sph_harm(l, m, theta, phi):
+    """Values and the five derivatives of the real basis from scipy."""
+    sph_harm_y = pytest.importorskip("scipy.special").sph_harm_y
+    y, jac, hess = sph_harm_y(l, abs(m), theta, phi, diff_n=2)
+    part = np.real if m >= 0 else np.imag
+    scale = 1.0 if m == 0 else math.sqrt(2.0)
+    return [scale * part(z) for z in (y, jac[..., 0], jac[..., 1],
+                                      hess[..., 0, 0], hess[..., 0, 1],
+                                      hess[..., 1, 1])]
+
+
+def test_real_sph_harm_matches_scipy_with_derivatives():
+    rng = np.random.default_rng(3)
+    theta = np.concatenate([rng.uniform(0.0, math.pi, 300),
+                            [0.0, math.pi, 1e-9, math.pi - 1e-9]])
+    phi = rng.uniform(0.0, 2.0 * math.pi, len(theta))
+    for l in range(DEFAULT_MAX_DEGREE + 1):
+        for m in range(-l, l + 1):
+            ours = real_sph_harm(l, m, theta, phi, derivatives=True)
+            ref = scipy_real_sph_harm(l, m, theta, phi)
+            assert np.array_equal(real_sph_harm(l, m, theta, phi), ours[0])
+            for a, b in zip(ours, ref):
+                largest = max(np.abs(b).max(), 1.0)
+                assert np.abs(a - b).max() <= 1e-13 * largest, (l, m)
+
+
+def test_real_sph_harm_sign_convention():
+    # Condon-Shortley phase: the real Y_1^1 is -sqrt(3/4pi) sin(t) cos(p)
+    theta = np.array([0.0, 0.4, 1.3, 2.9, math.pi])
+    phi = np.array([0.1, 2.0, 4.0, 5.5, 0.7])
+    st, ct = np.sin(theta), np.cos(theta)
+    closed = {
+        (1, 1): -math.sqrt(3 / (4 * math.pi)) * st * np.cos(phi),
+        (1, -1): -math.sqrt(3 / (4 * math.pi)) * st * np.sin(phi),
+        (1, 0): math.sqrt(3 / (4 * math.pi)) * ct,
+        (2, 0): math.sqrt(5 / (16 * math.pi)) * (3 * ct ** 2 - 1),
+        (2, 2): math.sqrt(15 / (16 * math.pi)) * st ** 2 * np.cos(2 * phi),
+        (2, -2): math.sqrt(15 / (16 * math.pi)) * st ** 2 * np.sin(2 * phi),
+    }
+    for (l, m), expected in closed.items():
+        assert_allclose(real_sph_harm(l, m, theta, phi), expected,
+                        rtol=0, atol=1e-15)
+    # d_theta of Y_1^1 is -sqrt(3/4pi) cos(t) cos(p), exact at the poles
+    d_t = real_sph_harm(1, 1, theta, phi, derivatives=True)[1]
+    assert_allclose(d_t, -math.sqrt(3 / (4 * math.pi)) * ct * np.cos(phi),
+                    rtol=0, atol=1e-15)
+
+
 def test_quadrature_integrates_harmonics_exactly():
     # weights on the unit sphere reproduce orthogonality up to the grid degree
     quad = build_quadrature(DomainSpec(kind="sphere", radius=1.0), order=12)
@@ -149,6 +198,47 @@ def test_ray_exit_radius():
     r = star.ray_exit_radius(om)
     th = math.acos(om[2] / 1.0)
     assert abs(r - float(star.rho(np.array([th]), np.array([0.7]))[0])) < 1e-10
+
+
+def bisection_exit_radius(spec, omega, steps=80):
+    """Exit radius by plain bisection on |r omega - c| - rho."""
+    c = np.asarray(spec.center)
+    lo = np.zeros(len(omega))
+    hi = np.full(len(omega), 4.0 * (spec.mean_radius + np.linalg.norm(c)
+                                    + sum(abs(t[2]) for t in spec.terms)))
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        p = mid[:, None] * omega - c
+        d = np.linalg.norm(p, axis=1)
+        th = np.arccos(np.clip(p[:, 2] / d, -1, 1))
+        out = d > spec.rho(th, np.arctan2(p[:, 1], p[:, 0]))
+        hi = np.where(out, mid, hi)
+        lo = np.where(out, lo, mid)
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("terms, center, max_calls", [
+    (((2, 0, 0.1), (3, 1, 0.05)), (0.0, 0.0, 0.0), 2),      # the bench star
+    (star_spec().terms, (0.2, -0.1, 0.15), 8),
+    (star_spec().terms, (0.0, 0.0, 0.3), 8)], ids=["bench", "off", "axis"])
+def test_star_ray_exit_matches_bisection(monkeypatch, terms, center,
+                                         max_calls):
+    spec = DomainSpec(kind="star", mean_radius=1.0, terms=terms, center=center)
+    calls = []
+    for name in ("rho", "rho_derivatives"):
+        def counted(self, theta, phi, _f=getattr(DomainSpec, name)):
+            calls.append(len(np.atleast_1d(theta)))
+            return _f(self, theta, phi)
+        monkeypatch.setattr(DomainSpec, name, counted)
+    th, ph, _ = angular_grid(16)
+    omega = np.vstack([unit_directions(th, ph),
+                       [[0, 0, 1.0], [0, 0, -1.0], [1.0, 0, 0]]])
+    r = spec.ray_exit_radius(omega)
+    # with the center at the origin one Newton step is exact, and a second
+    # evaluation confirms it
+    assert len(calls) <= max_calls
+    monkeypatch.undo()
+    assert np.abs(r / bisection_exit_radius(spec, omega) - 1).max() <= 1e-14
 
 
 def test_star_rho_matches_rho_derivatives():
