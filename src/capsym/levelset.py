@@ -17,10 +17,10 @@ between the bracketing scan values, exact for u ~ r^-p; a step that leaves
 the bracket, or does not halve the previous one, is replaced by bisection.
 A ray stops when its step or its bracket is below 1e-14 r, so
 |u - c| <= 1e-12 c at the nodes; a ray that does not converge raises
-IrregularLevelSetError.  One Hessian evaluation
-per level at the nodes gives the weights and curvatures.  Every LevelSet
-is regular by construction: where min |Du| <= REGULARITY_THRESHOLD, every
-extraction path raises IrregularLevelSetError naming the level.
+IrregularLevelSetError.  One Hessian evaluation per level at the nodes
+gives the weights and curvatures.  Every LevelSet is regular by
+construction: where min |Du| <= REGULARITY_THRESHOLD, every extraction
+path raises IrregularLevelSetError naming the level.
 
 Surface weights use the solid-angle projection dsigma = r^2 dOmega / <nu, omega>
 with nu = -Du/|Du|, so no numerical differentiation of the extracted graph is
