@@ -9,7 +9,11 @@ The stages are solve (solution.json), check (criteria.json), identities
 capacity and decay (capacity.json, decay.json); report runs them all in
 that order.  They share the solution and so its level-set cache: no level
 set is solved twice.  An interior config asking for capacity or decay
-fails before anything is solved or loaded.
+fails before anything is solved or loaded.  Levels unset by config ``levels``,
+``identities`` or ``--level`` come from ``criteria.DEFAULT_LEVELS`` (low,
+middle, high): the battery runs on the middle one and T1.9 on the outer
+two, the certificate on all three, capacity on the middle one, and the
+default identity from the log of the low one to that of the high one.
 
 Exit code 0 means the run completed; criterion verdicts live in the
 reports, not the exit code.  Reports are written deterministically (sorted
@@ -91,6 +95,9 @@ class RunConfig:
         self.order = None if order is None else int(order)
         self.levels = [float(v) for v in data.get("levels", [])]
         check_level_range(self.problem_kind, self.c, self.levels)
+        for i, level in enumerate(self.levels):
+            if level in self.levels[:i]:
+                raise ConfigError(f"level {level} is repeated in levels")
         self.criteria = data.get("criteria")
         try:
             crit.select_criteria(self.problem_kind, self.criteria)
@@ -98,9 +105,8 @@ class RunConfig:
             raise ConfigError(str(exc)) from None
         entries = data.get("identities")
         if not entries:
-            # one linear-weight check between two levels inside the range of u
-            lo, hi = (0.25, 0.75) if self.problem_kind == "exterior" else (1.5, 3.0)
-            entries = [{"a": math.log(lo * self.c), "b": math.log(hi * self.c)}]
+            lo, _, hi = crit.default_levels(self.problem_kind, self.c)
+            entries = [{"a": math.log(lo), "b": math.log(hi)}]
         self.identity_checks = []
         for entry in entries:
             _known(entry, "identity check", _IDENTITY_KEYS)
@@ -280,7 +286,8 @@ def _identities_stage(args, config, sol):
 
 
 def _capacity_stage(args, config, sol):
-    level = args.level if args.level is not None else 0.5 * config.c
+    level = (args.level if args.level is not None
+             else crit.default_levels(config.problem_kind, config.c)[1])
     cap = float(crit.capacity(sol, level=level))
     payload = {
         "capacity": cap,

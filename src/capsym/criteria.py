@@ -40,6 +40,13 @@ CERTIFICATE_THRESHOLDS = {"pFunctionSpread": 1e-5, "levelSetSphericity": 1e-5,
                           "equalityResidual": 1e-6}
 # exterior sample points reach out to this multiple of the enclosing radius
 _SAMPLE_RADIUS_FACTOR = 4.0
+# default levels of each problem kind, as multiples of c, low to high
+DEFAULT_LEVELS = {"exterior": (0.25, 0.5, 0.75), "interior": (1.5, 2.0, 3.0)}
+
+
+def default_levels(problem, c):
+    """DEFAULT_LEVELS of a ``problem`` solution with boundary value c."""
+    return tuple(f * c for f in DEFAULT_LEVELS[problem])
 
 
 @dataclass(frozen=True)
@@ -106,13 +113,13 @@ def _solver_error_floor(sol):
 def capacity(sol, level=None, cross_check=True, order=None):
     """Electrostatic capacity as the level-set flux integral of |Du|/c, c
     the boundary value: the flux is level-independent for an exterior
-    potential, and scaling u leaves it unchanged.  With cross_check the
-    value is recomputed on a second level and the relative mismatch must
-    stay below 1e-5.
+    potential, and scaling u leaves it unchanged.  The level defaults to the
+    middle one of DEFAULT_LEVELS.  With cross_check the value is recomputed
+    on half the level and the relative mismatch must stay below 1e-5.
     """
     if sol.problem != "exterior":
         raise ValueError("capacity is defined for the exterior problem")
-    c = level if level is not None else 0.5 * sol.c
+    c = level if level is not None else default_levels(sol.problem, sol.c)[1]
     ls = extract_level_set(sol, c, order=order)
     cap = surface_integral(ls, ls.u_grad)
     if cross_check:
@@ -353,11 +360,8 @@ def check_T19(sol, a, b):
     # single margin: the worst violation across both levels
     margin = float(min(gap_a.min(), -gap_b.max()))
     err = max(_solver_error_floor(sol), 1e-10)
-    witnesses = {
-        "levelA": a, "levelB": b,
-        "minGapA": float(gap_a.min()), "maxGapB": float(gap_b.max()),
-        "connectedA": True, "connectedB": True,   # star-shaped extraction
-    }
+    witnesses = {"levelA": a, "levelB": b, "minGapA": float(gap_a.min()),
+                 "maxGapB": float(gap_b.max())}
     return _report("T1.9-two-boundary", -margin, 0.0, err, witnesses)
 
 
@@ -403,7 +407,7 @@ def sample_region_points(sol, count=200, seed=0):
     rng = default_rng(seed)
     dirs = rng.normal(size=(count, 3))
     dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-    r_exit = np.atleast_1d(sol.domain.ray_exit_radius(dirs))
+    r_exit = sol.domain.ray_exit_radius(dirs)
     t = rng.uniform(0.0, 1.0, count)
     if sol.problem == "exterior":
         r_max = _SAMPLE_RADIUS_FACTOR * sol.domain.bounding_radii()[1]
@@ -423,16 +427,13 @@ def p_function_spread(sol, count=200, seed=0):
 
 
 def symmetry_certificate(sol, levels=None, order=None, seed=0):
-    """Grant or deny the rigidity certificate over the given levels.
-
-    All three metrics must pass their thresholds; a denied certificate
-    names the first failing metric.  The inferred radius is computed from
-    capacity for exterior solutions.
+    """Grant or deny the rigidity certificate over ``levels`` (by default
+    all of DEFAULT_LEVELS).  All three metrics must pass their thresholds; a
+    denied certificate names the first failing metric.  The inferred radius
+    is computed from capacity for exterior solutions.
     """
     if levels is None:
-        levels = ([0.25 * sol.c, 0.5 * sol.c, 0.75 * sol.c]
-                  if sol.problem == "exterior"
-                  else [1.5 * sol.c, 2.0 * sol.c, 3.0 * sol.c])
+        levels = default_levels(sol.problem, sol.c)
     spread = p_function_spread(sol, seed=seed)
     sphericity = {}
     eq_res = 0.0
@@ -464,18 +465,18 @@ def symmetry_certificate(sol, levels=None, order=None, seed=0):
 # ---------------------------------------------------------------------------
 
 def run_battery(sol, criteria=None, levels=None):
-    """Run the criteria compatible with the solution's problem kind.
-
-    A CapsymError or ValueError raised by one criterion is embedded in the
-    result list and the run continues; any other exception propagates.
-    Returns a list of CriterionReport-or-error dicts.
+    """Run the criteria compatible with the solution's problem kind on
+    ``levels`` (by default DEFAULT_LEVELS, see _battery_levels).  A
+    CapsymError raised by one criterion is embedded in the result list and
+    the run continues; any other exception propagates.  Returns a list of
+    CriterionReport-or-error dicts.
     """
     c, pair = _battery_levels(sol, levels)
     results = []
     for cid in select_criteria(sol.problem, criteria):
         try:
             results.append(_DISPATCH[cid](sol, c, pair))
-        except (CapsymError, ValueError) as exc:
+        except CapsymError as exc:
             results.append({"criterionId": cid, "error": f"{type(exc).__name__}: {exc}"})
     return results
 
@@ -498,17 +499,12 @@ def select_criteria(problem, criteria=None):
 
 
 def _battery_levels(sol, levels):
-    """The battery's middle level and level pair: taken from ``levels``
-    when given, else defaults in the range of u."""
-    if sol.problem == "exterior":
-        c, pair = 0.5 * sol.c, (0.3 * sol.c, 0.7 * sol.c)
-    else:
-        c, pair = 2.0 * sol.c, (1.5 * sol.c, 3.0 * sol.c)
-    if levels:
-        c = levels[len(levels) // 2]
-    if levels and len(levels) >= 2:
-        pair = min(levels), max(levels)
-    return c, pair
+    """The battery's middle level and T1.9 pair: the middle and outer two of
+    ``levels``, with DEFAULT_LEVELS for whichever of them is not given."""
+    defaults = default_levels(sol.problem, sol.c)
+    middle = levels or defaults
+    outer = levels if levels and len(levels) >= 2 else defaults
+    return middle[len(middle) // 2], (min(outer), max(outer))
 
 
 # Criterion id -> call with (sol, middle level, level pair).  The checks

@@ -232,22 +232,19 @@ class DomainSpec:
         return tuple(d)
 
     def ray_exit_radius(self, omega):
-        """Radius where the ray r*omega from the origin crosses the boundary."""
+        """Radii where the rays r*omega from the origin cross the boundary."""
         omega = np.atleast_2d(np.asarray(omega, dtype=float))
         c = np.asarray(self.center)
         if self.kind == "sphere":
             b = omega @ c
-            disc = b * b + self.radius ** 2 - c @ c
-            r = b + np.sqrt(disc)
-        elif self.kind == "ellipsoid":
+            return b + np.sqrt(b * b + self.radius ** 2 - c @ c)
+        if self.kind == "ellipsoid":
             a = np.asarray(self.axes)
             A = np.sum((omega / a) ** 2, axis=1)
             B = -2.0 * (omega / a) @ (c / a)
             D = np.sum((c / a) ** 2) - 1.0
-            r = (-B + np.sqrt(B * B - 4 * A * D)) / (2 * A)
-        else:
-            r = self._ray_exit_star(omega)
-        return r if r.shape[0] > 1 else float(r[0])
+            return (-B + np.sqrt(B * B - 4 * A * D)) / (2 * A)
+        return self._ray_exit_star(omega)
 
     def _ray_exit_star(self, omega):
         """Root of f(r) = rho(angles of r omega - c) - |r omega - c|, which

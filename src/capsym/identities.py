@@ -116,11 +116,11 @@ class WeightSpec:
 # pointwise Bochner identity
 # ---------------------------------------------------------------------------
 
-def bochner_sides(u, grad, hess, lap_grad=0.0, n=3):
+def bochner_sides(u, grad, hess, lap_grad=0.0):
     """Both sides of the specialized Bochner identity at a point or a batch.
 
-    Shapes are those of capsym.conformal: u (...), grad (..., 3), hess
-    (..., 3, 3).  Returns (Delta_g P, 2|hess_g f|_g^2 - <grad P, grad f>_g).
+    Shapes are those of capsym.conformal at n = 3: u (...), grad (..., 3),
+    hess (..., 3, 3).  Returns (Delta_g P, 2|hess_g f|_g^2 - <grad P, grad f>_g).
     No harmonicity is assumed: the Laplacian of u enters through the Hessian
     trace and third derivatives through lap_grad = D(Delta u), which is
     identically zero for kernel superpositions.
@@ -143,16 +143,16 @@ def bochner_sides(u, grad, hess, lap_grad=0.0, n=3):
     lap_p = psi * lap_phi - 4.0 * _QEXP * (psi / u) * hgg + g2 * lap_psi
 
     dot_pf = np.sum(grad_p * grad, axis=-1) / u
-    conf = u ** (-2.0 / (n - 2))
+    conf = u ** (-2.0 / (_N - 2))
     lhs = conf * (lap_p + dot_pf)
-    hess_norm = hess_f_conformal(u, grad, hess, n=n)[1]
+    hess_norm = hess_f_conformal(u, grad, hess)[1]
     rhs = 2.0 * hess_norm ** 2 - conf * dot_pf
     return lhs, rhs
 
 
-def bochner_residual(state, n=3):
+def bochner_residual(state):
     """|LHS - RHS| of the Bochner identity at one PointState."""
-    lhs, rhs = bochner_sides(state.u, state.grad, state.hess, n=n)
+    lhs, rhs = bochner_sides(state.u, state.grad, state.hess)
     return float(np.abs(lhs - rhs))
 
 

@@ -136,7 +136,7 @@ def _rays(sol, order):
     if rays is None:
         theta, phi, W = angular_grid(order)
         om = unit_directions(theta, phi)
-        r_exit = np.atleast_1d(sol.domain.ray_exit_radius(om))
+        r_exit = sol.domain.ray_exit_radius(om)
         rays = sol._levelset_cache[order] = _frozen(theta, phi, W, om, r_exit)
     return rays
 

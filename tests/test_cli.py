@@ -365,8 +365,11 @@ def test_solution_must_match_config(tmp_path, capsys, saved_solutions,
     ({"domain": BALL_DOMAIN, "solver": 24}, "solver must be a JSON object"),
     ({"domain": BALL_DOMAIN, "problem": {"kind": "interior"},
       "levels": [math.inf]}, "interior levels lie in [1.0, inf); got inf"),
+    ({"domain": BALL_DOMAIN, "levels": [0.25, 0.5, 0.25]},
+     "level 0.25 is repeated in levels"),
 ], ids=["domain-field", "identity-a", "identity-t", "top-key", "solver-key",
-        "problem-key", "identity-key", "not-an-object", "infinite-level"])
+        "problem-key", "identity-key", "not-an-object", "infinite-level",
+        "repeated-level"])
 def test_malformed_config_names_the_field(tmp_path, capsys, data, named):
     cfg = write_config(tmp_path / "run.json", data)
     rc = main(["solve", "--config", cfg, "--out", str(tmp_path / "out")])
@@ -432,6 +435,31 @@ def test_interior_report_solves_each_level_once(tmp_path, monkeypatch):
     # the radial case: both sides of the identity vanish to roundoff
     [check] = json.loads((out / "identities.json").read_text())["identityChecks"]
     assert check["b"] == math.log(3.0) and check["relResidual"] < 1e-14
+
+
+@pytest.mark.parametrize("command, domain, order", [
+    ("report", {"kind": "sphere", "radius": 1.0}, 16),
+    ("check", {"kind": "star", "mean_radius": 1.0,
+               "terms": [[2, 0, 0.1], [3, 1, 0.05]]}, 32),
+], ids=["ball-report", "star-check"])
+def test_exterior_run_solves_four_level_sets(tmp_path, monkeypatch, command,
+                                             domain, order):
+    # the default levels c/4, c/2, 3c/4 serve T1.9, the certificate and
+    # capacity (whose cross-check level is c/4); T1.1 refines c/2 at
+    # order + 8
+    from capsym import levelset
+    solved = []
+    extract = levelset._extract
+
+    def counted(sol, c, order):
+        solved.append((c, order))
+        return extract(sol, c, order)
+
+    monkeypatch.setattr(levelset, "_extract", counted)
+    cfg = write_config(tmp_path / "run.json", {"domain": domain})
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    assert sorted(solved) == [(0.25, order), (0.5, order), (0.5, order + 8),
+                              (0.75, order)]
 
 
 IMPORT_PROBE = """

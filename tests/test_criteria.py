@@ -374,6 +374,15 @@ def test_battery_embeds_named_errors_and_propagates_bugs(ball_solution,
     with pytest.raises(TypeError, match="unsupported operand"):
         run_battery(ball_solution, criteria=["C1.3-capacity"])
 
+    # a ValueError is a bug too (a shape mismatch, a failed internal
+    # guard), not a finding about the domain
+    def misshapen(sol):
+        raise ValueError("operands could not be broadcast together")
+
+    monkeypatch.setattr(crit, "check_C13", misshapen)
+    with pytest.raises(ValueError, match="could not be broadcast"):
+        run_battery(ball_solution, criteria=["C1.3-capacity"])
+
 
 def test_interior_battery_builds_boundary_data_once(ball_interior,
                                                     monkeypatch):

@@ -19,6 +19,7 @@ import pytest
 from capsym import (DomainSpec, FieldStates, WeightSpec, capacity,
                     run_battery, solve_exterior, solve_interior,
                     symmetry_certificate, weighted_identity_check)
+from capsym.criteria import default_levels
 
 R0, C, D = 1.5, 2.0, 0.5
 
@@ -55,14 +56,13 @@ class ExactBall:
 def outcomes(sol):
     """Battery rows, certificate, capacity (exterior) and the default
     identity of the CLI report, on any object with the field protocol."""
-    lo, hi = (0.25, 0.75) if sol.problem == "exterior" else (1.5, 3.0)
+    lo, _, hi = default_levels(sol.problem, sol.c)
     return {
         "rows": run_battery(sol),
         "certificate": symmetry_certificate(sol),
         "capacity": (capacity(sol) if sol.problem == "exterior" else None),
         "identity": weighted_identity_check(sol, WeightSpec.linear(),
-                                            math.log(lo * sol.c),
-                                            math.log(hi * sol.c)),
+                                            math.log(lo), math.log(hi)),
     }
 
 

@@ -2,13 +2,18 @@
 ball and the ellipsoid (2,1,1) in exterior and interior form, and
 `capsym check` on the bench star.  Every verdict, equality flag,
 certificate outcome and failing metric they report is pinned here, so a
-change to the numerics that flips any of them fails Tier-1.
+change to the numerics that flips any of them fails Tier-1.  So is the
+list of (level, order) pairs each run solves, so that an added extraction
+fails too, and the rule that T1.9, the certificate and the default identity
+share the outer default levels.
 """
 
 import json
+import math
 
 import pytest
 
+from capsym import levelset
 from capsym.cli import main
 
 BENCH_STAR = {"kind": "star", "mean_radius": 1.0,
@@ -23,36 +28,59 @@ EQUALITY = ["satisfied"] * 6
 ASYMMETRIC = ["violated", "violated", "violated", "violated",
               "hypothesis-not-met", "violated"]
 
+
+def exterior_solves(order):
+    """The default exterior levels at the solve order, and the middle one
+    again at order + 8 for T1.1's error bar."""
+    return [(0.25, order), (0.5, order), (0.5, order + 8), (0.75, order)]
+
+
+def interior_solves(order):
+    return [(1.5, order), (2.0, order), (3.0, order)]
+
+
 # run -> (arguments, criterion ids, verdicts, equality flags, granted,
-# failing metric)
+# failing metric, sorted (level, order) pairs solved)
 REFERENCE_RUNS = {
     "ball-report": (["report", "--domain", "sphere:1"],
-                    EXTERIOR, EQUALITY, [True] * 6, True, None),
+                    EXTERIOR, EQUALITY, [True] * 6, True, None,
+                    exterior_solves(16)),
     "interior-ball-report": (
         ["report", "--domain", "sphere:1", "--problem", "interior:c=1,d=1"],
-        INTERIOR, ["satisfied"] * 4, [True] * 4, True, None),
+        INTERIOR, ["satisfied"] * 4, [True] * 4, True, None,
+        interior_solves(16)),
     "ellipsoid-report": (["report", "--domain", "ellipsoid:2,1,1"],
                          EXTERIOR, ASYMMETRIC, [False] * 6, False,
-                         "pFunctionSpread"),
+                         "pFunctionSpread", exterior_solves(24)),
     "interior-ellipsoid-report": (
         ["report", "--domain", "ellipsoid:2,1,1",
          "--problem", "interior:c=1,d=1"],
         INTERIOR, ["violated", "violated", "hypothesis-not-met", "violated"],
-        [False] * 4, False, "pFunctionSpread"),
+        [False] * 4, False, "pFunctionSpread", interior_solves(24)),
     "star-check": (["check", "--domain", "@{star}"],
                    EXTERIOR, ASYMMETRIC, [False] * 6, False,
-                   "pFunctionSpread"),
+                   "pFunctionSpread", exterior_solves(32)),
 }
 
 
 @pytest.mark.parametrize("run", list(REFERENCE_RUNS))
-def test_reference_run_outcomes(tmp_path, run):
-    args, ids, verdicts, equality, granted, failing = REFERENCE_RUNS[run]
+def test_reference_run_outcomes(tmp_path, monkeypatch, run):
+    (args, ids, verdicts, equality, granted, failing,
+     solves) = REFERENCE_RUNS[run]
+    solved = []
+    extract = levelset._extract
+
+    def counted(sol, c, order):
+        solved.append((c, order))
+        return extract(sol, c, order)
+
+    monkeypatch.setattr(levelset, "_extract", counted)
     star = tmp_path / "star.json"
     star.write_text(json.dumps(BENCH_STAR))
     out = tmp_path / "out"
     args = [a.format(star=star) for a in args] + ["--out", str(out)]
     assert main(args) == 0
+    assert sorted(solved) == solves
     report = json.loads((out / "criteria.json").read_text())
     rows = report["criteria"]
     assert [r["criterionId"] for r in rows] == list(ids)
@@ -61,3 +89,14 @@ def test_reference_run_outcomes(tmp_path, run):
             for r in rows] == equality
     assert report["certificate"]["granted"] is granted
     assert report["certificate"]["failingMetric"] == failing
+
+    # T1.9 runs on the lowest and highest certificate levels, and the
+    # default identity between the same two levels
+    t19 = {w["name"]: w["value"] for w in rows[-1]["witnesses"]}
+    levels = sorted(map(float, report["certificate"]["levelSetSphericity"]))
+    assert (t19["levelA"], t19["levelB"]) == (levels[0], levels[-1])
+    if args[0] == "report":
+        [identity] = json.loads(
+            (out / "identities.json").read_text())["identityChecks"]
+        assert math.exp(identity["a"]) == pytest.approx(levels[0], rel=1e-15)
+        assert math.exp(identity["b"]) == pytest.approx(levels[-1], rel=1e-15)
