@@ -13,8 +13,7 @@ import math
 
 import numpy as np
 
-from capsym import (DomainSpec, WeightSpec, bochner_sides,
-                    prop_exterior_truncated_identity, solve_exterior,
+from capsym import (DomainSpec, WeightSpec, bochner_sides, solve_exterior,
                     weighted_identity_check)
 
 spec = DomainSpec(kind="ellipsoid", axes=(2.0, 1.0, 1.0))
@@ -39,7 +38,8 @@ for weight in (WeightSpec.linear(), WeightSpec.shifted_log(5.0)):
 
 # truncated identity with an explicit far-field cutoff level: the linear
 # weight between u = 2e-3 and u = 0.8, whose lower boundary term is the cutoff
-res = prop_exterior_truncated_identity(sol, c=0.8, eps=2e-3)
+res = weighted_identity_check(sol, WeightSpec.linear(), math.log(2e-3),
+                              math.log(0.8))
 print(f"truncated identity: volume {res.lhs / 2:.8e}  "
       f"boundary {res.rhs_terms['curvatureTop'] / 2:.8e}  "
       f"cutoff {-res.rhs_terms['curvatureBottom'] / 2:.2e}")

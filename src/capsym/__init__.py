@@ -12,22 +12,18 @@ from .criteria import (CriterionReport, SymmetryCertificate, capacity,
                        inferred_ball_radius, normalization_c1,
                        normalization_c2, p_function_spread, run_battery,
                        sample_region_points, symmetry_certificate)
-from .errors import (CapsymError, CriticalPointError, CutoffTooLargeError,
+from .errors import (CapsymError, CriticalPointError,
                      InsufficientSamplesError, InvalidDomainError,
                      IrregularLevelSetError, LevelRangeError,
                      NonStarShapedLevelSetError, OutOfRegionError,
                      SolverFailureError)
-from .geometry import (DomainSpec, RadialGeometry, SurfaceQuadrature,
-                       angular_grid, build_quadrature, radial_solution,
-                       real_sph_harm, unit_directions, unit_sphere_area)
-from .harmonic import (DecayReport, FieldStates, HarmonicSolution, PointState,
-                       decay_report, evaluate, solve_exterior, solve_interior)
-from .identities import (IdentityResidual, WeightSpec, bochner_residual,
-                         bochner_sides, flux_cubed_integral,
-                         interior_flux_cubed_limit,
-                         interior_truncated_identity,
-                         prop_exterior_truncated_identity,
-                         weighted_identity_check)
+from .geometry import (DomainSpec, SurfaceQuadrature, angular_grid,
+                       build_quadrature, real_sph_harm, unit_directions,
+                       unit_sphere_area)
+from .harmonic import (DecayReport, FieldStates, HarmonicSolution,
+                       decay_report, solve_exterior, solve_interior)
+from .identities import (IdentityResidual, WeightSpec, bochner_sides,
+                         interior_flux_cubed_limit, weighted_identity_check)
 from .levelset import LevelSet, extract_level_set, surface_integral
 
 __version__ = "0.1.0"

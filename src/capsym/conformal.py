@@ -23,6 +23,10 @@ shape (..., 3, 3) for any leading shape (...), u has shape (...) or one
 that broadcasts to it (a level set passes its scalar level), and results
 have shape (...) or (..., 3, 3): one point (shape ()) and a batch of
 points run the same broadcast code.
+
+The formulas are written for general n, but the tensors, curvatures and
+measure weights here are evaluated at n = 3, the dimension of the solver's
+points.  Only p_function takes n, since it mixes no dimension-3 tensor.
 """
 
 from __future__ import annotations
@@ -31,7 +35,8 @@ import numpy as np
 
 from .errors import CriticalPointError
 
-_EYE3 = np.eye(3)
+_N = 3
+_EYE3 = np.eye(_N)
 
 
 def _log_derivatives(u, grad, hess):
@@ -50,20 +55,20 @@ def _log_derivatives(u, grad, hess):
     return u, outer, d2f, df2
 
 
-def _hess_g_f(d, n):
+def _hess_g_f(d):
     """(hess_g f, |hess_g f|_g, |Delta_g f|) from _log_derivatives output d."""
     u, outer, d2f, df2 = d
-    tensor = d2f - (2.0 * outer - df2 * _EYE3) / (n - 2)
-    conf = u ** (-2.0 / (n - 2))
+    tensor = d2f - (2.0 * outer - df2 * _EYE3) / (_N - 2)
+    conf = u ** (-2.0 / (_N - 2))
     return (tensor, np.sqrt(np.sum(tensor * tensor, axis=(-2, -1))) * conf,
             np.abs(np.trace(tensor, axis1=-2, axis2=-1)) * conf)
 
 
-def _ricci_g(d, n):
+def _ricci_g(d):
     """Ric_g from _log_derivatives output d."""
     _, outer, d2f, df2 = d
     lapf = np.trace(d2f, axis1=-2, axis2=-1)[..., None, None]
-    return -d2f + outer / (n - 2) - (lapf + df2) / (n - 2) * _EYE3
+    return -d2f + outer / (_N - 2) - (lapf + df2) / (_N - 2) * _EYE3
 
 
 def p_function(u, grad, n=3):
@@ -80,17 +85,17 @@ def p_function(u, grad, n=3):
     return g2 * u ** (-2.0 * (n - 1) / (n - 2))
 
 
-def hess_f_conformal(u, grad, hess, n=3):
+def hess_f_conformal(u, grad, hess):
     """Conformal Hessian of f = log u in Euclidean components.
 
     Returns (tensor, |hess_g f|_g, |Delta_g f|).  The g-trace recovers
     Delta_g f = u^(-2/(n-2)) * (Delta f + |Df|^2), which vanishes for
     harmonic u, so the reported Laplacian residual bounds derivative error.
     """
-    return _hess_g_f(_log_derivatives(u, grad, hess), n)
+    return _hess_g_f(_log_derivatives(u, grad, hess))
 
 
-def mean_curvature_conformal(h_euclid, u, grad_norm, n=3):
+def mean_curvature_conformal(h_euclid, u, grad_norm):
     """Map the Euclidean level-set mean curvature H to its conformal
     counterpart H_g; both use the unit normal -Du/|Du|.
 
@@ -102,7 +107,8 @@ def mean_curvature_conformal(h_euclid, u, grad_norm, n=3):
     if np.any(grad_norm == 0):
         raise CriticalPointError("mean curvature map needs |Du| > 0")
     df_norm = grad_norm / u
-    return (n - 1) * u ** (-1.0 / (n - 2)) * (h_euclid / (n - 1) - df_norm / (n - 2))
+    return ((_N - 1) * u ** (-1.0 / (_N - 2))
+            * (h_euclid / (_N - 1) - df_norm / (_N - 2)))
 
 
 def level_set_mean_curvature(grad, hess):
@@ -117,17 +123,17 @@ def level_set_mean_curvature(grad, hess):
     return quad / gn ** 3
 
 
-def ricci_conformal(u, grad, hess, n=3):
+def ricci_conformal(u, grad, hess):
     """Ricci tensor of g in Euclidean components.
 
     General conformal-change formula; the term with Delta f + |Df|^2 drops
     out for harmonic u but is kept so that non-harmonic perturbations
     register.
     """
-    return _ricci_g(_log_derivatives(u, grad, hess), n)
+    return _ricci_g(_log_derivatives(u, grad, hess))
 
 
-def quasi_einstein_residual(u, grad, hess, n=3):
+def quasi_einstein_residual(u, grad, hess):
     """Max-norm defect of Ric_g + hess_g f + df x df/(n-2)
     - |grad f|_g^2 g/(n-2); identically zero in exact arithmetic for
     harmonic u, so the value bounds solver and derivative error.
@@ -135,28 +141,28 @@ def quasi_einstein_residual(u, grad, hess, n=3):
     Returns (defect, |Delta_g f|), each of the leading shape of u.
     """
     d = _log_derivatives(u, grad, hess)
-    tensor, _, lap_res = _hess_g_f(d, n)
+    tensor, _, lap_res = _hess_g_f(d)
     _, outer, _, df2 = d
     # |grad f|_g^2 g = |Df|^2 g_eucl in Euclidean components
-    total = _ricci_g(d, n) + tensor + (outer - df2 * _EYE3) / (n - 2)
+    total = _ricci_g(d) + tensor + (outer - df2 * _EYE3) / (_N - 2)
     return np.max(np.abs(total), axis=(-2, -1)), lap_res
 
 
-def scalar_curvature(u, grad, hess, n=3):
+def scalar_curvature(u, grad, hess):
     """Scalar curvature of g; satisfies R_g/(n-1) = |grad f|_g^2/(n-2)
     for harmonic u."""
     d = _log_derivatives(u, grad, hess)
-    trace = np.trace(_ricci_g(d, n), axis1=-2, axis2=-1)
-    return d[0] ** (-2.0 / (n - 2)) * trace
+    trace = np.trace(_ricci_g(d), axis1=-2, axis2=-1)
+    return d[0] ** (-2.0 / (_N - 2)) * trace
 
 
-def dsigma_g_weight(u, n=3):
+def dsigma_g_weight(u):
     """Weight turning Euclidean surface measure into the g-surface measure
     on a level set: dsigma_g = u^((n-1)/(n-2)) dsigma."""
-    return np.asarray(u, dtype=float) ** ((n - 1.0) / (n - 2.0))
+    return np.asarray(u, dtype=float) ** ((_N - 1.0) / (_N - 2.0))
 
 
-def dmu_g_weight(u, n=3):
+def dmu_g_weight(u):
     """Weight turning Euclidean volume measure into the g-volume measure:
     dmu_g = u^(n/(n-2)) dmu."""
-    return np.asarray(u, dtype=float) ** (n / (n - 2.0))
+    return np.asarray(u, dtype=float) ** (_N / (_N - 2.0))

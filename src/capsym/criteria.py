@@ -135,9 +135,9 @@ def capacity(sol, level=None, cross_check=True, order=None):
     return cap / sol.c
 
 
-def inferred_ball_radius(cap, n=3):
+def inferred_ball_radius(cap):
     """Radius of the ball with the given capacity: (Cap/((n-2)|S^{n-1}|))^(1/(n-2))."""
-    return (cap / ((n - 2) * unit_sphere_area(n))) ** (1.0 / (n - 2))
+    return (cap / ((_N - 2) * unit_sphere_area(_N))) ** (1.0 / (_N - 2))
 
 
 def _equality_gap(ls):
@@ -188,7 +188,7 @@ def check_C12(sol):
     scale = sol.c * phi_top
 
     def exterior_integral(order):
-        return _ray_volume(sol, density, "grad", _rays(sol, order)[4], np.inf,
+        return _ray_volume(sol, density, "grad", _rays(sol, order)[2], np.inf,
                            order, scale)
 
     integral, quad_err = exterior_integral(sol.order)
@@ -499,10 +499,11 @@ def select_criteria(problem, criteria=None):
 
 
 def _battery_levels(sol, levels):
-    """The battery's middle level and T1.9 pair: the middle and outer two of
-    ``levels``, with DEFAULT_LEVELS for whichever of them is not given."""
+    """The battery's middle level and T1.9 pair: the median by value (the
+    upper one of an even count) and the outer two of ``levels``, with
+    DEFAULT_LEVELS for whichever of them is not given."""
     defaults = default_levels(sol.problem, sol.c)
-    middle = levels or defaults
+    middle = sorted(levels or defaults)
     outer = levels if levels and len(levels) >= 2 else defaults
     return middle[len(middle) // 2], (min(outer), max(outer))
 

@@ -44,7 +44,3 @@ class IrregularLevelSetError(CapsymError):
 
 class InsufficientSamplesError(CapsymError):
     """Too few sample radii for the requested fit."""
-
-
-class CutoffTooLargeError(CapsymError):
-    """Far-field cutoff term exceeds the admissible bound."""

@@ -60,24 +60,6 @@ _RCOND = 1e-12
 
 
 @dataclass(frozen=True)
-class PointState:
-    """Potential data at one point: u, Du and D2u."""
-
-    point: np.ndarray
-    u: float
-    grad: np.ndarray
-    hess: np.ndarray
-
-    @property
-    def grad_norm(self):
-        return float(np.linalg.norm(self.grad))
-
-    @property
-    def laplacian(self):
-        return float(np.trace(self.hess))
-
-
-@dataclass(frozen=True)
 class FieldStates:
     """Vectorized potential data at many points."""
 
@@ -89,10 +71,6 @@ class FieldStates:
     @property
     def grad_norm(self):
         return np.linalg.norm(self.grad, axis=-1)
-
-    def __getitem__(self, i):
-        return PointState(self.points[i], float(self.u[i]), self.grad[i],
-                          self.hess[i])
 
 
 @dataclass(frozen=True)
@@ -205,17 +183,6 @@ class HarmonicSolution:
     def load(cls, path):
         with open(path, "r", encoding="utf-8") as fh:
             return cls.from_json_dict(json.load(fh))
-
-
-def evaluate(sol, x, check_region=True):
-    """Evaluate (u, Du, D2u) at a single point, returned as a PointState.
-
-    The Hessian is exactly symmetric and exactly trace-free up to roundoff
-    (the kernels are harmonic).
-    """
-    states = sol.field(np.asarray(x, dtype=float)[None, :], want="hess",
-                       check_region=check_region)
-    return states[0]
 
 
 # ---------------------------------------------------------------------------

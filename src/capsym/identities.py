@@ -18,12 +18,15 @@ levels a < b of f = log u,
 with I3(l) = int_{f=l} |grad f|_g^3 dsigma_g, J(l) = int_{f=l} |grad f|_g^2 H_g
 dsigma_g, valid whenever the weight phi solves phi'' + (phi')^2 - phi' = 0;
 K = (1 - phi') e^phi is then a first integral.  Two such weights are
-provided: phi(f) = f (K = 0) and phi_t(f) = log(1 - e^f/t) (K = 1); the
-truncated exterior and interior identities are this identity with those
-weights on their own pairs of levels.  The volume term is integrated with
-G7/K15 along the rays of capsym.levelset, between the radii of the two
-level sets on each ray; its quadrature error is |K15 - G7| summed over the
-rays and panels, in the units of the integral.
+provided: phi(f) = f (K = 0) and phi_t(f) = log(1 - e^f/t) (K = 1).  The
+truncated identities are weighted_identity_check with these two weights.
+The exterior one, on {eps < u < c}, takes phi(f) = f between log eps and
+log c; its bottom curvature term -2 eps J(eps) is the O(eps) far-field
+remainder.  The interior one, on {c < u < t}, takes phi_t between log c
+and log(t (1 - 1e-9)), just below the weight's singular level.  The volume
+term is integrated with G7/K15 along the rays of capsym.levelset, between
+the radii of the two level sets on each ray; its quadrature error is
+|K15 - G7| summed over the rays and panels, in the units of the integral.
 """
 
 from __future__ import annotations
@@ -35,15 +38,11 @@ import numpy as np
 
 from .conformal import (dsigma_g_weight, dmu_g_weight, hess_f_conformal,
                         mean_curvature_conformal, p_function)
-from .errors import CutoffTooLargeError
 from .geometry import unit_sphere_area
 from .levelset import _boundary, _ray_volume, extract_level_set
 
 _N = 3
 _QEXP = 2.0 * (_N - 1) / (_N - 2)
-# largest far-field cutoff estimate of the truncated exterior identity,
-# relative to its scale
-CUTOFF_BOUND = 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -150,29 +149,18 @@ def bochner_sides(u, grad, hess, lap_grad=0.0):
     return lhs, rhs
 
 
-def bochner_residual(state):
-    """|LHS - RHS| of the Bochner identity at one PointState."""
-    lhs, rhs = bochner_sides(state.u, state.grad, state.hess)
-    return float(np.abs(lhs - rhs))
-
-
 # ---------------------------------------------------------------------------
-# level-set boundary integrals shared by the identity checks
+# level-set boundary integrals of the weighted identity
 # ---------------------------------------------------------------------------
 
 def _level_data(sol, c, order=None):
-    """(I3, J, int |grad f|_g^2 |H_g| dsigma_g, radii) on {u = c}."""
+    """(I3, J, radii) on {u = c}."""
     ls = extract_level_set(sol, c, order=order)
     p = p_function(ls.level, ls.grad)
     dsg = ls.weights * dsigma_g_weight(ls.level)
     h_g = mean_curvature_conformal(ls.mean_curv, ls.level, ls.u_grad)
     return (float(np.sum(dsg * p ** 1.5)), float(np.sum(dsg * p * h_g)),
-            float(np.sum(dsg * p * np.abs(h_g))), ls.radii)
-
-
-def flux_cubed_integral(sol, c):
-    """int_{f=log c} |grad f|_g^3 dsigma_g = int_{u=c} P |Du| dsigma."""
-    return _level_data(sol, c)[0]
+            ls.radii)
 
 
 def _hessian_density(weight):
@@ -233,8 +221,8 @@ def weighted_identity_check(sol, weight, a, b, order=None):
     weight.validate_range(b)
     ca, cb = math.exp(a), math.exp(b)
 
-    i3_b, i2h_b, _, r_b = _level_data(sol, cb, order)
-    i3_a, i2h_a, _, r_a = _level_data(sol, ca, order)
+    i3_b, i2h_b, r_b = _level_data(sol, cb, order)
+    i3_a, i2h_a, r_a = _level_data(sol, ca, order)
     K = weight.first_integral
     eb = float(np.exp(weight.phi(b)))
     ea = float(np.exp(weight.phi(a)))
@@ -257,38 +245,6 @@ def weighted_identity_check(sol, weight, a, b, order=None):
                             scale=scale, quadrature_error=2.0 * volume_err)
 
 
-def prop_exterior_truncated_identity(sol, c, eps=2e-3):
-    """Truncated linear-weight identity on {eps < u < c} for an exterior
-    solution: the weighted identity with phi(f) = f between the f-levels
-    log eps and log c,
-
-        2 int |hess_g f|_g^2 e^f dmu_g  =  2 c J(c) - 2 eps J(eps),
-
-    with J the curvature flux integral, returned as its IdentityResidual:
-    rhs_terms "curvatureTop" is 2 c J(c) and "curvatureBottom" is
-    -2 eps J(eps), the O(eps) far-field remainder.  The cutoff estimate
-    eps * max|grad f|_g * max|hess_g f|_g * area_g(eps-level) must stay
-    below CUTOFF_BOUND relative to the problem scale, else the call fails
-    rather than report a polluted comparison.
-    """
-    if sol.problem != "exterior":
-        raise ValueError("the truncated identity applies to exterior solutions")
-    if not 0 < eps < c:
-        raise ValueError("need 0 < eps < c")
-    ls = extract_level_set(sol, eps)
-    h_eps = hess_f_conformal(eps, ls.grad, ls.hess)[1]
-    cutoff_estimate = (eps * float(np.sqrt(p_function(eps, ls.grad)).max())
-                       * float(h_eps.max()) * dsigma_g_weight(eps) * ls.area)
-    # |c J(c)| is at most c int |grad f|_g^2 |H_g| dsigma_g
-    scale = max(c * _level_data(sol, c)[2], 1e-14)
-    if cutoff_estimate > CUTOFF_BOUND * max(1.0, scale):
-        raise CutoffTooLargeError(
-            f"far-field cutoff estimate {cutoff_estimate:.3e} exceeds "
-            f"{CUTOFF_BOUND:.1e} x scale; shrink eps")
-    return weighted_identity_check(sol, WeightSpec.linear(), math.log(eps),
-                                   math.log(c))
-
-
 def interior_flux_cubed_limit(sol):
     """Closed-form limit of int_{f=log t} |grad f|_g^3 dsigma_g as t -> inf
     for the interior problem, evaluated from the singular-part decomposition:
@@ -306,21 +262,3 @@ def interior_flux_cubed_limit(sol):
     return ((n - 2) ** (2.0 * (n - 1) / (n - 2))
             * (s_area / d_area) ** (2.0 / (n - 2)) * d_area)
 
-
-def interior_truncated_identity(sol, c, t_level):
-    """Shifted-log identity for the interior problem on {c < u < t}: the
-    weighted identity with phi_t(f) = log(1 - e^f/t) between the f-levels
-    log c and log(t (1 - 1e-9)), just below the weight's singular level,
-
-        2 int |hess_g f|_g^2 (1 - u/t) dmu_g
-            = I3(t) - I3(c) + 2e-9 J(t) - 2 (1 - c/t) J(c),
-
-    returned as its IdentityResidual.
-    """
-    if sol.problem != "interior":
-        raise ValueError("interior identity applies to interior solutions")
-    if not sol.c <= c < t_level:
-        raise ValueError("need boundary value <= c < t")
-    return weighted_identity_check(sol, WeightSpec.shifted_log(t_level),
-                                   math.log(c),
-                                   math.log(t_level * (1 - 1e-9)))

@@ -33,14 +33,13 @@ every ray, and _ray_volume integrates along the rays with G7/K15 panels
 (QUADPACK qk15; Piessens et al. 1983).  Its error is |K15 - G7| summed over
 rays and panels, in the units of the integral.
 
-Only this module uses a solution's cache: the angular grid, directions and
-boundary exit radii per order, the boundary data (_boundary), and every
+Only this module uses a solution's cache: the angular weights, directions
+and boundary exit radii per order, the boundary data (_boundary), and every
 LevelSet that extract_level_set returns, per (level, order), all read-only.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,8 +92,6 @@ class LevelSet:
     u_grad: np.ndarray           # |Du| per node
     mean_curv: np.ndarray        # H per node, normal -Du/|Du|
     radii: np.ndarray
-    theta: np.ndarray
-    phi: np.ndarray
     grad: np.ndarray
     hess: np.ndarray
 
@@ -106,20 +103,6 @@ class LevelSet:
     def area(self):
         return float(np.sum(self.weights))
 
-    def export_csv(self, path):
-        """Write nodes as CSV with columns theta, phi, radius, x, y, z,
-        grad_norm, mean_curvature."""
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["theta", "phi", "radius", "x", "y", "z",
-                             "grad_norm", "mean_curvature"])
-            for i in range(len(self.radii)):
-                writer.writerow([repr(float(v)) for v in
-                                 (self.theta[i], self.phi[i], self.radii[i],
-                                  self.nodes[i, 0], self.nodes[i, 1],
-                                  self.nodes[i, 2], self.u_grad[i],
-                                  self.mean_curv[i])])
-
 
 def _frozen(*values):
     """``values``, with the arrays among them made read-only for the cache."""
@@ -130,14 +113,14 @@ def _frozen(*values):
 
 
 def _rays(sol, order):
-    """Angular grid, unit directions and boundary exit radii at ``order``,
-    computed once per solution."""
+    """Angular weights, unit directions and boundary exit radii at
+    ``order``, computed once per solution."""
     rays = sol._levelset_cache.get(order)
     if rays is None:
         theta, phi, W = angular_grid(order)
         om = unit_directions(theta, phi)
         r_exit = sol.domain.ray_exit_radius(om)
-        rays = sol._levelset_cache[order] = _frozen(theta, phi, W, om, r_exit)
+        rays = sol._levelset_cache[order] = _frozen(W, om, r_exit)
     return rays
 
 
@@ -243,7 +226,7 @@ def _solve_radii(sol, om, c, lo, hi, u_lo, u_hi):
     return radii
 
 
-def _level_set(sol, c, r, om, theta, phi, W):
+def _level_set(sol, c, r, om, W):
     nodes = r[:, None] * om
     st = sol.field(nodes, want="hess", check_region=False)
     gn = np.linalg.norm(st.grad, axis=1)
@@ -261,16 +244,16 @@ def _level_set(sol, c, r, om, theta, phi, W):
     H = level_set_mean_curvature(st.grad, st.hess)
     return LevelSet(level=c, nodes=nodes, weights=weights,
                     normals=normals, u_grad=gn, mean_curv=H, radii=r,
-                    theta=theta, phi=phi, grad=st.grad, hess=st.hess)
+                    grad=st.grad, hess=st.hess)
 
 
 def _extract(sol, c, order):
     """The LevelSet {u = c} at ``order``: a scan, then Newton on every ray."""
-    theta, phi, W, om, r_exit = _rays(sol, order)
+    W, om, r_exit = _rays(sol, order)
     # the scan arrays are released before the level is solved
     bracket = _bracket(*_scan(sol, om, *_scan_bounds(sol, om, r_exit, c)), c)
     r = _solve_radii(sol, om, c, *bracket)
-    return _level_set(sol, c, r, om, theta, phi, W)
+    return _level_set(sol, c, r, om, W)
 
 
 def extract_level_set(sol, c, order=None):
@@ -317,7 +300,7 @@ def _ray_volume(sol, density, want, r_in, r_out, order, scale):
     largest error is bisected until the summed error is at most _RAY_TOL
     times ``scale``; at _MAX_PANELS panels the error is returned as it is.
     """
-    W, om = _rays(sol, order)[2:4]
+    W, om = _rays(sol, order)[:2]
     if np.all(np.isinf(r_out)):
         def radius_and_measure(s):
             return r_in / s, r_in ** 3 / s ** 4

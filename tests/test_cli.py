@@ -169,6 +169,24 @@ def test_check_ball_grants_certificate(tmp_path, capsys):
     assert "granted" in shown and "equality" in shown
 
 
+def test_battery_takes_the_middle_level_by_value(tmp_path):
+    # levels keep the order given; the battery's middle level is their
+    # median, not the entry in the middle position
+    cfg = write_config(tmp_path / "run.json", {
+        "domain": {"kind": "sphere", "radius": 1.0},
+        "levels": [0.75, 0.25, 0.5],
+    })
+    out = tmp_path / "out"
+    assert main(["check", "--config", cfg, "--out", str(out)]) == 0
+    rows = json.loads((out / "criteria.json").read_text())["criteria"]
+    witnesses = {r["criterionId"]: {w["name"]: w["value"]
+                                    for w in r["witnesses"]} for r in rows}
+    for cid in ("T1.1-integral", "C1.4-pointwise", "T1.5-neumann"):
+        assert witnesses[cid]["level"] == 0.5
+    t19 = witnesses["T1.9-two-boundary"]
+    assert (t19["levelA"], t19["levelB"]) == (0.25, 0.75)
+
+
 def test_check_empty_criteria_certificate_only(tmp_path):
     cfg = write_config(tmp_path / "run.json", {
         "domain": {"kind": "sphere", "radius": 1.0},

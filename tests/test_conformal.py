@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from capsym import (CriticalPointError, DomainSpec, dsigma_g_weight, evaluate,
+from capsym import (CriticalPointError, DomainSpec, dsigma_g_weight,
                     extract_level_set, hess_f_conformal,
                     level_set_mean_curvature, mean_curvature_conformal,
                     p_function, quasi_einstein_residual, scalar_curvature,
@@ -46,8 +46,8 @@ def test_p_function_interior_normalized_ball():
     # boundary point of the d=1 ball with u normalized to c2 = d r0/(n-2):
     # P = d^2 / c2^4 = 1
     sol = solve_interior(DomainSpec(kind="sphere", radius=1.0), c=1.0, d=1.0)
-    st = evaluate(sol, np.array([1.0 - 1e-12, 0.0, 0.0]))
-    assert abs(p_function(st.u, st.grad) - 1.0) < 1e-9
+    st = sol.field(np.array([1.0 - 1e-12, 0.0, 0.0])[None])
+    assert abs(p_function(st.u, st.grad)[0] - 1.0) < 1e-9
 
 
 def test_p_function_rejects_nonpositive_u():

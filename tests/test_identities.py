@@ -5,15 +5,12 @@ import pytest
 from numpy.polynomial.legendre import leggauss
 from numpy.testing import assert_allclose
 
-from capsym import (CutoffTooLargeError, DomainSpec, FieldStates, WeightSpec,
-                    bochner_residual, bochner_sides, extract_level_set,
-                    flux_cubed_integral, hess_f_conformal, identities,
-                    interior_flux_cubed_limit,
-                    interior_truncated_identity,
-                    prop_exterior_truncated_identity, quasi_einstein_residual,
-                    ricci_conformal, scalar_curvature, solve_exterior,
-                    solve_interior, weighted_identity_check)
-from capsym.harmonic import PointState
+from capsym import (DomainSpec, FieldStates, WeightSpec, bochner_sides,
+                    dsigma_g_weight, extract_level_set, hess_f_conformal,
+                    identities, interior_flux_cubed_limit, p_function,
+                    quasi_einstein_residual, ricci_conformal,
+                    scalar_curvature, solve_exterior, solve_interior,
+                    weighted_identity_check)
 
 
 @pytest.fixture(scope="module")
@@ -45,6 +42,34 @@ def sample_points(sol, count, seed=0):
     return dirs * (r_exit * rng.uniform(1.05, 3.0, count))[:, None]
 
 
+def bochner_residuals(u, grad, hess):
+    """|LHS - RHS| of the Bochner identity at each point."""
+    lhs, rhs = bochner_sides(u, grad, hess)
+    return np.abs(lhs - rhs)
+
+
+def flux_cubed_integral(sol, c):
+    """int_{f=log c} |grad f|_g^3 dsigma_g = int_{u=c} P |Du| dsigma."""
+    ls = extract_level_set(sol, c)
+    p = p_function(ls.level, ls.grad)
+    return float(np.sum(ls.weights * dsigma_g_weight(ls.level) * p ** 1.5))
+
+
+def exterior_truncated_identity(sol, c, eps):
+    """The linear-weight identity on {eps < u < c}: between the f-levels
+    log eps and log c."""
+    return weighted_identity_check(sol, WeightSpec.linear(), math.log(eps),
+                                   math.log(c))
+
+
+def interior_truncated_identity(sol, c, t_level):
+    """The shifted-log identity on {c < u < t}: between the f-levels log c
+    and log(t (1 - 1e-9)), just below the weight's singular level."""
+    return weighted_identity_check(sol, WeightSpec.shifted_log(t_level),
+                                   math.log(c),
+                                   math.log(t_level * (1 - 1e-9)))
+
+
 # ---------------------------------------------------------------------------
 # weights
 # ---------------------------------------------------------------------------
@@ -73,31 +98,26 @@ def test_shifted_log_range_guard(ellipsoid_solution):
 # ---------------------------------------------------------------------------
 
 def test_bochner_residual_small_on_ball(ball_solution):
-    for p in sample_points(ball_solution, 20, seed=1):
-        st = ball_solution.field(p[None, :])[0]
-        assert bochner_residual(st) < 1e-9
+    st = ball_solution.field(sample_points(ball_solution, 20, seed=1))
+    assert np.all(bochner_residuals(st.u, st.grad, st.hess) < 1e-9)
 
 
 def test_bochner_residual_small_on_ellipsoid(ellipsoid_solution):
-    for p in sample_points(ellipsoid_solution, 10, seed=2):
-        st = ellipsoid_solution.field(p[None, :])[0]
-        assert bochner_residual(st) < 1e-7
+    st = ellipsoid_solution.field(sample_points(ellipsoid_solution, 10,
+                                                seed=2))
+    assert np.all(bochner_residuals(st.u, st.grad, st.hess) < 1e-7)
 
 
 def test_bochner_detects_broken_harmonicity(ellipsoid_solution):
     # add 1e-3 |x|^2 to u: Laplacian becomes 6e-3 and the identity fails
     eps = 1e-3
-    worst = 0.0
-    for p in sample_points(ellipsoid_solution, 10, seed=3):
-        st = ellipsoid_solution.field(p[None, :])[0]
-        broken = PointState(
-            point=st.point,
-            u=st.u + eps * float(p @ p),
-            grad=st.grad + 2 * eps * p,
-            hess=st.hess + 2 * eps * np.eye(3))
-        worst = max(worst, bochner_residual(broken))
-        assert bochner_residual(broken) >= 1e-4
-    assert worst > 1e-4
+    pts = sample_points(ellipsoid_solution, 10, seed=3)
+    st = ellipsoid_solution.field(pts)
+    broken = bochner_residuals(st.u + eps * np.sum(pts * pts, axis=1),
+                               st.grad + 2 * eps * pts,
+                               st.hess + 2 * eps * np.eye(3))
+    assert np.all(broken >= 1e-4)
+    assert broken.max() > 1e-4
 
 
 @pytest.mark.parametrize("fn", [hess_f_conformal, ricci_conformal,
@@ -208,7 +228,7 @@ def truncated_terms(res):
 
 def test_truncated_identity_ball(ball_solution):
     volume, boundary, cutoff = truncated_terms(
-        prop_exterior_truncated_identity(ball_solution, c=0.8, eps=2e-3))
+        exterior_truncated_identity(ball_solution, c=0.8, eps=2e-3))
     assert abs(volume) < 1e-8
     assert abs(boundary) < 1e-8
     assert abs(cutoff) < 1e-10
@@ -216,7 +236,7 @@ def test_truncated_identity_ball(ball_solution):
 
 def test_truncated_identity_ellipsoid(ellipsoid_solution):
     volume, boundary, cutoff = truncated_terms(
-        prop_exterior_truncated_identity(ellipsoid_solution, c=0.8, eps=2e-3))
+        exterior_truncated_identity(ellipsoid_solution, c=0.8, eps=2e-3))
     assert volume > 0 and boundary > 0
     # two-sided evaluation of the same identity
     assert abs(volume - (boundary - cutoff)) / boundary < 2e-2
@@ -224,9 +244,9 @@ def test_truncated_identity_ellipsoid(ellipsoid_solution):
 
 
 def test_truncated_identity_cutoff_shrinks_linearly(ellipsoid_solution):
-    _, _, cut1 = truncated_terms(prop_exterior_truncated_identity(
+    _, _, cut1 = truncated_terms(exterior_truncated_identity(
         ellipsoid_solution, c=0.8, eps=2e-3))
-    _, _, cut2 = truncated_terms(prop_exterior_truncated_identity(
+    _, _, cut2 = truncated_terms(exterior_truncated_identity(
         ellipsoid_solution, c=0.8, eps=1e-3))
     assert abs(cut2) <= 0.5 * abs(cut1)
 
@@ -236,8 +256,7 @@ def test_truncated_identity_carries_quadrature_error(ellipsoid_solution):
     # e^f |hess_g f|_g^2 over {2e-3 < u < 0.8} along the rays, with its own
     # error; by coarea it is a sum over the levels of u, here 32
     # Gauss-Legendre levels
-    res = prop_exterior_truncated_identity(ellipsoid_solution, c=0.8,
-                                           eps=2e-3)
+    res = exterior_truncated_identity(ellipsoid_solution, c=0.8, eps=2e-3)
     assert res.quadrature_error > 0
     density = identities._hessian_density(WeightSpec.linear())
     x, w = leggauss(32)
@@ -249,11 +268,6 @@ def test_truncated_identity_carries_quadrature_error(ellipsoid_solution):
                          grad=ls.grad, hess=ls.hess)
         volume += half * wk * float(ls.weights @ (density(st) / ls.u_grad))
     assert abs(res.lhs - 2.0 * volume) <= 1e-12 * abs(res.lhs)
-
-
-def test_truncated_identity_rejects_large_cutoff(ellipsoid_solution):
-    with pytest.raises(CutoffTooLargeError):
-        prop_exterior_truncated_identity(ellipsoid_solution, c=0.8, eps=0.05)
 
 
 # ---------------------------------------------------------------------------

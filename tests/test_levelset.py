@@ -10,11 +10,12 @@ from numpy.testing import assert_allclose
 from capsym import (DomainSpec, FieldStates, HarmonicSolution,
                     IrregularLevelSetError,
                     LevelRangeError, NonStarShapedLevelSetError,
-                    RadialGeometry, WeightSpec, angular_grid, check_C12,
+                    WeightSpec, angular_grid, check_C12,
                     criteria, extract_level_set, identities, levelset,
-                    radial_solution, solve_exterior, solve_interior,
+                    solve_exterior, solve_interior,
                     surface_integral, unit_directions,
                     weighted_identity_check)
+from radial_oracle import RadialGeometry, radial_solution
 
 BENCH_STAR = DomainSpec(kind="star", mean_radius=1.0,
                         terms=((2, 0, 0.1), (3, 1, 0.05)))
@@ -242,8 +243,8 @@ def test_repeat_extraction_is_cached_and_read_only(ball_solution):
     assert extract_level_set(sol, 0.42, order=sol.order + 8) is not ls
     with pytest.raises(ValueError):
         ls.radii[0] = 1.0
-    for key in ("nodes", "weights", "normals", "u_grad", "mean_curv", "theta",
-                "phi", "grad", "hess"):
+    for key in ("nodes", "weights", "normals", "u_grad", "mean_curv", "grad",
+                "hess"):
         assert not getattr(ls, key).flags.writeable
     # so are the cached rays and boundary data
     quad, gn, _ = levelset._boundary(sol)
@@ -379,7 +380,7 @@ def flux_to_the_fourth_over_u(st):
 def exterior_volume(sol, density, want="grad", order=None, scale=1.0):
     """int F dmu over the exterior of the domain by _ray_volume."""
     order = order if order is not None else sol.order
-    r_exit = levelset._rays(sol, order)[4]
+    r_exit = levelset._rays(sol, order)[2]
     return levelset._ray_volume(sol, density, want, r_exit, np.inf, order,
                                 scale)
 
@@ -414,7 +415,7 @@ def test_coarea_ratio_closed_form_every_dimension():
 
 
 def test_coarea_zero_integrand(ball_solution):
-    r_in = levelset._rays(ball_solution, ball_solution.order)[4]
+    r_in = levelset._rays(ball_solution, ball_solution.order)[2]
     assert levelset._ray_volume(
         ball_solution, lambda st: np.zeros(len(st.u)), "u", r_in,
         2.0 * r_in, ball_solution.order, 1.0) == (0.0, 0.0)
@@ -424,7 +425,7 @@ def test_ray_volume_measures(ball_solution):
     # the shell 1 < r < 2 has volume 28 pi/3 (panels in log r), and
     # int_{r > 1} r^-6 dmu = 4 pi/3 (panels in t = 1/r, integrand t^2)
     sol, order = ball_solution, ball_solution.order
-    r_in = levelset._rays(sol, order)[4]
+    r_in = levelset._rays(sol, order)[2]
     shell, err = levelset._ray_volume(sol, lambda st: np.ones(len(st.u)), "u",
                                       r_in, 2.0 * r_in, order, 1.0)
     assert abs(shell - 28.0 * math.pi / 3.0) <= 1e-13 * shell
@@ -559,12 +560,3 @@ def test_interior_level_extraction():
     cap = surface_integral(ls, ls.u_grad)
     assert abs(cap - 4.0 * math.pi) / (4 * math.pi) < 1e-9
 
-
-def test_csv_export(tmp_path, ball_solution):
-    ls = extract_level_set(ball_solution, 0.5)
-    path = tmp_path / "level.csv"
-    ls.export_csv(path)
-    rows = path.read_text().strip().splitlines()
-    assert rows[0].split(",")[:3] == ["theta", "phi", "radius"]
-    assert len(rows) == len(ls.radii) + 1
-    assert float(rows[1].split(",")[2]) == pytest.approx(2.0, abs=1e-9)
