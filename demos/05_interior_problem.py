@@ -12,7 +12,7 @@ with c = d r0/(n-2) the solution is exactly d r0^2/r, so the Neumann data
 import numpy as np
 
 from capsym import (DomainSpec, check_T16, check_neumann, normalization_c1,
-                    normalization_c2, solve_interior)
+                    normalization_c2, solve_interior, surface_integral)
 from capsym.geometry import build_quadrature
 
 for name, spec in (("ball", DomainSpec(kind="sphere", radius=1.0)),
@@ -21,7 +21,7 @@ for name, spec in (("ball", DomainSpec(kind="sphere", radius=1.0)),
     sol = solve_interior(spec, c=1.0, d=1.0)
     quad = build_quadrature(spec, sol.order)
     gn = sol.field(quad.nodes, want="grad", check_region=False).grad_norm
-    flux_ratio = quad.integrate(gn) / (sol.d * quad.area)
+    flux_ratio = surface_integral(quad, gn) / (sol.d * quad.area)
     print(f"--- {name} ---")
     print(f"boundary misfit {sol.fit_residual:.2e}, "
           f"flux/(d |dOmega|) - 1 = {flux_ratio - 1:.2e}")

@@ -140,6 +140,12 @@ def inferred_ball_radius(cap):
     return (cap / ((_N - 2) * unit_sphere_area(_N))) ** (1.0 / (_N - 2))
 
 
+def _grad_moments(ls):
+    """Averages of |Du|, |Du|^2 and |Du|^3 over a level set."""
+    return tuple(surface_integral(ls, ls.u_grad ** k) / ls.area
+                 for k in (1, 2, 3))
+
+
 def _equality_gap(ls):
     """Per-node H/(n-1) - |Du|/((n-2) u); zero exactly in the radial case."""
     return ls.mean_curv / (_N - 1) - ls.u_grad / ((_N - 2) * ls.level)
@@ -172,7 +178,7 @@ def check_C12(sol):
     """Global coarea condition: c Phi(c)/int_0^c Phi(s) ds <= 2 (n-1)/(n-2),
     with Phi(s) the flux-cubed-over-u integral over {u=s} and c the boundary
     value: Phi(1)/int_0^1 Phi for c = 1, unchanged when u is scaled.
-    Phi(c) = avg(|Du|^3) |dOmega| / c on the boundary quadrature.  By
+    Phi(c) = avg(|Du|^3) |dOmega| / c on the boundary level set.  By
     coarea int_0^c Phi = int |Du|^4/u dmu over the exterior, integrated with
     G7/K15 along the rays from the boundary to infinity.  The error bar is
     the relative G7/K15 error of that integral plus 4 times its relative
@@ -183,8 +189,8 @@ def check_C12(sol):
     def density(st):
         return st.grad_norm ** 4 / st.u
 
-    quad, _, (_, _, m3) = _boundary(sol)
-    phi_top = m3 * quad.area / sol.c
+    top = _boundary(sol)
+    phi_top = _grad_moments(top)[2] * top.area / sol.c
     scale = sol.c * phi_top
 
     def exterior_integral(order):
@@ -207,9 +213,9 @@ def check_C13(sol):
     (max|Du|^2 / min|Du|^2) int H/(n-1) dsigma <= Cap/(n-2)."""
     if sol.problem != "exterior":
         raise ValueError("C1.3 applies to the exterior problem")
-    quad, gn, _ = _boundary(sol)
-    ratio = float(gn.max() ** 2 / gn.min() ** 2)
-    total_mean_curv = quad.integrate(quad.mean_curvature / (_N - 1))
+    b = _boundary(sol)
+    ratio = float(b.u_grad.max() ** 2 / b.u_grad.min() ** 2)
+    total_mean_curv = surface_integral(b, b.mean_curv / (_N - 1))
     lhs = ratio * total_mean_curv
     cap = capacity(sol, cross_check=False)
     rhs = cap / (_N - 2)
@@ -239,14 +245,15 @@ def check_C17(sol):
     and |Du|-moment right-hand side at every node."""
     if sol.problem != "interior":
         raise ValueError("C1.7 applies to the interior problem")
-    quad, _, (m1, m2, m3) = _boundary(sol)
-    area_ratio = (_SPHERE_AREA / quad.area) ** (1.0 / (_N - 1))
+    b = _boundary(sol)
+    m1, m2, m3 = _grad_moments(b)
+    area_ratio = (_SPHERE_AREA / b.area) ** (1.0 / (_N - 1))
     rhs = area_ratio * (m1 ** 2 / m2) * (m3 / m1 ** 3) ** (_N / (2.0 * (_N - 1)))
-    h_over = quad.mean_curvature / (_N - 1)
+    h_over = b.mean_curv / (_N - 1)
     worst = int(np.argmin(h_over))
     err = max(_solver_error_floor(sol), 1e-9 * abs(rhs))
     return _report("C1.7-interior-pointwise", rhs, float(h_over.min()), err,
-                   {"worstNode": worst, "worstPoint": quad.nodes[worst],
+                   {"worstNode": worst, "worstPoint": b.nodes[worst],
                     "gradMoments": [m1, m2, m3], "areaRatio": area_ratio})
 
 
@@ -262,33 +269,26 @@ def check_neumann(sol, c=None):
 
     A non-constant |Du| yields verdict "hypothesis-not-met".
     """
-    if sol.problem == "exterior":
+    exterior = sol.problem == "exterior"
+    c = c if c is not None else sol.c
+    ls = extract_level_set(sol, c) if exterior else _boundary(sol)
+    gn = ls.u_grad
+    h_over = ls.mean_curv / (_N - 1)
+    witnesses = {"gradientSpread": float((gn.max() - gn.min()) / gn.mean()),
+                 "neumannConstant": float(gn.mean())}
+    if exterior:
         cid = "T1.5-neumann"
-        c = c if c is not None else sol.c
-        ls = extract_level_set(sol, c)
-        gn = ls.u_grad
-        h_over = ls.mean_curv / (_N - 1)
         rhs_nodes = gn / ((_N - 2) * c)
         lhs = float(h_over.min())
         rhs = float(rhs_nodes.min())
-        witnesses = {
-            "level": c,
-            "gradientSpread": float((gn.max() - gn.min()) / gn.mean()),
-            "neumannConstant": float(gn.mean()),
-            "marginInfVsMin": float(rhs_nodes.min() - h_over.min()),
-            "marginInfVsMax": float(rhs_nodes.max() - h_over.min()),
-        }
+        witnesses.update(level=c,
+                         marginInfVsMin=float(rhs_nodes.min() - h_over.min()),
+                         marginInfVsMax=float(rhs_nodes.max() - h_over.min()))
     else:
         cid = "T1.8-interior-neumann"
-        quad, gn, _ = _boundary(sol)
-        h_over = quad.mean_curvature / (_N - 1)
         # oriented so margin >= 0 means sup H/(n-1) >= area ratio
-        lhs = float((_SPHERE_AREA / quad.area) ** (1.0 / (_N - 1)))
+        lhs = float((_SPHERE_AREA / ls.area) ** (1.0 / (_N - 1)))
         rhs = float(h_over.max())
-        witnesses = {
-            "gradientSpread": float((gn.max() - gn.min()) / gn.mean()),
-            "neumannConstant": float(gn.mean()),
-        }
     err = max(_solver_error_floor(sol), 1e-10)
     report = _report(cid, lhs, rhs, err, witnesses)
     if witnesses["gradientSpread"] > NEUMANN_SPREAD_THRESHOLD:
@@ -312,16 +312,17 @@ def check_T16(sol):
     """
     if sol.problem != "interior":
         raise ValueError("T1.6 applies to the interior problem")
-    quad, gn, (m1, m2, m3) = _boundary(sol)
-    area = quad.area
-    h_term = quad.integrate(quad.mean_curvature / (_N - 1) * gn ** 2) / area
+    b = _boundary(sol)
+    m1, m2, m3 = _grad_moments(b)
+    area = b.area
+    h_term = surface_integral(b, b.mean_curv / (_N - 1) * b.u_grad ** 2) / area
     lhs_value = h_term / m1 ** 2
     area_ratio = (_SPHERE_AREA / area) ** (1.0 / (_N - 1))
     rhs_value = area_ratio * (m3 / m1 ** 3) ** (_N / (2.0 * (_N - 1)))
     err = max(_solver_error_floor(sol), 1e-9 * abs(rhs_value))
     witnesses = {
         "c1": normalization_c1(sol),
-        "c2": normalization_c2(sol, quad=quad),
+        "c2": normalization_c2(sol),
         "gradMoments": [m1, m2, m3],
         "fluxRatio": m1 * area / (sol.d * area),
     }
@@ -335,16 +336,16 @@ def normalization_c1(sol):
     singular-limit value; depends only on (n, domain, d)."""
     if sol.problem != "interior":
         raise ValueError("c1 is defined for the interior problem")
-    quad, _, (_, _, m3) = _boundary(sol)   # |Du| is normalization-free
-    i3 = m3 * quad.area
+    b = _boundary(sol)   # |Du| is normalization-free
+    i3 = _grad_moments(b)[2] * b.area
     return (i3 / interior_flux_cubed_limit(sol)) ** ((_N - 2) / (2.0 * (_N - 1)))
 
 
-def normalization_c2(sol, quad=None):
+def normalization_c2(sol):
     """c2 = d/(n-2) (|dOmega|/|S^{n-1}|)^(1/(n-1))."""
     if sol.problem != "interior":
         raise ValueError("c2 is defined for the interior problem")
-    area = (quad if quad is not None else _boundary(sol)[0]).area
+    area = _boundary(sol).area
     return sol.d / (_N - 2) * (area / _SPHERE_AREA) ** (1.0 / (_N - 1))
 
 

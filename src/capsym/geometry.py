@@ -407,27 +407,19 @@ class SurfaceQuadrature:
     """Quadrature-ready discretization of a closed surface.
 
     nodes carry the area measure in ``weights`` (sum equals the surface
-    area), outward unit ``normals``, and ``mean_curvature`` = sum of the
-    principal curvatures with respect to the outward normal.
+    area), unit ``normals``, and ``mean_curv`` = sum of the principal
+    curvatures with respect to those normals; build_quadrature's normals
+    point outward.  levelset.surface_integral integrates over it.
     """
 
     nodes: np.ndarray
     weights: np.ndarray
     normals: np.ndarray
-    mean_curvature: np.ndarray
-    order: int
-    theta: np.ndarray
-    phi: np.ndarray
+    mean_curv: np.ndarray
 
     @property
     def area(self):
         return float(np.sum(self.weights))
-
-    def integrate(self, values):
-        values = np.asarray(values)
-        if values.shape[0] != len(self.weights):
-            raise ValueError("integrand length does not match node count")
-        return float(self.weights @ values)
 
 
 def build_quadrature(spec, order):
@@ -479,5 +471,4 @@ def build_quadrature(spec, order):
     nodes = np.asarray(spec.center) + rho[:, None] * om
     weights = W * dA / st
     return SurfaceQuadrature(nodes=nodes, weights=weights, normals=nu,
-                             mean_curvature=H, order=order, theta=theta,
-                             phi=phi)
+                             mean_curv=H)

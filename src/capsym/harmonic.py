@@ -94,8 +94,8 @@ class HarmonicSolution:
     order: int
     condition_estimate: float
     check_misfit: float | None = None
-    # rays, boundary data and level sets of this solution, read and
-    # written by capsym.levelset alone
+    # rays, the boundary LevelSet and the extracted LevelSets of this
+    # solution, read and written by capsym.levelset alone
     _levelset_cache: dict = field(default_factory=dict, init=False,
                                   repr=False, compare=False)
 

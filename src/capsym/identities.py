@@ -252,13 +252,13 @@ def interior_flux_cubed_limit(sol):
         (n-2)^(2(n-1)/(n-2)) (|S^{n-1}| / (d |dOmega|))^(2/(n-2)) d |dOmega|.
 
     The limit is independent of the Dirichlet boundary constant.  The area
-    |dOmega| is that of the boundary quadrature at the solution's order.
+    |dOmega| is that of the boundary level set at the solution's order.
     """
     if sol.problem != "interior":
         raise ValueError("the flux-cubed limit applies to interior solutions")
     n = _N
     s_area = unit_sphere_area(n)
-    d_area = sol.d * _boundary(sol)[0].area
+    d_area = sol.d * _boundary(sol).area
     return ((n - 2) ** (2.0 * (n - 1) / (n - 2))
             * (s_area / d_area) ** (2.0 / (n - 2)) * d_area)
 

@@ -18,14 +18,16 @@ the bracket, or does not halve the previous one, is replaced by bisection.
 A ray stops when its step or its bracket is below 1e-14 r, so
 |u - c| <= 1e-12 c at the nodes; a ray that does not converge raises
 IrregularLevelSetError.  One Hessian evaluation per level at the nodes
-gives the weights and curvatures.  Every LevelSet is regular by
-construction: where min |Du| <= REGULARITY_THRESHOLD, every extraction
-path raises IrregularLevelSetError naming the level.
+gives the weights and curvatures.
 
 Surface weights use the solid-angle projection dsigma = r^2 dOmega / <nu, omega>
 with nu = -Du/|Du|, so no numerical differentiation of the extracted graph is
 ever needed; mean curvature comes from the solution's analytic Hessian via
-H = D2u(nu, nu)/|Du|.
+H = D2u(nu, nu)/|Du|.  The boundary {u = c} is a LevelSet too (_boundary),
+on the domain's own rule: weights, outward normals and curvature from
+geometry.build_quadrature, Du from one gradient evaluation.  Every LevelSet
+is regular by construction: one with min |Du| <= REGULARITY_THRESHOLD
+raises IrregularLevelSetError naming the level when it is built.
 
 A volume integral over a slab {a < u < b}, by coarea a sum over levels,
 needs no level between a and b: the slab is r_b(omega) < r < r_a(omega) on
@@ -34,8 +36,9 @@ every ray, and _ray_volume integrates along the rays with G7/K15 panels
 rays and panels, in the units of the integral.
 
 Only this module uses a solution's cache: the angular weights, directions
-and boundary exit radii per order, the boundary data (_boundary), and every
-LevelSet that extract_level_set returns, per (level, order), all read-only.
+and boundary exit radii per order, the boundary LevelSet (_boundary), and
+every LevelSet that extract_level_set returns, per (level, order), all
+read-only.
 """
 
 from __future__ import annotations
@@ -47,8 +50,8 @@ import numpy as np
 from .conformal import level_set_mean_curvature
 from .errors import (IrregularLevelSetError, LevelRangeError,
                      NonStarShapedLevelSetError)
-from .geometry import (angular_grid, build_quadrature, safeguarded_newton,
-                       unit_directions)
+from .geometry import (SurfaceQuadrature, angular_grid, build_quadrature,
+                       safeguarded_newton, unit_directions)
 
 REGULARITY_THRESHOLD = 1e-8
 _SCAN_PER_DECADE = 16
@@ -82,26 +85,23 @@ _MAX_PANELS = 32
 
 
 @dataclass(frozen=True)
-class LevelSet:
-    """Quadrature-ready discretization of one level set {u = c}."""
+class LevelSet(SurfaceQuadrature):
+    """A surface quadrature of {u = level} with the field at its nodes.
+    Normals are -Du/|Du| on extracted level sets and the geometric outward
+    normal on the boundary; mean_curv is taken about them."""
 
     level: float
-    nodes: np.ndarray
-    weights: np.ndarray
-    normals: np.ndarray          # -Du/|Du| per node
     u_grad: np.ndarray           # |Du| per node
-    mean_curv: np.ndarray        # H per node, normal -Du/|Du|
-    radii: np.ndarray
-    grad: np.ndarray
-    hess: np.ndarray
+    radii: np.ndarray            # |x| per node
+    grad: np.ndarray             # Du per node
 
     def __post_init__(self):
+        if not self.u_grad.min() > REGULARITY_THRESHOLD:
+            raise IrregularLevelSetError(
+                f"level set {self.level} fails the regularity threshold "
+                f"(min |Du| = {self.u_grad.min():.3e})", level=self.level)
         # level sets are shared through the solution's cache
         _frozen(*vars(self).values())
-
-    @property
-    def area(self):
-        return float(np.sum(self.weights))
 
 
 def _frozen(*values):
@@ -125,16 +125,16 @@ def _rays(sol, order):
 
 
 def _boundary(sol):
-    """(quadrature, |Du| at its nodes, averages of |Du|, |Du|^2, |Du|^3)
-    on the boundary at the solution's order, built once per solution."""
-    data = sol._levelset_cache.get("boundary")
-    if data is None:
+    """The boundary {u = c} as a LevelSet on the domain's quadrature at the
+    solution's order, built once per solution."""
+    ls = sol._levelset_cache.get("boundary")
+    if ls is None:
         quad = build_quadrature(sol.domain, sol.order)
-        gn = sol.field(quad.nodes, want="grad", check_region=False).grad_norm
-        _frozen(*vars(quad).values(), gn)
-        moments = tuple(quad.integrate(gn ** k) / quad.area for k in (1, 2, 3))
-        data = sol._levelset_cache["boundary"] = (quad, gn, moments)
-    return data
+        grad = sol.field(quad.nodes, want="grad", check_region=False).grad
+        ls = sol._levelset_cache["boundary"] = LevelSet(
+            **vars(quad), level=sol.c, u_grad=np.linalg.norm(grad, axis=1),
+            radii=np.linalg.norm(quad.nodes, axis=1), grad=grad)
+    return ls
 
 
 def check_level_range(problem, c, levels):
@@ -230,10 +230,6 @@ def _level_set(sol, c, r, om, W):
     nodes = r[:, None] * om
     st = sol.field(nodes, want="hess", check_region=False)
     gn = np.linalg.norm(st.grad, axis=1)
-    if not gn.min() > REGULARITY_THRESHOLD:
-        raise IrregularLevelSetError(
-            f"level set {c} fails the regularity threshold "
-            f"(min |Du| = {gn.min():.3e})", level=c)
     normals = -st.grad / gn[:, None]
     cos = np.einsum("ns,ns->n", normals, om)
     if np.any(cos <= 0.01):
@@ -244,7 +240,7 @@ def _level_set(sol, c, r, om, W):
     H = level_set_mean_curvature(st.grad, st.hess)
     return LevelSet(level=c, nodes=nodes, weights=weights,
                     normals=normals, u_grad=gn, mean_curv=H, radii=r,
-                    grad=st.grad, hess=st.hess)
+                    grad=st.grad)
 
 
 def _extract(sol, c, order):

@@ -446,8 +446,10 @@ def test_interior_report_solves_each_level_once(tmp_path, monkeypatch):
     out = tmp_path / "out"
     assert main(["report", "--domain", "sphere:1",
                  "--problem", "interior:c=1,d=1", "--out", str(out)]) == 0
-    cached = [v for v in solved[0][0]._levelset_cache.values()
-              if isinstance(v, levelset.LevelSet)]
+    # the cache holds one LevelSet per extracted (level, order), besides
+    # the boundary, which is not solved
+    cached = [ls for key, ls in solved[0][0]._levelset_cache.items()
+              if isinstance(key, tuple)]
     assert sorted(c for _, c in solved) == [1.5, 2.0, 3.0]
     assert sorted(ls.level for ls in cached) == [1.5, 2.0, 3.0]
     # the radial case: both sides of the identity vanish to roundoff

@@ -97,8 +97,7 @@ def test_C12_solves_no_level_set(ball_solution):
     # level {u = c} is the boundary, so C1.2 solves no level set at all
     sol = HarmonicSolution.from_json_dict(ball_solution.to_json_dict())
     check_C12(sol)
-    assert not [v for v in sol._levelset_cache.values()
-                if isinstance(v, levelset.LevelSet)]
+    assert not [key for key in sol._levelset_cache if isinstance(key, tuple)]
 
 
 @pytest.mark.parametrize("name", ["ball_solution", "ellipsoid_solution",
@@ -286,8 +285,8 @@ def test_c1_closed_form_matches_moment_form(ellipsoid_interior):
     quad = build_quadrature(ellipsoid_interior.domain, ellipsoid_interior.order)
     gn = ellipsoid_interior.field(quad.nodes, want="grad",
                                   check_region=False).grad_norm
-    m1 = quad.integrate(gn) / quad.area
-    m3 = quad.integrate(gn ** 3) / quad.area
+    m1 = surface_integral(quad, gn) / quad.area
+    m3 = surface_integral(quad, gn ** 3) / quad.area
     expected = ((quad.area / unit_sphere_area(3)) ** 0.5
                 * m3 ** 0.25 * m1 ** 0.25)
     # the two routes differ only through the measured-flux vs exact-d gap
@@ -386,6 +385,8 @@ def test_battery_embeds_named_errors_and_propagates_bugs(ball_solution,
 
 def test_interior_battery_builds_boundary_data_once(ball_interior,
                                                     monkeypatch):
+    # the boundary is one read-only LevelSet, from one build_quadrature
+    # call and one field call per solution
     sol = HarmonicSolution.from_json_dict(ball_interior.to_json_dict())
     quads, boundary_fields = [], []
     build, field = levelset.build_quadrature, HarmonicSolution.field
@@ -405,6 +406,12 @@ def test_interior_battery_builds_boundary_data_once(ball_interior,
     assert (len(quads), len(boundary_fields)) == (1, 1)
     run_battery(sol)
     assert (len(quads), len(boundary_fields)) == (1, 1)
+    boundary = levelset._boundary(sol)
+    assert isinstance(boundary, levelset.LevelSet)
+    assert boundary.nodes is quads[0].nodes and boundary.level == sol.c
+    for key in ("nodes", "weights", "normals", "mean_curv", "u_grad", "radii",
+                "grad"):
+        assert not getattr(boundary, key).flags.writeable
 
 
 def test_battery_runs_to_completion(ball_interior):

@@ -243,13 +243,14 @@ def test_repeat_extraction_is_cached_and_read_only(ball_solution):
     assert extract_level_set(sol, 0.42, order=sol.order + 8) is not ls
     with pytest.raises(ValueError):
         ls.radii[0] = 1.0
-    for key in ("nodes", "weights", "normals", "u_grad", "mean_curv", "grad",
-                "hess"):
+    for key in ("nodes", "weights", "normals", "u_grad", "mean_curv", "grad"):
         assert not getattr(ls, key).flags.writeable
-    # so are the cached rays and boundary data
-    quad, gn, _ = levelset._boundary(sol)
-    for array in (*levelset._rays(sol, sol.order), quad.nodes, quad.weights,
-                  quad.mean_curvature, gn):
+    # so are the cached rays and the boundary LevelSet
+    boundary = levelset._boundary(sol)
+    assert levelset._boundary(sol) is boundary
+    for array in (*levelset._rays(sol, sol.order), boundary.nodes,
+                  boundary.weights, boundary.normals, boundary.mean_curv,
+                  boundary.u_grad, boundary.grad):
         assert not array.flags.writeable
 
 
@@ -508,12 +509,13 @@ def gauss_legendre_coarea(sol, integrand, c_min, c_max, levels=32):
     return half * total
 
 
-def hessian_density_on_level(weight):
-    """The identity's volume integrand on a level set."""
+def hessian_density_on_level(sol, weight):
+    """The identity's volume integrand on a level set of ``sol``, with the
+    Hessian from the same field call that extraction makes."""
     density = identities._hessian_density(weight)
     return lambda ls: density(FieldStates(
         points=ls.nodes, u=np.full(len(ls.radii), ls.level), grad=ls.grad,
-        hess=ls.hess))
+        hess=sol.field(ls.nodes, want="hess", check_region=False).hess))
 
 
 @pytest.mark.parametrize("name", ["ball_solution", "ellipsoid_solution",
@@ -543,7 +545,7 @@ def test_kronrod_coarea_matches_32_gauss_levels(monkeypatch, request, name):
     a, b = math.log(0.25), math.log(0.75)
     res = weighted_identity_check(sol, WeightSpec.linear(), a, b)
     ref = 2.0 * gauss_legendre_coarea(
-        sol, hessian_density_on_level(WeightSpec.linear()),
+        sol, hessian_density_on_level(sol, WeightSpec.linear()),
         math.exp(a), math.exp(b))
     assert abs(res.lhs - ref) <= 1e-12 * abs(ref) + 1e-15 * res.scale
     assert res.quadrature_error >= abs(res.lhs - ref)
