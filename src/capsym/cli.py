@@ -6,14 +6,14 @@ A loaded solution must have the config's problem kind, c, d and domain
 (its order may differ), else a ConfigError names the field that differs.
 The stages are solve (solution.json), check (criteria.json), identities
 (identities.json, identity_terms.csv), and, for exterior problems only,
-capacity and decay (capacity.json, decay.json); report runs them all in
-that order.  They share the solution and so its level-set cache: no level
-set is solved twice.  An interior config asking for capacity or decay
-fails before anything is solved or loaded.  Levels unset by config ``levels``,
-``identities`` or ``--level`` come from ``criteria.DEFAULT_LEVELS`` (low,
-middle, high): the battery runs on the middle one and T1.9 on the outer
-two, the certificate on all three, capacity on the middle one, and the
-default identity from the log of the low one to that of the high one.
+capacity and decay (capacity.json, decay.json); report runs them all in that
+order.  They share the solution and so its level-set cache: no level set is
+solved twice.  A level outside the range of u (config ``levels``,
+``identities``, ``--level``) or an interior config asking for capacity or
+decay fails before anything is solved or loaded.  Unset levels come from
+``criteria.DEFAULT_LEVELS`` (low, middle, high): the battery runs on the
+middle one and T1.9 on the outer two, the certificate on all three, capacity
+on the middle one, and the default identity between the logs of the outer two.
 
 Exit code 0 means the run completed; criterion verdicts live in the
 reports, not the exit code.  Reports are written deterministically (sorted
@@ -49,21 +49,31 @@ class ConfigError(CapsymError):
 # run configuration
 # ---------------------------------------------------------------------------
 
-_CONFIG_KEYS = {"domain", "problem", "solver", "levels", "criteria",
-                "identities", "seed"}
-_PROBLEM_KEYS = {"kind", "c", "d"}
-_SOLVER_KEYS = {"order"}
-_IDENTITY_KEYS = {"weight", "t", "a", "b"}
+# the keys of each JSON object, with the reader of each value (None: as is)
+_CONFIG_KEYS = {"domain": None, "problem": None, "solver": None,
+                "levels": lambda v: [float(x) for x in v], "criteria": tuple,
+                "identities": list, "seed": int}
+_PROBLEM_KEYS = {"kind": None, "c": float, "d": float}
+_SOLVER_KEYS = {"order": int}
+_IDENTITY_KEYS = {"weight": None, "t": float, "a": float, "b": float}
 
 
 def _known(entry, where, keys):
-    """entry, once it is known to be a JSON object with only known keys."""
+    """entry, a JSON object with only known keys, with each value read by
+    its key's reader; a ConfigError names the key of a wrong value."""
     if not isinstance(entry, dict):
         raise ConfigError(f"{where} must be a JSON object")
-    unknown = sorted(set(entry) - keys)
+    unknown = sorted(set(entry) - set(keys))
     if unknown:
         raise ConfigError(f"unknown key {unknown[0]!r} in {where}")
-    return entry
+    read = dict(entry)
+    for key, value in entry.items():
+        try:
+            read[key] = keys[key](value) if keys[key] else value
+        except (TypeError, ValueError):
+            raise ConfigError(f"{key!r} in {where} has the wrong JSON type: "
+                              f"{json.dumps(value)}") from None
+    return read
 
 
 class RunConfig:
@@ -72,7 +82,7 @@ class RunConfig:
     """
 
     def __init__(self, data):
-        _known(data, "config", _CONFIG_KEYS)
+        data = _known(data, "config", _CONFIG_KEYS)
         if "domain" not in data:
             raise ConfigError("config needs a 'domain' entry")
         try:
@@ -83,17 +93,16 @@ class RunConfig:
         self.problem_kind = problem.get("kind", "exterior")
         if self.problem_kind not in ("exterior", "interior"):
             raise ConfigError(f"unknown problem kind {self.problem_kind!r}")
-        self.c = float(problem.get("c", 1.0))
-        self.d = float(problem.get("d", 1.0)) if self.problem_kind == "interior" else None
+        self.c = problem.get("c", 1.0)
+        self.d = problem.get("d", 1.0) if self.problem_kind == "interior" else None
         if self.c <= 0:
             raise ConfigError("boundary value c must be positive")
         if self.problem_kind == "interior" and self.d <= 0:
             raise ConfigError("flux density d must be positive")
 
         solver = _known(data.get("solver", {}), "solver", _SOLVER_KEYS)
-        order = solver.get("order")
-        self.order = None if order is None else int(order)
-        self.levels = [float(v) for v in data.get("levels", [])]
+        self.order = solver.get("order")
+        self.levels = data.get("levels", [])
         check_level_range(self.problem_kind, self.c, self.levels)
         for i, level in enumerate(self.levels):
             if level in self.levels[:i]:
@@ -109,28 +118,27 @@ class RunConfig:
             entries = [{"a": math.log(lo), "b": math.log(hi)}]
         self.identity_checks = []
         for entry in entries:
-            _known(entry, "identity check", _IDENTITY_KEYS)
+            entry = _known(entry, "identity check", _IDENTITY_KEYS)
             try:
                 kind = entry.get("weight", "linear")
                 if kind == "linear":
                     weight = WeightSpec.linear()
                 elif kind in ("shifted-log", "shifted_log"):
-                    weight = WeightSpec.shifted_log(float(entry["t"]))
+                    weight = WeightSpec.shifted_log(entry["t"])
                 else:
                     raise ConfigError(f"unknown identity weight {kind!r}")
-                a = float(entry["a"])
-                b = float(entry["b"])
+                a, b = entry["a"], entry["b"]
+                if not a < b:
+                    raise ConfigError("identity check needs a < b")
+                weight.validate_range(b)
             except KeyError as exc:
                 raise ConfigError(
                     f"identity check is missing {exc.args[0]!r}") from None
-            if not a < b:
-                raise ConfigError("identity check needs a < b")
-            try:
-                weight.validate_range(b)
             except ValueError as exc:
                 raise ConfigError(str(exc)) from None
+            check_level_range(self.problem_kind, self.c, np.exp([a, b]))
             self.identity_checks.append((weight, a, b))
-        self.seed = int(data.get("seed", 0))
+        self.seed = data.get("seed", 0)
 
     @classmethod
     def from_path(cls, path):
@@ -373,6 +381,8 @@ def main(argv=None):
                 raise ConfigError(f"{args.command} is defined for the "
                                   "exterior problem only")
             stages = [s for s in stages if s not in _EXTERIOR_ONLY]
+        elif getattr(args, "level", None) is not None:
+            check_level_range("exterior", config.c, [args.level])
         sol = (_load_matching(config, args.solution) if args.solution
                else config.solve())
         os.makedirs(args.out, exist_ok=True)

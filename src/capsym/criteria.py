@@ -314,17 +314,16 @@ def check_T16(sol):
         raise ValueError("T1.6 applies to the interior problem")
     b = _boundary(sol)
     m1, m2, m3 = _grad_moments(b)
-    area = b.area
-    h_term = surface_integral(b, b.mean_curv / (_N - 1) * b.u_grad ** 2) / area
+    h_term = surface_integral(b, b.mean_curv / (_N - 1) * b.u_grad ** 2) / b.area
     lhs_value = h_term / m1 ** 2
-    area_ratio = (_SPHERE_AREA / area) ** (1.0 / (_N - 1))
+    area_ratio = (_SPHERE_AREA / b.area) ** (1.0 / (_N - 1))
     rhs_value = area_ratio * (m3 / m1 ** 3) ** (_N / (2.0 * (_N - 1)))
     err = max(_solver_error_floor(sol), 1e-9 * abs(rhs_value))
     witnesses = {
         "c1": normalization_c1(sol),
         "c2": normalization_c2(sol),
         "gradMoments": [m1, m2, m3],
-        "fluxRatio": m1 * area / (sol.d * area),
+        "fluxRatio": m1 * b.area / (sol.d * b.area),
     }
     # condition is lhs_value >= rhs_value; orient margin accordingly
     return _report("T1.6-interior-integral", rhs_value, lhs_value, err,

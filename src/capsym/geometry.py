@@ -154,6 +154,16 @@ def _legendre(l, k, x, s):
 # domain specification
 # ---------------------------------------------------------------------------
 
+# how a DomainSpec reads each field; the JSON keys of each kind, required first
+_FIELD_READERS = {
+    "center": lambda v: tuple(map(float, v)), "radius": float,
+    "axes": lambda v: tuple(map(float, v)), "mean_radius": float,
+    "terms": lambda t: tuple((int(l), int(m), float(c)) for l, m, c in t),
+    "max_degree": int}
+_JSON_KEYS = {"sphere": ("radius",), "ellipsoid": ("axes",),
+              "star": ("mean_radius", "terms", "max_degree")}
+
+
 @dataclass(frozen=True)
 class DomainSpec:
     """Parametric description of a smooth closed boundary surface in R^3.
@@ -173,20 +183,22 @@ class DomainSpec:
     max_degree: int = DEFAULT_MAX_DEGREE
 
     def __post_init__(self):
-        object.__setattr__(self, "center", tuple(float(c) for c in self.center))
+        for name, read in _FIELD_READERS.items():
+            try:
+                object.__setattr__(self, name, read(getattr(self, name)))
+            except (TypeError, ValueError):
+                raise InvalidDomainError(f"{name!r} in domain has the wrong "
+                                         f"type: {getattr(self, name)!r}") from None
         if self.kind == "sphere":
             if not self.radius > 0:
                 raise InvalidDomainError("sphere radius must be positive")
         elif self.kind == "ellipsoid":
-            object.__setattr__(self, "axes", tuple(float(a) for a in self.axes))
             if len(self.axes) != 3 or min(self.axes) <= 0:
                 raise InvalidDomainError("ellipsoid needs three positive semi-axes")
         elif self.kind == "star":
             if not self.mean_radius > 0:
                 raise InvalidDomainError("star surface needs a positive mean radius")
-            terms = tuple((int(l), int(m), float(c)) for (l, m, c) in self.terms)
-            object.__setattr__(self, "terms", terms)
-            for (l, m, _) in terms:
+            for (l, m, _) in self.terms:
                 if l < 1 or abs(m) > l:
                     raise InvalidDomainError(f"invalid harmonic index (l={l}, m={m})")
                 if l > self.max_degree:
@@ -337,20 +349,14 @@ class DomainSpec:
 
     @classmethod
     def from_json_dict(cls, data):
+        if not isinstance(data, dict):
+            raise InvalidDomainError("domain must be a JSON object")
         kind = data.get("kind")
-        kwargs = {"center": tuple(data.get("center", (0.0, 0.0, 0.0)))}
-        if kind == "sphere":
-            kwargs["radius"] = float(data["radius"])
-        elif kind == "ellipsoid":
-            kwargs["axes"] = tuple(data["axes"])
-        elif kind == "star":
-            kwargs["mean_radius"] = float(data["mean_radius"])
-            kwargs["terms"] = tuple(tuple(t) for t in data.get("terms", ()))
-            if "max_degree" in data:
-                kwargs["max_degree"] = int(data["max_degree"])
-        else:
+        if not (isinstance(kind, str) and kind in _JSON_KEYS):
             raise InvalidDomainError(f"unknown domain kind {kind!r}")
-        return cls(kind=kind, **kwargs)
+        required, *optional = _JSON_KEYS[kind]
+        kwargs = {key: data[key] for key in ("center", *optional) if key in data}
+        return cls(kind=kind, **kwargs, **{required: data[required]})
 
 
 def _ellipsoid_rho(theta, phi, axes):
@@ -407,9 +413,8 @@ class SurfaceQuadrature:
     """Quadrature-ready discretization of a closed surface.
 
     nodes carry the area measure in ``weights`` (sum equals the surface
-    area), unit ``normals``, and ``mean_curv`` = sum of the principal
-    curvatures with respect to those normals; build_quadrature's normals
-    point outward.  levelset.surface_integral integrates over it.
+    area), unit ``normals`` (outward from build_quadrature), and
+    ``mean_curv`` = sum of the principal curvatures about those normals.
     """
 
     nodes: np.ndarray

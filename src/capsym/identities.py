@@ -256,9 +256,7 @@ def interior_flux_cubed_limit(sol):
     """
     if sol.problem != "interior":
         raise ValueError("the flux-cubed limit applies to interior solutions")
-    n = _N
-    s_area = unit_sphere_area(n)
     d_area = sol.d * _boundary(sol).area
-    return ((n - 2) ** (2.0 * (n - 1) / (n - 2))
-            * (s_area / d_area) ** (2.0 / (n - 2)) * d_area)
+    return ((_N - 2) ** (2.0 * (_N - 1) / (_N - 2))
+            * (unit_sphere_area(_N) / d_area) ** (2.0 / (_N - 2)) * d_area)
 

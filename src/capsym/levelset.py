@@ -138,14 +138,14 @@ def _boundary(sol):
 
 
 def check_level_range(problem, c, levels):
-    """Raise LevelRangeError unless every level lies in the range of u:
-    (0, c] for the exterior problem, [c, inf) for the interior one."""
-    for lv in levels:
+    """Raise LevelRangeError unless every level, taken to 15 digits as
+    extract_level_set takes it, lies in the range of u: (0, c] for the
+    exterior problem, [c, inf) for the interior one."""
+    for lv in (float(f"{v:.15g}") for v in levels):
         if problem == "exterior" and not 0 < lv <= c:
             raise LevelRangeError(f"exterior levels lie in (0, {c}]; got {lv}")
         if problem == "interior" and not c <= lv < np.inf:
-            raise LevelRangeError(
-                f"interior levels lie in [{c}, inf); got {lv}")
+            raise LevelRangeError(f"interior levels lie in [{c}, inf); got {lv}")
 
 
 def _scan_bounds(sol, om, r_exit, c):

@@ -385,9 +385,35 @@ def test_solution_must_match_config(tmp_path, capsys, saved_solutions,
       "levels": [math.inf]}, "interior levels lie in [1.0, inf); got inf"),
     ({"domain": BALL_DOMAIN, "levels": [0.25, 0.5, 0.25]},
      "level 0.25 is repeated in levels"),
+    # values of the wrong JSON type, each named by its key
+    ({"domain": BALL_DOMAIN, "levels": 0.5},
+     "'levels' in config has the wrong JSON type: 0.5"),
+    ({"domain": BALL_DOMAIN, "criteria": 5},
+     "'criteria' in config has the wrong JSON type: 5"),
+    ({"domain": {"kind": "ellipsoid", "axes": 2}},
+     "'axes' in domain has the wrong type: 2"),
+    ({"domain": {"kind": "star", "mean_radius": 1.0, "terms": 3}},
+     "'terms' in domain has the wrong type: 3"),
+    ({"domain": BALL_DOMAIN, "levels": [None]},
+     "'levels' in config has the wrong JSON type: [null]"),
+    ({"domain": BALL_DOMAIN, "problem": {"c": None}},
+     "'c' in problem has the wrong JSON type: null"),
+    ({"domain": {"kind": "sphere", "radius": None}},
+     "'radius' in domain has the wrong type: None"),
+    ({"domain": BALL_DOMAIN, "seed": None},
+     "'seed' in config has the wrong JSON type: null"),
+    ({"domain": BALL_DOMAIN, "solver": {"order": [1]}},
+     "'order' in solver has the wrong JSON type: [1]"),
+    ({"domain": BALL_DOMAIN, "identities": [{"a": None, "b": -0.3}]},
+     "'a' in identity check has the wrong JSON type: null"),
+    ({"domain": "sphere"}, "domain must be a JSON object"),
+    ({"domain": {"kind": "ellipsoid", "axes": [None, 1.0, 1.0]}},
+     "'axes' in domain has the wrong type: [None, 1.0, 1.0]"),
 ], ids=["domain-field", "identity-a", "identity-t", "top-key", "solver-key",
         "problem-key", "identity-key", "not-an-object", "infinite-level",
-        "repeated-level"])
+        "repeated-level", "levels-type", "criteria-type", "axes-type",
+        "terms-type", "level-type", "c-type", "radius-type", "seed-type",
+        "order-type", "identity-a-type", "domain-type", "axis-type"])
 def test_malformed_config_names_the_field(tmp_path, capsys, data, named):
     cfg = write_config(tmp_path / "run.json", data)
     rc = main(["solve", "--config", cfg, "--out", str(tmp_path / "out")])
@@ -429,6 +455,39 @@ def test_exterior_only_commands_fail_before_solving(tmp_path, capsys,
     assert f"{command} is defined for the exterior problem only" \
         in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, data, argv, level", [
+    ("report", {"domain": BALL_DOMAIN,
+                "identities": [{"a": -1.0, "b": 0.5}]}, [], "1.64872127070013"),
+    ("report", {"domain": BALL_DOMAIN}, ["--level", "2"], "2.0"),
+    ("capacity", {"domain": BALL_DOMAIN}, ["--level", "2"], "2.0"),
+], ids=["identity-level", "report-level", "capacity-level"])
+def test_out_of_range_levels_fail_before_solving(tmp_path, capsys,
+                                                 monkeypatch, command, data,
+                                                 argv, level):
+    # identity levels exp(a), exp(b) and --level are checked with the config,
+    # before anything is solved or written
+    from capsym import cli
+    calls = []
+    monkeypatch.setattr(cli, "solve_exterior",
+                        lambda *args, **kwargs: calls.append(args))
+    cfg = write_config(tmp_path / "run.json", data)
+    out = tmp_path / "out"
+    rc = main([command, "--config", cfg, *argv, "--out", str(out)])
+    assert rc == 2
+    assert calls == []
+    assert f"exterior levels lie in (0, 1.0]; got {level}" \
+        in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_identity_level_one_ulp_above_c_is_the_level_c():
+    # exp(log 3) = 3.0000000000000004 is the level 3.0 that extraction
+    # solves, so an exterior identity up to log c is accepted for c = 3
+    cfg = RunConfig({"domain": BALL_DOMAIN, "problem": {"c": 3.0},
+                     "identities": [{"a": math.log(1.5), "b": math.log(3.0)}]})
+    assert math.exp(cfg.identity_checks[0][2]) > 3.0
 
 
 def test_interior_report_solves_each_level_once(tmp_path, monkeypatch):
