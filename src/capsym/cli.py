@@ -63,11 +63,10 @@ def _known(entry, where, keys):
     its key's reader; a ConfigError names the key of a wrong value."""
     if not isinstance(entry, dict):
         raise ConfigError(f"{where} must be a JSON object")
-    unknown = sorted(set(entry) - set(keys))
-    if unknown:
-        raise ConfigError(f"unknown key {unknown[0]!r} in {where}")
-    read = dict(entry)
+    read = {}
     for key, value in entry.items():
+        if key not in keys:
+            raise ConfigError(f"unknown key {key!r} in {where}")
         try:
             read[key] = keys[key](value) if keys[key] else value
         except (TypeError, ValueError):
@@ -136,7 +135,8 @@ class RunConfig:
                     f"identity check is missing {exc.args[0]!r}") from None
             except ValueError as exc:
                 raise ConfigError(str(exc)) from None
-            check_level_range(self.problem_kind, self.c, np.exp([a, b]))
+            with np.errstate(over="ignore"):  # a huge a or b is the level inf
+                check_level_range(self.problem_kind, self.c, np.exp([a, b]))
             self.identity_checks.append((weight, a, b))
         self.seed = data.get("seed", 0)
 
