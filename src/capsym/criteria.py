@@ -178,7 +178,7 @@ def check_C12(sol):
     """Global coarea condition: c Phi(c)/int_0^c Phi(s) ds <= 2 (n-1)/(n-2),
     with Phi(s) the flux-cubed-over-u integral over {u=s} and c the boundary
     value: Phi(1)/int_0^1 Phi for c = 1, unchanged when u is scaled.
-    Phi(c) = avg(|Du|^3) |dOmega| / c on the boundary level set.  By
+    Phi(c) = avg(|Du|^3) |dOmega| / c on the boundary LevelSet {u = c}.  By
     coarea int_0^c Phi = int |Du|^4/u dmu over the exterior, integrated with
     G7/K15 along the rays from the boundary to infinity.  The error bar is
     the relative G7/K15 error of that integral plus 4 times its relative

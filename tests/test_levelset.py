@@ -236,6 +236,21 @@ def test_agrees_with_reference_extractor(request, name, levels):
         assert np.abs(u - c).max() <= 1e-12 * c
 
 
+def test_boundary_level_set_meets_the_regularity_threshold(monkeypatch,
+                                                           interior_ball):
+    # |Du| = d = 1 on the interior unit ball's boundary: with the threshold
+    # at 2 the boundary LevelSet is irregular, named and not cached, and
+    # the battery embeds the error
+    monkeypatch.setattr(levelset, "REGULARITY_THRESHOLD", 2.0)
+    sol = fresh(interior_ball)
+    with pytest.raises(IrregularLevelSetError,
+                       match="level set 1.0 fails the regularity threshold"):
+        levelset._boundary(sol)
+    assert "boundary" not in sol._levelset_cache
+    [row] = criteria.run_battery(sol, criteria=["C1.7-interior-pointwise"])
+    assert row["error"].startswith("IrregularLevelSetError: level set 1.0")
+
+
 def test_repeat_extraction_is_cached_and_read_only(ball_solution):
     sol = fresh(ball_solution)
     ls = extract_level_set(sol, 0.42)
