@@ -35,8 +35,8 @@ import numpy as np
 from . import criteria as crit
 from .errors import CapsymError
 from .geometry import DomainSpec
-from .harmonic import (HarmonicSolution, decay_report, solve_exterior,
-                       solve_interior)
+from .harmonic import (HarmonicSolution, _integer, decay_report,
+                       solve_exterior, solve_interior)
 from .identities import WeightSpec, bochner_sides, weighted_identity_check
 from .levelset import check_level_range
 
@@ -52,9 +52,9 @@ class ConfigError(CapsymError):
 # the keys of each JSON object, with the reader of each value (None: as is)
 _CONFIG_KEYS = {"domain": None, "problem": None, "solver": None,
                 "levels": lambda v: [float(x) for x in v], "criteria": tuple,
-                "identities": list, "seed": int}
+                "identities": list, "seed": _integer}
 _PROBLEM_KEYS = {"kind": None, "c": float, "d": float}
-_SOLVER_KEYS = {"order": int}
+_SOLVER_KEYS = {"order": _integer}
 _IDENTITY_KEYS = {"weight": None, "t": float, "a": float, "b": float}
 
 
@@ -94,10 +94,10 @@ class RunConfig:
             raise ConfigError(f"unknown problem kind {self.problem_kind!r}")
         self.c = problem.get("c", 1.0)
         self.d = problem.get("d", 1.0) if self.problem_kind == "interior" else None
-        if self.c <= 0:
-            raise ConfigError("boundary value c must be positive")
-        if self.problem_kind == "interior" and self.d <= 0:
-            raise ConfigError("flux density d must be positive")
+        if not 0 < self.c < math.inf:
+            raise ConfigError("boundary value c must be positive and finite")
+        if self.problem_kind == "interior" and not 0 < self.d < math.inf:
+            raise ConfigError("flux density d must be positive and finite")
 
         solver = _known(data.get("solver", {}), "solver", _SOLVER_KEYS)
         self.order = solver.get("order")
@@ -193,6 +193,8 @@ def _load_matching(config, path):
     except KeyError as exc:
         raise ConfigError(
             f"solution {path} is missing {exc.args[0]!r}") from None
+    except TypeError as exc:
+        raise ConfigError(f"solution {path}: {exc}") from None
     for name, want, got in (
             ("problem", config.problem_kind, sol.problem),
             ("c", config.c, sol.c), ("d", config.d, sol.d),
@@ -218,8 +220,7 @@ def _write_json(path, payload):
 def _solve_stage(args, config, sol):
     path = os.path.join(args.out, "solution.json")
     sol.save(path)
-    check = ("-" if sol.check_misfit is None
-             else f"{sol.check_misfit:.6e}")
+    check = "-" if sol.check_misfit is None else f"{sol.check_misfit:.6e}"
     print(f"{'loaded' if args.solution else 'solved'} {config.problem_kind} "
           f"problem on {config.domain.kind}: fitResidual "
           f"{sol.fit_residual:.6e} checkMisfit {check} -> {path}")

@@ -24,9 +24,9 @@ that broadcasts to it (a level set passes its scalar level), and results
 have shape (...) or (..., 3, 3): one point (shape ()) and a batch of
 points run the same broadcast code.
 
-The formulas are written for general n, but the tensors, curvatures and
-measure weights here are evaluated at n = 3, the dimension of the solver's
-points.  Only p_function takes n, since it mixes no dimension-3 tensor.
+The formulas are written for general n, but every quantity here, the
+P-function included, is evaluated at n = 3, the dimension of the solver's
+points.
 """
 
 from __future__ import annotations
@@ -71,7 +71,7 @@ def _ricci_g(d):
     return -d2f + outer / (_N - 2) - (lapf + df2) / (_N - 2) * _EYE3
 
 
-def p_function(u, grad, n=3):
+def p_function(u, grad):
     """Squared conformal gradient length |grad f|_g^2 of f = log u.
 
     Coincides with the classical P-function |Du|^2 / u^(2(n-1)/(n-2));
@@ -82,7 +82,7 @@ def p_function(u, grad, n=3):
         raise ValueError("p_function requires u > 0")
     grad = np.asarray(grad, dtype=float)
     g2 = np.sum(grad * grad, axis=-1)
-    return g2 * u ** (-2.0 * (n - 1) / (n - 2))
+    return g2 * u ** (-2.0 * (_N - 1) / (_N - 2))
 
 
 def hess_f_conformal(u, grad, hess):

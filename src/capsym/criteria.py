@@ -77,23 +77,13 @@ class CriterionReport:
 
 
 def _jsonable(v):
-    if isinstance(v, (np.floating, np.integer)):
-        return v.item()
-    if isinstance(v, np.bool_):
-        return bool(v)
-    if isinstance(v, np.ndarray):
-        return v.tolist()
-    return v
+    return v.tolist() if isinstance(v, (np.generic, np.ndarray)) else v
 
 
 def _report(criterion_id, lhs, rhs, error, witnesses=None):
     margin = rhs - lhs
-    if not np.isfinite(margin):
-        verdict = "inconclusive"
-    elif margin < -error:
-        verdict = "violated"
-    else:
-        verdict = "satisfied"
+    verdict = ("inconclusive" if not np.isfinite(margin)
+               else "violated" if margin < -error else "satisfied")
     w = dict(witnesses or {})
     w["equality"] = bool(np.isfinite(margin) and abs(margin) <= error)
     return CriterionReport(criterion_id=criterion_id, lhs=float(lhs),

@@ -170,8 +170,8 @@ class DomainSpec:
 
     kind is one of "sphere" (radius), "ellipsoid" (semi-axes), or "star"
     (radial graph rho = mean_radius + sum of real spherical-harmonic terms
-    [l, m, coefficient]).  The surface must be a radial graph about
-    ``center`` and the origin must lie inside the domain.
+    [l, m, coefficient]).  Every number must be finite, the surface a
+    radial graph about ``center``, and the origin inside the domain.
     """
 
     kind: str
@@ -185,10 +185,14 @@ class DomainSpec:
     def __post_init__(self):
         for name, read in _FIELD_READERS.items():
             try:
-                object.__setattr__(self, name, read(getattr(self, name)))
-            except (TypeError, ValueError):
+                value = read(getattr(self, name))
+                if not np.isfinite(np.asarray(value, dtype=float)).all():
+                    raise InvalidDomainError(
+                        f"{name!r} in domain must be finite: {value!r}")
+            except (TypeError, ValueError, OverflowError):
                 raise InvalidDomainError(f"{name!r} in domain has the wrong "
                                          f"type: {getattr(self, name)!r}") from None
+            object.__setattr__(self, name, value)
         if self.kind == "sphere":
             if not self.radius > 0:
                 raise InvalidDomainError("sphere radius must be positive")
@@ -216,14 +220,7 @@ class DomainSpec:
 
     def rho(self, theta, phi):
         """Radial graph rho(theta, phi) about the center."""
-        if self.kind != "star":
-            return self.rho_derivatives(theta, phi)[0]
-        theta = np.asarray(theta, dtype=float)
-        phi = np.asarray(phi, dtype=float)
-        vals = np.full(np.broadcast(theta, phi).shape, self.mean_radius)
-        for (l, m, c) in self.terms:
-            vals = vals + c * real_sph_harm(l, m, theta, phi)
-        return vals
+        return self.rho_derivatives(theta, phi)[0]
 
     def rho_derivatives(self, theta, phi):
         """rho and its angular derivatives (r, r_t, r_p, r_tt, r_tp, r_pp)."""

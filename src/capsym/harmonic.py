@@ -40,6 +40,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
+from numbers import Real
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -57,6 +58,13 @@ DEFAULT_TOLERANCE_EXTERIOR = {"sphere": 1e-9, "ellipsoid": 1e-7, "star": 1e-7}
 DEFAULT_TOLERANCE_INTERIOR = {"sphere": 1e-9, "ellipsoid": 1e-5, "star": 1e-5}
 # relative truncated-SVD cutoff of the collocation least-squares solve
 _RCOND = 1e-12
+
+
+def _integer(value):
+    """value as an int if it is a whole number (24, 24.0), else TypeError."""
+    if isinstance(value, bool) or not isinstance(value, Real) or value % 1:
+        raise TypeError(f"not an integer: {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -160,20 +168,31 @@ class HarmonicSolution:
 
     @classmethod
     def from_json_dict(cls, data):
+        """The solution that to_json_dict wrote.  A missing key raises
+        KeyError and a value of the wrong JSON type TypeError, naming it."""
+        def read(key, convert, default=KeyError):
+            value = data[key] if default is KeyError else data.get(key, default)
+            if value is None and default is None:   # an optional null
+                return None
+            try:
+                return convert(value)
+            except (TypeError, ValueError):
+                raise TypeError(f"{key!r} has the wrong JSON type: "
+                                f"{json.dumps(value)}") from None
+
+        def array(value):
+            return np.asarray(value, dtype=float)
+
         return cls(
-            problem=data["problem"],
-            c=float(data["c"]),
-            d=None if data.get("d") is None else float(data["d"]),
+            problem=data["problem"], c=read("c", float),
+            d=read("d", float, None),
             domain=DomainSpec.from_json_dict(data["domain"]),
-            sources=np.asarray(data["sources"], dtype=float),
-            charges=np.asarray(data["charges"], dtype=float),
-            singular_coefficient=float(data["singularCoefficient"]),
-            fit_residual=float(data["fitResidual"]),
-            order=int(data["order"]),
-            condition_estimate=float(data.get("conditionEstimate", 0.0)),
-            check_misfit=(None if data.get("checkMisfit") is None
-                          else float(data["checkMisfit"])),
-        )
+            sources=read("sources", array), charges=read("charges", array),
+            singular_coefficient=read("singularCoefficient", float),
+            fit_residual=read("fitResidual", float),
+            order=read("order", _integer),
+            condition_estimate=read("conditionEstimate", float, 0.0),
+            check_misfit=read("checkMisfit", float, None))
 
     def save(self, path):
         with open(path, "w", encoding="utf-8") as fh:
@@ -361,6 +380,8 @@ def _collocation_solve(quad, sources, center, rhs):
 
 def _solve(spec, order, problem, c, d):
     """The collocation solve of either problem; d is None for the exterior."""
+    if not 0 < c < math.inf:
+        raise ValueError("boundary value c must be positive and finite")
     order = DEFAULT_ORDER[spec.kind] if order is None else order
     quad = build_quadrature(spec, order)
     src_order, factor = _placement(spec.kind, order)
@@ -387,7 +408,7 @@ def _solve(spec, order, problem, c, d):
             sources = _graph_points(spec, src_order, dilation)
         tol = DEFAULT_TOLERANCE_INTERIOR[spec.kind]
     charges, fit, cond = _collocation_solve(quad, sources, spec.center, rhs)
-    if fit > tol:
+    if not fit <= tol:  # a NaN fit fails too
         raise SolverFailureError(
             f"{problem} boundary misfit {fit:.3e} exceeds tolerance "
             f"{tol:.1e} (condition estimate {cond:.3e}); raise the order "
@@ -409,8 +430,6 @@ def solve_exterior(spec, c=1.0, order=None):
     Raises SolverFailureError (with the collocation condition estimate) if
     the boundary misfit exceeds the tolerance.
     """
-    if not c > 0:
-        raise ValueError("boundary value c must be positive")
     return _solve(spec, order, "exterior", c, None)
 
 
@@ -421,8 +440,8 @@ def solve_interior(spec, c=1.0, d=1.0, order=None):
     The singular part d |dOmega| a_n |x|^(2-n) is exact; only the bounded
     harmonic remainder is fitted, with sources outside the domain.
     """
-    if not d > 0:
-        raise ValueError("flux density d must be positive")
+    if not 0 < d < math.inf:
+        raise ValueError("flux density d must be positive and finite")
     return _solve(spec, order, "interior", c, d)
 
 
@@ -449,16 +468,16 @@ def decay_report(sol, radii):
 
     Samples are averaged over directions with a symmetric sphere rule before
     fitting, which cancels the leading multipole contamination of the
-    averages.  Radii must be strictly increasing, at least 4, and start
-    beyond twice the enclosing radius of the domain.
+    averages.  Radii must be finite, strictly increasing, at least 4, and
+    start beyond twice the enclosing radius of the domain.
     """
     if sol.problem != "exterior":
         raise ValueError("decay fits are defined for exterior solutions only")
     radii = np.asarray(radii, dtype=float)
     if len(radii) < 4:
         raise InsufficientSamplesError("need at least 4 radii for a decay fit")
-    if np.any(np.diff(radii) <= 0):
-        raise ValueError("radii must be strictly increasing")
+    if not (np.all(np.isfinite(radii)) and np.all(np.diff(radii) > 0)):
+        raise ValueError("radii must be finite and strictly increasing")
     r_enc = sol.domain.bounding_radii()[1]
     if radii[0] < 2.0 * r_enc:
         raise ValueError(f"radii must start at >= twice the enclosing radius "
@@ -466,15 +485,13 @@ def decay_report(sol, radii):
     th, ph, W = angular_grid(_DECAY_ORDER)
     om = unit_directions(th, ph)
     Wn = W / W.sum()
-    avg_u, avg_g, avg_h = [], [], []
+    avgs = []   # direction averages of u, |Du| and |D2u| per radius
     for r in radii:
         st = sol.field(r * om, want="hess", check_region=False)
-        avg_u.append(float(Wn @ st.u))
-        avg_g.append(float(Wn @ np.linalg.norm(st.grad, axis=1)))
-        avg_h.append(float(Wn @ np.linalg.norm(st.hess, axis=(1, 2))))
-    logs = np.log(radii)
-    slopes = [float(np.polyfit(logs, np.log(v), 1)[0])
-              for v in (avg_u, avg_g, avg_h)]
+        avgs.append([Wn @ st.u, Wn @ np.linalg.norm(st.grad, axis=1),
+                     Wn @ np.linalg.norm(st.hess, axis=(1, 2))])
+    slopes = [float(np.polyfit(np.log(radii), np.log(v), 1)[0])
+              for v in np.transpose(avgs)]
     return DecayReport(fitted_exponent=slopes[0], gradient_exponent=slopes[1],
                        hessian_exponent=slopes[2],
                        sample_radii=tuple(map(float, radii)))

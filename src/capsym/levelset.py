@@ -3,11 +3,11 @@ integrals between them along the rays.
 
 Each angular direction gets one ray from the origin.  A level is found by a
 scan of u along the rays, on a geometric grid of 16 radii per decade.  One
-rule sets its ends in both problems: 1e-5 r on the region's side of the
-boundary, and a far end, from 2 max r_exit outside or min r_exit/2 inside,
-doubled or halved per ray until u is beyond the level by 1e-6 c.  The scan
-is also the star-shapedness check: u - c must change sign exactly once on
-every ray, else the level is reported (NonStarShapedLevelSetError,
+rule runs it in both problems: it starts 1e-5 r on the region's side of the
+boundary and steps away from the boundary, outward or inward, until at
+least 8 columns are done and u is beyond the level by 1e-6 c on every ray.
+The scan is also the star-shapedness check: u - c must change sign exactly
+once on every ray, else the level is reported (NonStarShapedLevelSetError,
 LevelRangeError), not worked around.
 
 Each level is then solved per ray by safeguarded Newton iteration
@@ -56,8 +56,8 @@ from .geometry import (SurfaceQuadrature, angular_grid, build_quadrature,
 REGULARITY_THRESHOLD = 1e-8
 _SCAN_PER_DECADE = 16
 _RTOL = 1e-14
-# a scan interval spans at most a factor 10^(1/14) in r; pure bisection
-# narrows it to _RTOL * r in 45 steps
+# a scan interval spans exactly a factor 10^(1/16) in r; pure bisection
+# narrows it to _RTOL * r in 44 steps
 _MAX_STEPS = 64
 
 # QUADPACK qk15 on [-1, 1]: the Kronrod nodes from the outermost down to 0,
@@ -148,36 +148,28 @@ def check_level_range(problem, c, levels):
             raise LevelRangeError(f"interior levels lie in [{c}, inf); got {lv}")
 
 
-def _scan_bounds(sol, om, r_exit, c):
-    """Per-ray radii (inner, outer) between which u passes through the
-    level c; the margins keep roundoff from flipping the endpoint signs."""
+def _scan(sol, om, r_exit, c):
+    """u on a geometric grid of radii along every ray, one call per column.
+
+    The grid starts 1e-5 r on the region's side of the boundary and steps
+    away from it, for at most 18 decades, until at least 8 columns are done
+    and u is beyond the level by 1e-6 c on every ray; the margins keep
+    roundoff from flipping the end signs.  Columns come in increasing r.
+    """
     check_level_range(sol.problem, sol.c, [c])
-    exterior = sol.problem == "exterior"
-    if exterior:
-        near, far, step = r_exit * (1.0 - 1e-5), 2.0 * r_exit.max(), 2.0
-    else:
-        near, far, step = r_exit * (1.0 + 1e-5), 0.5 * r_exit.min(), 0.5
-    far = np.full_like(near, far)
-    for _ in range(60):
-        u = sol.field(far[:, None] * om, want="u", check_region=False).u
-        beyond = u < c * (1.0 - 1e-6) if exterior else u > c * (1.0 + 1e-6)
-        if np.all(beyond):
-            return (near, far) if exterior else (far, near)
-        far = np.where(beyond, far, far * step)
+    # the exterior scan steps outward (sign 1), the interior one inward
+    # (sign -1), so [:, ::sign] puts the interior columns in increasing r
+    sign = 1 if sol.problem == "exterior" else -1
+    radii, vals = [], []
+    for j in range(18 * _SCAN_PER_DECADE + 1):
+        radii.append(r_exit * (1.0 - sign * 1e-5)
+                     * 10.0 ** (sign * j / _SCAN_PER_DECADE))
+        vals.append(sol.field(radii[-1][:, None] * om, want="u",
+                              check_region=False).u)
+        if j >= 7 and np.all(sign * (vals[-1] - c) < -1e-6 * c):
+            return (np.stack(radii, axis=1)[:, ::sign],
+                    np.stack(vals, axis=1)[:, ::sign])
     raise LevelRangeError(f"could not enclose level {c} away from the boundary")
-
-
-def _scan(sol, om, r_lo, r_hi):
-    """u on a geometric grid of radii along every ray, one call per column."""
-    n = max(8, int(_SCAN_PER_DECADE * np.log10(r_hi.max() / r_lo.min())) + 1)
-    t = np.linspace(0.0, 1.0, n)
-    grid = np.exp(np.log(r_lo)[:, None] * (1 - t)[None, :]
-                  + np.log(r_hi)[:, None] * t[None, :])
-    vals = np.empty_like(grid)
-    for j in range(n):
-        vals[:, j] = sol.field(grid[:, j][:, None] * om, want="u",
-                               check_region=False).u
-    return grid, vals
 
 
 def _bracket(grid, vals, c):
@@ -247,7 +239,7 @@ def _extract(sol, c, order):
     """The LevelSet {u = c} at ``order``: a scan, then Newton on every ray."""
     W, om, r_exit = _rays(sol, order)
     # the scan arrays are released before the level is solved
-    bracket = _bracket(*_scan(sol, om, *_scan_bounds(sol, om, r_exit, c)), c)
+    bracket = _bracket(*_scan(sol, om, r_exit, c), c)
     r = _solve_radii(sol, om, c, *bracket)
     return _level_set(sol, c, r, om, W)
 

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -409,11 +410,29 @@ def test_solution_must_match_config(tmp_path, capsys, saved_solutions,
     ({"domain": "sphere"}, "domain must be a JSON object"),
     ({"domain": {"kind": "ellipsoid", "axes": [None, 1.0, 1.0]}},
      "'axes' in domain has the wrong type: [None, 1.0, 1.0]"),
+    # integers only: no truncation of a fraction, no bool
+    ({"domain": BALL_DOMAIN, "solver": {"order": 24.5}},
+     "'order' in solver has the wrong JSON type: 24.5"),
+    ({"domain": BALL_DOMAIN, "seed": 1.5},
+     "'seed' in config has the wrong JSON type: 1.5"),
+    ({"domain": BALL_DOMAIN, "solver": {"order": True}},
+     "'order' in solver has the wrong JSON type: true"),
+    # non-finite numbers, rejected before solving
+    ({"domain": BALL_DOMAIN, "problem": {"kind": "interior", "d": math.inf}},
+     "flux density d must be positive and finite"),
+    ({"domain": BALL_DOMAIN, "problem": {"c": math.inf}},
+     "boundary value c must be positive and finite"),
+    ({"domain": BALL_DOMAIN, "problem": {"c": math.nan}},
+     "boundary value c must be positive and finite"),
+    ({"domain": {"kind": "sphere", "radius": math.inf}},
+     "'radius' in domain must be finite: inf"),
 ], ids=["domain-field", "identity-a", "identity-t", "top-key", "solver-key",
         "problem-key", "identity-key", "not-an-object", "infinite-level",
         "repeated-level", "levels-type", "criteria-type", "axes-type",
         "terms-type", "level-type", "c-type", "radius-type", "seed-type",
-        "order-type", "identity-a-type", "domain-type", "axis-type"])
+        "order-type", "identity-a-type", "domain-type", "axis-type",
+        "order-fraction", "seed-fraction", "order-bool", "d-inf", "c-inf",
+        "c-nan", "radius-inf"])
 def test_malformed_config_names_the_field(tmp_path, capsys, data, named):
     cfg = write_config(tmp_path / "run.json", data)
     rc = main(["solve", "--config", cfg, "--out", str(tmp_path / "out")])
@@ -427,6 +446,24 @@ def test_decay_default_radii_follow_the_domain(tmp_path):
     data = json.loads((tmp_path / "out" / "decay.json").read_text())
     assert data["sampleRadii"][0] == pytest.approx(18.0)
     assert abs(data["fittedExponent"] + 1.0) < 1e-6
+
+
+@pytest.mark.parametrize("key, value, shown", [
+    ("c", None, "null"), ("order", "x", '"x"'), ("order", 24.5, "24.5"),
+    ("charges", "x", '"x"')])
+def test_solution_value_of_the_wrong_type_is_named(tmp_path, capsys,
+                                                   saved_solutions, key,
+                                                   value, shown):
+    data = json.loads(Path(saved_solutions["exterior"]).read_text())
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**data, key: value}))
+    out = tmp_path / "out"
+    rc = main(["check", "--domain", "sphere:1", "--solution", str(bad),
+               "--out", str(out)])
+    assert rc == 2
+    assert (f"solution {bad}: {key!r} has the wrong JSON type: {shown}"
+            in capsys.readouterr().err)
+    assert not out.exists()
 
 
 def test_solution_missing_a_key_is_named(tmp_path, capsys):

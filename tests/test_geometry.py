@@ -177,6 +177,32 @@ def test_invalid_domains_rejected():
         DomainSpec(kind="sphere", radius=1.0, center=(2.0, 0.0, 0.0))
 
 
+@pytest.mark.parametrize("fields, named", [
+    ({"kind": "sphere", "radius": math.inf}, "'radius' in domain"),
+    ({"kind": "sphere", "radius": math.nan}, "'radius' in domain"),
+    ({"kind": "ellipsoid", "axes": (2.0, math.inf, 1.0)}, "'axes' in domain"),
+    ({"kind": "star", "mean_radius": math.inf}, "'mean_radius' in domain"),
+    ({"kind": "star", "mean_radius": 1.0, "terms": ((2, 0, math.inf),)},
+     "'terms' in domain"),
+    ({"kind": "sphere", "radius": 1.0, "center": (math.inf, 0.0, 0.0)},
+     "'center' in domain"),
+], ids=["radius-inf", "radius-nan", "axis-inf", "mean-radius-inf",
+        "coefficient-inf", "center-inf"])
+def test_non_finite_domain_numbers_rejected(fields, named):
+    with pytest.raises(InvalidDomainError, match=f"{named} must be finite"):
+        DomainSpec(**fields)
+
+
+def test_star_rho_is_the_value_of_rho_derivatives():
+    # rho sums the same terms in the same order as rho_derivatives
+    star = DomainSpec(kind="star", mean_radius=1.0,
+                      terms=((2, 0, 0.1), (3, 1, 0.05)))
+    th, ph, _ = angular_grid(48)
+    direct = 1.0 + 0.1 * real_sph_harm(2, 0, th, ph) \
+        + 0.05 * real_sph_harm(3, 1, th, ph)
+    assert np.array_equal(star.rho(th, ph), direct)
+
+
 def test_domain_json_round_trip():
     specs = [
         DomainSpec(kind="sphere", radius=1.5, center=(0.1, 0.0, 0.0)),

@@ -7,7 +7,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from capsym import (DomainSpec, InsufficientSamplesError, OutOfRegionError,
-                    decay_report, harmonic, solve_exterior, solve_interior)
+                    SolverFailureError, decay_report, harmonic,
+                    solve_exterior, solve_interior)
 from radial_oracle import RadialGeometry, radial_solution
 from scipy.special import elliprf
 
@@ -401,6 +402,26 @@ def test_interior_requires_positive_flux():
         solve_interior(DomainSpec(kind="sphere", radius=1.0), d=0.0)
 
 
+@pytest.mark.parametrize("solve, named", [
+    (lambda ball: solve_exterior(ball, c=math.inf), "c must be positive"),
+    (lambda ball: solve_interior(ball, c=math.nan), "c must be positive"),
+    (lambda ball: solve_interior(ball, d=math.inf), "d must be positive"),
+], ids=["exterior-c-inf", "interior-c-nan", "interior-d-inf"])
+def test_non_finite_c_and_d_rejected_before_solving(solve, named):
+    with pytest.raises(ValueError, match=f"{named} and finite"):
+        solve(DomainSpec(kind="sphere", radius=1.0))
+
+
+def test_nan_fit_fails_the_tolerance(monkeypatch):
+    # NaN > tol is False, so the gate must ask for fit <= tol instead
+    def nan_fit(quad, sources, center, rhs):
+        return np.zeros(len(sources)), math.nan, 1.0
+
+    monkeypatch.setattr(harmonic, "_collocation_solve", nan_fit)
+    with pytest.raises(SolverFailureError, match="misfit nan exceeds"):
+        solve_exterior(DomainSpec(kind="sphere", radius=1.0))
+
+
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
@@ -469,6 +490,10 @@ def test_decay_preconditions(ball_solution, ball_interior):
         decay_report(ball_solution, [10.0, 20.0, 30.0])
     with pytest.raises(ValueError):
         decay_report(ball_solution, [10.0, 9.0, 20.0, 30.0])
+    # a non-finite radius is named, not left to the fit (LAPACK noise)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="radii must be finite"):
+            decay_report(ball_solution, [10.0, 20.0, 30.0, bad])
     with pytest.raises(ValueError):
         decay_report(ball_solution, [1.1, 10.0, 20.0, 30.0])
     with pytest.raises(ValueError):

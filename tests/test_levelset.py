@@ -284,15 +284,20 @@ def test_rays_computed_once_per_order(monkeypatch, star_solution):
     assert len(calls) == 1
 
 
-def test_interior_scan_starts_at_half_the_boundary(monkeypatch,
-                                                  interior_ball):
-    # the far end of the interior scan starts at r_exit/2, where u = 2 on
-    # the unit ball already exceeds 1.5, so one bracketing call and one
-    # decade of scan suffice
-    sol = fresh(interior_ball)
+@pytest.mark.parametrize("name,level", [
+    *(("ball_solution", c) for c in (1.0, 0.75, 0.5, 0.25, 0.002)),
+    *(("interior_ball", c) for c in (1.5, 3.0, 40.0))])
+def test_scan_marches_once_to_the_level(monkeypatch, request, name, level):
+    # u = 1/r on both unit-ball solutions, so {u = level} is the sphere of
+    # radius 1/level; one march from 1e-5 off the boundary at 16 columns
+    # per decade reaches it, with at least 8 columns and the column past it
+    sol = fresh(request.getfixturevalue(name))
     calls = count_field_calls(monkeypatch)
-    extract_level_set(sol, 1.5 * sol.c)
-    assert calls["u"] <= 10
+    ls = extract_level_set(sol, level)
+    assert_allclose(ls.radii, 1.0 / level, rtol=1e-12)
+    r_start = 1.0 - 1e-5 if sol.problem == "exterior" else 1.0 + 1e-5
+    decades = abs(math.log10(level * r_start))
+    assert calls["u"] <= max(8, math.ceil(16 * decades) + 2)
 
 
 @pytest.mark.parametrize("name", ["ball_solution", "ellipsoid_solution",
