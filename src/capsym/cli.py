@@ -34,9 +34,9 @@ import numpy as np
 
 from . import criteria as crit
 from .errors import CapsymError
-from .geometry import DomainSpec
-from .harmonic import (HarmonicSolution, _integer, decay_report,
-                       solve_exterior, solve_interior)
+from .geometry import DomainSpec, _integer
+from .harmonic import (HarmonicSolution, decay_report, solve_exterior,
+                       solve_interior)
 from .identities import WeightSpec, bochner_sides, weighted_identity_check
 from .levelset import check_level_range
 
@@ -118,6 +118,10 @@ class RunConfig:
         self.identity_checks = []
         for entry in entries:
             entry = _known(entry, "identity check", _IDENTITY_KEYS)
+            for key in ("t", "a", "b"):
+                if key in entry and not math.isfinite(entry[key]):
+                    raise ConfigError(f"{key!r} in identity check must be "
+                                      f"finite: {entry[key]}")
             try:
                 kind = entry.get("weight", "linear")
                 if kind == "linear":
@@ -337,8 +341,20 @@ _EXTERIOR_ONLY = {"capacity", "decay"}
 
 
 def _radii_triple(text):
-    lo, hi, count = text.split(":")
-    return float(lo), float(hi), int(count)
+    """--radii lo:hi:count, with finite radii 0 < lo < hi and count >= 4."""
+    try:
+        lo, hi, count = text.split(":")
+        lo, hi, count = float(lo), float(hi), int(count)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected lo:hi:count: {text}") from None
+    if not 0 < lo < hi < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"radii must be finite, positive and increasing: {text}")
+    if count < 4:
+        raise argparse.ArgumentTypeError(
+            f"need a count of at least 4 radii: {text}")
+    return lo, hi, count
 
 
 def build_parser():

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -154,12 +155,20 @@ def _legendre(l, k, x, s):
 # domain specification
 # ---------------------------------------------------------------------------
 
+def _integer(value):
+    """value as an int if it is a whole number (24, 24.0), else TypeError."""
+    if isinstance(value, bool) or not isinstance(value, Real) or value % 1:
+        raise TypeError(f"not an integer: {value!r}")
+    return int(value)
+
+
 # how a DomainSpec reads each field; the JSON keys of each kind, required first
 _FIELD_READERS = {
     "center": lambda v: tuple(map(float, v)), "radius": float,
     "axes": lambda v: tuple(map(float, v)), "mean_radius": float,
-    "terms": lambda t: tuple((int(l), int(m), float(c)) for l, m, c in t),
-    "max_degree": int}
+    "terms": lambda t: tuple((_integer(l), _integer(m), float(c))
+                             for l, m, c in t),
+    "max_degree": _integer}
 _JSON_KEYS = {"sphere": ("radius",), "ellipsoid": ("axes",),
               "star": ("mean_radius", "terms", "max_degree")}
 

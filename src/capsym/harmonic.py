@@ -40,14 +40,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
-from numbers import Real
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import (InsufficientSamplesError, OutOfRegionError,
                      SolverFailureError)
-from .geometry import (DomainSpec, angular_grid, build_quadrature,
+from .geometry import (DomainSpec, _integer, angular_grid, build_quadrature,
                        unit_directions, unit_sphere_area)
 
 N_DIM = 3
@@ -58,13 +57,6 @@ DEFAULT_TOLERANCE_EXTERIOR = {"sphere": 1e-9, "ellipsoid": 1e-7, "star": 1e-7}
 DEFAULT_TOLERANCE_INTERIOR = {"sphere": 1e-9, "ellipsoid": 1e-5, "star": 1e-5}
 # relative truncated-SVD cutoff of the collocation least-squares solve
 _RCOND = 1e-12
-
-
-def _integer(value):
-    """value as an int if it is a whole number (24, 24.0), else TypeError."""
-    if isinstance(value, bool) or not isinstance(value, Real) or value % 1:
-        raise TypeError(f"not an integer: {value!r}")
-    return int(value)
 
 
 @dataclass(frozen=True)
@@ -102,8 +94,9 @@ class HarmonicSolution:
     order: int
     condition_estimate: float
     check_misfit: float | None = None
-    # rays, the boundary LevelSet and the extracted LevelSets of this
-    # solution, read and written by capsym.levelset alone
+    # rays and the scan's march per order, the boundary LevelSet and the
+    # extracted LevelSets of this solution, read and written by
+    # capsym.levelset alone
     _levelset_cache: dict = field(default_factory=dict, init=False,
                                   repr=False, compare=False)
 
@@ -225,15 +218,20 @@ def _source_rows(y):
                       np.einsum("ij,ij->i", y, y)])
 
 
-def _inverse_distance(x, y_rows):
-    """The (len(x), len(y)) matrix 1/|x_i - y_j|, y_rows = _source_rows(y).
+def _point_rows(x):
+    """The (len(x), 5) augmented point rows [x, |x|^2, 1]."""
+    return np.column_stack([x, np.einsum("ij,ij->i", x, x), np.ones(len(x))])
 
-    r^2 = |x|^2 + |y|^2 - 2 x.y^T is one matrix product of the rows
-    [x, |x|^2, 1] with the source rows [-2y, 1, |y|^2] and is turned into
-    1/r in place.  Callers centre x and y on the domain first, which keeps
-    |x|^2 + |y|^2 small next to r^2 and so limits cancellation.
+
+def _inverse_distance(x_rows, y_rows):
+    """The (len(x), len(y)) matrix 1/|x_i - y_j|, with x_rows =
+    _point_rows(x) and y_rows = _source_rows(y).
+
+    r^2 = |x|^2 + |y|^2 - 2 x.y^T is one matrix product of the point rows
+    with the source rows and is turned into 1/r in place.  Callers centre
+    x and y on the domain first, which keeps |x|^2 + |y|^2 small next to
+    r^2 and so limits cancellation.
     """
-    x_rows = np.column_stack([x, np.einsum("ij,ij->i", x, x), np.ones(len(x))])
     w = x_rows @ y_rows
     np.sqrt(w, out=w)
     np.divide(1.0, w, out=w)
@@ -251,9 +249,10 @@ def _kernel_sums(x, y, q, want):
         D2u  = 3 (x x S0 - x S1 - S1 x + S2) - I T0,
                                           S = r^-5 @ [q, q y, q y y]
 
-    Rows of x are taken in chunks of about _CHUNK_PAIRS pairs.
+    Rows of x are taken in chunks of about _CHUNK_PAIRS pairs; the point
+    rows are built once and sliced per chunk.
     """
-    y_rows = _source_rows(y)
+    x_rows, y_rows = _point_rows(x), _source_rows(y)
     if want != "u":
         qy = q[:, None] * y
         m1 = np.column_stack([q, qy])
@@ -266,7 +265,7 @@ def _kernel_sums(x, y, q, want):
     for lo in range(0, n, rows):
         sl = slice(lo, lo + rows)
         xc = x[sl]
-        w = _inverse_distance(xc, y_rows)
+        w = _inverse_distance(x_rows[sl], y_rows)
         u[sl] = w @ q
         if want == "u":
             continue
@@ -369,7 +368,8 @@ def _graph_points(spec, grid_order, factor):
 
 def _collocation_solve(quad, sources, center, rhs):
     center = np.asarray(center)
-    A = _inverse_distance(quad.nodes - center, _source_rows(sources - center))
+    A = _inverse_distance(_point_rows(quad.nodes - center),
+                          _source_rows(sources - center))
     sw = np.sqrt(quad.weights)
     A *= sw[:, None]    # weighted in place: the solve holds one matrix
     charges, _, rank, sv = np.linalg.lstsq(A, rhs * sw, rcond=_RCOND)

@@ -8,7 +8,12 @@ boundary and steps away from the boundary, outward or inward, until at
 least 8 columns are done and u is beyond the level by 1e-6 c on every ray.
 The scan is also the star-shapedness check: u - c must change sign exactly
 once on every ray, else the level is reported (NonStarShapedLevelSetError,
-LevelRangeError), not worked around.
+LevelRangeError), not worked around.  The grid is the same for every level
+of a solution at one order, so its columns form one march that the levels
+share: a level reads the columns already computed and computes only those
+past their end.  Each level still reads every column from the boundary out
+to the one it stops at, so its bracket and its check do not depend on
+which levels came before it.
 
 Each level is then solved per ray by safeguarded Newton iteration
 (geometry.safeguarded_newton; rtsafe, Numerical Recipes section 9.4) inside
@@ -35,10 +40,11 @@ every ray, and _ray_volume integrates along the rays with G7/K15 panels
 (QUADPACK qk15; Piessens et al. 1983).  Its error is |K15 - G7| summed over
 rays and panels, in the units of the integral.
 
-Only this module uses a solution's cache: the angular weights, directions
-and boundary exit radii per order, the boundary LevelSet (_boundary), and
-every LevelSet that extract_level_set returns, per (level, order), all
-read-only.
+Only this module uses a solution's cache: per order, the angular weights,
+directions and boundary exit radii and the scan's march (its radius and u
+columns, grown column by column); the boundary LevelSet (_boundary); and
+every LevelSet that extract_level_set returns, per (level, order).  Every
+cached array is read-only.
 """
 
 from __future__ import annotations
@@ -112,16 +118,23 @@ def _frozen(*values):
     return values
 
 
-def _rays(sol, order):
-    """Angular weights, unit directions and boundary exit radii at
-    ``order``, computed once per solution."""
-    rays = sol._levelset_cache.get(order)
-    if rays is None:
+def _order_entry(sol, order):
+    """The cache entry of ``order``: angular weights, unit directions and
+    boundary exit radii, computed once per solution, then the radius and u
+    columns of the scan's march, which _scan grows."""
+    entry = sol._levelset_cache.get(order)
+    if entry is None:
         theta, phi, W = angular_grid(order)
         om = unit_directions(theta, phi)
         r_exit = sol.domain.ray_exit_radius(om)
-        rays = sol._levelset_cache[order] = _frozen(W, om, r_exit)
-    return rays
+        entry = sol._levelset_cache[order] = (*_frozen(W, om, r_exit), [], [])
+    return entry
+
+
+def _rays(sol, order):
+    """Angular weights, unit directions and boundary exit radii at
+    ``order``, computed once per solution."""
+    return _order_entry(sol, order)[:3]
 
 
 def _boundary(sol):
@@ -148,27 +161,32 @@ def check_level_range(problem, c, levels):
             raise LevelRangeError(f"interior levels lie in [{c}, inf); got {lv}")
 
 
-def _scan(sol, om, r_exit, c):
+def _scan(sol, order, c):
     """u on a geometric grid of radii along every ray, one call per column.
 
     The grid starts 1e-5 r on the region's side of the boundary and steps
     away from it, for at most 18 decades, until at least 8 columns are done
     and u is beyond the level by 1e-6 c on every ray; the margins keep
-    roundoff from flipping the end signs.  Columns come in increasing r.
+    roundoff from flipping the end signs.  The columns are the solution's
+    march at ``order``: a level reads the columns an earlier one computed
+    and computes only those past their end.  Columns come in increasing r.
     """
     check_level_range(sol.problem, sol.c, [c])
+    _, om, r_exit, radii, vals = _order_entry(sol, order)
     # the exterior scan steps outward (sign 1), the interior one inward
     # (sign -1), so [:, ::sign] puts the interior columns in increasing r
     sign = 1 if sol.problem == "exterior" else -1
-    radii, vals = [], []
     for j in range(18 * _SCAN_PER_DECADE + 1):
-        radii.append(r_exit * (1.0 - sign * 1e-5)
-                     * 10.0 ** (sign * j / _SCAN_PER_DECADE))
-        vals.append(sol.field(radii[-1][:, None] * om, want="u",
-                              check_region=False).u)
-        if j >= 7 and np.all(sign * (vals[-1] - c) < -1e-6 * c):
-            return (np.stack(radii, axis=1)[:, ::sign],
-                    np.stack(vals, axis=1)[:, ::sign])
+        if j == len(vals):
+            r = (r_exit * (1.0 - sign * 1e-5)
+                 * 10.0 ** (sign * j / _SCAN_PER_DECADE))
+            u = sol.field(r[:, None] * om, want="u", check_region=False).u
+            _frozen(r, u)
+            radii.append(r)
+            vals.append(u)
+        if j >= 7 and np.all(sign * (vals[j] - c) < -1e-6 * c):
+            return (np.stack(radii[:j + 1], axis=1)[:, ::sign],
+                    np.stack(vals[:j + 1], axis=1)[:, ::sign])
     raise LevelRangeError(f"could not enclose level {c} away from the boundary")
 
 
@@ -237,9 +255,9 @@ def _level_set(sol, c, r, om, W):
 
 def _extract(sol, c, order):
     """The LevelSet {u = c} at ``order``: a scan, then Newton on every ray."""
-    W, om, r_exit = _rays(sol, order)
-    # the scan arrays are released before the level is solved
-    bracket = _bracket(*_scan(sol, om, r_exit, c), c)
+    W, om = _rays(sol, order)[:2]
+    # the stacked scan arrays are released before the level is solved
+    bracket = _bracket(*_scan(sol, order, c), c)
     r = _solve_radii(sol, om, c, *bracket)
     return _level_set(sol, c, r, om, W)
 

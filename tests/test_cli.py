@@ -426,18 +426,55 @@ def test_solution_must_match_config(tmp_path, capsys, saved_solutions,
      "boundary value c must be positive and finite"),
     ({"domain": {"kind": "sphere", "radius": math.inf}},
      "'radius' in domain must be finite: inf"),
+    ({"domain": BALL_DOMAIN, "identities": [{"a": math.nan, "b": -0.3}]},
+     "'a' in identity check must be finite: nan"),
+    ({"domain": BALL_DOMAIN, "identities": [{"a": -1.0, "b": math.nan}]},
+     "'b' in identity check must be finite: nan"),
+    ({"domain": BALL_DOMAIN, "identities": [{"a": -math.inf, "b": -0.3}]},
+     "'a' in identity check must be finite: -inf"),
+    ({"domain": BALL_DOMAIN, "identities": [
+        {"weight": "shifted-log", "t": math.nan, "a": -1.0, "b": -0.3}]},
+     "'t' in identity check must be finite: nan"),
+    ({"domain": {"kind": "star", "mean_radius": 1.0,
+                 "terms": [[2.7, 0, 0.1]]}},
+     "'terms' in domain has the wrong type: [[2.7, 0, 0.1]]"),
 ], ids=["domain-field", "identity-a", "identity-t", "top-key", "solver-key",
         "problem-key", "identity-key", "not-an-object", "infinite-level",
         "repeated-level", "levels-type", "criteria-type", "axes-type",
         "terms-type", "level-type", "c-type", "radius-type", "seed-type",
         "order-type", "identity-a-type", "domain-type", "axis-type",
         "order-fraction", "seed-fraction", "order-bool", "d-inf", "c-inf",
-        "c-nan", "radius-inf"])
+        "c-nan", "radius-inf", "identity-a-nan", "identity-b-nan",
+        "identity-a-inf", "identity-t-nan", "terms-fraction"])
 def test_malformed_config_names_the_field(tmp_path, capsys, data, named):
     cfg = write_config(tmp_path / "run.json", data)
     rc = main(["solve", "--config", cfg, "--out", str(tmp_path / "out")])
     assert rc == 2
     assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("radii, named", [
+    ("10:inf:8", "radii must be finite, positive and increasing"),
+    ("nan:100:8", "radii must be finite, positive and increasing"),
+    ("0:100:8", "radii must be finite, positive and increasing"),
+    ("-10:100:8", "radii must be finite, positive and increasing"),
+    ("100:10:8", "radii must be finite, positive and increasing"),
+    ("10:10:8", "radii must be finite, positive and increasing"),
+    ("10:100:3", "need a count of at least 4 radii"),
+    ("10:100:-1", "need a count of at least 4 radii"),
+    ("10:100", "expected lo:hi:count"),
+    ("10:100:8.5", "expected lo:hi:count"),
+], ids=["hi-inf", "lo-nan", "lo-zero", "lo-negative", "decreasing", "equal",
+        "count-3", "count-negative", "two-parts", "count-fraction"])
+def test_bad_radii_rejected_by_the_parser(tmp_path, capsys, radii, named):
+    # named by the parser (exit 2), before any grid is built or solve run
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["decay", "--domain", "sphere:1", f"--radii={radii}",
+              "--out", str(out)])
+    assert exc.value.code == 2
+    assert f"argument --radii: {named}: {radii}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_decay_default_radii_follow_the_domain(tmp_path):

@@ -193,6 +193,25 @@ def test_non_finite_domain_numbers_rejected(fields, named):
         DomainSpec(**fields)
 
 
+@pytest.mark.parametrize("fields, named", [
+    ({"terms": ((2.7, 0, 0.1),)}, "'terms' in domain"),
+    ({"terms": ((2, 0.5, 0.1),)}, "'terms' in domain"),
+    ({"terms": ((2, 0, 0.1),), "max_degree": 8.9}, "'max_degree' in domain"),
+    ({"terms": ((True, 0, 0.1),)}, "'terms' in domain"),
+], ids=["l-fraction", "m-fraction", "max-degree-fraction", "l-bool"])
+def test_star_indices_must_be_whole_numbers(fields, named):
+    # a fraction is named, not truncated to the integer below it
+    with pytest.raises(InvalidDomainError, match=f"{named} has the wrong type"):
+        DomainSpec(kind="star", mean_radius=1.0, **fields)
+
+
+def test_star_indices_accept_whole_floats():
+    star = DomainSpec(kind="star", mean_radius=1.0, terms=((2.0, 0.0, 0.1),),
+                      max_degree=8.0)
+    assert star.terms == ((2, 0, 0.1),) and star.max_degree == 8
+    assert all(type(i) is int for i in (*star.terms[0][:2], star.max_degree))
+
+
 def test_star_rho_is_the_value_of_rho_derivatives():
     # rho sums the same terms in the same order as rho_derivatives
     star = DomainSpec(kind="star", mean_radius=1.0,

@@ -17,7 +17,7 @@ from capsym.geometry import angular_grid, build_quadrature, unit_directions
 from capsym.levelset import surface_integral
 from capsym.harmonic import (_CHUNK_PAIRS, _ellipsoid_focal_sources,
                              _graph_points, _inverse_distance, _kernel_sums,
-                             _placement, _source_rows)
+                             _placement, _point_rows, _source_rows)
 
 
 @pytest.fixture(scope="module")
@@ -354,7 +354,7 @@ def test_collocation_matrix_matches_direct_inverse_distance(name, request):
     center = np.asarray(spec.center)
     x = build_quadrature(spec, order).nodes - center
     y = sources - center
-    got = _inverse_distance(x, _source_rows(y))
+    got = _inverse_distance(_point_rows(x), _source_rows(y))
     ref = 1.0 / np.linalg.norm(x[:, None] - y[None], axis=2)
     assert np.abs(got / ref - 1.0).max() <= 1e-14
 

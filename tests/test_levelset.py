@@ -198,16 +198,21 @@ def test_interior_level_range(interior_ball):
             extract_level_set(interior_ball, level)
 
 
-def test_non_star_shaped_level_reported():
-    # a charge beyond the boundary makes u rise and fall along the +x ray,
-    # so {u = 3} is pierced twice; the extractor must report, not guess
-    spec = DomainSpec(kind="sphere", radius=0.5)
-    sol = HarmonicSolution(
-        problem="exterior", c=6.0, d=None, domain=spec,
+def pierced_twice():
+    """A charge beyond the boundary makes u rise and fall along the +x ray,
+    so the levels 3 and 4 are pierced twice by it."""
+    return HarmonicSolution(
+        problem="exterior", c=6.0, d=None,
+        domain=DomainSpec(kind="sphere", radius=0.5),
         sources=np.array([[0.9, 0.0, 0.0]]),
         charges=np.array([1.0]), singular_coefficient=0.0,
         fit_residual=0.0, order=12,
         condition_estimate=1.0)
+
+
+def test_non_star_shaped_level_reported():
+    # {u = 3} is pierced twice; the extractor must report, not guess
+    sol = pierced_twice()
     with pytest.raises(NonStarShapedLevelSetError):
         extract_level_set(sol, 3.0)
     # the +x ray crosses {u = 4} twice as well
@@ -298,6 +303,63 @@ def test_scan_marches_once_to_the_level(monkeypatch, request, name, level):
     r_start = 1.0 - 1e-5 if sol.problem == "exterior" else 1.0 + 1e-5
     decades = abs(math.log10(level * r_start))
     assert calls["u"] <= max(8, math.ceil(16 * decades) + 2)
+
+
+def test_levels_share_one_march(monkeypatch, ball_solution):
+    # the farthest level's march computes every column the nearer ones read
+    sol = fresh(ball_solution)
+    calls = count_field_calls(monkeypatch)
+    extract_level_set(sol, 0.25)
+    alone = calls["u"]
+    sol = fresh(ball_solution)
+    calls.clear()
+    for level in (0.5, 0.25, 0.75):
+        extract_level_set(sol, level)
+    assert calls["u"] == alone == 11
+
+
+@pytest.mark.parametrize("name,levels", [
+    ("star_solution", (0.75, 0.5, 0.25)),
+    ("interior_ball", (1.5, 2.0, 3.0, 40.0))])
+def test_shared_march_gives_the_level_sets_of_fresh_solutions(request, name,
+                                                              levels):
+    # bit for bit: a level reads the same columns whichever level computed
+    # them, near levels first or far levels first
+    sol = request.getfixturevalue(name)
+    alone = [extract_level_set(fresh(sol), c) for c in levels]
+    for order in (levels, levels[::-1]):
+        shared = fresh(sol)
+        for c in order:
+            ls = extract_level_set(shared, c)
+            ref = alone[levels.index(c)]
+            for key in ("nodes", "weights", "radii", "grad"):
+                assert np.array_equal(getattr(ls, key), getattr(ref, key))
+
+
+@pytest.mark.parametrize("levels", [(3.0, 4.0), (4.0, 3.0)])
+def test_non_star_shaped_level_reported_from_the_shared_march(monkeypatch,
+                                                              levels):
+    # the second level reads every column from the first one's march and
+    # still sees the two crossings on the +x ray
+    sol = pierced_twice()
+    calls = count_field_calls(monkeypatch)
+    for c in levels:
+        with pytest.raises(NonStarShapedLevelSetError, match="changes sign 2"):
+            extract_level_set(sol, c)
+        # the first level marches 8 columns, the second computes none
+        assert calls["u"] == 8
+
+
+def test_march_columns_are_read_only(ball_solution, interior_ball):
+    for sol, level in ((fresh(ball_solution), 0.25),
+                       (fresh(interior_ball), 3.0)):
+        extract_level_set(sol, level)
+        radii, vals = levelset._order_entry(sol, sol.order)[3:]
+        assert len(radii) == len(vals) >= 8
+        for column in (*radii, *vals):
+            assert not column.flags.writeable
+            with pytest.raises(ValueError):
+                column[0] = 0.0
 
 
 @pytest.mark.parametrize("name", ["ball_solution", "ellipsoid_solution",

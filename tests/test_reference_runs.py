@@ -4,8 +4,10 @@ ball and the ellipsoid (2,1,1) in exterior and interior form, and
 certificate outcome and failing metric they report is pinned here, so a
 change to the numerics that flips any of them fails Tier-1.  So is the
 list of (level, order) pairs each run solves, so that an added extraction
-fails too, and the rule that T1.9, the certificate and the default identity
-share the outer default levels.
+fails too, and the number of u evaluations it makes, so that a scan column
+computed twice fails too (every level shares its order's one march), and the
+rule that T1.9, the certificate and the default identity share the outer
+default levels.
 """
 
 import json
@@ -13,7 +15,7 @@ import math
 
 import pytest
 
-from capsym import levelset
+from capsym import HarmonicSolution, levelset
 from capsym.cli import main
 
 BENCH_STAR = {"kind": "star", "mean_radius": 1.0,
@@ -40,47 +42,54 @@ def interior_solves(order):
 
 
 # run -> (arguments, criterion ids, verdicts, equality flags, granted,
-# failing metric, sorted (level, order) pairs solved)
+# failing metric, sorted (level, order) pairs solved, field(want="u") calls)
 REFERENCE_RUNS = {
     "ball-report": (["report", "--domain", "sphere:1"],
                     EXTERIOR, EQUALITY, [True] * 6, True, None,
-                    exterior_solves(16)),
+                    exterior_solves(16), 20),
     "interior-ball-report": (
         ["report", "--domain", "sphere:1", "--problem", "interior:c=1,d=1"],
         INTERIOR, ["satisfied"] * 4, [True] * 4, True, None,
-        interior_solves(16)),
+        interior_solves(16), 10),
     "ellipsoid-report": (["report", "--domain", "ellipsoid:2,1,1"],
                          EXTERIOR, ASYMMETRIC, [False] * 6, False,
-                         "pFunctionSpread", exterior_solves(24)),
+                         "pFunctionSpread", exterior_solves(24), 22),
     "interior-ellipsoid-report": (
         ["report", "--domain", "ellipsoid:2,1,1",
          "--problem", "interior:c=1,d=1"],
         INTERIOR, ["violated", "violated", "hypothesis-not-met", "violated"],
-        [False] * 4, False, "pFunctionSpread", interior_solves(24)),
+        [False] * 4, False, "pFunctionSpread", interior_solves(24), 12),
     "star-check": (["check", "--domain", "@{star}"],
                    EXTERIOR, ASYMMETRIC, [False] * 6, False,
-                   "pFunctionSpread", exterior_solves(32)),
+                   "pFunctionSpread", exterior_solves(32), 21),
 }
 
 
 @pytest.mark.parametrize("run", list(REFERENCE_RUNS))
 def test_reference_run_outcomes(tmp_path, monkeypatch, run):
     (args, ids, verdicts, equality, granted, failing,
-     solves) = REFERENCE_RUNS[run]
-    solved = []
+     solves, u_calls) = REFERENCE_RUNS[run]
+    solved, wants = [], []
     extract = levelset._extract
+    field = HarmonicSolution.field
 
     def counted(sol, c, order):
         solved.append((c, order))
         return extract(sol, c, order)
 
+    def counted_field(self, points, want="hess", check_region=True):
+        wants.append(want)
+        return field(self, points, want=want, check_region=check_region)
+
     monkeypatch.setattr(levelset, "_extract", counted)
+    monkeypatch.setattr(HarmonicSolution, "field", counted_field)
     star = tmp_path / "star.json"
     star.write_text(json.dumps(BENCH_STAR))
     out = tmp_path / "out"
     args = [a.format(star=star) for a in args] + ["--out", str(out)]
     assert main(args) == 0
     assert sorted(solved) == solves
+    assert wants.count("u") == u_calls
     report = json.loads((out / "criteria.json").read_text())
     rows = report["criteria"]
     assert [r["criterionId"] for r in rows] == list(ids)
