@@ -49,10 +49,18 @@ class ConfigError(CapsymError):
 # run configuration
 # ---------------------------------------------------------------------------
 
+def _json_list(value):
+    """value if it is a JSON list, else TypeError."""
+    if not isinstance(value, list):
+        raise TypeError(f"not a list: {value!r}")
+    return value
+
+
 # the keys of each JSON object, with the reader of each value (None: as is)
 _CONFIG_KEYS = {"domain": None, "problem": None, "solver": None,
-                "levels": lambda v: [float(x) for x in v], "criteria": tuple,
-                "identities": list, "seed": _integer}
+                "levels": lambda v: [float(x) for x in _json_list(v)],
+                "criteria": lambda v: tuple(_json_list(v)),
+                "identities": _json_list, "seed": _integer}
 _PROBLEM_KEYS = {"kind": None, "c": float, "d": float}
 _SOLVER_KEYS = {"order": _integer}
 _IDENTITY_KEYS = {"weight": None, "t": float, "a": float, "b": float}
@@ -143,6 +151,9 @@ class RunConfig:
                 check_level_range(self.problem_kind, self.c, np.exp([a, b]))
             self.identity_checks.append((weight, a, b))
         self.seed = data.get("seed", 0)
+        if self.seed < 0:
+            raise ConfigError(f"'seed' in config must be non-negative: "
+                              f"{self.seed}")
 
     @classmethod
     def from_path(cls, path):

@@ -12,11 +12,6 @@ class InvalidDomainError(CapsymError):
 class SolverFailureError(CapsymError):
     """Collocation solve did not reach the requested boundary misfit."""
 
-    def __init__(self, message, fit_residual=None, condition=None):
-        super().__init__(message)
-        self.fit_residual = fit_residual
-        self.condition = condition
-
 
 class OutOfRegionError(CapsymError):
     """Evaluation point lies outside the solution's region of validity."""

@@ -222,7 +222,7 @@ class DomainSpec:
             self._validate_star_rho()
         else:
             raise InvalidDomainError(f"unknown domain kind {self.kind!r}")
-        if not self._origin_is_interior():
+        if not self.contains(np.zeros(3), tol=-1e-12)[0]:
             raise InvalidDomainError("origin must lie inside the domain")
 
     # -- radial graph -------------------------------------------------------
@@ -328,16 +328,6 @@ class DomainSpec:
             raise InvalidDomainError(
                 f"radial graph dips to {r.min():.3g} < rho_min={RHO_MIN}"
             )
-
-    def _origin_is_interior(self):
-        c = np.asarray(self.center)
-        dist = np.linalg.norm(c)
-        if dist == 0.0:
-            return True
-        omega = -c / dist
-        th = math.acos(max(-1.0, min(1.0, omega[2])))
-        ph = math.atan2(omega[1], omega[0])
-        return dist < float(np.asarray(self.rho(th, ph)))
 
     # -- JSON ---------------------------------------------------------------
 

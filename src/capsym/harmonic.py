@@ -412,7 +412,7 @@ def _solve(spec, order, problem, c, d):
         raise SolverFailureError(
             f"{problem} boundary misfit {fit:.3e} exceeds tolerance "
             f"{tol:.1e} (condition estimate {cond:.3e}); raise the order "
-            "(solver.order)", fit_residual=fit, condition=cond)
+            "(solver.order)")
     sol = HarmonicSolution(problem=problem, c=float(c),
                            d=None if d is None else float(d), domain=spec,
                            sources=sources, charges=charges,

@@ -12,21 +12,24 @@ the residual respond linearly.
 The integral check is the weighted partial-integration identity between two
 levels a < b of f = log u,
 
-    2 int_{a<f<b} |hess_g f|_g^2 e^phi dmu_g
-        = K [I3(b) - I3(a)] + 2 e^{phi(b)} J(b) - 2 e^{phi(a)} J(a),
+    2 int_{a<f<b} |hess_g f|_g^2 w dmu_g
+        = K [I3(b) - I3(a)] + 2 w(b) J(b) - 2 w(a) J(a),
 
 with I3(l) = int_{f=l} |grad f|_g^3 dsigma_g, J(l) = int_{f=l} |grad f|_g^2 H_g
-dsigma_g, valid whenever the weight phi solves phi'' + (phi')^2 - phi' = 0;
-K = (1 - phi') e^phi is then a first integral.  Two such weights are
-provided: phi(f) = f (K = 0) and phi_t(f) = log(1 - e^f/t) (K = 1).  The
-truncated identities are weighted_identity_check with these two weights.
-The exterior one, on {eps < u < c}, takes phi(f) = f between log eps and
-log c; its bottom curvature term -2 eps J(eps) is the O(eps) far-field
-remainder.  The interior one, on {c < u < t}, takes phi_t between log c
-and log(t (1 - 1e-9)), just below the weight's singular level.  The volume
-term is integrated with G7/K15 along the rays of capsym.levelset, between
-the radii of the two level sets on each ray; its quadrature error is
-|K15 - G7| summed over the rays and panels, in the units of the integral.
+dsigma_g, valid whenever the weight w = e^phi has phi solving
+phi'' + (phi')^2 - phi' = 0.  As w' = phi' w and w'' = (phi'' + phi'^2) w
+(primes in f), that ODE is w'' = w', so every such weight is w = K + B u,
+evaluated from u in closed form, with first integral K = w - w'.  Two are
+provided: w = u (phi(f) = f, K = 0) and w = 1 - u/t (phi_t(f) =
+log(1 - e^f/t), K = 1).  The truncated identities are
+weighted_identity_check with these two weights.  The exterior one, on
+{eps < u < c}, takes w = u between log eps and log c; its bottom curvature
+term -2 eps J(eps) is the O(eps) far-field remainder.  The interior one, on
+{c < u < t}, takes w = 1 - u/t between log c and log(t (1 - 1e-9)), just
+below the level t where the weight vanishes.  The volume term is integrated
+with G7/K15 along the rays of capsym.levelset, between the radii of the two
+level sets on each ray; its quadrature error is |K15 - G7| summed over the
+rays and panels, in the units of the integral.
 """
 
 from __future__ import annotations
@@ -51,11 +54,12 @@ _QEXP = 2.0 * (_N - 1) / (_N - 2)
 
 @dataclass(frozen=True)
 class WeightSpec:
-    """A weight e^phi(f) whose phi solves phi'' + (phi')^2 - phi' = 0.
+    """A weight w = K + B u of the level f = log u, that is w = e^phi(f)
+    with phi solving phi'' + (phi')^2 - phi' = 0.
 
-    kind "linear" is phi(f) = f with first integral K = 0; kind
-    "shifted-log" is phi_t(f) = log(1 - e^f/t) with K = 1, defined for
-    f < log t.
+    kind "linear" is w = u (phi(f) = f) with first integral K = 0; kind
+    "shifted-log" is w = 1 - u/t (phi_t(f) = log(1 - e^f/t)) with K = 1,
+    positive for f < log t.
     """
 
     kind: str
@@ -73,36 +77,12 @@ class WeightSpec:
 
     @property
     def first_integral(self):
-        """K = (1 - phi') e^phi, constant along the weight ODE."""
+        """K = w - dw/df = (1 - phi') e^phi, constant along the weight ODE."""
         return 0.0 if self.kind == "linear" else 1.0
 
-    def phi(self, f):
-        f = np.asarray(f, dtype=float)
-        if self.kind == "linear":
-            return f
-        return np.log(1.0 - np.exp(f) / self.t)
-
-    def dphi(self, f):
-        f = np.asarray(f, dtype=float)
-        if self.kind == "linear":
-            return np.ones_like(f)
-        e = np.exp(f)
-        return -e / (self.t - e)
-
-    def d2phi(self, f):
-        f = np.asarray(f, dtype=float)
-        if self.kind == "linear":
-            return np.zeros_like(f)
-        e = np.exp(f)
-        return -self.t * e / (self.t - e) ** 2
-
-    def ode_residual(self, f):
-        """phi'' + (phi')^2 - phi', identically zero for valid weights."""
-        return self.d2phi(f) + self.dphi(f) ** 2 - self.dphi(f)
-
-    def first_integral_residual(self, f):
-        """(1 - phi') e^phi - K at sample values of f."""
-        return (1.0 - self.dphi(f)) * np.exp(self.phi(f)) - self.first_integral
+    def __call__(self, u):
+        """The weight w at u = e^f."""
+        return u if self.kind == "linear" else 1.0 - u / self.t
 
     def validate_range(self, f_max):
         if self.kind == "shifted-log" and f_max >= math.log(self.t):
@@ -164,12 +144,11 @@ def _level_data(sol, c, order=None):
 
 
 def _hessian_density(weight):
-    """Integrand of the volume term: e^phi |hess_g f|_g^2 dmu_g/dmu at the
+    """Integrand of the volume term: w |hess_g f|_g^2 dmu_g/dmu at the
     points of a FieldStates."""
     def density(st):
         hnorm = hess_f_conformal(st.u, st.grad, st.hess)[1]
-        return (np.exp(weight.phi(np.log(st.u))) * hnorm ** 2
-                * dmu_g_weight(st.u))
+        return weight(st.u) * hnorm ** 2 * dmu_g_weight(st.u)
     return density
 
 
@@ -209,7 +188,7 @@ def weighted_identity_check(sol, weight, a, b, order=None):
     """Check the weighted identity between the f-levels a < b.
 
     Both sides are produced by independent numerical pipelines: the left by
-    integrating 2 e^phi |hess_g f|_g^2 over the slab along the rays, between
+    integrating 2 w |hess_g f|_g^2 over the slab along the rays, between
     the radii of the two level sets, the right from the four boundary
     integrals.  rel_residual is |lhs - rhs| / scale, with scale = I3(a) +
     I3(b) the two flux-cubed integrals, which also sets the accuracy the
@@ -224,13 +203,11 @@ def weighted_identity_check(sol, weight, a, b, order=None):
     i3_b, i2h_b, r_b = _level_data(sol, cb, order)
     i3_a, i2h_a, r_a = _level_data(sol, ca, order)
     K = weight.first_integral
-    eb = float(np.exp(weight.phi(b)))
-    ea = float(np.exp(weight.phi(a)))
     terms = {
         "fluxCubedTop": K * i3_b,
         "fluxCubedBottom": -K * i3_a,
-        "curvatureTop": 2.0 * eb * i2h_b,
-        "curvatureBottom": -2.0 * ea * i2h_a,
+        "curvatureTop": 2.0 * weight(cb) * i2h_b,
+        "curvatureBottom": -2.0 * weight(ca) * i2h_a,
     }
     rhs = sum(terms.values())
     scale = abs(i3_b) + abs(i3_a)

@@ -438,6 +438,18 @@ def test_solution_must_match_config(tmp_path, capsys, saved_solutions,
     ({"domain": {"kind": "star", "mean_radius": 1.0,
                  "terms": [[2.7, 0, 0.1]]}},
      "'terms' in domain has the wrong type: [[2.7, 0, 0.1]]"),
+    # list-valued keys take a JSON list and no other shape
+    ({"domain": BALL_DOMAIN, "criteria": "T1.1-integral"},
+     "'criteria' in config has the wrong JSON type: \"T1.1-integral\""),
+    ({"domain": BALL_DOMAIN, "criteria": {"T1.1-integral": 1}},
+     "'criteria' in config has the wrong JSON type: {\"T1.1-integral\": 1}"),
+    ({"domain": BALL_DOMAIN, "levels": {"0.5": 1}},
+     "'levels' in config has the wrong JSON type: {\"0.5\": 1}"),
+    ({"domain": BALL_DOMAIN, "identities": {}},
+     "'identities' in config has the wrong JSON type: {}"),
+    # named before anything is solved
+    ({"domain": BALL_DOMAIN, "seed": -1},
+     "'seed' in config must be non-negative: -1"),
 ], ids=["domain-field", "identity-a", "identity-t", "top-key", "solver-key",
         "problem-key", "identity-key", "not-an-object", "infinite-level",
         "repeated-level", "levels-type", "criteria-type", "axes-type",
@@ -445,7 +457,9 @@ def test_solution_must_match_config(tmp_path, capsys, saved_solutions,
         "order-type", "identity-a-type", "domain-type", "axis-type",
         "order-fraction", "seed-fraction", "order-bool", "d-inf", "c-inf",
         "c-nan", "radius-inf", "identity-a-nan", "identity-b-nan",
-        "identity-a-inf", "identity-t-nan", "terms-fraction"])
+        "identity-a-inf", "identity-t-nan", "terms-fraction",
+        "criteria-string", "criteria-object", "levels-object",
+        "identities-object", "seed-negative"])
 def test_malformed_config_names_the_field(tmp_path, capsys, data, named):
     cfg = write_config(tmp_path / "run.json", data)
     rc = main(["solve", "--config", cfg, "--out", str(tmp_path / "out")])

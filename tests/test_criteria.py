@@ -8,10 +8,11 @@ from numpy.testing import assert_allclose
 from capsym import (DomainSpec, HarmonicSolution, IrregularLevelSetError,
                     capacity, check_C12, check_C13, check_C17, check_neumann,
                     check_pointwise, check_T11, check_T16, check_T19,
-                    extract_level_set, inferred_ball_radius, levelset,
-                    normalization_c1, normalization_c2, p_function_spread,
-                    run_battery, solve_exterior, solve_interior,
-                    surface_integral, symmetry_certificate)
+                    decay_report, extract_level_set, inferred_ball_radius,
+                    interior_flux_cubed_limit, levelset, normalization_c1,
+                    normalization_c2, p_function_spread, run_battery,
+                    solve_exterior, solve_interior, surface_integral,
+                    symmetry_certificate)
 
 
 @pytest.fixture(scope="module")
@@ -352,6 +353,34 @@ def test_battery_rejects_incompatible_criteria(ball_solution, ball_interior):
         run_battery(ball_interior, criteria=["C1.2-global"])
     with pytest.raises(ValueError):
         run_battery(ball_solution, criteria=["bogus"])
+
+
+@pytest.mark.parametrize("check, wrong_kind, named", [
+    (lambda sol: check_T11(sol, 2.0), "ball_interior",
+     "T1.1-integral is incompatible with the interior problem"),
+    (check_C12, "ball_interior",
+     "C1.2-global is incompatible with the interior problem"),
+    (check_C13, "ball_interior",
+     "C1.3-capacity is incompatible with the interior problem"),
+    (lambda sol: check_pointwise(sol, 2.0), "ball_interior",
+     "C1.4-pointwise is incompatible with the interior problem"),
+    (check_C17, "ball_solution",
+     "C1.7-interior-pointwise is incompatible with the exterior problem"),
+    (check_T16, "ball_solution",
+     "T1.6-interior-integral is incompatible with the exterior problem"),
+    (capacity, "ball_interior", "capacity is defined for the exterior"),
+    (lambda sol: decay_report(sol, [4.0, 8.0, 16.0, 32.0]), "ball_interior",
+     "decay fits are defined for exterior solutions"),
+    (normalization_c1, "ball_solution", "c1 is defined for the interior"),
+    (normalization_c2, "ball_solution", "c2 is defined for the interior"),
+    (interior_flux_cubed_limit, "ball_solution",
+     "the flux-cubed limit applies to interior solutions"),
+], ids=["T1.1", "C1.2", "C1.3", "C1.4", "C1.7", "T1.6", "capacity", "decay",
+        "c1", "c2", "flux-cubed-limit"])
+def test_checks_reject_the_wrong_problem_kind(request, check, wrong_kind,
+                                              named):
+    with pytest.raises(ValueError, match=named):
+        check(request.getfixturevalue(wrong_kind))
 
 
 def test_battery_embeds_named_errors_and_propagates_bugs(ball_solution,

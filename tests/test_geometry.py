@@ -177,6 +177,32 @@ def test_invalid_domains_rejected():
         DomainSpec(kind="sphere", radius=1.0, center=(2.0, 0.0, 0.0))
 
 
+STAR_TERMS = ((2, 0, 0.1), (3, 1, 0.05))
+
+
+@pytest.mark.parametrize("fields, inside", [
+    ({"kind": "sphere", "radius": 1.0, "center": (1.0, 0.0, 0.0)}, False),
+    ({"kind": "sphere", "radius": 1.0, "center": (0.999, 0.0, 0.0)}, True),
+    ({"kind": "star", "mean_radius": 1.0, "terms": STAR_TERMS,
+      "center": (0.3, -0.2, 0.1)}, True),
+    ({"kind": "star", "mean_radius": 1.0, "terms": STAR_TERMS,
+      "center": (0.0, 0.0, 1.5)}, False),
+    ({"kind": "ellipsoid", "axes": (2.0, 1.0, 1.0),
+      "center": (1.5, 0.0, 0.0)}, True),
+    ({"kind": "ellipsoid", "axes": (2.0, 1.0, 1.0),
+      "center": (0.0, 1.5, 0.0)}, False),
+], ids=["sphere-origin-on-boundary", "sphere-origin-near-boundary",
+        "star-off-centre", "star-origin-outside", "ellipsoid-off-centre",
+        "ellipsoid-origin-outside"])
+def test_origin_must_lie_strictly_inside(fields, inside):
+    if inside:
+        assert DomainSpec(**fields).contains(np.zeros(3))[0]
+    else:
+        with pytest.raises(InvalidDomainError,
+                           match="origin must lie inside the domain"):
+            DomainSpec(**fields)
+
+
 @pytest.mark.parametrize("fields, named", [
     ({"kind": "sphere", "radius": math.inf}, "'radius' in domain"),
     ({"kind": "sphere", "radius": math.nan}, "'radius' in domain"),

@@ -74,16 +74,17 @@ def interior_truncated_identity(sol, c, t_level):
 # weights
 # ---------------------------------------------------------------------------
 
-def test_weight_ode_and_first_integral():
+def test_weights_are_exp_phi_with_first_integral():
     f = np.linspace(-3.0, 1.0, 41)
-    linear = WeightSpec.linear()
-    assert np.abs(linear.ode_residual(f)).max() < 1e-14
-    assert np.abs(linear.first_integral_residual(f)).max() < 1e-14
-    assert linear.first_integral == 0.0
-    shifted = WeightSpec.shifted_log(5.0)
-    assert np.abs(shifted.ode_residual(f)).max() < 1e-12
-    assert np.abs(shifted.first_integral_residual(f)).max() < 1e-14
-    assert shifted.first_integral == 1.0
+    h = 1e-5
+    for weight, phi in ((WeightSpec.linear(), f),
+                        (WeightSpec.shifted_log(5.0),
+                         np.log(1.0 - np.exp(f) / 5.0))):
+        w = weight(np.exp(f))
+        assert_allclose(w, np.exp(phi), rtol=1e-14, atol=0)
+        # w - dw/df = K, with dw/df by central differences in f
+        dw = (weight(np.exp(f + h)) - weight(np.exp(f - h))) / (2 * h)
+        assert np.abs(w - dw - weight.first_integral).max() < 1e-9
 
 
 def test_shifted_log_range_guard(ellipsoid_solution):
@@ -200,9 +201,6 @@ def test_weighted_identity_ellipsoid_shifted_log(ellipsoid_solution):
     res = weighted_identity_check(ellipsoid_solution, weight,
                                   a=math.log(0.2), b=math.log(0.8))
     assert res.rel_residual < 2e-2
-    # boundary coefficient (1 - phi') e^phi equals K = 1 identically
-    assert np.abs(weight.first_integral_residual(
-        np.array([math.log(0.2), math.log(0.8)]))).max() < 1e-12
 
 
 def test_weighted_identity_converges_under_refinement(ellipsoid_solution):
