@@ -15,6 +15,11 @@ decay fails before anything is solved or loaded.  Unset levels come from
 middle one and T1.9 on the outer two, the certificate on all three, capacity
 on the middle one, and the default identity between the logs of the outer two.
 
+Every JSON object read (config, domain, problem, solver, identity check,
+solution) names a missing, unknown or mistyped key, and a number must be a
+JSON number, not a string or a bool.  An empty ``criteria`` or ``identities``
+list runs none of them; an empty ``levels`` is an error.
+
 Exit code 0 means the run completed; criterion verdicts live in the
 reports, not the exit code.  Reports are written deterministically (sorted
 keys, repr floats, no timestamps), so identical configs produce
@@ -33,16 +38,12 @@ import sys
 import numpy as np
 
 from . import criteria as crit
-from .errors import CapsymError
-from .geometry import DomainSpec, _integer
+from .errors import CapsymError, ConfigError
+from .geometry import DomainSpec, _integer, _number, _read_object
 from .harmonic import (HarmonicSolution, decay_report, solve_exterior,
                        solve_interior)
 from .identities import WeightSpec, bochner_sides, weighted_identity_check
 from .levelset import check_level_range
-
-
-class ConfigError(CapsymError):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -58,45 +59,23 @@ def _json_list(value):
 
 # the keys of each JSON object, with the reader of each value (None: as is)
 _CONFIG_KEYS = {"domain": None, "problem": None, "solver": None,
-                "levels": lambda v: [float(x) for x in _json_list(v)],
+                "levels": lambda v: [_number(x) for x in _json_list(v)],
                 "criteria": lambda v: tuple(_json_list(v)),
                 "identities": _json_list, "seed": _integer}
-_PROBLEM_KEYS = {"kind": None, "c": float, "d": float}
+_PROBLEM_KEYS = {"kind": None, "c": _number, "d": _number}
 _SOLVER_KEYS = {"order": _integer}
-_IDENTITY_KEYS = {"weight": None, "t": float, "a": float, "b": float}
-
-
-def _known(entry, where, keys):
-    """entry, a JSON object with only known keys, with each value read by
-    its key's reader; a ConfigError names the key of a wrong value."""
-    if not isinstance(entry, dict):
-        raise ConfigError(f"{where} must be a JSON object")
-    read = {}
-    for key, value in entry.items():
-        if key not in keys:
-            raise ConfigError(f"unknown key {key!r} in {where}")
-        try:
-            read[key] = keys[key](value) if keys[key] else value
-        except (TypeError, ValueError):
-            raise ConfigError(f"{key!r} in {where} has the wrong JSON type: "
-                              f"{json.dumps(value)}") from None
-    return read
+_IDENTITY_KEYS = {"weight": None, "t": _number, "a": _number, "b": _number}
 
 
 class RunConfig:
-    """Validated view of the JSON run configuration.  Unknown keys are
-    rejected by name, so that a misspelt key cannot leave a default in place.
+    """Validated view of the JSON run configuration, read by the rule in the
+    module docstring, so that a misspelt key cannot leave a default in place.
     """
 
     def __init__(self, data):
-        data = _known(data, "config", _CONFIG_KEYS)
-        if "domain" not in data:
-            raise ConfigError("config needs a 'domain' entry")
-        try:
-            self.domain = DomainSpec.from_json_dict(data["domain"])
-        except KeyError as exc:
-            raise ConfigError(f"domain is missing {exc.args[0]!r}") from None
-        problem = _known(data.get("problem", {}), "problem", _PROBLEM_KEYS)
+        data = _read_object(data, "config", _CONFIG_KEYS, ("domain",))
+        self.domain = DomainSpec.from_json_dict(data["domain"])
+        problem = _read_object(data.get("problem", {}), "problem", _PROBLEM_KEYS)
         self.problem_kind = problem.get("kind", "exterior")
         if self.problem_kind not in ("exterior", "interior"):
             raise ConfigError(f"unknown problem kind {self.problem_kind!r}")
@@ -107,11 +86,13 @@ class RunConfig:
         if self.problem_kind == "interior" and not 0 < self.d < math.inf:
             raise ConfigError("flux density d must be positive and finite")
 
-        solver = _known(data.get("solver", {}), "solver", _SOLVER_KEYS)
+        solver = _read_object(data.get("solver", {}), "solver", _SOLVER_KEYS)
         self.order = solver.get("order")
-        self.levels = data.get("levels", [])
-        check_level_range(self.problem_kind, self.c, self.levels)
-        for i, level in enumerate(self.levels):
+        self.levels = data.get("levels")
+        if self.levels == []:
+            raise ConfigError("'levels' in config must not be empty")
+        check_level_range(self.problem_kind, self.c, self.levels or ())
+        for i, level in enumerate(self.levels or ()):
             if level in self.levels[:i]:
                 raise ConfigError(f"level {level} is repeated in levels")
         self.criteria = data.get("criteria")
@@ -120,21 +101,23 @@ class RunConfig:
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         entries = data.get("identities")
-        if not entries:
+        if entries is None:
             lo, _, hi = crit.default_levels(self.problem_kind, self.c)
             entries = [{"a": math.log(lo), "b": math.log(hi)}]
         self.identity_checks = []
         for entry in entries:
-            entry = _known(entry, "identity check", _IDENTITY_KEYS)
+            kind = isinstance(entry, dict) and entry.get("weight", "linear")
+            required = ("a", "b", "t") if kind == "shifted-log" else ("a", "b")
+            entry = _read_object(entry, "identity check", _IDENTITY_KEYS,
+                                 required)
             for key in ("t", "a", "b"):
                 if key in entry and not math.isfinite(entry[key]):
                     raise ConfigError(f"{key!r} in identity check must be "
                                       f"finite: {entry[key]}")
             try:
-                kind = entry.get("weight", "linear")
                 if kind == "linear":
                     weight = WeightSpec.linear()
-                elif kind in ("shifted-log", "shifted_log"):
+                elif kind == "shifted-log":
                     weight = WeightSpec.shifted_log(entry["t"])
                 else:
                     raise ConfigError(f"unknown identity weight {kind!r}")
@@ -142,9 +125,6 @@ class RunConfig:
                 if not a < b:
                     raise ConfigError("identity check needs a < b")
                 weight.validate_range(b)
-            except KeyError as exc:
-                raise ConfigError(
-                    f"identity check is missing {exc.args[0]!r}") from None
             except ValueError as exc:
                 raise ConfigError(str(exc)) from None
             with np.errstate(over="ignore"):  # a huge a or b is the level inf
@@ -168,12 +148,24 @@ class RunConfig:
         return solve_interior(self.domain, c=self.c, d=self.d, order=self.order)
 
 
+def _shorthand_number(flag, key, text):
+    """text as a float, else a ConfigError naming the flag and the key."""
+    try:
+        return float(text)
+    except ValueError:
+        raise ConfigError(f"{key!r} in {flag} is not a number: "
+                          f"{text!r}") from None
+
+
 def _parse_domain_shorthand(text):
     kind, _, rest = text.partition(":")
     if kind == "sphere":
-        return {"kind": "sphere", "radius": float(rest or 1.0)}
+        return {"kind": "sphere",
+                "radius": _shorthand_number("--domain", "radius", rest or 1.0)}
     if kind == "ellipsoid":
-        return {"kind": "ellipsoid", "axes": [float(v) for v in rest.split(",")]}
+        return {"kind": "ellipsoid",
+                "axes": [_shorthand_number("--domain", "axes", v)
+                         for v in rest.split(",")]}
     if text.startswith("@"):
         with open(text[1:], "r", encoding="utf-8") as fh:
             return json.load(fh)
@@ -186,7 +178,9 @@ def _parse_problem_shorthand(text):
     problem = {"kind": kind}
     for piece in filter(None, rest.split(",")):
         key, _, val = piece.partition("=")
-        problem[key] = float(val)
+        if key in problem:
+            raise ConfigError(f"{key!r} is repeated in --problem")
+        problem[key] = _shorthand_number("--problem", key, val)
     return problem
 
 
@@ -203,13 +197,7 @@ def _config_from_args(args):
 
 def _load_matching(config, path):
     """The solution saved at path, which must solve the config's problem."""
-    try:
-        sol = HarmonicSolution.load(path)
-    except KeyError as exc:
-        raise ConfigError(
-            f"solution {path} is missing {exc.args[0]!r}") from None
-    except TypeError as exc:
-        raise ConfigError(f"solution {path}: {exc}") from None
+    sol = HarmonicSolution.load(path)
     for name, want, got in (
             ("problem", config.problem_kind, sol.problem),
             ("c", config.c, sol.c), ("d", config.d, sol.d),
@@ -243,9 +231,9 @@ def _solve_stage(args, config, sol):
 
 def _check_stage(args, config, sol):
     reports = crit.run_battery(sol, criteria=config.criteria,
-                               levels=config.levels or None)
-    certificate = crit.symmetry_certificate(
-        sol, levels=config.levels or None, seed=config.seed)
+                               levels=config.levels)
+    certificate = crit.symmetry_certificate(sol, levels=config.levels,
+                                            seed=config.seed)
     payload = {
         "problem": config.problem_kind,
         "domain": config.domain.to_json_dict(),

@@ -5,6 +5,10 @@ class CapsymError(Exception):
     """Base class for all capsym errors."""
 
 
+class ConfigError(CapsymError):
+    """A run configuration or a saved solution is malformed."""
+
+
 class InvalidDomainError(CapsymError):
     """Domain description violates a geometric precondition."""
 

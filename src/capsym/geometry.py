@@ -16,6 +16,7 @@ relation between neighbouring orders, exact at the poles.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from numbers import Real
@@ -23,7 +24,7 @@ from numbers import Real
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .errors import InvalidDomainError
+from .errors import ConfigError, InvalidDomainError
 
 MIN_ORDER = 6
 DEFAULT_MAX_DEGREE = 8
@@ -162,11 +163,39 @@ def _integer(value):
     return int(value)
 
 
+def _number(value):
+    """value as a float if it is a number (2, 2.5), not a string or a bool,
+    else TypeError; OverflowError if it is an int too large for a float."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise TypeError(f"not a number: {value!r}")
+    return float(value)
+
+
+def _read_object(data, where, readers, required=(), error=ConfigError):
+    """The JSON object data, each value read by its key's reader (None: as
+    is); error names a missing (in required), unknown or mistyped key."""
+    if not isinstance(data, dict):
+        raise error(f"{where} must be a JSON object")
+    for key in required:
+        if key not in data:
+            raise error(f"{where} is missing {key!r}")
+    read = {}
+    for key, value in data.items():
+        if key not in readers:
+            raise error(f"unknown key {key!r} in {where}")
+        try:
+            read[key] = readers[key](value) if readers[key] else value
+        except (TypeError, ValueError, OverflowError):
+            raise error(f"{key!r} in {where} has the wrong JSON type: "
+                        f"{json.dumps(value)}") from None
+    return read
+
+
 # how a DomainSpec reads each field; the JSON keys of each kind, required first
 _FIELD_READERS = {
-    "center": lambda v: tuple(map(float, v)), "radius": float,
-    "axes": lambda v: tuple(map(float, v)), "mean_radius": float,
-    "terms": lambda t: tuple((_integer(l), _integer(m), float(c))
+    "center": lambda v: tuple(map(_number, v)), "radius": _number,
+    "axes": lambda v: tuple(map(_number, v)), "mean_radius": _number,
+    "terms": lambda t: tuple((_integer(l), _integer(m), _number(c))
                              for l, m, c in t),
     "max_degree": _integer}
 _JSON_KEYS = {"sphere": ("radius",), "ellipsoid": ("axes",),
@@ -345,14 +374,16 @@ class DomainSpec:
 
     @classmethod
     def from_json_dict(cls, data):
+        """The domain of a JSON object, read by the rule of _read_object."""
         if not isinstance(data, dict):
             raise InvalidDomainError("domain must be a JSON object")
         kind = data.get("kind")
         if not (isinstance(kind, str) and kind in _JSON_KEYS):
             raise InvalidDomainError(f"unknown domain kind {kind!r}")
         required, *optional = _JSON_KEYS[kind]
-        kwargs = {key: data[key] for key in ("center", *optional) if key in data}
-        return cls(kind=kind, **kwargs, **{required: data[required]})
+        keys = dict.fromkeys(("kind", "center", required, *optional))
+        return cls(**_read_object(data, "domain", keys, ("kind", required),
+                                  InvalidDomainError))
 
 
 def _ellipsoid_rho(theta, phi, axes):

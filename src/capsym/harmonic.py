@@ -46,8 +46,9 @@ from numpy.polynomial.legendre import leggauss
 
 from .errors import (InsufficientSamplesError, OutOfRegionError,
                      SolverFailureError)
-from .geometry import (DomainSpec, _integer, angular_grid, build_quadrature,
-                       unit_directions, unit_sphere_area)
+from .geometry import (DomainSpec, _integer, _number, _read_object,
+                       angular_grid, build_quadrature, unit_directions,
+                       unit_sphere_area)
 
 N_DIM = 3
 A_N = 1.0 / ((N_DIM - 2) * unit_sphere_area(N_DIM))   # 1/(4 pi)
@@ -160,32 +161,18 @@ class HarmonicSolution:
         return out
 
     @classmethod
-    def from_json_dict(cls, data):
-        """The solution that to_json_dict wrote.  A missing key raises
-        KeyError and a value of the wrong JSON type TypeError, naming it."""
-        def read(key, convert, default=KeyError):
-            value = data[key] if default is KeyError else data.get(key, default)
-            if value is None and default is None:   # an optional null
-                return None
-            try:
-                return convert(value)
-            except (TypeError, ValueError):
-                raise TypeError(f"{key!r} has the wrong JSON type: "
-                                f"{json.dumps(value)}") from None
-
-        def array(value):
-            return np.asarray(value, dtype=float)
-
+    def from_json_dict(cls, data, where="solution"):
+        """The solution to_json_dict wrote, read by _read_object; an older file
+        may lack conditionEstimate and checkMisfit or carry boundaryArea."""
+        read = _read_object(data, where, _SOLUTION_READERS, _SOLUTION_REQUIRED)
         return cls(
-            problem=data["problem"], c=read("c", float),
-            d=read("d", float, None),
-            domain=DomainSpec.from_json_dict(data["domain"]),
-            sources=read("sources", array), charges=read("charges", array),
-            singular_coefficient=read("singularCoefficient", float),
-            fit_residual=read("fitResidual", float),
-            order=read("order", _integer),
-            condition_estimate=read("conditionEstimate", float, 0.0),
-            check_misfit=read("checkMisfit", float, None))
+            problem=read["problem"], c=read["c"], d=read.get("d"),
+            domain=DomainSpec.from_json_dict(read["domain"]),
+            sources=read["sources"], charges=read["charges"],
+            singular_coefficient=read["singularCoefficient"],
+            fit_residual=read["fitResidual"], order=read["order"],
+            condition_estimate=read.get("conditionEstimate", 0.0),
+            check_misfit=read.get("checkMisfit"))
 
     def save(self, path):
         with open(path, "w", encoding="utf-8") as fh:
@@ -194,7 +181,20 @@ class HarmonicSolution:
     @classmethod
     def load(cls, path):
         with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json_dict(json.load(fh))
+            return cls.from_json_dict(json.load(fh), f"solution {path}")
+
+
+# the keys of a solution file, with the reader of each value (None: as is)
+_SOLUTION_READERS = {
+    **dict.fromkeys(("c", "singularCoefficient", "fitResidual",
+                     "conditionEstimate"), _number),
+    **dict.fromkeys(("d", "checkMisfit"),
+                    lambda v: None if v is None else _number(v)),
+    **dict.fromkeys(("sources", "charges"),
+                    lambda v: np.asarray(v, dtype=float)),
+    "problem": None, "domain": None, "order": _integer, "boundaryArea": None}
+_SOLUTION_REQUIRED = ("problem", "c", "domain", "sources", "charges",
+                      "singularCoefficient", "fitResidual", "order")
 
 
 # ---------------------------------------------------------------------------

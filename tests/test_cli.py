@@ -512,7 +512,7 @@ def test_solution_value_of_the_wrong_type_is_named(tmp_path, capsys,
     rc = main(["check", "--domain", "sphere:1", "--solution", str(bad),
                "--out", str(out)])
     assert rc == 2
-    assert (f"solution {bad}: {key!r} has the wrong JSON type: {shown}"
+    assert (f"{key!r} in solution {bad} has the wrong JSON type: {shown}"
             in capsys.readouterr().err)
     assert not out.exists()
 
@@ -526,6 +526,102 @@ def test_solution_missing_a_key_is_named(tmp_path, capsys):
     assert rc == 2
     assert f"solution {bad} is missing 'c'" in capsys.readouterr().err
     assert not out.exists()
+
+
+BENCH_STAR = {"kind": "star", "mean_radius": 1.0,
+              "terms": [[2, 0, 0.1], [3, 1, 0.05]]}
+HUGE = 10 ** 400   # a JSON integer too large for a float
+
+
+@pytest.mark.parametrize("config, argv, named", [
+    # unknown keys are named, not dropped
+    ({"domain": {**BENCH_STAR, "max_degre": 2}}, [],
+     "unknown key 'max_degre' in domain"),
+    ({"domain": {**BALL_DOMAIN, "centre": [0.1, 0.0, 0.0]}}, [],
+     "unknown key 'centre' in domain"),
+    ({"domain": {**BALL_DOMAIN, "axes": [2.0, 1.0, 1.0]}}, [],
+     "unknown key 'axes' in domain"),
+    (None, ["--domain", "sphere:1", "--solution", {"chargez": []}],
+     "unknown key 'chargez' in solution"),
+    # numbers are JSON numbers, not strings or bools
+    ({"domain": {"kind": "sphere", "radius": "2.0"}}, [],
+     "'radius' in domain has the wrong type: '2.0'"),
+    ({"domain": BALL_DOMAIN, "problem": {"c": True}}, [],
+     "'c' in problem has the wrong JSON type: true"),
+    ({"domain": BALL_DOMAIN, "levels": ["0.5", True]}, [],
+     "'levels' in config has the wrong JSON type: [\"0.5\", true]"),
+    ({"domain": BALL_DOMAIN, "levels": [0.5, True]}, [],
+     "'levels' in config has the wrong JSON type: [0.5, true]"),
+    ({"domain": {**BALL_DOMAIN, "center": "000"}}, [],
+     "'center' in domain has the wrong type: '000'"),
+    ({"domain": BALL_DOMAIN, "identities": [{"a": "-1", "b": -0.3}]}, [],
+     "'a' in identity check has the wrong JSON type: \"-1\""),
+    (None, ["--domain", "sphere:1", "--solution", {"c": "1.0"}],
+     "'c' in solution"),
+    # a JSON integer too large for a float is named, not a traceback
+    ({"domain": BALL_DOMAIN, "problem": {"c": HUGE}}, [],
+     f"'c' in problem has the wrong JSON type: {HUGE}"),
+    ({"domain": BALL_DOMAIN, "levels": [HUGE]}, [],
+     f"'levels' in config has the wrong JSON type: [{HUGE}]"),
+    ({"domain": BALL_DOMAIN, "identities": [{"a": -1.0, "b": HUGE}]}, [],
+     f"'b' in identity check has the wrong JSON type: {HUGE}"),
+    # each weight kind has one name
+    ({"domain": BALL_DOMAIN, "identities": [
+        {"weight": "shifted_log", "t": 32.0, "a": -1.0, "b": -0.3}]}, [],
+     "unknown identity weight 'shifted_log'"),
+    # levels select no work when left out, and [] is no level at all
+    ({"domain": BALL_DOMAIN, "levels": []}, [],
+     "'levels' in config must not be empty"),
+    # shorthand values are named by their flag and key
+    (None, ["--domain", "sphere:1", "--problem", "interior:c=abc"],
+     "'c' in --problem is not a number: 'abc'"),
+    (None, ["--domain", "sphere:1", "--problem", "interior:c"],
+     "'c' in --problem is not a number: ''"),
+    (None, ["--domain", "sphere:abc"],
+     "'radius' in --domain is not a number: 'abc'"),
+    (None, ["--domain", "ellipsoid:2,x,1"],
+     "'axes' in --domain is not a number: 'x'"),
+    (None, ["--domain", "sphere:1", "--problem", "interior:c=2,c=3"],
+     "'c' is repeated in --problem"),
+], ids=["domain-max-degree", "domain-centre", "sphere-axes",
+        "solution-key", "radius-string", "c-bool", "levels-string-bool",
+        "levels-bool", "center-string", "identity-a-string",
+        "solution-c-string", "c-huge", "level-huge", "identity-b-huge",
+        "shifted_log", "levels-empty", "problem-c-string",
+        "problem-c-no-value", "sphere-radius-string", "ellipsoid-axis-string",
+        "problem-c-repeated"])
+def test_every_reader_names_the_bad_key(tmp_path, capsys, saved_solutions,
+                                        config, argv, named):
+    # one rule for every JSON object and shorthand: exit 2 with the key named
+    # before anything is solved or written; a dict in argv is merged into
+    # the saved exterior solution
+    def solution(extra):
+        data = json.loads(Path(saved_solutions["exterior"]).read_text())
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({**data, **extra}))
+        return str(path)
+
+    argv = [solution(a) if isinstance(a, dict) else a for a in argv]
+    if config is not None:
+        argv = ["--config", write_config(tmp_path / "run.json", config), *argv]
+    out = tmp_path / "out"
+    rc = main(["check", *argv, "--out", str(out)])
+    assert rc == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_empty_identities_run_no_identity_check(tmp_path):
+    cfg = write_config(tmp_path / "run.json",
+                       {"domain": BALL_DOMAIN, "identities": []})
+    out = tmp_path / "out"
+    assert main(["identities", "--config", cfg, "--out", str(out)]) == 0
+    data = json.loads((out / "identities.json").read_text())
+    assert data["identityChecks"] == []
+    assert data["bochnerSampleCount"] == 20
+    assert data["bochnerMaxResidual"] < 1e-9
+    assert ((out / "identity_terms.csv").read_text().splitlines()
+            == ["weight,a,b,term,value"])
 
 
 @pytest.mark.parametrize("command", ["capacity", "decay"])

@@ -231,6 +231,30 @@ def test_star_indices_must_be_whole_numbers(fields, named):
         DomainSpec(kind="star", mean_radius=1.0, **fields)
 
 
+@pytest.mark.parametrize("data, named", [
+    ({"kind": "star", "mean_radius": 1.0, "terms": [[2, 0, 0.1]],
+      "max_degre": 2}, "unknown key 'max_degre' in domain"),
+    ({"kind": "sphere", "radius": 1.0, "centre": [0.1, 0.0, 0.0]},
+     "unknown key 'centre' in domain"),
+    ({"kind": "sphere", "radius": 1.0, "axes": [2.0, 1.0, 1.0]},
+     "unknown key 'axes' in domain"),
+    ({"kind": "sphere", "radius": "2.0"}, "'radius' in domain has the wrong type"),
+    ({"kind": "sphere", "radius": True}, "'radius' in domain has the wrong type"),
+    ({"kind": "sphere", "radius": 1.0, "center": "000"},
+     "'center' in domain has the wrong type"),
+    ({"kind": "ellipsoid", "axes": ["2", 1, 1]},
+     "'axes' in domain has the wrong type"),
+    ({"kind": "star", "mean_radius": 1.0, "terms": [[2, 0, True]]},
+     "'terms' in domain has the wrong type"),
+], ids=["max-degree-misspelt", "centre", "sphere-axes", "radius-string",
+        "radius-bool", "center-string", "axis-string", "coefficient-bool"])
+def test_domain_reader_names_unknown_keys_and_non_numbers(data, named):
+    # a misspelt key cannot leave a default in place, and a number must be
+    # a JSON number
+    with pytest.raises(InvalidDomainError, match=named):
+        DomainSpec.from_json_dict(data)
+
+
 def test_star_indices_accept_whole_floats():
     star = DomainSpec(kind="star", mean_radius=1.0, terms=((2.0, 0.0, 0.1),),
                       max_degree=8.0)
