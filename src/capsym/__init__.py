@@ -2,10 +2,9 @@
 electrostatic capacity, conformal level-set geometry, and the numerical
 symmetry criteria that single out the round ball."""
 
-from .conformal import (dmu_g_weight, dsigma_g_weight, hess_f_conformal,
+from .conformal import (dsigma_g_weight, hess_f_conformal,
                         level_set_mean_curvature, mean_curvature_conformal,
-                        p_function, quasi_einstein_residual, ricci_conformal,
-                        scalar_curvature)
+                        p_function)
 from .criteria import (CriterionReport, SymmetryCertificate, capacity,
                        check_C12, check_C13, check_C17, check_neumann,
                        check_pointwise, check_T11, check_T16, check_T19,
@@ -18,8 +17,7 @@ from .errors import (CapsymError, CriticalPointError,
                      NonStarShapedLevelSetError, OutOfRegionError,
                      SolverFailureError)
 from .geometry import (DomainSpec, SurfaceQuadrature, angular_grid,
-                       build_quadrature, real_sph_harm, unit_directions,
-                       unit_sphere_area)
+                       build_quadrature, unit_directions, unit_sphere_area)
 from .harmonic import (DecayReport, FieldStates, HarmonicSolution,
                        decay_report, solve_exterior, solve_interior)
 from .identities import (IdentityResidual, WeightSpec, bochner_sides,

@@ -5,16 +5,25 @@ gradient ("P-function")
 
     |grad f|_g^2 = |Du|^2 / u^(2(n-1)/(n-2)),
 
-the conformal Hessian of f in Euclidean components,
+the conformal Hessian of f in Euclidean components, with its g-norm and
+the g-Laplacian residual |Delta_g f|,
 
     hess_g f = D^2 f - (2 df x df - |Df|^2 I) / (n-2),
 
-the level-set mean curvature map
+the Euclidean mean curvature of a level set of u and its conformal map
 
     H_g/(n-1) = u^(-1/(n-2)) * (H/(n-1) - |Df|/(n-2)),
 
-and the quasi-Einstein combination Ric_g + hess_g f + df x df/(n-2)
-- |grad f|_g^2 g/(n-2), which vanishes identically when u is harmonic.
+and the weights dsigma_g/dsigma and dmu_g/dmu of the g-surface and
+g-volume measures.  These are the quantities that the criteria and the
+identities report.
+
+The Ricci tensor, the scalar curvature and the quasi-Einstein combination
+Ric_g + hess_g f + df x df/(n-2) - |grad f|_g^2 g/(n-2) live in
+tests/conformal_oracle.py, as an oracle of hess_f_conformal: for harmonic
+u the combination vanishes identically, so a residual of it computed at
+run time would check only this module's algebra, and no report carries
+one.
 
 Everything is assembled from Euclidean (u, Du, D2u) values; nothing here
 differentiates a discretized metric, so the only error sources are the
@@ -39,38 +48,6 @@ _N = 3
 _EYE3 = np.eye(_N)
 
 
-def _log_derivatives(u, grad, hess):
-    """u, df x df, D^2 f and |Df|^2 of f = log u.
-
-    Shapes as in the module docstring.  |Df|^2 keeps two unit axes so that
-    it broadcasts against the (..., 3, 3) tensors.
-    """
-    u = np.asarray(u, dtype=float)
-    if np.any(u <= 0):
-        raise ValueError("f = log u requires u > 0")
-    df = np.asarray(grad, dtype=float) / u[..., None]
-    outer = df[..., :, None] * df[..., None, :]
-    d2f = np.asarray(hess, dtype=float) / u[..., None, None] - outer
-    df2 = np.sum(df * df, axis=-1)[..., None, None]
-    return u, outer, d2f, df2
-
-
-def _hess_g_f(d):
-    """(hess_g f, |hess_g f|_g, |Delta_g f|) from _log_derivatives output d."""
-    u, outer, d2f, df2 = d
-    tensor = d2f - (2.0 * outer - df2 * _EYE3) / (_N - 2)
-    conf = u ** (-2.0 / (_N - 2))
-    return (tensor, np.sqrt(np.sum(tensor * tensor, axis=(-2, -1))) * conf,
-            np.abs(np.trace(tensor, axis1=-2, axis2=-1)) * conf)
-
-
-def _ricci_g(d):
-    """Ric_g from _log_derivatives output d."""
-    _, outer, d2f, df2 = d
-    lapf = np.trace(d2f, axis1=-2, axis2=-1)[..., None, None]
-    return -d2f + outer / (_N - 2) - (lapf + df2) / (_N - 2) * _EYE3
-
-
 def p_function(u, grad):
     """Squared conformal gradient length |grad f|_g^2 of f = log u.
 
@@ -92,7 +69,18 @@ def hess_f_conformal(u, grad, hess):
     Delta_g f = u^(-2/(n-2)) * (Delta f + |Df|^2), which vanishes for
     harmonic u, so the reported Laplacian residual bounds derivative error.
     """
-    return _hess_g_f(_log_derivatives(u, grad, hess))
+    u = np.asarray(u, dtype=float)
+    if np.any(u <= 0):
+        raise ValueError("f = log u requires u > 0")
+    df = np.asarray(grad, dtype=float) / u[..., None]
+    outer = df[..., :, None] * df[..., None, :]
+    # |Df|^2 keeps two unit axes so that it broadcasts against the tensors
+    df2 = np.sum(df * df, axis=-1)[..., None, None]
+    d2f = np.asarray(hess, dtype=float) / u[..., None, None] - outer
+    tensor = d2f - (2.0 * outer - df2 * _EYE3) / (_N - 2)
+    conf = u ** (-2.0 / (_N - 2))
+    return (tensor, np.sqrt(np.sum(tensor * tensor, axis=(-2, -1))) * conf,
+            np.abs(np.trace(tensor, axis1=-2, axis2=-1)) * conf)
 
 
 def mean_curvature_conformal(h_euclid, u, grad_norm):
@@ -121,39 +109,6 @@ def level_set_mean_curvature(grad, hess):
         raise CriticalPointError("level-set curvature needs |Du| > 0")
     quad = np.einsum("...a,...ab,...b->...", grad, hess, grad)
     return quad / gn ** 3
-
-
-def ricci_conformal(u, grad, hess):
-    """Ricci tensor of g in Euclidean components.
-
-    General conformal-change formula; the term with Delta f + |Df|^2 drops
-    out for harmonic u but is kept so that non-harmonic perturbations
-    register.
-    """
-    return _ricci_g(_log_derivatives(u, grad, hess))
-
-
-def quasi_einstein_residual(u, grad, hess):
-    """Max-norm defect of Ric_g + hess_g f + df x df/(n-2)
-    - |grad f|_g^2 g/(n-2); identically zero in exact arithmetic for
-    harmonic u, so the value bounds solver and derivative error.
-
-    Returns (defect, |Delta_g f|), each of the leading shape of u.
-    """
-    d = _log_derivatives(u, grad, hess)
-    tensor, _, lap_res = _hess_g_f(d)
-    _, outer, _, df2 = d
-    # |grad f|_g^2 g = |Df|^2 g_eucl in Euclidean components
-    total = _ricci_g(d) + tensor + (outer - df2 * _EYE3) / (_N - 2)
-    return np.max(np.abs(total), axis=(-2, -1)), lap_res
-
-
-def scalar_curvature(u, grad, hess):
-    """Scalar curvature of g; satisfies R_g/(n-1) = |grad f|_g^2/(n-2)
-    for harmonic u."""
-    d = _log_derivatives(u, grad, hess)
-    trace = np.trace(_ricci_g(d), axis1=-2, axis2=-1)
-    return d[0] ** (-2.0 / (_N - 2)) * trace
 
 
 def dsigma_g_weight(u):

@@ -171,9 +171,14 @@ def _number(value):
     return float(value)
 
 
+# an error shows at most this many characters of the bad value's JSON
+_SHOWN_CHARS = 40
+
+
 def _read_object(data, where, readers, required=(), error=ConfigError):
     """The JSON object data, each value read by its key's reader (None: as
-    is); error names a missing (in required), unknown or mistyped key."""
+    is); error names a missing (in required), unknown or mistyped key, or a
+    number too large for a float, with at most _SHOWN_CHARS of its value."""
     if not isinstance(data, dict):
         raise error(f"{where} must be a JSON object")
     for key in required:
@@ -185,13 +190,19 @@ def _read_object(data, where, readers, required=(), error=ConfigError):
             raise error(f"unknown key {key!r} in {where}")
         try:
             read[key] = readers[key](value) if readers[key] else value
-        except (TypeError, ValueError, OverflowError):
-            raise error(f"{key!r} in {where} has the wrong JSON type: "
-                        f"{json.dumps(value)}") from None
+        except (TypeError, ValueError, OverflowError) as exc:
+            what = ("is out of range" if isinstance(exc, OverflowError)
+                    else "has the wrong JSON type")
+            shown = json.dumps(value, default=repr)
+            if len(shown) > _SHOWN_CHARS:
+                shown = shown[:_SHOWN_CHARS] + "..."
+            raise error(f"{key!r} in {where} {what}: {shown}") from None
     return read
 
 
-# how a DomainSpec reads each field; the JSON keys of each kind, required first
+# how a DomainSpec reads each field; the JSON keys of each kind, required
+# first, which from_json_dict reads and to_json_dict writes after kind and
+# center
 _FIELD_READERS = {
     "center": lambda v: tuple(map(_number, v)), "radius": _number,
     "axes": lambda v: tuple(map(_number, v)), "mean_radius": _number,
@@ -221,15 +232,13 @@ class DomainSpec:
     max_degree: int = DEFAULT_MAX_DEGREE
 
     def __post_init__(self):
-        for name, read in _FIELD_READERS.items():
-            try:
-                value = read(getattr(self, name))
-                if not np.isfinite(np.asarray(value, dtype=float)).all():
-                    raise InvalidDomainError(
-                        f"{name!r} in domain must be finite: {value!r}")
-            except (TypeError, ValueError, OverflowError):
-                raise InvalidDomainError(f"{name!r} in domain has the wrong "
-                                         f"type: {getattr(self, name)!r}") from None
+        fields = {name: getattr(self, name) for name in _FIELD_READERS}
+        read = _read_object(fields, "domain", _FIELD_READERS,
+                            error=InvalidDomainError)
+        for name, value in read.items():
+            if not np.isfinite(np.asarray(value, dtype=float)).all():
+                raise InvalidDomainError(
+                    f"{name!r} in domain must be finite: {value!r}")
             object.__setattr__(self, name, value)
         if self.kind == "sphere":
             if not self.radius > 0:
@@ -361,28 +370,26 @@ class DomainSpec:
     # -- JSON ---------------------------------------------------------------
 
     def to_json_dict(self):
-        out = {"kind": self.kind, "center": list(self.center)}
-        if self.kind == "sphere":
-            out["radius"] = self.radius
-        elif self.kind == "ellipsoid":
-            out["axes"] = list(self.axes)
-        else:
-            out["mean_radius"] = self.mean_radius
-            out["terms"] = [list(t) for t in self.terms]
-            out["max_degree"] = self.max_degree
-        return out
+        """kind, center and the _JSON_KEYS of the kind, tuples as lists."""
+        def listed(v):
+            return [listed(x) for x in v] if isinstance(v, tuple) else v
+        return {"kind": self.kind,
+                **{key: listed(getattr(self, key))
+                   for key in ("center", *_JSON_KEYS[self.kind])}}
 
     @classmethod
-    def from_json_dict(cls, data):
-        """The domain of a JSON object, read by the rule of _read_object."""
+    def from_json_dict(cls, data, where="domain"):
+        """The domain of a JSON object, read by the rule of _read_object;
+        where names it in errors."""
         if not isinstance(data, dict):
-            raise InvalidDomainError("domain must be a JSON object")
+            raise InvalidDomainError(f"{where} must be a JSON object")
         kind = data.get("kind")
         if not (isinstance(kind, str) and kind in _JSON_KEYS):
             raise InvalidDomainError(f"unknown domain kind {kind!r}")
-        required, *optional = _JSON_KEYS[kind]
-        keys = dict.fromkeys(("kind", "center", required, *optional))
-        return cls(**_read_object(data, "domain", keys, ("kind", required),
+        keys = ("center", *_JSON_KEYS[kind])
+        readers = {"kind": None, **{key: _FIELD_READERS[key] for key in keys}}
+        return cls(**_read_object(data, where, readers,
+                                  ("kind", _JSON_KEYS[kind][0]),
                                   InvalidDomainError))
 
 

@@ -167,7 +167,8 @@ class HarmonicSolution:
         read = _read_object(data, where, _SOLUTION_READERS, _SOLUTION_REQUIRED)
         return cls(
             problem=read["problem"], c=read["c"], d=read.get("d"),
-            domain=DomainSpec.from_json_dict(read["domain"]),
+            domain=DomainSpec.from_json_dict(read["domain"],
+                                             f"domain of {where}"),
             sources=read["sources"], charges=read["charges"],
             singular_coefficient=read["singularCoefficient"],
             fit_residual=read["fitResidual"], order=read["order"],

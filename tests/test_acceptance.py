@@ -17,12 +17,12 @@ import pytest
 
 from capsym import (DomainSpec, WeightSpec, bochner_sides, decay_report,
                     extract_level_set, mean_curvature_conformal,
-                    normalization_c2, p_function_spread,
-                    quasi_einstein_residual, solve_exterior, solve_interior,
-                    surface_integral, weighted_identity_check)
+                    normalization_c2, p_function_spread, solve_exterior,
+                    solve_interior, surface_integral, weighted_identity_check)
 from capsym.cli import main as cli_main
 from capsym.geometry import build_quadrature
 from capsym.levelset import surface_integral
+from conformal_oracle import quasi_einstein_residual
 from radial_oracle import RadialGeometry, radial_solution
 
 

@@ -392,15 +392,15 @@ def test_solution_must_match_config(tmp_path, capsys, saved_solutions,
     ({"domain": BALL_DOMAIN, "criteria": 5},
      "'criteria' in config has the wrong JSON type: 5"),
     ({"domain": {"kind": "ellipsoid", "axes": 2}},
-     "'axes' in domain has the wrong type: 2"),
+     "'axes' in domain has the wrong JSON type: 2"),
     ({"domain": {"kind": "star", "mean_radius": 1.0, "terms": 3}},
-     "'terms' in domain has the wrong type: 3"),
+     "'terms' in domain has the wrong JSON type: 3"),
     ({"domain": BALL_DOMAIN, "levels": [None]},
      "'levels' in config has the wrong JSON type: [null]"),
     ({"domain": BALL_DOMAIN, "problem": {"c": None}},
      "'c' in problem has the wrong JSON type: null"),
     ({"domain": {"kind": "sphere", "radius": None}},
-     "'radius' in domain has the wrong type: None"),
+     "'radius' in domain has the wrong JSON type: null"),
     ({"domain": BALL_DOMAIN, "seed": None},
      "'seed' in config has the wrong JSON type: null"),
     ({"domain": BALL_DOMAIN, "solver": {"order": [1]}},
@@ -409,7 +409,7 @@ def test_solution_must_match_config(tmp_path, capsys, saved_solutions,
      "'a' in identity check has the wrong JSON type: null"),
     ({"domain": "sphere"}, "domain must be a JSON object"),
     ({"domain": {"kind": "ellipsoid", "axes": [None, 1.0, 1.0]}},
-     "'axes' in domain has the wrong type: [None, 1.0, 1.0]"),
+     "'axes' in domain has the wrong JSON type: [null, 1.0, 1.0]"),
     # integers only: no truncation of a fraction, no bool
     ({"domain": BALL_DOMAIN, "solver": {"order": 24.5}},
      "'order' in solver has the wrong JSON type: 24.5"),
@@ -437,7 +437,7 @@ def test_solution_must_match_config(tmp_path, capsys, saved_solutions,
      "'t' in identity check must be finite: nan"),
     ({"domain": {"kind": "star", "mean_radius": 1.0,
                  "terms": [[2.7, 0, 0.1]]}},
-     "'terms' in domain has the wrong type: [[2.7, 0, 0.1]]"),
+     "'terms' in domain has the wrong JSON type: [[2.7, 0, 0.1]]"),
     # list-valued keys take a JSON list and no other shape
     ({"domain": BALL_DOMAIN, "criteria": "T1.1-integral"},
      "'criteria' in config has the wrong JSON type: \"T1.1-integral\""),
@@ -531,6 +531,8 @@ def test_solution_missing_a_key_is_named(tmp_path, capsys):
 BENCH_STAR = {"kind": "star", "mean_radius": 1.0,
               "terms": [[2, 0, 0.1], [3, 1, 0.05]]}
 HUGE = 10 ** 400   # a JSON integer too large for a float
+# an error shows the first 40 characters of a value's JSON
+SHOWN = str(HUGE)[:40] + "..."
 
 
 @pytest.mark.parametrize("config, argv, named", [
@@ -545,7 +547,7 @@ HUGE = 10 ** 400   # a JSON integer too large for a float
      "unknown key 'chargez' in solution"),
     # numbers are JSON numbers, not strings or bools
     ({"domain": {"kind": "sphere", "radius": "2.0"}}, [],
-     "'radius' in domain has the wrong type: '2.0'"),
+     "'radius' in domain has the wrong JSON type: \"2.0\""),
     ({"domain": BALL_DOMAIN, "problem": {"c": True}}, [],
      "'c' in problem has the wrong JSON type: true"),
     ({"domain": BALL_DOMAIN, "levels": ["0.5", True]}, [],
@@ -553,18 +555,25 @@ HUGE = 10 ** 400   # a JSON integer too large for a float
     ({"domain": BALL_DOMAIN, "levels": [0.5, True]}, [],
      "'levels' in config has the wrong JSON type: [0.5, true]"),
     ({"domain": {**BALL_DOMAIN, "center": "000"}}, [],
-     "'center' in domain has the wrong type: '000'"),
+     "'center' in domain has the wrong JSON type: \"000\""),
     ({"domain": BALL_DOMAIN, "identities": [{"a": "-1", "b": -0.3}]}, [],
      "'a' in identity check has the wrong JSON type: \"-1\""),
     (None, ["--domain", "sphere:1", "--solution", {"c": "1.0"}],
      "'c' in solution"),
-    # a JSON integer too large for a float is named, not a traceback
+    # a JSON integer too large for a float is named as out of range, not
+    # a traceback, and shown cut short
     ({"domain": BALL_DOMAIN, "problem": {"c": HUGE}}, [],
-     f"'c' in problem has the wrong JSON type: {HUGE}"),
+     f"'c' in problem is out of range: {SHOWN}\n"),
     ({"domain": BALL_DOMAIN, "levels": [HUGE]}, [],
-     f"'levels' in config has the wrong JSON type: [{HUGE}]"),
+     f"'levels' in config is out of range: {f'[{HUGE}'[:40]}...\n"),
     ({"domain": BALL_DOMAIN, "identities": [{"a": -1.0, "b": HUGE}]}, [],
-     f"'b' in identity check has the wrong JSON type: {HUGE}"),
+     f"'b' in identity check is out of range: {SHOWN}\n"),
+    ({"domain": {"kind": "sphere", "radius": HUGE}}, [],
+     f"'radius' in domain is out of range: {SHOWN}\n"),
+    # the domain of a saved solution is named with its file
+    (None, ["--domain", "sphere:1", "--solution",
+            {"domain": {**BALL_DOMAIN, "radius ": 1.0}}],
+     "unknown key 'radius ' in domain of solution "),
     # each weight kind has one name
     ({"domain": BALL_DOMAIN, "identities": [
         {"weight": "shifted_log", "t": 32.0, "a": -1.0, "b": -0.3}]}, [],
@@ -587,6 +596,7 @@ HUGE = 10 ** 400   # a JSON integer too large for a float
         "solution-key", "radius-string", "c-bool", "levels-string-bool",
         "levels-bool", "center-string", "identity-a-string",
         "solution-c-string", "c-huge", "level-huge", "identity-b-huge",
+        "radius-huge", "solution-domain-key",
         "shifted_log", "levels-empty", "problem-c-string",
         "problem-c-no-value", "sphere-radius-string", "ellipsoid-axis-string",
         "problem-c-repeated"])

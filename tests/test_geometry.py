@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -227,7 +228,7 @@ def test_non_finite_domain_numbers_rejected(fields, named):
 ], ids=["l-fraction", "m-fraction", "max-degree-fraction", "l-bool"])
 def test_star_indices_must_be_whole_numbers(fields, named):
     # a fraction is named, not truncated to the integer below it
-    with pytest.raises(InvalidDomainError, match=f"{named} has the wrong type"):
+    with pytest.raises(InvalidDomainError, match=f"{named} has the wrong JSON type"):
         DomainSpec(kind="star", mean_radius=1.0, **fields)
 
 
@@ -238,21 +239,29 @@ def test_star_indices_must_be_whole_numbers(fields, named):
      "unknown key 'centre' in domain"),
     ({"kind": "sphere", "radius": 1.0, "axes": [2.0, 1.0, 1.0]},
      "unknown key 'axes' in domain"),
-    ({"kind": "sphere", "radius": "2.0"}, "'radius' in domain has the wrong type"),
-    ({"kind": "sphere", "radius": True}, "'radius' in domain has the wrong type"),
+    ({"kind": "sphere", "radius": "2.0"},
+     "'radius' in domain has the wrong JSON type"),
+    ({"kind": "sphere", "radius": True},
+     "'radius' in domain has the wrong JSON type"),
     ({"kind": "sphere", "radius": 1.0, "center": "000"},
-     "'center' in domain has the wrong type"),
+     "'center' in domain has the wrong JSON type"),
     ({"kind": "ellipsoid", "axes": ["2", 1, 1]},
-     "'axes' in domain has the wrong type"),
+     "'axes' in domain has the wrong JSON type"),
     ({"kind": "star", "mean_radius": 1.0, "terms": [[2, 0, True]]},
-     "'terms' in domain has the wrong type"),
+     "'terms' in domain has the wrong JSON type"),
+    # a domain built in Python is named in the same wording
+    (partial(DomainSpec, kind="sphere", radius="2.0"),
+     "'radius' in domain has the wrong JSON type: \"2.0\""),
+    (partial(DomainSpec, kind="sphere", radius=np.array([2.0])),
+     "'radius' in domain has the wrong JSON type: \"array"),
 ], ids=["max-degree-misspelt", "centre", "sphere-axes", "radius-string",
-        "radius-bool", "center-string", "axis-string", "coefficient-bool"])
+        "radius-bool", "center-string", "axis-string", "coefficient-bool",
+        "python-radius-string", "python-radius-array"])
 def test_domain_reader_names_unknown_keys_and_non_numbers(data, named):
     # a misspelt key cannot leave a default in place, and a number must be
-    # a JSON number
+    # a JSON number; a callable row builds its domain in Python
     with pytest.raises(InvalidDomainError, match=named):
-        DomainSpec.from_json_dict(data)
+        data() if callable(data) else DomainSpec.from_json_dict(data)
 
 
 def test_star_indices_accept_whole_floats():
