@@ -18,7 +18,11 @@ on the middle one, and the default identity between the logs of the outer two.
 Every JSON object read (config, domain, problem, solver, identity check,
 solution) names a missing, unknown or mistyped key, and a number must be a
 JSON number, not a string or a bool.  An empty ``criteria`` or ``identities``
-list runs none of them; an empty ``levels`` is an error.
+list runs none of them; an empty ``levels`` is an error.  Every JSON object
+written (the reports and solution.json) goes through one writer,
+``geometry._json_value``: its keys are the camelCase names of the fields it
+holds (fit_residual -> fitResidual), and the domain keeps its own snake_case
+keys (mean_radius, max_degree), the ones it is read with.
 
 Exit code 0 means the run completed; criterion verdicts live in the
 reports, not the exit code.  Reports are written deterministically (sorted
@@ -39,7 +43,7 @@ import numpy as np
 
 from . import criteria as crit
 from .errors import CapsymError, ConfigError
-from .geometry import DomainSpec, _integer, _number, _read_object
+from .geometry import DomainSpec, _integer, _json_value, _number, _read_object
 from .harmonic import (HarmonicSolution, decay_report, solve_exterior,
                        solve_interior)
 from .identities import WeightSpec, bochner_sides, weighted_identity_check
@@ -216,17 +220,17 @@ def _load_matching(config, path):
 
 def _write_json(path, payload):
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1)
+        json.dump(_json_value(payload), fh, sort_keys=True, indent=1)
         fh.write("\n")
 
 
 def _solve_stage(args, config, sol):
     path = os.path.join(args.out, "solution.json")
     sol.save(path)
-    check = "-" if sol.check_misfit is None else f"{sol.check_misfit:.6e}"
     print(f"{'loaded' if args.solution else 'solved'} {config.problem_kind} "
           f"problem on {config.domain.kind}: fitResidual "
-          f"{sol.fit_residual:.6e} checkMisfit {check} -> {path}")
+          f"{sol.fit_residual:.6e} checkMisfit {sol.check_misfit:.6e} "
+          f"-> {path}")
 
 
 def _check_stage(args, config, sol):
@@ -236,11 +240,10 @@ def _check_stage(args, config, sol):
                                             seed=config.seed)
     payload = {
         "problem": config.problem_kind,
-        "domain": config.domain.to_json_dict(),
+        "domain": config.domain,
         "fitResidual": sol.fit_residual,
-        "criteria": [r.to_json_dict() if hasattr(r, "to_json_dict") else r
-                     for r in reports],
-        "certificate": certificate.to_json_dict(),
+        "criteria": reports,
+        "certificate": certificate,
     }
     path = os.path.join(args.out, "criteria.json")
     _write_json(path, payload)
@@ -319,14 +322,8 @@ def _decay_stage(args, config, sol):
         r_hi = config.domain.bounding_radii()[1]
         lo, hi, count = max(10.0, 3 * r_hi), max(100.0, 30 * r_hi), 8
     report = decay_report(sol, np.geomspace(lo, hi, count))
-    payload = {
-        "fittedExponent": report.fitted_exponent,
-        "gradientExponent": report.gradient_exponent,
-        "hessianExponent": report.hessian_exponent,
-        "sampleRadii": list(report.sample_radii),
-    }
     path = os.path.join(args.out, "decay.json")
-    _write_json(path, payload)
+    _write_json(path, report)
     print(f"decay exponents: u {report.fitted_exponent:.6f}, "
           f"|Du| {report.gradient_exponent:.6f}, "
           f"|D2u| {report.hessian_exponent:.6f} -> {path}")

@@ -20,7 +20,7 @@ from numpy.random import default_rng
 
 from .conformal import p_function
 from .errors import CapsymError, IrregularLevelSetError
-from .geometry import unit_sphere_area
+from .geometry import _json_fields, _json_value, unit_sphere_area
 from .identities import interior_flux_cubed_limit
 from .levelset import (_boundary, _ray_volume, _rays, extract_level_set,
                        surface_integral)
@@ -62,22 +62,11 @@ class CriterionReport:
     witnesses: dict = field(default_factory=dict)
 
     def to_json_dict(self):
-        return {
-            "criterionId": self.criterion_id,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "margin": self.margin,
-            "errorEstimate": self.error_estimate,
-            "verdict": self.verdict,
-            "witnesses": [
-                {"name": k, "value": _jsonable(v)}
-                for k, v in sorted(self.witnesses.items())
-            ],
-        }
-
-
-def _jsonable(v):
-    return v.tolist() if isinstance(v, (np.generic, np.ndarray)) else v
+        """_json_fields, with the witnesses as a list of {name, value}
+        sorted by name."""
+        return {**_json_fields(self),
+                "witnesses": [{"name": k, "value": _json_value(v)}
+                              for k, v in sorted(self.witnesses.items())]}
 
 
 def _report(criterion_id, lhs, rhs, error, witnesses=None):
@@ -367,17 +356,7 @@ class SymmetryCertificate:
     failing_metric: str | None
     thresholds: dict
 
-    def to_json_dict(self):
-        return {
-            "granted": self.granted,
-            "pFunctionSpread": self.p_function_spread,
-            "levelSetSphericity": {str(k): v
-                                   for k, v in self.level_set_sphericity.items()},
-            "equalityResidual": self.equality_residual,
-            "inferredRadius": self.inferred_radius,
-            "failingMetric": self.failing_metric,
-            "thresholds": dict(self.thresholds),
-        }
+    to_json_dict = _json_fields
 
 
 def sample_region_points(sol, count=200, seed=0):

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, fields
 from numbers import Real
 
 import numpy as np
@@ -200,6 +200,33 @@ def _read_object(data, where, readers, required=(), error=ConfigError):
     return read
 
 
+def _camel(name):
+    """The JSON key of a field name: fit_residual -> fitResidual."""
+    head, *rest = name.split("_")
+    return head + "".join(word.capitalize() for word in rest)
+
+
+def _json_value(value):
+    """value in JSON types: to_json_dict() where value has one, arrays and
+    numpy scalars by tolist(), tuples as lists, dict keys as str."""
+    if hasattr(value, "to_json_dict"):
+        return value.to_json_dict()
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    if isinstance(value, (list, tuple)):
+        return [_json_value(v) for v in value]
+    if isinstance(value, dict):
+        return {str(k): _json_value(v) for k, v in value.items()}
+    return value
+
+
+def _json_fields(obj):
+    """The public fields of the dataclass obj under their _camel names, each
+    value by _json_value; classes take it as their to_json_dict."""
+    return {_camel(f.name): _json_value(getattr(obj, f.name))
+            for f in fields(obj) if not f.name.startswith("_")}
+
+
 # how a DomainSpec reads each field; the JSON keys of each kind, required
 # first, which from_json_dict reads and to_json_dict writes after kind and
 # center
@@ -213,6 +240,11 @@ _JSON_KEYS = {"sphere": ("radius",), "ellipsoid": ("axes",),
               "star": ("mean_radius", "terms", "max_degree")}
 
 
+def _check_kind(kind, where):
+    if not (isinstance(kind, str) and kind in _JSON_KEYS):
+        raise InvalidDomainError(f"unknown domain kind {kind!r} in {where}")
+
+
 @dataclass(frozen=True)
 class DomainSpec:
     """Parametric description of a smooth closed boundary surface in R^3.
@@ -220,7 +252,9 @@ class DomainSpec:
     kind is one of "sphere" (radius), "ellipsoid" (semi-axes), or "star"
     (radial graph rho = mean_radius + sum of real spherical-harmonic terms
     [l, m, coefficient]).  Every number must be finite, the surface a
-    radial graph about ``center``, and the origin inside the domain.
+    radial graph about ``center``, and the origin inside the domain.  A
+    field of another kind must keep its default.  ``where`` names the
+    domain in errors and is not stored.
     """
 
     kind: str
@@ -230,15 +264,21 @@ class DomainSpec:
     terms: tuple = ()
     center: tuple = (0.0, 0.0, 0.0)
     max_degree: int = DEFAULT_MAX_DEGREE
+    where: InitVar[str] = "domain"
 
-    def __post_init__(self):
-        fields = {name: getattr(self, name) for name in _FIELD_READERS}
-        read = _read_object(fields, "domain", _FIELD_READERS,
-                            error=InvalidDomainError)
+    def __post_init__(self, where):
+        _check_kind(self.kind, where)
+        read = _read_object({name: getattr(self, name)
+                             for name in _FIELD_READERS},
+                            where, _FIELD_READERS, error=InvalidDomainError)
+        own = ("center", *_JSON_KEYS[self.kind])
+        for f in fields(self):
+            if f.name not in own and read.get(f.name, f.default) != f.default:
+                raise InvalidDomainError(f"unknown key {f.name!r} in {where}")
         for name, value in read.items():
             if not np.isfinite(np.asarray(value, dtype=float)).all():
                 raise InvalidDomainError(
-                    f"{name!r} in domain must be finite: {value!r}")
+                    f"{name!r} in {where} must be finite: {value!r}")
             object.__setattr__(self, name, value)
         if self.kind == "sphere":
             if not self.radius > 0:
@@ -246,7 +286,7 @@ class DomainSpec:
         elif self.kind == "ellipsoid":
             if len(self.axes) != 3 or min(self.axes) <= 0:
                 raise InvalidDomainError("ellipsoid needs three positive semi-axes")
-        elif self.kind == "star":
+        else:
             if not self.mean_radius > 0:
                 raise InvalidDomainError("star surface needs a positive mean radius")
             for (l, m, _) in self.terms:
@@ -258,8 +298,6 @@ class DomainSpec:
                         f"max_degree={self.max_degree}"
                     )
             self._validate_star_rho()
-        else:
-            raise InvalidDomainError(f"unknown domain kind {self.kind!r}")
         if not self.contains(np.zeros(3), tol=-1e-12)[0]:
             raise InvalidDomainError("origin must lie inside the domain")
 
@@ -370,11 +408,9 @@ class DomainSpec:
     # -- JSON ---------------------------------------------------------------
 
     def to_json_dict(self):
-        """kind, center and the _JSON_KEYS of the kind, tuples as lists."""
-        def listed(v):
-            return [listed(x) for x in v] if isinstance(v, tuple) else v
+        """kind, center and the _JSON_KEYS of the kind, by _json_value."""
         return {"kind": self.kind,
-                **{key: listed(getattr(self, key))
+                **{key: _json_value(getattr(self, key))
                    for key in ("center", *_JSON_KEYS[self.kind])}}
 
     @classmethod
@@ -384,13 +420,12 @@ class DomainSpec:
         if not isinstance(data, dict):
             raise InvalidDomainError(f"{where} must be a JSON object")
         kind = data.get("kind")
-        if not (isinstance(kind, str) and kind in _JSON_KEYS):
-            raise InvalidDomainError(f"unknown domain kind {kind!r}")
+        _check_kind(kind, where)
         keys = ("center", *_JSON_KEYS[kind])
         readers = {"kind": None, **{key: _FIELD_READERS[key] for key in keys}}
         return cls(**_read_object(data, where, readers,
                                   ("kind", _JSON_KEYS[kind][0]),
-                                  InvalidDomainError))
+                                  InvalidDomainError), where=where)
 
 
 def _ellipsoid_rho(theta, phi, axes):

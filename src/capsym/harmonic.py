@@ -46,9 +46,9 @@ from numpy.polynomial.legendre import leggauss
 
 from .errors import (InsufficientSamplesError, OutOfRegionError,
                      SolverFailureError)
-from .geometry import (DomainSpec, _integer, _number, _read_object,
-                       angular_grid, build_quadrature, unit_directions,
-                       unit_sphere_area)
+from .geometry import (DomainSpec, _camel, _integer, _json_fields, _number,
+                       _read_object, angular_grid, build_quadrature,
+                       unit_directions, unit_sphere_area)
 
 N_DIM = 3
 A_N = 1.0 / ((N_DIM - 2) * unit_sphere_area(N_DIM))   # 1/(4 pi)
@@ -80,8 +80,12 @@ class HarmonicSolution:
 
     For the interior problem ``singular_coefficient`` is d*|dOmega|*a_n, the
     closed-form coefficient of |x|^(2-n); it is zero for exterior solutions.
-    ``check_misfit`` is max |u - c|/c on the boundary grid of order + 8; it
-    is None for a solution loaded from a file that predates it.
+    ``check_misfit`` is max |u - c|/c on the boundary grid of order + 8.
+
+    A saved solution is the JSON object of every public field under its
+    _camel name (singularCoefficient, fitResidual, conditionEstimate,
+    checkMisfit, ...), with the domain in its own keys; a file lacking one
+    of them or carrying another key is an error.
     """
 
     problem: str                  # "exterior" | "interior"
@@ -94,7 +98,7 @@ class HarmonicSolution:
     fit_residual: float
     order: int
     condition_estimate: float
-    check_misfit: float | None = None
+    check_misfit: float
     # rays and the scan's march per order, the boundary LevelSet and the
     # extracted LevelSets of this solution, read and written by
     # capsym.levelset alone
@@ -143,37 +147,19 @@ class HarmonicSolution:
 
     # -- serialization ------------------------------------------------------
 
-    def to_json_dict(self):
-        out = {
-            "problem": self.problem,
-            "c": self.c,
-            "d": self.d,
-            "domain": self.domain.to_json_dict(),
-            "sources": [list(map(float, s)) for s in self.sources],
-            "charges": [float(q) for q in self.charges],
-            "singularCoefficient": self.singular_coefficient,
-            "fitResidual": self.fit_residual,
-            "order": self.order,
-            "conditionEstimate": self.condition_estimate,
-        }
-        if self.check_misfit is not None:
-            out["checkMisfit"] = self.check_misfit
-        return out
+    to_json_dict = _json_fields
 
     @classmethod
     def from_json_dict(cls, data, where="solution"):
-        """The solution to_json_dict wrote, read by _read_object; an older file
-        may lack conditionEstimate and checkMisfit or carry boundaryArea."""
-        read = _read_object(data, where, _SOLUTION_READERS, _SOLUTION_REQUIRED)
-        return cls(
-            problem=read["problem"], c=read["c"], d=read.get("d"),
-            domain=DomainSpec.from_json_dict(read["domain"],
-                                             f"domain of {where}"),
-            sources=read["sources"], charges=read["charges"],
-            singular_coefficient=read["singularCoefficient"],
-            fit_residual=read["fitResidual"], order=read["order"],
-            condition_estimate=read.get("conditionEstimate", 0.0),
-            check_misfit=read.get("checkMisfit"))
+        """The solution to_json_dict wrote, read by _read_object with
+        _SOLUTION_READERS; where names it in errors."""
+        keys = {_camel(name): reader
+                for name, reader in _SOLUTION_READERS.items()}
+        read = _read_object(data, where, keys, tuple(keys))
+        read = {name: read[_camel(name)] for name in _SOLUTION_READERS}
+        read["domain"] = DomainSpec.from_json_dict(read["domain"],
+                                                   f"domain of {where}")
+        return cls(**read)
 
     def save(self, path):
         with open(path, "w", encoding="utf-8") as fh:
@@ -185,17 +171,15 @@ class HarmonicSolution:
             return cls.from_json_dict(json.load(fh), f"solution {path}")
 
 
-# the keys of a solution file, with the reader of each value (None: as is)
+# the reader of each field of a saved solution (None: as is); the file's
+# key is the field's _camel name, and every key is required
 _SOLUTION_READERS = {
-    **dict.fromkeys(("c", "singularCoefficient", "fitResidual",
-                     "conditionEstimate"), _number),
-    **dict.fromkeys(("d", "checkMisfit"),
-                    lambda v: None if v is None else _number(v)),
+    **dict.fromkeys(("c", "singular_coefficient", "fit_residual",
+                     "condition_estimate", "check_misfit"), _number),
+    "d": lambda v: None if v is None else _number(v),
     **dict.fromkeys(("sources", "charges"),
                     lambda v: np.asarray(v, dtype=float)),
-    "problem": None, "domain": None, "order": _integer, "boundaryArea": None}
-_SOLUTION_REQUIRED = ("problem", "c", "domain", "sources", "charges",
-                      "singularCoefficient", "fitResidual", "order")
+    "problem": None, "domain": None, "order": _integer}
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +402,8 @@ def _solve(spec, order, problem, c, d):
                            d=None if d is None else float(d), domain=spec,
                            sources=sources, charges=charges,
                            singular_coefficient=s0, fit_residual=fit,
-                           order=order, condition_estimate=cond)
+                           order=order, condition_estimate=cond,
+                           check_misfit=math.nan)   # measured below
     u = sol.field(_graph_points(spec, order + 8, 1.0), want="u",
                   check_region=False).u
     return replace(sol, check_misfit=float(np.abs(u - c).max() / c))
@@ -458,6 +443,8 @@ class DecayReport:
     gradient_exponent: float
     hessian_exponent: float
     sample_radii: tuple
+
+    to_json_dict = _json_fields
 
 
 # order of the sphere rule that averages the far-field samples

@@ -41,7 +41,7 @@ import numpy as np
 
 from .conformal import (dsigma_g_weight, dmu_g_weight, hess_f_conformal,
                         mean_curvature_conformal, p_function)
-from .geometry import unit_sphere_area
+from .geometry import _json_fields, unit_sphere_area
 from .levelset import _boundary, _ray_volume, extract_level_set
 
 _N = 3
@@ -172,16 +172,7 @@ class IdentityResidual:
     scale: float
     quadrature_error: float
 
-    def to_json_dict(self):
-        return {
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "rhsTerms": dict(self.rhs_terms),
-            "relResidual": self.rel_residual,
-            "absResidual": self.abs_residual,
-            "scale": self.scale,
-            "quadratureError": self.quadrature_error,
-        }
+    to_json_dict = _json_fields
 
 
 def weighted_identity_check(sol, weight, a, b, order=None):

@@ -574,6 +574,12 @@ SHOWN = str(HUGE)[:40] + "..."
     (None, ["--domain", "sphere:1", "--solution",
             {"domain": {**BALL_DOMAIN, "radius ": 1.0}}],
      "unknown key 'radius ' in domain of solution "),
+    (None, ["--domain", "sphere:1", "--solution",
+            {"domain": {**BALL_DOMAIN, "radius": math.inf}}],
+     "'radius' in domain of solution "),
+    (None, ["--domain", "sphere:1", "--solution",
+            {"domain": {**BALL_DOMAIN, "kind": "cube"}}],
+     "unknown domain kind 'cube' in domain of solution "),
     # each weight kind has one name
     ({"domain": BALL_DOMAIN, "identities": [
         {"weight": "shifted_log", "t": 32.0, "a": -1.0, "b": -0.3}]}, [],
@@ -596,7 +602,8 @@ SHOWN = str(HUGE)[:40] + "..."
         "solution-key", "radius-string", "c-bool", "levels-string-bool",
         "levels-bool", "center-string", "identity-a-string",
         "solution-c-string", "c-huge", "level-huge", "identity-b-huge",
-        "radius-huge", "solution-domain-key",
+        "radius-huge", "solution-domain-key", "solution-domain-inf",
+        "solution-domain-kind",
         "shifted_log", "levels-empty", "problem-c-string",
         "problem-c-no-value", "sphere-radius-string", "ellipsoid-axis-string",
         "problem-c-repeated"])

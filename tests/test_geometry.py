@@ -254,9 +254,18 @@ def test_star_indices_must_be_whole_numbers(fields, named):
      "'radius' in domain has the wrong JSON type: \"2.0\""),
     (partial(DomainSpec, kind="sphere", radius=np.array([2.0])),
      "'radius' in domain has the wrong JSON type: \"array"),
+    # and cannot carry the fields of another kind
+    (partial(DomainSpec, kind="sphere", radius=1.0, axes=(3.0, 2.0, 1.0),
+             terms=((2, 0, 0.1),)),
+     "unknown key 'axes' in domain"),
+    (partial(DomainSpec, kind="sphere", radius=1.0, max_degree=12),
+     "unknown key 'max_degree' in domain"),
+    (partial(DomainSpec, kind="ellipsoid", axes=(2.0, 1.0, 1.0), radius=2.0),
+     "unknown key 'radius' in domain"),
 ], ids=["max-degree-misspelt", "centre", "sphere-axes", "radius-string",
         "radius-bool", "center-string", "axis-string", "coefficient-bool",
-        "python-radius-string", "python-radius-array"])
+        "python-radius-string", "python-radius-array", "python-sphere-axes",
+        "python-sphere-max-degree", "python-ellipsoid-radius"])
 def test_domain_reader_names_unknown_keys_and_non_numbers(data, named):
     # a misspelt key cannot leave a default in place, and a number must be
     # a JSON number; a callable row builds its domain in Python

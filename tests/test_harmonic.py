@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -13,6 +14,7 @@ from radial_oracle import RadialGeometry, radial_solution
 from scipy.special import elliprf
 
 from capsym import HarmonicSolution
+from capsym.errors import ConfigError
 from capsym.geometry import angular_grid, build_quadrature, unit_directions
 from capsym.levelset import surface_integral
 from capsym.harmonic import (_CHUNK_PAIRS, _ellipsoid_focal_sources,
@@ -439,30 +441,39 @@ def test_solution_round_trip(tmp_path, ellipsoid_solution):
     assert np.array_equal(a.hess, b.hess)
 
 
-def test_solution_without_check_misfit_loads_and_saves_unchanged(
-        tmp_path, ball_solution):
-    data = ball_solution.to_json_dict()
-    assert data.pop("checkMisfit") == ball_solution.check_misfit
-    path, again = tmp_path / "old.json", tmp_path / "again.json"
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, sort_keys=True, indent=1)
-    sol = HarmonicSolution.load(path)
-    assert sol.check_misfit is None
-    sol.save(again)
-    assert again.read_bytes() == path.read_bytes()
+# the keys of a saved solution, every one of them required
+SOLUTION_KEYS = ("c", "charges", "checkMisfit", "conditionEstimate", "d",
+                 "domain", "fitResidual", "order", "problem",
+                 "singularCoefficient", "sources")
 
 
-def test_solution_with_boundary_area_loads_and_saves_without_it(
-        tmp_path, ball_interior):
-    # files written before the boundary area left the solution carry it
-    data = ball_interior.to_json_dict()
-    assert "boundaryArea" not in data
-    path, again = tmp_path / "old.json", tmp_path / "again.json"
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump({**data, "boundaryArea": 4.0 * math.pi}, fh,
-                  sort_keys=True, indent=1)
-    HarmonicSolution.load(path).save(again)
-    assert json.loads(again.read_text()) == data
+@pytest.mark.parametrize("change", [None, *SOLUTION_KEYS, "boundaryArea"],
+                         ids=["round-trip",
+                              *(f"without-{key}" for key in SOLUTION_KEYS),
+                              "with-boundaryArea"])
+@pytest.mark.parametrize("problem", ["exterior", "interior"])
+def test_saved_solution_has_one_complete_form(tmp_path, ball_solution,
+                                              ball_interior, problem, change):
+    # save -> load -> save is byte-exact; a file lacking a key, or carrying
+    # boundaryArea as older files did, fails naming the key and the file
+    sol = ball_solution if problem == "exterior" else ball_interior
+    path, again = tmp_path / "sol.json", tmp_path / "again.json"
+    sol.save(path)
+    data = json.loads(path.read_text())
+    assert sorted(data) == list(SOLUTION_KEYS)
+    if change is None:
+        HarmonicSolution.load(path).save(again)
+        assert again.read_bytes() == path.read_bytes()
+        return
+    if change in data:
+        del data[change]
+        named = f"solution {path} is missing '{change}'"
+    else:
+        data[change] = 4.0 * math.pi
+        named = f"unknown key '{change}' in solution {path}"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ConfigError, match=re.escape(named)):
+        HarmonicSolution.load(path)
 
 
 # ---------------------------------------------------------------------------

@@ -207,7 +207,7 @@ def pierced_twice():
         sources=np.array([[0.9, 0.0, 0.0]]),
         charges=np.array([1.0]), singular_coefficient=0.0,
         fit_residual=0.0, order=12,
-        condition_estimate=1.0)
+        condition_estimate=1.0, check_misfit=0.0)
 
 
 def test_non_star_shaped_level_reported():

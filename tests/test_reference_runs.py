@@ -7,7 +7,7 @@ list of (level, order) pairs each run solves, so that an added extraction
 fails too, and the number of u evaluations it makes, so that a scan column
 computed twice fails too (every level shares its order's one march), and the
 rule that T1.9, the certificate and the default identity share the outer
-default levels.
+default levels, and the keys of every JSON object each run writes.
 """
 
 import json
@@ -65,6 +65,87 @@ REFERENCE_RUNS = {
 }
 
 
+DOMAIN_KEYS = {"sphere": {"kind", "center", "radius"},
+               "ellipsoid": {"kind", "center", "axes"},
+               "star": {"kind", "center", "mean_radius", "terms",
+                        "max_degree"}}
+EXTERIOR_REPORTS = ("solution", "criteria", "identities", "capacity", "decay")
+INTERIOR_REPORTS = ("solution", "criteria", "identities")
+
+
+def written_keys(kind, levels, reports):
+    """report -> path in the file ("[]": the items of a list) -> the keys
+    of the JSON object there, for a run on a domain of this kind with these
+    certificate levels that writes these reports."""
+    domain = DOMAIN_KEYS[kind]
+    keys = {
+        "solution": {
+            "": {"problem", "c", "d", "domain", "sources", "charges",
+                 "singularCoefficient", "fitResidual", "order",
+                 "conditionEstimate", "checkMisfit"},
+            "domain": domain},
+        "criteria": {
+            "": {"problem", "domain", "fitResidual", "criteria",
+                 "certificate"},
+            "domain": domain,
+            "criteria[]": {"criterionId", "lhs", "rhs", "margin",
+                           "errorEstimate", "verdict", "witnesses"},
+            "criteria[].witnesses[]": {"name", "value"},
+            "certificate": {"granted", "pFunctionSpread",
+                            "levelSetSphericity", "equalityResidual",
+                            "inferredRadius", "failingMetric", "thresholds"},
+            "certificate.levelSetSphericity": set(levels),
+            "certificate.thresholds": {"pFunctionSpread",
+                                       "levelSetSphericity",
+                                       "equalityResidual"}},
+        "identities": {
+            "": {"identityChecks", "bochnerMaxResidual",
+                 "bochnerSampleCount"},
+            "identityChecks[]": {"weight", "t", "a", "b", "lhs", "rhs",
+                                 "rhsTerms", "relResidual", "absResidual",
+                                 "scale", "quadratureError"},
+            "identityChecks[].rhsTerms": {"curvatureBottom", "curvatureTop",
+                                          "fluxCubedBottom", "fluxCubedTop"}},
+        "capacity": {"": {"capacity", "level", "inferredBallRadius"}},
+        "decay": {"": {"fittedExponent", "gradientExponent",
+                       "hessianExponent", "sampleRadii"}},
+    }
+    return {report: keys[report] for report in reports}
+
+
+EXTERIOR_LEVELS = ("0.25", "0.5", "0.75")
+INTERIOR_LEVELS = ("1.5", "2.0", "3.0")
+WRITTEN_KEYS = {
+    "ball-report": written_keys("sphere", EXTERIOR_LEVELS, EXTERIOR_REPORTS),
+    "interior-ball-report": written_keys("sphere", INTERIOR_LEVELS,
+                                         INTERIOR_REPORTS),
+    "ellipsoid-report": written_keys("ellipsoid", EXTERIOR_LEVELS,
+                                     EXTERIOR_REPORTS),
+    "interior-ellipsoid-report": written_keys("ellipsoid", INTERIOR_LEVELS,
+                                              INTERIOR_REPORTS),
+    "star-check": written_keys("star", EXTERIOR_LEVELS, ("criteria",)),
+}
+
+
+def json_keys(out):
+    """report -> path -> the keys of the JSON object there, for every
+    out/<report>.json; the objects of one path must share their keys."""
+    found = {}
+
+    def walk(keys, value, path):
+        if isinstance(value, dict):
+            assert keys.setdefault(path, set(value)) == set(value), path
+            for key, item in value.items():
+                walk(keys, item, f"{path}.{key}" if path else key)
+        elif isinstance(value, list):
+            for item in value:
+                walk(keys, item, f"{path}[]")
+
+    for path in out.glob("*.json"):
+        walk(found.setdefault(path.stem, {}), json.loads(path.read_text()), "")
+    return found
+
+
 @pytest.mark.parametrize("run", list(REFERENCE_RUNS))
 def test_reference_run_outcomes(tmp_path, monkeypatch, run):
     (args, ids, verdicts, equality, granted, failing,
@@ -90,6 +171,7 @@ def test_reference_run_outcomes(tmp_path, monkeypatch, run):
     assert main(args) == 0
     assert sorted(solved) == solves
     assert wants.count("u") == u_calls
+    assert json_keys(out) == WRITTEN_KEYS[run]
     report = json.loads((out / "criteria.json").read_text())
     rows = report["criteria"]
     assert [r["criterionId"] for r in rows] == list(ids)
