@@ -17,7 +17,11 @@ r = |x| stays exact near the singularity.
 
 A solve is set by the domain, the problem and one order.  The source
 placement (described on _placement), the SVD cutoff and the misfit
-tolerance all come from per-kind tables in this module.
+tolerance all come from per-kind tables in this module.  Ring j of the
+g Gauss-Legendre source rings carries min(2g, max(8, ceil(w g sin
+theta_j))) sources, with w = inf (2g each) and the order's own grid as
+collocation nodes, except for stars above order 32: w = 2.5 on nodes of
+order g + 8.
 
 Every solve reports its check misfit, max |u - c|/c on an independent
 boundary grid of order n + 8, next to the fit residual at the collocation
@@ -44,10 +48,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .errors import (InsufficientSamplesError, OutOfRegionError,
-                     SolverFailureError)
-from .geometry import (DomainSpec, _camel, _integer, _json_fields, _number,
-                       _read_object, angular_grid, build_quadrature,
+from .errors import (ConfigError, InsufficientSamplesError,
+                     OutOfRegionError, SolverFailureError)
+from .geometry import (MIN_ORDER, DomainSpec, _camel, _integer, _json_fields,
+                       _number, _read_object, angular_grid, build_quadrature,
                        unit_directions, unit_sphere_area)
 
 N_DIM = 3
@@ -85,7 +89,8 @@ class HarmonicSolution:
     A saved solution is the JSON object of every public field under its
     _camel name (singularCoefficient, fitResidual, conditionEstimate,
     checkMisfit, ...), with the domain in its own keys; a file lacking one
-    of them or carrying another key is an error.
+    of them or carrying another key is an error, and so are sources not of
+    shape (M, 3), charges not of shape (M,) and an order below MIN_ORDER.
     """
 
     problem: str                  # "exterior" | "interior"
@@ -157,6 +162,14 @@ class HarmonicSolution:
                 for name, reader in _SOLUTION_READERS.items()}
         read = _read_object(data, where, keys, tuple(keys))
         read = {name: read[_camel(name)] for name in _SOLUTION_READERS}
+        if read["order"] < MIN_ORDER:
+            raise ConfigError(f"'order' in {where} must be at least "
+                              f"{MIN_ORDER}: {read['order']}")
+        m = read["sources"].shape[:1]
+        for key, shape in (("sources", (*m, 3)), ("charges", m)):
+            if read[key].shape != shape:
+                raise ConfigError(f"{key!r} in {where} must have shape "
+                                  f"{shape}: {read[key].shape}")
         read["domain"] = DomainSpec.from_json_dict(read["domain"],
                                                    f"domain of {where}")
         return cls(**read)
@@ -277,30 +290,41 @@ def _kernel_sums(x, y, q, want):
 # ---------------------------------------------------------------------------
 
 def _placement(kind, order):
-    """(source grid order, contraction) of the source graph at this order.
+    """(source grid order g, contraction, ring width, node order) at this
+    order.
 
-    Sources sit on the radial graph contracted by this factor, or for the
-    interior remainder dilated by its inverse (an interior ellipsoid uses
-    the confocal ellipsoid of that dilation).  Exterior ellipsoids put them
+    Sources sit on the g Gauss-Legendre rings in theta of the radial graph
+    contracted by this factor, or for the interior remainder dilated by its
+    inverse (an interior ellipsoid uses the confocal ellipsoid of that
+    dilation).  Ring j carries min(2g, max(8, ceil(w g sin theta_j)))
+    equally spaced phi for ring width w; at w = inf every ring has 2g, the
+    directions of angular_grid(g).  The boundary data are collocated on the
+    angular grid of the node order.  Exterior ellipsoids put their sources
     on the focal set (segment or disk) instead, which the analytic
     continuation of the exterior potential requires: a contracted copy of
     an elongated ellipsoid does not enclose it, and the fit stalls.
 
-    Spheres and ellipsoids take 0.35 at every order.  Stars follow a table
-    of check misfit against solve time on four stars at orders 32, 40 and
-    48 (CHANGES.md).  Up to order 32 the node grid limits the fit, and 0.35
-    on a grid of order 5n/8 serves.  Above it 0.5 on a grid of order
-    n/4 + 14 wins: at order 48 the 1,800 sources at 0.35 have numerical
-    rank 529 at the SVD cutoff, while the 1,352 at 0.5 have rank 995 and a
-    4 to 46 times lower check misfit in about half the time.
+    Spheres and ellipsoids take 0.35 and full rings on the nodes of the
+    order.  Stars follow a table of check misfit against solve
+    time on four stars at orders 32, 40 and 48 (CHANGES.md).  Up to order
+    32 the node grid limits the fit, and 0.35 on a full grid of order 5n/8
+    serves.  Above it 0.5 on rings of g = n/4 + 14 wins: at order 48 the
+    1,800 full-ring sources at 0.35 have numerical rank 529 at the SVD
+    cutoff, while 1,352 at 0.5 have rank 995 and a 4 to 46 times lower
+    check misfit in about half the time.  The full rings near the poles add
+    sources but little rank, so there the rings are narrowed to width 2.5
+    (1,012 sources at order 48, of rank 980) and collocated on the grid of
+    order g + 8 (2,312 nodes), at the same check misfit to within 10 % in
+    half the time.
     """
     if kind == "sphere":
-        return max(8, (3 * order) // 4), 0.35
+        return max(8, (3 * order) // 4), 0.35, math.inf, order
     if kind == "star":
         if order > 32:
-            return order // 4 + 14, 0.5
-        return max(12, (5 * order) // 8), 0.35
-    return max(12, (2 * order) // 3), 0.35
+            grid = order // 4 + 14
+            return grid, 0.5, 2.5, grid + 8
+        return max(12, (5 * order) // 8), 0.35, math.inf, order
+    return max(12, (2 * order) // 3), 0.35, math.inf, order
 
 
 def _ellipsoid_focal_sources(spec, n_src):
@@ -339,10 +363,16 @@ def _ellipsoid_focal_sources(spec, n_src):
     return world + np.asarray(spec.center)
 
 
-def _graph_points(spec, grid_order, factor):
-    """The radial graph scaled by factor about the center, on the angular
-    grid of grid_order: sources, or at factor 1 boundary points."""
-    th, ph, _ = angular_grid(grid_order)
+def _graph_points(spec, grid_order, factor, ring=math.inf):
+    """The radial graph scaled by factor about the center, on the
+    Gauss-Legendre rings of grid_order of width ring (see _placement):
+    sources, or at factor 1 and full width boundary points."""
+    x, _ = leggauss(grid_order)
+    th = np.arccos(x)
+    width = np.minimum(2 * grid_order, np.maximum(
+        8, np.ceil(ring * grid_order * np.sin(th)))).astype(int)
+    th = np.repeat(th, width)
+    ph = np.concatenate([2.0 * np.pi * np.arange(n) / n for n in width])
     rho = spec.rho(th, ph)
     return np.asarray(spec.center) + factor * rho[:, None] * unit_directions(th, ph)
 
@@ -368,18 +398,21 @@ def _solve(spec, order, problem, c, d):
     if not 0 < c < math.inf:
         raise ValueError("boundary value c must be positive and finite")
     order = DEFAULT_ORDER[spec.kind] if order is None else order
-    quad = build_quadrature(spec, order)
-    src_order, factor = _placement(spec.kind, order)
+    src_order, factor, ring, node_order = _placement(spec.kind, order)
+    quad = build_quadrature(spec, node_order)
     if problem == "exterior":
         s0 = 0.0
         rhs = np.full(len(quad.nodes), float(c))
         sources = (_ellipsoid_focal_sources(spec, order + 8)
                    if spec.kind == "ellipsoid" else None)
         if sources is None:
-            sources = _graph_points(spec, src_order, factor)
+            sources = _graph_points(spec, src_order, factor, ring)
         tol = DEFAULT_TOLERANCE_EXTERIOR[spec.kind]
     else:
-        s0 = d * quad.area * A_N
+        # the area of the order's own boundary grid
+        area = (quad if node_order == order
+                else build_quadrature(spec, order)).area
+        s0 = d * area * A_N
         rhs = c - s0 / np.linalg.norm(quad.nodes, axis=1)
         dilation = 1.0 / factor
         if spec.kind == "ellipsoid":
@@ -388,9 +421,9 @@ def _solve(spec, order, problem, c, d):
             outer = DomainSpec(kind="ellipsoid", center=spec.center,
                                axes=tuple(math.sqrt(a * a + mu)
                                           for a in spec.axes))
-            sources = _graph_points(outer, src_order, 1.0)
+            sources = _graph_points(outer, src_order, 1.0, ring)
         else:
-            sources = _graph_points(spec, src_order, dilation)
+            sources = _graph_points(spec, src_order, dilation, ring)
         tol = DEFAULT_TOLERANCE_INTERIOR[spec.kind]
     charges, fit, cond = _collocation_solve(quad, sources, spec.center, rhs)
     if not fit <= tol:  # a NaN fit fails too

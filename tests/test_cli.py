@@ -517,6 +517,26 @@ def test_solution_value_of_the_wrong_type_is_named(tmp_path, capsys,
     assert not out.exists()
 
 
+# the saved unit ball has 288 sources
+@pytest.mark.parametrize("key, value, named", [
+    ("charges", [0.0] * 287, "must have shape (288,): (287,)"),
+    ("sources", [[0.5, 0.0]] * 288, "must have shape (288, 3): (288, 2)"),
+    ("order", -3, "must be at least 6: -3")],
+    ids=["charges-287", "sources-2-columns", "order-negative"])
+def test_solution_value_out_of_shape_or_range_is_named(tmp_path, capsys,
+                                                       saved_solutions, key,
+                                                       value, named):
+    data = json.loads(Path(saved_solutions["exterior"]).read_text())
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**data, key: value}))
+    out = tmp_path / "out"
+    rc = main(["check", "--domain", "sphere:1", "--solution", str(bad),
+               "--out", str(out)])
+    assert rc == 2
+    assert f"{key!r} in solution {bad} {named}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_solution_missing_a_key_is_named(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"problem": "exterior"}))

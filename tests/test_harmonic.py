@@ -174,7 +174,7 @@ def test_star_sources_up_to_order_32_are_unchanged(order, star_solution):
     # without a solve
     spec = star_solution.domain
     sources = (star_solution.sources if order == 32
-               else _graph_points(spec, *_placement("star", order)))
+               else _graph_points(spec, *_placement("star", order)[:3]))
     assert np.array_equal(
         sources, old_graph_sources(spec, 5 * order // 8, 0.35))
 
@@ -194,16 +194,23 @@ def test_sphere_and_ellipsoid_sources_are_unchanged(
     assert np.array_equal(ellipsoid_interior.sources,
                           old_graph_sources(outer, 16, 1.0))
     for order in (40, 48):
-        assert _placement("sphere", order) == (3 * order // 4, 0.35)
-        assert _placement("ellipsoid", order) == (2 * order // 3, 0.35)
+        assert _placement("sphere", order) \
+            == (3 * order // 4, 0.35, math.inf, order)
+        assert _placement("ellipsoid", order) \
+            == (2 * order // 3, 0.35, math.inf, order)
 
 
-# (source grid order, contraction) per kind at orders 16, 24, 32, 40, 48
+# (source grid order, contraction, ring width, node order) per kind at
+# orders 16, 24, 32, 40, 48
+INF = math.inf
 PLACEMENT_TABLE = {
-    "sphere": [(12, 0.35), (18, 0.35), (24, 0.35), (30, 0.35), (36, 0.35)],
-    "ellipsoid": [(12, 0.35), (16, 0.35), (21, 0.35), (26, 0.35),
-                  (32, 0.35)],
-    "star": [(12, 0.35), (15, 0.35), (20, 0.35), (24, 0.5), (26, 0.5)],
+    "sphere": [(12, 0.35, INF, 16), (18, 0.35, INF, 24), (24, 0.35, INF, 32),
+               (30, 0.35, INF, 40), (36, 0.35, INF, 48)],
+    "ellipsoid": [(12, 0.35, INF, 16), (16, 0.35, INF, 24),
+                  (21, 0.35, INF, 32), (26, 0.35, INF, 40),
+                  (32, 0.35, INF, 48)],
+    "star": [(12, 0.35, INF, 16), (15, 0.35, INF, 24), (20, 0.35, INF, 32),
+             (24, 0.5, 2.5, 32), (26, 0.5, 2.5, 34)],
 }
 
 
@@ -220,11 +227,26 @@ def test_order_40_star_placement_fits_no_worse_than_before(solve,
     spec = DomainSpec(kind="star", mean_radius=1.0,
                       terms=((2, 2, 0.12), (3, -1, 0.08), (1, 0, 0.05)))
     new = solve(spec, order=40)
-    # the placement before: source order 5n/8 at contraction 0.35
-    monkeypatch.setattr(harmonic, "_placement", lambda kind, order: (25, 0.35))
+    # the placement before: full rings of order 5n/8 at contraction 0.35
+    monkeypatch.setattr(harmonic, "_placement",
+                        lambda kind, order: (25, 0.35, math.inf, order))
     old = solve(spec, order=40)
     assert len(new.sources) < len(old.sources)
     assert new.check_misfit <= old.check_misfit
+
+
+def test_order_48_star_narrow_rings_fit_no_worse_than_full_rings(
+        monkeypatch):
+    spec = DomainSpec(kind="star", mean_radius=1.0,
+                      terms=((4, -3, 0.1), (2, 1, -0.08)))
+    new = solve_exterior(spec, order=48)
+    # the placement before: full rings of order n/4 + 14 at contraction
+    # 0.5, collocated on the grid of order n
+    monkeypatch.setattr(harmonic, "_placement",
+                        lambda kind, order: (26, 0.5, math.inf, order))
+    old = solve_exterior(spec, order=48)
+    assert (len(new.sources), len(old.sources)) == (1012, 1352)
+    assert new.check_misfit <= 1.1 * old.check_misfit
 
 
 def test_order_48_star_solve_memory_is_bounded(star_solution):
@@ -234,10 +256,10 @@ def test_order_48_star_solve_memory_is_bounded(star_solution):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the weighted 4,608 x 1,352 collocation matrix is 47.5 MiB; the
-    # placement before (1,800 sources) needed 63 MiB for it alone
-    assert len(sol.sources) == 1352
-    assert peak < 56 * 2 ** 20
+    # the weighted 2,312 x 1,012 collocation matrix is 17.9 MiB; the
+    # full rings before (4,608 x 1,352) needed 47.5 MiB for it alone
+    assert len(sol.sources) == 1012
+    assert peak < 24 * 2 ** 20
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +371,7 @@ def test_collocation_matrix_matches_direct_inverse_distance(name, request):
     if name == "star_48":
         spec = request.getfixturevalue("star_solution").domain
         order = 48
-        sources = _graph_points(spec, *_placement("star", order))
+        sources = _graph_points(spec, *_placement("star", order)[:3])
     else:
         sol = request.getfixturevalue(name)
         spec, order, sources = sol.domain, sol.order, sol.sources
