@@ -14,7 +14,7 @@ class InvalidDomainError(CapsymError):
 
 
 class SolverFailureError(CapsymError):
-    """Collocation solve did not reach the requested boundary misfit."""
+    """Collocation solve missed its tolerance at its nodes or check grid."""
 
 
 class OutOfRegionError(CapsymError):

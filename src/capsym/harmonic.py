@@ -20,13 +20,13 @@ placement (described on _placement), the SVD cutoff and the misfit
 tolerance all come from per-kind tables in this module.  Ring j of the
 g Gauss-Legendre source rings carries min(2g, max(8, ceil(w g sin
 theta_j))) sources, with w = inf (2g each) and the order's own grid as
-collocation nodes, except for stars above order 32: w = 2.5 on nodes of
-order g + 8.
+collocation nodes for spheres and ellipsoids, and w = 2.5 on nodes of
+order g + 8 for stars.
 
-Every solve reports its check misfit, max |u - c|/c on an independent
+Every solve measures its check misfit, max |u - c|/c on an independent
 boundary grid of order n + 8, next to the fit residual at the collocation
-nodes; the fit residual alone can hide a wrong solution (Barnett & Betcke,
-J. Comput. Phys. 227, 2008).
+nodes, and fails unless both meet the tolerance: the fit residual alone
+can hide a wrong solution (Barnett & Betcke, J. Comput. Phys. 227, 2008).
 
 Kernel sums are evaluated in BLAS form.  Points and sources are first
 centred on the domain center; the squared distances then come from one
@@ -305,25 +305,20 @@ def _placement(kind, order):
     an elongated ellipsoid does not enclose it, and the fit stalls.
 
     Spheres and ellipsoids take 0.35 and full rings on the nodes of the
-    order.  Stars follow a table of check misfit against solve
-    time on four stars at orders 32, 40 and 48 (CHANGES.md).  Up to order
-    32 the node grid limits the fit, and 0.35 on a full grid of order 5n/8
-    serves.  Above it 0.5 on rings of g = n/4 + 14 wins: at order 48 the
-    1,800 full-ring sources at 0.35 have numerical rank 529 at the SVD
-    cutoff, while 1,352 at 0.5 have rank 995 and a 4 to 46 times lower
-    check misfit in about half the time.  The full rings near the poles add
-    sources but little rank, so there the rings are narrowed to width 2.5
-    (1,012 sources at order 48, of rank 980) and collocated on the grid of
-    order g + 8 (2,312 nodes), at the same check misfit to within 10 % in
-    half the time.
+    order.  Stars take one rule at every order, from a table of check
+    misfit against solve time on four stars at orders 32, 40 and 48
+    (CHANGES.md): 0.5 on rings of g = n/4 + 14, narrowed to width 2.5 and
+    collocated on the grid of order g + 8.  Full rings of order 5n/8 at
+    0.35 have a lower rank at the SVD cutoff (509 of 800 sources at order
+    32) and a 2.4 to 46 times higher check misfit in more time.  Order 32
+    takes 730 sources on 1,800 nodes, and MIN_ORDER = 6 takes g = 15 (346
+    sources) on the 1,058 nodes of order 23.
     """
     if kind == "sphere":
         return max(8, (3 * order) // 4), 0.35, math.inf, order
     if kind == "star":
-        if order > 32:
-            grid = order // 4 + 14
-            return grid, 0.5, 2.5, grid + 8
-        return max(12, (5 * order) // 8), 0.35, math.inf, order
+        grid = order // 4 + 14
+        return grid, 0.5, 2.5, grid + 8
     return max(12, (2 * order) // 3), 0.35, math.inf, order
 
 
@@ -426,11 +421,6 @@ def _solve(spec, order, problem, c, d):
             sources = _graph_points(spec, src_order, dilation, ring)
         tol = DEFAULT_TOLERANCE_INTERIOR[spec.kind]
     charges, fit, cond = _collocation_solve(quad, sources, spec.center, rhs)
-    if not fit <= tol:  # a NaN fit fails too
-        raise SolverFailureError(
-            f"{problem} boundary misfit {fit:.3e} exceeds tolerance "
-            f"{tol:.1e} (condition estimate {cond:.3e}); raise the order "
-            "(solver.order)")
     sol = HarmonicSolution(problem=problem, c=float(c),
                            d=None if d is None else float(d), domain=spec,
                            sources=sources, charges=charges,
@@ -439,7 +429,14 @@ def _solve(spec, order, problem, c, d):
                            check_misfit=math.nan)   # measured below
     u = sol.field(_graph_points(spec, order + 8, 1.0), want="u",
                   check_region=False).u
-    return replace(sol, check_misfit=float(np.abs(u - c).max() / c))
+    check = float(np.abs(u - c).max() / c)
+    if not (fit <= tol and check <= tol):  # a NaN misfit fails too
+        raise SolverFailureError(
+            f"{problem} check misfit {check:.3e} on the grid of order "
+            f"{order + 8} or boundary misfit {fit:.3e} exceeds tolerance "
+            f"{tol:.1e} (condition estimate {cond:.3e}); raise the order "
+            "(solver.order)")
+    return replace(sol, check_misfit=check)
 
 
 def solve_exterior(spec, c=1.0, order=None):
@@ -447,7 +444,7 @@ def solve_exterior(spec, c=1.0, order=None):
     boundary, u -> 0 at infinity.  order None takes DEFAULT_ORDER[kind].
 
     Raises SolverFailureError (with the collocation condition estimate) if
-    the boundary misfit exceeds the tolerance.
+    the fit at the nodes or the check misfit exceeds the tolerance.
     """
     return _solve(spec, order, "exterior", c, None)
 
