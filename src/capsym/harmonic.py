@@ -7,21 +7,25 @@ field is exactly harmonic (to machine precision) wherever it is evaluated,
 with analytic gradient and Hessian.
 
 For the exterior problem (u = c on the boundary, u -> 0 at infinity) the
-sources sit inside the domain.  For the interior problem with a point
-singularity of strength d*|dOmega| at the origin, the singular term
-d |dOmega| a_n |x|^(2-n) is carried in closed form (never discretized) and
-only the bounded remainder v is fitted, with sources outside the domain.
+sources sit inside the domain: on the focal set of a sphere or an
+ellipsoid, which for a sphere is its center, whose one charge c R is the
+exact potential, and on a contracted copy of a star's radial graph.  For
+the interior problem with a point singularity of strength d*|dOmega| at
+the origin, the singular term d |dOmega| a_n |x|^(2-n) is carried in
+closed form (never discretized) and only the bounded remainder v is
+fitted, with sources outside the domain.
 The singular term is evaluated as one more kernel sum, with the single
 charge d |dOmega| a_n at the origin and the points left uncentred, so that
 r = |x| stays exact near the singularity.
 
 A solve is set by the domain, the problem and one order.  The source
 placement (described on _placement), the SVD cutoff and the misfit
-tolerance all come from per-kind tables in this module.  Ring j of the
-g Gauss-Legendre source rings carries min(2g, max(8, ceil(w g sin
-theta_j))) sources, with w = inf (2g each) and the order's own grid as
-collocation nodes for spheres and ellipsoids, and w = 2.5 on nodes of
-order g + 8 for stars.
+tolerance all come from per-kind tables in this module.  Where sources
+sit on rings (stars, and every interior problem), ring j of the g
+Gauss-Legendre rings carries min(2g, max(8, ceil(w g sin theta_j)))
+sources, with w = inf (2g each) and the order's own grid as collocation
+nodes for spheres and ellipsoids, and w = 2.5 on nodes of order g + 8 for
+stars.
 
 Every solve measures its check misfit, max |u - c|/c on an independent
 boundary grid of order n + 8, next to the fit residual at the collocation
@@ -299,20 +303,22 @@ def _placement(kind, order):
     dilation).  Ring j carries min(2g, max(8, ceil(w g sin theta_j)))
     equally spaced phi for ring width w; at w = inf every ring has 2g, the
     directions of angular_grid(g).  The boundary data are collocated on the
-    angular grid of the node order.  Exterior ellipsoids put their sources
-    on the focal set (segment or disk) instead, which the analytic
-    continuation of the exterior potential requires: a contracted copy of
-    an elongated ellipsoid does not enclose it, and the fit stalls.
+    angular grid of the node order.  Exterior spheres and ellipsoids put
+    their sources on the focal set instead (_focal_sources), which the
+    analytic continuation of the exterior potential requires: a contracted
+    copy of an elongated ellipsoid does not enclose it, and the fit stalls.
+    A sphere's focal set is its center, whose one charge fits exactly.
 
-    Spheres and ellipsoids take 0.35 and full rings on the nodes of the
-    order.  Stars take one rule at every order, from a table of check
-    misfit against solve time on four stars at orders 32, 40 and 48
-    (CHANGES.md): 0.5 on rings of g = n/4 + 14, narrowed to width 2.5 and
-    collocated on the grid of order g + 8.  Full rings of order 5n/8 at
-    0.35 have a lower rank at the SVD cutoff (509 of 800 sources at order
-    32) and a 2.4 to 46 times higher check misfit in more time.  Order 32
-    takes 730 sources on 1,800 nodes, and MIN_ORDER = 6 takes g = 15 (346
-    sources) on the 1,058 nodes of order 23.
+    Spheres and ellipsoids take 0.35 and full rings (for their interior
+    sources) on the nodes of the order.  Stars take one rule at every
+    order, from a table of check misfit against solve time on four stars
+    at orders 32, 40 and 48 (CHANGES.md): 0.5 on rings of g = n/4 + 14,
+    narrowed to width 2.5 and collocated on the grid of order g + 8.  Full
+    rings of order 5n/8 at 0.35 have a lower rank at the SVD cutoff (509
+    of 800 sources at order 32) and a 2.4 to 46 times higher check misfit
+    in more time.  Order 32 takes 730 sources on 1,800 nodes, and
+    MIN_ORDER = 6 takes g = 15 (346 sources) on the 1,058 nodes of order
+    23.
     """
     if kind == "sphere":
         return max(8, (3 * order) // 4), 0.35, math.inf, order
@@ -322,21 +328,26 @@ def _placement(kind, order):
     return max(12, (2 * order) // 3), 0.35, math.inf, order
 
 
-def _ellipsoid_focal_sources(spec, n_src):
-    """Nodes on the focal set of the ellipsoid (segment, disk, or point).
+def _focal_sources(spec, n_src):
+    """The exterior sources of a sphere or an ellipsoid: nodes on its focal
+    set, n_src of them on a segment, about n_src^2 / 2 on a disk, and the
+    one center of a sphere.
 
     With semi-axes sorted a1 >= a2 >= a3 the focal set is the elliptical disk
     with semi-axes sqrt(a1^2 - a3^2), sqrt(a2^2 - a3^2) in the plane of the
     two largest axes; it degenerates to a segment for prolate shapes and to
-    the center for the sphere.
+    the center for the sphere (or equal axes), where one charge c R is the
+    exact exterior potential c R / |x - x0| (Kellogg 1929; Fairweather &
+    Karageorghis, Adv. Comput. Math. 9, 1998, on source placement).
     """
-    axes = np.asarray(spec.axes)
+    center = np.asarray(spec.center, dtype=float)
+    axes = np.asarray(spec.axes or (spec.radius,) * 3)
     idx = np.argsort(axes)[::-1]
     a1, a2, a3 = axes[idx]
     alpha = math.sqrt(max(a1 ** 2 - a3 ** 2, 0.0))
     beta = math.sqrt(max(a2 ** 2 - a3 ** 2, 0.0))
     if alpha < 1e-9 * a1:
-        return None    # sphere-like: caller falls back to a contracted graph
+        return center[None, :]
     if beta < 1e-9 * a1:
         x, _ = leggauss(n_src)
         local = np.column_stack([alpha * x, np.zeros(n_src), np.zeros(n_src)])
@@ -355,7 +366,7 @@ def _ellipsoid_focal_sources(spec, n_src):
     world = np.zeros_like(local)
     for k in range(3):
         world[:, idx[k]] = local[:, k]
-    return world + np.asarray(spec.center)
+    return world + center
 
 
 def _graph_points(spec, grid_order, factor, ring=math.inf):
@@ -398,10 +409,8 @@ def _solve(spec, order, problem, c, d):
     if problem == "exterior":
         s0 = 0.0
         rhs = np.full(len(quad.nodes), float(c))
-        sources = (_ellipsoid_focal_sources(spec, order + 8)
-                   if spec.kind == "ellipsoid" else None)
-        if sources is None:
-            sources = _graph_points(spec, src_order, factor, ring)
+        sources = (_graph_points(spec, src_order, factor, ring)
+                   if spec.kind == "star" else _focal_sources(spec, order + 8))
         tol = DEFAULT_TOLERANCE_EXTERIOR[spec.kind]
     else:
         # the area of the order's own boundary grid

@@ -29,7 +29,8 @@ term -2 eps J(eps) is the O(eps) far-field remainder.  The interior one, on
 below the level t where the weight vanishes.  The volume term is integrated
 with G7/K15 along the rays of capsym.levelset, between the radii of the two
 level sets on each ray; its quadrature error is |K15 - G7| summed over the
-rays and panels, in the units of the integral.
+rays and panels, in the units of the integral, at least the integral of
+the roundoff of |hess_g f|_g^2 (_hessian_density).
 """
 
 from __future__ import annotations
@@ -143,12 +144,26 @@ def _level_data(sol, c, order=None):
             ls.radii)
 
 
-def _hessian_density(weight):
+def _hessian_density(weight, roundoff=False):
     """Integrand of the volume term: w |hess_g f|_g^2 dmu_g/dmu at the
-    points of a FieldStates."""
+    points of a FieldStates, and with roundoff the pair of it and its
+    roundoff there, as levelset._ray_volume takes them.
+
+    H = |hess_g f|_g is formed from terms of size T = (|D2u|/u +
+    4 |Du|^2/u^2)/u^2 (hess_f_conformal), which cancel to nothing on a
+    radial field, so H carries an error dH = 4 eps T and H^2 one of
+    (2H + dH) dH.
+    """
     def density(st):
-        hnorm = hess_f_conformal(st.u, st.grad, st.hess)[1]
-        return weight(st.u) * hnorm ** 2 * dmu_g_weight(st.u)
+        u, grad, hess = st.u, st.grad, st.hess
+        hnorm = hess_f_conformal(u, grad, hess)[1]
+        f = weight(u) * hnorm ** 2 * dmu_g_weight(u)
+        if not roundoff:
+            return f
+        size = (np.sqrt(np.einsum("nab,nab->n", hess, hess)) / u
+                + 4.0 * np.einsum("na,na->n", grad, grad) / u ** 2) / u ** 2
+        dh = 4.0 * np.finfo(float).eps * size
+        return f, weight(u) * dmu_g_weight(u) * (2.0 * hnorm + dh) * dh
     return density
 
 
@@ -161,7 +176,9 @@ class IdentityResidual:
     problem, and rel_residual is |lhs - rhs| / scale, which stays
     meaningful when both sides vanish (the radial case).
     quadrature_error is the error estimate of lhs: twice |K15 - G7| of the
-    volume integral along the rays, summed over rays and panels.
+    volume integral along the rays, summed over rays and panels, at least
+    twice its roundoff floor, which counts the roundoff of |hess_g f|_g^2
+    (_hessian_density).  On a radial field that roundoff is all of lhs.
     """
 
     lhs: float
@@ -204,7 +221,7 @@ def weighted_identity_check(sol, weight, a, b, order=None):
     scale = abs(i3_b) + abs(i3_a)
     # u falls off along every ray, so {u = b} is the inner level set
     volume, volume_err = _ray_volume(
-        sol, _hessian_density(weight), "hess", r_b, r_a,
+        sol, _hessian_density(weight, roundoff=True), "hess", r_b, r_a,
         order if order is not None else sol.order, scale)
     lhs = 2.0 * volume
     abs_res = abs(lhs - rhs)

@@ -38,7 +38,10 @@ A volume integral over a slab {a < u < b}, by coarea a sum over levels,
 needs no level between a and b: the slab is r_b(omega) < r < r_a(omega) on
 every ray, and _ray_volume integrates along the rays with G7/K15 panels
 (QUADPACK qk15; Piessens et al. 1983).  Its error is |K15 - G7| summed over
-rays and panels, in the units of the integral.
+rays and panels, in the units of the integral, but at least a roundoff
+floor: qk15's 50 eps |F| plus the roundoff dF that a density formed by
+cancellation supplies per point (the identity's |hess_g f|_g^2, exactly 0
+on a radial field, where its computed value is all roundoff).
 
 Only this module uses a solution's cache: per order, the angular weights,
 directions and boundary exit radii and the scan's march (its radius and u
@@ -296,15 +299,17 @@ def _ray_volume(sol, density, want, r_in, r_out, order, scale):
     """int F dmu over {r_in < r < r_out} on every ray, as (value, error).
 
     ``density`` maps the FieldStates of one node column (one point per ray,
-    evaluated with ``want``) to F there; r_in holds one radius per ray of
-    the angular grid at ``order``, r_out one per ray or is inf.  Panels are
+    evaluated with ``want``) to F there, or to (F, dF) with dF a bound on
+    the roundoff of F at each point; r_in holds one radius per ray of the
+    angular grid at ``order``, r_out one per ray or is inf.  Panels are
     nested G7/K15 rules in a parameter s on [0, 1] shared by all rays: in
     log r, r = r_in (r_out/r_in)^s with dmu = r^3 log(r_out/r_in) ds dOmega,
     or out to infinity in t = r_in/r = s with dmu = r_in^3 t^-4 dt dOmega.
-    A panel's error is |K15 - G7| summed over rays, at least 50 eps times
-    K15 of |F| (the roundoff floor of QUADPACK qk15).  The panel with the
-    largest error is bisected until the summed error is at most _RAY_TOL
-    times ``scale``; at _MAX_PANELS panels the error is returned as it is.
+    A panel's error is |K15 - G7| summed over rays, at least the roundoff
+    floor: 50 eps times K15 of |F| (the floor of QUADPACK qk15) plus K15 of
+    dF.  The panel with the largest error is bisected until the summed
+    error is at most _RAY_TOL times ``scale``; at _MAX_PANELS panels the
+    error is returned as it is.
     """
     W, om = _rays(sol, order)[:2]
     if np.all(np.isinf(r_out)):
@@ -320,14 +325,19 @@ def _ray_volume(sol, density, want, r_in, r_out, order, scale):
     def panel(lo, hi):
         half = 0.5 * (hi - lo)
         f = np.empty((len(_GK15_NODES), len(r_in)))
+        df = np.zeros_like(f)
         # one field call per node column: density takes one point per ray
         for k, x in enumerate(_GK15_NODES):
             r, measure = radius_and_measure(lo + half * (1.0 + x))
             st = sol.field(r[:, None] * om, want=want, check_region=False)
-            f[k] = W * measure * density(st)
+            values = density(st)
+            f[k], df[k] = values if isinstance(values, tuple) else (values, 0)
+            f[k] *= W * measure
+            df[k] *= W * measure
         k15, g7 = half * (_K15_WEIGHTS @ f), half * (_G7_WEIGHTS @ f)
-        roundoff = 50.0 * np.finfo(float).eps * half * np.sum(
-            _K15_WEIGHTS @ np.abs(f))
+        roundoff = (50.0 * np.finfo(float).eps * half
+                    * np.sum(_K15_WEIGHTS @ np.abs(f))
+                    + half * np.sum(_K15_WEIGHTS @ df))
         return float(np.sum(k15)), max(float(np.sum(np.abs(k15 - g7))),
                                        float(roundoff))
 

@@ -17,7 +17,7 @@ from capsym import HarmonicSolution
 from capsym.errors import ConfigError
 from capsym.geometry import angular_grid, build_quadrature, unit_directions
 from capsym.levelset import surface_integral
-from capsym.harmonic import (_CHUNK_PAIRS, _ellipsoid_focal_sources,
+from capsym.harmonic import (_CHUNK_PAIRS, _focal_sources,
                              _graph_points, _inverse_distance, _kernel_sums,
                              _placement, _point_rows, _source_rows)
 
@@ -180,13 +180,14 @@ def old_graph_sources(spec, src_order, factor):
 
 def test_sphere_and_ellipsoid_sources_are_unchanged(
         ball_solution, ball_interior, ellipsoid_solution, ellipsoid_interior):
-    assert np.array_equal(ball_solution.sources,
-                          old_graph_sources(ball_solution.domain, 12, 0.35))
+    # the exterior ball's focal set is its center, which carries its one
+    # source; the other three keep their placement
+    assert np.array_equal(ball_solution.sources, [[0.0, 0.0, 0.0]])
     assert np.array_equal(ball_interior.sources, old_graph_sources(
         ball_interior.domain, 12, 1.0 / 0.35))
     spec = ellipsoid_solution.domain
     assert np.array_equal(ellipsoid_solution.sources,
-                          _ellipsoid_focal_sources(spec, 32))
+                          _focal_sources(spec, 32))
     mu = ((1.0 / 0.35) ** 2 - 1.0) * min(spec.axes) ** 2
     outer = DomainSpec(kind="ellipsoid",
                        axes=tuple(math.sqrt(a * a + mu) for a in spec.axes))
@@ -197,6 +198,22 @@ def test_sphere_and_ellipsoid_sources_are_unchanged(
             == (3 * order // 4, 0.35, math.inf, order)
         assert _placement("ellipsoid", order) \
             == (2 * order // 3, 0.35, math.inf, order)
+
+
+@pytest.mark.parametrize("spec, c", [
+    (DomainSpec(kind="sphere", radius=1.0), 1.0),
+    (DomainSpec(kind="sphere", radius=2.5, center=(0.3, -0.2, 0.1)), 3.0),
+    (DomainSpec(kind="ellipsoid", axes=(1.5, 1.5, 1.5)), 1.0)],
+    ids=["unit-ball", "off-center", "round-ellipsoid"])
+def test_exterior_sphere_is_one_charge_at_its_center(spec, c):
+    # the focal set of a sphere is its center, and c R / |x - x0| is its
+    # exact exterior potential (Kellogg 1929)
+    radius = spec.radius or spec.axes[0]
+    sol = solve_exterior(spec, c=c)
+    assert np.array_equal(sol.sources, [spec.center])
+    assert abs(sol.charges[0] - c * radius) <= 1e-14 * c * radius
+    assert sol.check_misfit <= 1e-14
+    assert sol.condition_estimate == 1.0
 
 
 # (source grid order, contraction, ring width, node order) per kind at

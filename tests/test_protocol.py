@@ -142,3 +142,22 @@ def test_default_identity_agrees(pair):
         assert res.abs_residual <= 1e-12 * res.scale
     assert abs(e.scale - m.scale) <= 1e-9 * e.scale
     assert abs(e.lhs - m.lhs) <= m.quadrature_error + 1e-12 * m.scale
+
+
+@pytest.mark.parametrize("field", ["exact", "mfs"])
+@pytest.mark.parametrize("problem", ["exterior", "interior"])
+def test_default_identity_error_covers_the_roundoff_of_the_unit_ball(
+        problem, field):
+    # the volume term of a radial field is exactly 0, so its computed value
+    # is all roundoff, which the error must cover without growing into a
+    # blanket eps * scale
+    if field == "exact":
+        sol = ExactBall(problem, 1.0, 1.0, 1.0)
+    elif problem == "exterior":
+        sol = solve_exterior(DomainSpec(kind="sphere", radius=1.0))
+    else:
+        sol = solve_interior(DomainSpec(kind="sphere", radius=1.0), d=1.0)
+    lo, _, hi = default_levels(problem, 1.0)
+    res = weighted_identity_check(sol, WeightSpec.linear(), math.log(lo),
+                                  math.log(hi))
+    assert abs(res.lhs) <= res.quadrature_error <= 1e-20 * res.scale
