@@ -529,7 +529,6 @@ def test_solution_value_out_of_shape_or_range_is_named(tmp_path, capsys,
                                                        value, named):
     data = json.loads(Path(saved_solutions["exterior"]).read_text())
     m = len(data["sources"])
-    assert m != 287
     named = named.format(m=m)
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({**data, key: value(m)}))
