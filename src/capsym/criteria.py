@@ -163,8 +163,9 @@ def check_C12(sol):
     change at order + 8 (the angular error), times lhs."""
     select_criteria(sol.problem, ["C1.2-global"])
 
+    # formed without cancellation: no roundoff beyond qk15's floor
     def density(st):
-        return st.grad_norm ** 4 / st.u
+        return st.grad_norm ** 4 / st.u, 0.0
 
     top = _boundary(sol)
     phi_top = _grad_moments(top)[2] * top.area / sol.c

@@ -144,26 +144,27 @@ def _level_data(sol, c, order=None):
             ls.radii)
 
 
-def _hessian_density(weight, roundoff=False):
-    """Integrand of the volume term: w |hess_g f|_g^2 dmu_g/dmu at the
-    points of a FieldStates, and with roundoff the pair of it and its
-    roundoff there, as levelset._ray_volume takes them.
+def _hessian_density(weight):
+    """Integrand of the volume term and its roundoff estimate: the pair
+    (F, dF) with F = w |hess_g f|_g^2 dmu_g/dmu at the points of a
+    FieldStates, as levelset._ray_volume takes them.
 
-    H = |hess_g f|_g is formed from terms of size T = (|D2u|/u +
-    4 |Du|^2/u^2)/u^2 (hess_f_conformal), which cancel to nothing on a
-    radial field, so H carries an error dH = 4 eps T and H^2 one of
-    (2H + dH) dH.
+    H = |hess_g f|_g is formed from terms whose Frobenius sizes add to
+    T = (|D2u|/u + (3 + sqrt 3) |Du|^2/u^2)/u^2 (hess_f_conformal), which
+    cancel to nothing on a radial field, so H carries an error of about
+    dH = 4 eps T and H^2 one of (2H + dH) dH.  dF is an estimate of the
+    roundoff of forming F from u, Du and D2u, not a bound: it leaves out
+    the roundoff those carry from the kernel sums.
     """
     def density(st):
         u, grad, hess = st.u, st.grad, st.hess
         hnorm = hess_f_conformal(u, grad, hess)[1]
-        f = weight(u) * hnorm ** 2 * dmu_g_weight(u)
-        if not roundoff:
-            return f
         size = (np.sqrt(np.einsum("nab,nab->n", hess, hess)) / u
-                + 4.0 * np.einsum("na,na->n", grad, grad) / u ** 2) / u ** 2
+                + (3.0 + math.sqrt(3.0)) * np.einsum("na,na->n", grad, grad)
+                / u ** 2) / u ** 2
         dh = 4.0 * np.finfo(float).eps * size
-        return f, weight(u) * dmu_g_weight(u) * (2.0 * hnorm + dh) * dh
+        w, dmu = weight(u), dmu_g_weight(u)
+        return w * hnorm ** 2 * dmu, w * dmu * (2.0 * hnorm + dh) * dh
     return density
 
 
@@ -177,8 +178,9 @@ class IdentityResidual:
     meaningful when both sides vanish (the radial case).
     quadrature_error is the error estimate of lhs: twice |K15 - G7| of the
     volume integral along the rays, summed over rays and panels, at least
-    twice its roundoff floor, which counts the roundoff of |hess_g f|_g^2
-    (_hessian_density).  On a radial field that roundoff is all of lhs.
+    twice its roundoff floor, which counts an estimate of the roundoff of
+    |hess_g f|_g^2 (_hessian_density; it leaves out the roundoff of the
+    kernel sums).  On a radial field that roundoff is all of lhs.
     """
 
     lhs: float
@@ -221,7 +223,7 @@ def weighted_identity_check(sol, weight, a, b, order=None):
     scale = abs(i3_b) + abs(i3_a)
     # u falls off along every ray, so {u = b} is the inner level set
     volume, volume_err = _ray_volume(
-        sol, _hessian_density(weight, roundoff=True), "hess", r_b, r_a,
+        sol, _hessian_density(weight), "hess", r_b, r_a,
         order if order is not None else sol.order, scale)
     lhs = 2.0 * volume
     abs_res = abs(lhs - rhs)

@@ -39,9 +39,10 @@ needs no level between a and b: the slab is r_b(omega) < r < r_a(omega) on
 every ray, and _ray_volume integrates along the rays with G7/K15 panels
 (QUADPACK qk15; Piessens et al. 1983).  Its error is |K15 - G7| summed over
 rays and panels, in the units of the integral, but at least a roundoff
-floor: qk15's 50 eps |F| plus the roundoff dF that a density formed by
-cancellation supplies per point (the identity's |hess_g f|_g^2, exactly 0
-on a radial field, where its computed value is all roundoff).
+floor: qk15's 50 eps |F| plus the roundoff estimate dF that the density
+supplies per point.  dF is 0 where F is formed without cancellation; the
+identity's |hess_g f|_g^2 is formed by cancellation and is exactly 0 on a
+radial field, where its computed value is all roundoff.
 
 Only this module uses a solution's cache: per order, the angular weights,
 directions and boundary exit radii and the scan's march (its radius and u
@@ -299,9 +300,10 @@ def _ray_volume(sol, density, want, r_in, r_out, order, scale):
     """int F dmu over {r_in < r < r_out} on every ray, as (value, error).
 
     ``density`` maps the FieldStates of one node column (one point per ray,
-    evaluated with ``want``) to F there, or to (F, dF) with dF a bound on
-    the roundoff of F at each point; r_in holds one radius per ray of the
-    angular grid at ``order``, r_out one per ray or is inf.  Panels are
+    evaluated with ``want``) to the pair (F, dF) there, with dF an estimate
+    of the roundoff of F at each point (0 where F is formed without
+    cancellation); r_in holds one radius per ray of the angular grid at
+    ``order``, r_out one per ray or is inf.  Panels are
     nested G7/K15 rules in a parameter s on [0, 1] shared by all rays: in
     log r, r = r_in (r_out/r_in)^s with dmu = r^3 log(r_out/r_in) ds dOmega,
     or out to infinity in t = r_in/r = s with dmu = r_in^3 t^-4 dt dOmega.
@@ -330,8 +332,7 @@ def _ray_volume(sol, density, want, r_in, r_out, order, scale):
         for k, x in enumerate(_GK15_NODES):
             r, measure = radius_and_measure(lo + half * (1.0 + x))
             st = sol.field(r[:, None] * om, want=want, check_region=False)
-            values = density(st)
-            f[k], df[k] = values if isinstance(values, tuple) else (values, 0)
+            f[k], df[k] = density(st)
             f[k] *= W * measure
             df[k] *= W * measure
         k15, g7 = half * (_K15_WEIGHTS @ f), half * (_G7_WEIGHTS @ f)

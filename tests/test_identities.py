@@ -266,7 +266,8 @@ def test_truncated_identity_carries_quadrature_error(ellipsoid_solution):
                                         check_region=False).hess
         st = FieldStates(points=ls.nodes, u=np.full(len(ls.radii), ls.level),
                          grad=ls.grad, hess=hess)
-        volume += half * wk * float(ls.weights @ (density(st) / ls.u_grad))
+        f = density(st)[0]
+        volume += half * wk * float(ls.weights @ (f / ls.u_grad))
     assert abs(res.lhs - 2.0 * volume) <= 1e-12 * abs(res.lhs)
 
 
