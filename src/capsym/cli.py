@@ -27,7 +27,9 @@ keys (mean_radius, max_degree), the ones it is read with.
 Exit code 0 means the run completed; criterion verdicts live in the
 reports, not the exit code.  Reports are written deterministically (sorted
 keys, repr floats, no timestamps), so identical configs produce
-byte-identical output.
+byte-identical output, but only on one machine at one BLAS thread count:
+at another thread count the bench star's numbers differ by roundoff, up to
+about 4e-13 relative.
 """
 
 from __future__ import annotations

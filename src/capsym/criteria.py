@@ -89,28 +89,26 @@ def _solver_error_floor(sol):
 # capacity
 # ---------------------------------------------------------------------------
 
-def capacity(sol, level=None, cross_check=True, order=None):
+def capacity(sol, level=None, order=None):
     """Electrostatic capacity as the level-set flux integral of |Du|/c, c
     the boundary value: the flux is level-independent for an exterior
     potential, and scaling u leaves it unchanged.  The level defaults to the
-    middle one of DEFAULT_LEVELS.  With cross_check the value is recomputed
-    on half the level and the relative mismatch must stay below 1e-5.
+    middle one of DEFAULT_LEVELS.  The boundary is the level {u = c}, so the
+    flux through it (_boundary, at the solution's order) must match: a
+    relative mismatch above 1e-5 raises IrregularLevelSetError naming the
+    level.
     """
     if sol.problem != "exterior":
         raise ValueError("capacity is defined for the exterior problem")
     c = level if level is not None else default_levels(sol.problem, sol.c)[1]
     ls = extract_level_set(sol, c, order=order)
     cap = surface_integral(ls, ls.u_grad)
-    if cross_check:
-        c2 = 0.5 * c
-        ls2 = extract_level_set(sol, c2, order=order)
-        cap2 = surface_integral(ls2, ls2.u_grad)
-        rel = abs(cap - cap2) / max(abs(cap), 1e-300)
-        if rel > 1e-5:
-            raise IrregularLevelSetError(
-                f"capacity flux differs by {rel:.2e} between levels "
-                f"{c} and {c2}; the field is not a clean exterior potential",
-                level=c2)
+    b = _boundary(sol)
+    rel = abs(cap - surface_integral(b, b.u_grad)) / max(abs(cap), 1e-300)
+    if rel > 1e-5:
+        raise IrregularLevelSetError(
+            f"capacity flux differs by {rel:.2e} between level set {c} and "
+            "the boundary; the field is not a clean exterior potential")
     return cap / sol.c
 
 
@@ -194,7 +192,7 @@ def check_C13(sol):
     ratio = float(b.u_grad.max() ** 2 / b.u_grad.min() ** 2)
     total_mean_curv = surface_integral(b, b.mean_curv / (_N - 1))
     lhs = ratio * total_mean_curv
-    cap = capacity(sol, cross_check=False)
+    cap = capacity(sol)
     rhs = cap / (_N - 2)
     err = max(1e-9 * abs(rhs), 4.0 * _solver_error_floor(sol) * abs(rhs))
     return _report("C1.3-capacity", lhs, rhs, err,
@@ -407,8 +405,7 @@ def symmetry_certificate(sol, levels=None, order=None, seed=0):
         eq_res = max(eq_res, float(np.abs(_equality_gap(ls)).max()))
     inferred = None
     if sol.problem == "exterior":
-        inferred = float(inferred_ball_radius(capacity(sol, cross_check=False,
-                                                       order=order)))
+        inferred = float(inferred_ball_radius(capacity(sol, order=order)))
     metrics = {"pFunctionSpread": spread,
                "levelSetSphericity": max(sphericity.values()),
                "equalityResidual": eq_res}

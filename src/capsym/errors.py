@@ -36,10 +36,6 @@ class NonStarShapedLevelSetError(CapsymError):
 class IrregularLevelSetError(CapsymError):
     """Level set fails the gradient regularity threshold."""
 
-    def __init__(self, message, level=None):
-        super().__init__(message)
-        self.level = level
-
 
 class InsufficientSamplesError(CapsymError):
     """Too few sample radii for the requested fit."""

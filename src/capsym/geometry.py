@@ -82,8 +82,10 @@ def safeguarded_newton(f_and_slope, r, lo, hi, rtol, max_steps):
 # real spherical harmonics with angular derivatives
 # ---------------------------------------------------------------------------
 
-def real_sph_harm(l, m, theta, phi, derivatives=False):
-    """Real orthonormal spherical harmonic of degree l and order m.
+def real_sph_harm(l, m, theta, phi):
+    """Real orthonormal spherical harmonic of degree l and order m, and its
+    first and second angular derivatives: the tuple (Y, d_theta, d_phi,
+    d_theta_theta, d_theta_phi, d_phi_phi).
 
     The basis is sqrt(2) Re Y_l^m for m > 0, Y_l^0 for m = 0, and
     sqrt(2) Im Y_l^|m| for m < 0, orthonormal on the unit sphere, where
@@ -101,9 +103,6 @@ def real_sph_harm(l, m, theta, phi, derivatives=False):
         Degree and order, |m| <= l.
     theta, phi : ndarray
         Colatitude and longitude, broadcastable.
-    derivatives : bool
-        If True, also return first and second angular derivatives
-        (d_theta, d_phi, d_theta_theta, d_theta_phi, d_phi_phi).
     """
     theta, phi = np.broadcast_arrays(np.asarray(theta, dtype=float),
                                      np.asarray(phi, dtype=float))
@@ -116,8 +115,6 @@ def real_sph_harm(l, m, theta, phi, derivatives=False):
     else:
         trig, trig_p = np.ones_like(phi), np.zeros_like(phi)
     x, s = np.cos(theta), np.sin(theta)
-    if not derivatives:
-        return _legendre(l, k, x, s) * trig
     p = {j: _legendre(l, j, x, s) for j in range(k - 2, k + 3)}
     d = {j: 0.5 * (_ladder(l, j) * p[j + 1] - _ladder(l, j - 1) * p[j - 1])
          for j in (k - 1, k, k + 1)}
@@ -320,7 +317,7 @@ class DomainSpec:
         vals = np.full_like(zero, self.mean_radius)
         d = [vals, zero, zero.copy(), zero.copy(), zero.copy(), zero.copy()]
         for (l, m, c) in self.terms:
-            parts = real_sph_harm(l, m, theta, phi, derivatives=True)
+            parts = real_sph_harm(l, m, theta, phi)
             for k in range(6):
                 d[k] = d[k] + c * parts[k]
         return tuple(d)

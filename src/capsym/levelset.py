@@ -3,17 +3,18 @@ integrals between them along the rays.
 
 Each angular direction gets one ray from the origin.  A level is found by a
 scan of u along the rays, on a geometric grid of 16 radii per decade.  One
-rule runs it in both problems: it starts 1e-5 r on the region's side of the
-boundary and steps away from the boundary, outward or inward, until at
-least 8 columns are done and u is beyond the level by 1e-6 c on every ray.
-The scan is also the star-shapedness check: u - c must change sign exactly
-once on every ray, else the level is reported (NonStarShapedLevelSetError,
-LevelRangeError), not worked around.  The grid is the same for every level
-of a solution at one order, so its columns form one march that the levels
-share: a level reads the columns already computed and computes only those
-past their end.  Each level still reads every column from the boundary out
-to the one it stops at, so its bracket and its check do not depend on
-which levels came before it.
+rule runs it in both problems: it starts 1e-5 r on the domain's side of the
+boundary, so that its first column brackets the level c itself, and steps
+away from the domain, outward or inward, until at least 8 columns are done
+and u is beyond the level by 1e-6 c on every ray.  The scan is also the
+star-shapedness check: u - c must change sign exactly once on every ray,
+else the level is reported (NonStarShapedLevelSetError, LevelRangeError),
+not worked around.  The grid is the same for every level of a solution at
+one order, so its columns form one march that the levels share: a level
+reads the columns already computed and computes only those past their
+end.  Each level still reads every column from the boundary out to the
+one it stops at, so its bracket and its check do not depend on which
+levels came before it.
 
 Each level is then solved per ray by safeguarded Newton iteration
 (geometry.safeguarded_newton; rtsafe, Numerical Recipes section 9.4) inside
@@ -109,7 +110,7 @@ class LevelSet(SurfaceQuadrature):
         if not self.u_grad.min() > REGULARITY_THRESHOLD:
             raise IrregularLevelSetError(
                 f"level set {self.level} fails the regularity threshold "
-                f"(min |Du| = {self.u_grad.min():.3e})", level=self.level)
+                f"(min |Du| = {self.u_grad.min():.3e})")
         # level sets are shared through the solution's cache
         _frozen(*vars(self).values())
 
@@ -168,12 +169,15 @@ def check_level_range(problem, c, levels):
 def _scan(sol, order, c):
     """u on a geometric grid of radii along every ray, one call per column.
 
-    The grid starts 1e-5 r on the region's side of the boundary and steps
-    away from it, for at most 18 decades, until at least 8 columns are done
-    and u is beyond the level by 1e-6 c on every ray; the margins keep
-    roundoff from flipping the end signs.  The columns are the solution's
-    march at ``order``: a level reads the columns an earlier one computed
-    and computes only those past their end.  Columns come in increasing r.
+    The grid starts 1e-5 r on the domain's side of the boundary, at
+    r_exit (1 - 1e-5) for the exterior problem and r_exit (1 + 1e-5) for
+    the interior one, so that its first column brackets the level c
+    itself.  It steps away from the domain, for at most 18 decades, until
+    at least 8 columns are done and u is beyond the level by 1e-6 c on
+    every ray; the margins keep roundoff from flipping the end signs.  The
+    columns are the solution's march at ``order``: a level reads the
+    columns an earlier one computed and computes only those past their
+    end.  Columns come in increasing r.
     """
     check_level_range(sol.problem, sol.c, [c])
     _, om, r_exit, radii, vals = _order_entry(sol, order)
@@ -236,7 +240,7 @@ def _solve_radii(sol, om, c, lo, hi, u_lo, u_hi):
     if len(todo):
         raise IrregularLevelSetError(
             f"radius of level set {c} did not converge on {len(todo)} rays "
-            f"in {_MAX_STEPS} safeguarded Newton steps", level=c)
+            f"in {_MAX_STEPS} safeguarded Newton steps")
     return radii
 
 

@@ -740,16 +740,9 @@ def test_interior_report_solves_each_level_once(tmp_path, monkeypatch):
     assert check["b"] == math.log(3.0) and check["relResidual"] < 1e-14
 
 
-@pytest.mark.parametrize("command, domain, order", [
-    ("report", {"kind": "sphere", "radius": 1.0}, 16),
-    ("check", {"kind": "star", "mean_radius": 1.0,
-               "terms": [[2, 0, 0.1], [3, 1, 0.05]]}, 32),
-], ids=["ball-report", "star-check"])
-def test_exterior_run_solves_four_level_sets(tmp_path, monkeypatch, command,
-                                             domain, order):
-    # the default levels c/4, c/2, 3c/4 serve T1.9, the certificate and
-    # capacity (whose cross-check level is c/4); T1.1 refines c/2 at
-    # order + 8
+@pytest.fixture
+def solved(monkeypatch):
+    """The (level, order) of every level set extracted, in order."""
     from capsym import levelset
     solved = []
     extract = levelset._extract
@@ -759,10 +752,34 @@ def test_exterior_run_solves_four_level_sets(tmp_path, monkeypatch, command,
         return extract(sol, c, order)
 
     monkeypatch.setattr(levelset, "_extract", counted)
+    return solved
+
+
+BENCH_STAR_DOMAIN = {"kind": "star", "mean_radius": 1.0,
+                     "terms": [[2, 0, 0.1], [3, 1, 0.05]]}
+
+
+@pytest.mark.parametrize("command, domain, order", [
+    ("report", {"kind": "sphere", "radius": 1.0}, 16),
+    ("check", BENCH_STAR_DOMAIN, 32),
+], ids=["ball-report", "star-check"])
+def test_exterior_run_solves_four_level_sets(tmp_path, solved, command,
+                                             domain, order):
+    # the default levels c/4, c/2, 3c/4 serve T1.9, the certificate and
+    # capacity (on c/2); T1.1 refines c/2 at order + 8
     cfg = write_config(tmp_path / "run.json", {"domain": domain})
     assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 0
     assert sorted(solved) == [(0.25, order), (0.5, order), (0.5, order + 8),
                               (0.75, order)]
+
+
+def test_capacity_run_solves_only_its_level(tmp_path, solved):
+    # capacity checks its level's flux against the boundary's, so on the
+    # bench star it extracts the level c/2 alone
+    cfg = write_config(tmp_path / "run.json", {"domain": BENCH_STAR_DOMAIN})
+    assert main(["capacity", "--config", cfg,
+                 "--out", str(tmp_path / "o")]) == 0
+    assert solved == [(0.5, 32)]
 
 
 IMPORT_PROBE = """

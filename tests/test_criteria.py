@@ -67,6 +67,19 @@ def test_capacity_ellipsoid_bounds_and_closed_form(ellipsoid_solution):
     assert abs(cap - exact) / exact < 1e-8
 
 
+def test_capacity_fails_when_a_charge_sits_between_boundary_and_level(
+        ball_solution):
+    # a charge outside the ball but inside {u = 1/2} adds its own flux to
+    # that level and none to the boundary's
+    sol = dataclasses.replace(
+        ball_solution,
+        sources=np.vstack([ball_solution.sources, [0.0, 0.0, 1.5]]),
+        charges=np.append(ball_solution.charges, 0.01))
+    with pytest.raises(IrregularLevelSetError,
+                       match="between level set 0.5 and the boundary"):
+        capacity(sol)
+
+
 def test_inferred_radius(ball_solution):
     cap = capacity(ball_solution)
     assert abs(inferred_ball_radius(cap) - 1.0) < 1e-6

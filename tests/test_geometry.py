@@ -85,9 +85,9 @@ def test_spherical_harmonics_are_orthonormal():
     th, ph, w = angular_grid(16)
     pairs = [(0, 0), (1, 0), (2, 1), (3, -2), (4, 4)]
     for i, (l1, m1) in enumerate(pairs):
-        y1 = real_sph_harm(l1, m1, th, ph)
+        y1 = real_sph_harm(l1, m1, th, ph)[0]
         for (l2, m2) in pairs[i:]:
-            y2 = real_sph_harm(l2, m2, th, ph)
+            y2 = real_sph_harm(l2, m2, th, ph)[0]
             expected = 1.0 if (l1, m1) == (l2, m2) else 0.0
             assert abs(float(np.sum(w * y1 * y2)) - expected) < 1e-12
 
@@ -110,9 +110,8 @@ def test_real_sph_harm_matches_scipy_with_derivatives():
     phi = rng.uniform(0.0, 2.0 * math.pi, len(theta))
     for l in range(DEFAULT_MAX_DEGREE + 1):
         for m in range(-l, l + 1):
-            ours = real_sph_harm(l, m, theta, phi, derivatives=True)
+            ours = real_sph_harm(l, m, theta, phi)
             ref = scipy_real_sph_harm(l, m, theta, phi)
-            assert np.array_equal(real_sph_harm(l, m, theta, phi), ours[0])
             for a, b in zip(ours, ref):
                 largest = max(np.abs(b).max(), 1.0)
                 assert np.abs(a - b).max() <= 1e-13 * largest, (l, m)
@@ -132,10 +131,10 @@ def test_real_sph_harm_sign_convention():
         (2, -2): math.sqrt(15 / (16 * math.pi)) * st ** 2 * np.sin(2 * phi),
     }
     for (l, m), expected in closed.items():
-        assert_allclose(real_sph_harm(l, m, theta, phi), expected,
+        assert_allclose(real_sph_harm(l, m, theta, phi)[0], expected,
                         rtol=0, atol=1e-15)
     # d_theta of Y_1^1 is -sqrt(3/4pi) cos(t) cos(p), exact at the poles
-    d_t = real_sph_harm(1, 1, theta, phi, derivatives=True)[1]
+    d_t = real_sph_harm(1, 1, theta, phi)[1]
     assert_allclose(d_t, -math.sqrt(3 / (4 * math.pi)) * ct * np.cos(phi),
                     rtol=0, atol=1e-15)
 
@@ -144,7 +143,7 @@ def test_quadrature_integrates_harmonics_exactly():
     # weights on the unit sphere reproduce orthogonality up to the grid degree
     quad = build_quadrature(DomainSpec(kind="sphere", radius=1.0), order=12)
     theta, phi, _ = angular_grid(12)
-    y = real_sph_harm(7, 3, theta, phi)
+    y = real_sph_harm(7, 3, theta, phi)[0]
     assert abs(surface_integral(quad, y)) < 1e-12
     assert abs(surface_integral(quad, y * y) - 1.0) < 1e-12
 
@@ -285,8 +284,8 @@ def test_star_rho_is_the_value_of_rho_derivatives():
     star = DomainSpec(kind="star", mean_radius=1.0,
                       terms=((2, 0, 0.1), (3, 1, 0.05)))
     th, ph, _ = angular_grid(48)
-    direct = 1.0 + 0.1 * real_sph_harm(2, 0, th, ph) \
-        + 0.05 * real_sph_harm(3, 1, th, ph)
+    direct = 1.0 + 0.1 * real_sph_harm(2, 0, th, ph)[0] \
+        + 0.05 * real_sph_harm(3, 1, th, ph)[0]
     assert np.array_equal(star.rho(th, ph), direct)
 
 
