@@ -7,30 +7,37 @@ field is exactly harmonic (to machine precision) wherever it is evaluated,
 with analytic gradient and Hessian.
 
 For the exterior problem (u = c on the boundary, u -> 0 at infinity) the
-sources sit inside the domain: on the focal set of a sphere or an
-ellipsoid, which for a sphere is its center, whose one charge c R is the
-exact potential, and on a contracted copy of a star's radial graph.  For
-the interior problem with a point singularity of strength d*|dOmega| at
-the origin, the singular term d |dOmega| a_n |x|^(2-n) is carried in
-closed form (never discretized) and only the bounded remainder v is
-fitted, with sources outside the domain.
+sources sit inside the domain: on the focal set of an ellipsoid, and on a
+contracted copy of a star's radial graph.  For the interior problem with
+a point singularity of strength d*|dOmega| at the origin, the singular
+term d |dOmega| a_n |x|^(2-n) is carried in closed form (never
+discretized) and only the bounded remainder v is fitted, with sources
+outside the domain.
 The singular term is evaluated as one more kernel sum, with the single
 charge d |dOmega| a_n at the origin and the points left uncentred, so that
 r = |x| stays exact near the singularity.
 
-A solve is set by the domain, the problem and one order.  The source
-placement (described on _placement), the SVD cutoff and the misfit
-tolerance all come from per-kind tables in this module.  Where sources
-sit on rings (stars, and every interior problem), ring j of the g
-Gauss-Legendre rings carries min(2g, max(8, ceil(w g sin theta_j)))
-sources, with w = inf (2g each) and the order's own grid as collocation
-nodes for spheres and ellipsoids, and w = 2.5 on nodes of order g + 8 for
+Spheres are solved in closed form, with no system (Kellogg 1929).  The
+exterior sphere of radius R and center x0 is the one charge c R at x0.
+The interior sphere, with s0 = d |dOmega| a_n, is u = c + s0/|x| minus
+the Kelvin image charge s0 R/|x0| at p* = x0 - R^2 x0/|x0|^2, the
+ball's Green's function; centered on the pole it is the constant
+c - s0/R plus s0/|x|.
+
+A solve of an ellipsoid or a star is set by the domain, the problem and
+one order.  The source placement (described on _placement), the SVD
+cutoff and the misfit tolerance all come from per-kind tables in this
+module.  Where sources sit on rings (stars, and interior ellipsoids), ring
+j of the g Gauss-Legendre rings carries min(2g, max(8, ceil(w g sin
+theta_j))) sources, with w = inf (2g each) and the order's own grid as
+collocation nodes for ellipsoids, and w = 2.5 on nodes of order g + 8 for
 stars.
 
 Every solve measures its check misfit, max |u - c|/c on an independent
 boundary grid of order n + 8, next to the fit residual at the collocation
-nodes, and fails unless both meet the tolerance: the fit residual alone
-can hide a wrong solution (Barnett & Betcke, J. Comput. Phys. 227, 2008).
+nodes (for a sphere, the order's own grid), and fails unless both meet
+the tolerance: the fit residual alone can hide a wrong solution (Barnett
+& Betcke, J. Comput. Phys. 227, 2008).
 
 Kernel sums are evaluated in BLAS form.  Points and sources are first
 centred on the domain center; the squared distances then come from one
@@ -88,7 +95,15 @@ class HarmonicSolution:
 
     For the interior problem ``singular_coefficient`` is d*|dOmega|*a_n, the
     closed-form coefficient of |x|^(2-n); it is zero for exterior solutions.
-    ``check_misfit`` is max |u - c|/c on the boundary grid of order + 8.
+    ``constant`` is added to u everywhere: c for an interior sphere off the
+    pole, c - d*|dOmega|*a_n/R for one centered on it, and 0 for every
+    other solution.  The centered interior sphere keeps one zero charge,
+    outside the closed ball, rather than none: an empty (0, 3) source array
+    would be written as [] and read back with shape (0,), and a kernel sum
+    over no sources has no row chunk.  ``condition_estimate`` is that of
+    the weighted collocation matrix, and 1.0 for a sphere, where no system
+    is solved.  ``check_misfit`` is max |u - c|/c on the boundary grid of
+    order + 8.
 
     A saved solution is the JSON object of every public field under its
     _camel name (singularCoefficient, fitResidual, conditionEstimate,
@@ -104,6 +119,7 @@ class HarmonicSolution:
     sources: np.ndarray
     charges: np.ndarray
     singular_coefficient: float
+    constant: float
     fit_residual: float
     order: int
     condition_estimate: float
@@ -132,6 +148,8 @@ class HarmonicSolution:
             parts = [None if p is None else p + s
                      for p, s in zip(parts, singular)]
         u, g, h = parts
+        if self.constant != 0.0:
+            u += self.constant
         return FieldStates(points=pts, u=u, grad=g, hess=h)
 
     def _check_region(self, pts):
@@ -191,7 +209,7 @@ class HarmonicSolution:
 # the reader of each field of a saved solution (None: as is); the file's
 # key is the field's _camel name, and every key is required
 _SOLUTION_READERS = {
-    **dict.fromkeys(("c", "singular_coefficient", "fit_residual",
+    **dict.fromkeys(("c", "singular_coefficient", "constant", "fit_residual",
                      "condition_estimate", "check_misfit"), _number),
     "d": lambda v: None if v is None else _number(v),
     **dict.fromkeys(("sources", "charges"),
@@ -294,8 +312,9 @@ def _kernel_sums(x, y, q, want):
 # ---------------------------------------------------------------------------
 
 def _placement(kind, order):
-    """(source grid order g, contraction, ring width, node order) at this
-    order.
+    """(source grid order g, contraction, ring width, node order) of an
+    ellipsoid or a star at this order; spheres place no sources
+    (_sphere_charges).
 
     Sources sit on the g Gauss-Legendre rings in theta of the radial graph
     contracted by this factor, or for the interior remainder dilated by its
@@ -303,25 +322,21 @@ def _placement(kind, order):
     dilation).  Ring j carries min(2g, max(8, ceil(w g sin theta_j)))
     equally spaced phi for ring width w; at w = inf every ring has 2g, the
     directions of angular_grid(g).  The boundary data are collocated on the
-    angular grid of the node order.  Exterior spheres and ellipsoids put
-    their sources on the focal set instead (_focal_sources), which the
-    analytic continuation of the exterior potential requires: a contracted
-    copy of an elongated ellipsoid does not enclose it, and the fit stalls.
-    A sphere's focal set is its center, whose one charge fits exactly.
+    angular grid of the node order.  Exterior ellipsoids put their sources
+    on the focal set instead (_focal_sources), which the analytic
+    continuation of the exterior potential requires: a contracted copy of
+    an elongated ellipsoid does not enclose it, and the fit stalls.
 
-    Spheres and ellipsoids take 0.35 and full rings (for their interior
-    sources) on the nodes of the order.  Stars take one rule at every
-    order, from a table of check misfit against solve time on four stars
-    at orders 32, 40 and 48 (CHANGES.md): 0.5 on rings of g = n/4 + 14,
-    narrowed to width 2.5 and collocated on the grid of order g + 8.  Full
-    rings of order 5n/8 at 0.35 have a lower rank at the SVD cutoff (509
-    of 800 sources at order 32) and a 2.4 to 46 times higher check misfit
-    in more time.  Order 32 takes 730 sources on 1,800 nodes, and
-    MIN_ORDER = 6 takes g = 15 (346 sources) on the 1,058 nodes of order
-    23.
+    Interior ellipsoids take 0.35 and full rings of g = max(12, 2n/3) on
+    the nodes of the order.  Stars take one rule at every order, from a
+    table of check misfit against solve time on four stars at orders 32,
+    40 and 48 (CHANGES.md): 0.5 on rings of g = n/4 + 14, narrowed to
+    width 2.5 and collocated on the grid of order g + 8.  Full rings of
+    order 5n/8 at 0.35 have a lower rank at the SVD cutoff (509 of 800
+    sources at order 32) and a 2.4 to 46 times higher check misfit in more
+    time.  Order 32 takes 730 sources on 1,800 nodes, and MIN_ORDER = 6
+    takes g = 15 (346 sources) on the 1,058 nodes of order 23.
     """
-    if kind == "sphere":
-        return max(8, (3 * order) // 4), 0.35, math.inf, order
     if kind == "star":
         grid = order // 4 + 14
         return grid, 0.5, 2.5, grid + 8
@@ -329,19 +344,19 @@ def _placement(kind, order):
 
 
 def _focal_sources(spec, n_src):
-    """The exterior sources of a sphere or an ellipsoid: nodes on its focal
-    set, n_src of them on a segment, about n_src^2 / 2 on a disk, and the
-    one center of a sphere.
+    """The exterior sources of an ellipsoid: nodes on its focal set, n_src
+    of them on a segment, about n_src^2 / 2 on a disk, and the one center
+    of a round ellipsoid.
 
     With semi-axes sorted a1 >= a2 >= a3 the focal set is the elliptical disk
     with semi-axes sqrt(a1^2 - a3^2), sqrt(a2^2 - a3^2) in the plane of the
     two largest axes; it degenerates to a segment for prolate shapes and to
-    the center for the sphere (or equal axes), where one charge c R is the
-    exact exterior potential c R / |x - x0| (Kellogg 1929; Fairweather &
-    Karageorghis, Adv. Comput. Math. 9, 1998, on source placement).
+    the center for equal axes, where one charge c R is the exact exterior
+    potential c R / |x - x0| (Kellogg 1929; Fairweather & Karageorghis,
+    Adv. Comput. Math. 9, 1998, on source placement).
     """
     center = np.asarray(spec.center, dtype=float)
-    axes = np.asarray(spec.axes or (spec.radius,) * 3)
+    axes = np.asarray(spec.axes)
     idx = np.argsort(axes)[::-1]
     a1, a2, a3 = axes[idx]
     alpha = math.sqrt(max(a1 ** 2 - a3 ** 2, 0.0))
@@ -399,45 +414,84 @@ def _collocation_solve(quad, sources, center, rhs):
     return charges, fit, cond
 
 
+def _sphere_charges(spec, problem, c, s0):
+    """(sources, charges, constant) of the exact potential of a sphere of
+    radius R and center x0 (Kellogg 1929).
+
+    The exterior potential is the charge c R at x0.  The interior one,
+    u = c + s0/|x| - (s0 R/|x0|) / |x - p*|, is the Green's function of the
+    ball with its pole at the origin and the image at the Kelvin point
+    p* = x0 - R^2 x0/|x0|^2; at x0 = 0 the image goes to infinity and
+    leaves the constant c - s0/R, with one zero charge at x0 + (2R, 0, 0).
+    """
+    x0 = np.asarray(spec.center, dtype=float)
+    R = spec.radius
+    if problem == "exterior":
+        return x0[None, :], np.array([c * R], dtype=float), 0.0
+    dist = float(np.linalg.norm(x0))
+    if dist == 0.0:
+        return (x0 + [2.0 * R, 0.0, 0.0])[None, :], np.zeros(1), c - s0 / R
+    image = x0 - (R * R / (dist * dist)) * x0
+    return image[None, :], np.array([-s0 * R / dist]), c
+
+
 def _solve(spec, order, problem, c, d):
-    """The collocation solve of either problem; d is None for the exterior."""
+    """The closed-form sphere or the collocation solve of either problem; d
+    is None for the exterior."""
     if not 0 < c < math.inf:
         raise ValueError("boundary value c must be positive and finite")
     order = DEFAULT_ORDER[spec.kind] if order is None else order
-    src_order, factor, ring, node_order = _placement(spec.kind, order)
-    quad = build_quadrature(spec, node_order)
-    if problem == "exterior":
-        s0 = 0.0
-        rhs = np.full(len(quad.nodes), float(c))
-        sources = (_graph_points(spec, src_order, factor, ring)
-                   if spec.kind == "star" else _focal_sources(spec, order + 8))
-        tol = DEFAULT_TOLERANCE_EXTERIOR[spec.kind]
-    else:
+    if spec.kind == "sphere":
+        quad = build_quadrature(spec, order)
         # the area of the order's own boundary grid
-        area = (quad if node_order == order
-                else build_quadrature(spec, order)).area
-        s0 = d * area * A_N
-        rhs = c - s0 / np.linalg.norm(quad.nodes, axis=1)
-        dilation = 1.0 / factor
-        if spec.kind == "ellipsoid":
-            # on a larger confocal ellipsoid
-            mu = (dilation ** 2 - 1.0) * min(spec.axes) ** 2
-            outer = DomainSpec(kind="ellipsoid", center=spec.center,
-                               axes=tuple(math.sqrt(a * a + mu)
-                                          for a in spec.axes))
-            sources = _graph_points(outer, src_order, 1.0, ring)
+        s0 = 0.0 if problem == "exterior" else d * quad.area * A_N
+        sources, charges, constant = _sphere_charges(spec, problem, c, s0)
+        fit, cond = None, 1.0       # no system: the fit is measured below
+    else:
+        src_order, factor, ring, node_order = _placement(spec.kind, order)
+        quad = build_quadrature(spec, node_order)
+        constant = 0.0
+        if problem == "exterior":
+            s0 = 0.0
+            rhs = np.full(len(quad.nodes), float(c))
+            sources = (_graph_points(spec, src_order, factor, ring)
+                       if spec.kind == "star"
+                       else _focal_sources(spec, order + 8))
         else:
-            sources = _graph_points(spec, src_order, dilation, ring)
-        tol = DEFAULT_TOLERANCE_INTERIOR[spec.kind]
-    charges, fit, cond = _collocation_solve(quad, sources, spec.center, rhs)
+            # the area of the order's own boundary grid
+            area = (quad if node_order == order
+                    else build_quadrature(spec, order)).area
+            s0 = d * area * A_N
+            rhs = c - s0 / np.linalg.norm(quad.nodes, axis=1)
+            dilation = 1.0 / factor
+            if spec.kind == "ellipsoid":
+                # on a larger confocal ellipsoid
+                mu = (dilation ** 2 - 1.0) * min(spec.axes) ** 2
+                outer = DomainSpec(kind="ellipsoid", center=spec.center,
+                                   axes=tuple(math.sqrt(a * a + mu)
+                                              for a in spec.axes))
+                sources = _graph_points(outer, src_order, 1.0, ring)
+            else:
+                sources = _graph_points(spec, src_order, dilation, ring)
+        charges, fit, cond = _collocation_solve(quad, sources, spec.center,
+                                                rhs)
+    tol = (DEFAULT_TOLERANCE_EXTERIOR if problem == "exterior"
+           else DEFAULT_TOLERANCE_INTERIOR)[spec.kind]
     sol = HarmonicSolution(problem=problem, c=float(c),
                            d=None if d is None else float(d), domain=spec,
                            sources=sources, charges=charges,
-                           singular_coefficient=s0, fit_residual=fit,
-                           order=order, condition_estimate=cond,
+                           singular_coefficient=s0, constant=constant,
+                           fit_residual=math.nan, order=order,
+                           condition_estimate=cond,
                            check_misfit=math.nan)   # measured below
-    u = sol.field(_graph_points(spec, order + 8, 1.0), want="u",
-                  check_region=False).u
+    pts = _graph_points(spec, order + 8, 1.0)
+    if fit is None:
+        # a closed form is fitted at its nodes in the same u call
+        pts = np.vstack([quad.nodes, pts])
+    u = sol.field(pts, want="u", check_region=False).u
+    if fit is None:
+        fit = float(np.abs(u[:len(quad.nodes)] - c).max())
+        u = u[len(quad.nodes):]
     check = float(np.abs(u - c).max() / c)
     if not (fit <= tol and check <= tol):  # a NaN misfit fails too
         raise SolverFailureError(
@@ -445,7 +499,7 @@ def _solve(spec, order, problem, c, d):
             f"{order + 8} or boundary misfit {fit:.3e} exceeds tolerance "
             f"{tol:.1e} (condition estimate {cond:.3e}); raise the order "
             "(solver.order)")
-    return replace(sol, check_misfit=check)
+    return replace(sol, fit_residual=fit, check_misfit=check)
 
 
 def solve_exterior(spec, c=1.0, order=None):

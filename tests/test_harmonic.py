@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose
 
 from capsym import (DomainSpec, InsufficientSamplesError, OutOfRegionError,
                     SolverFailureError, decay_report, harmonic,
-                    solve_exterior, solve_interior)
+                    solve_exterior, solve_interior, symmetry_certificate)
 from radial_oracle import RadialGeometry, radial_solution
 from scipy.special import elliprf
 
@@ -181,10 +181,11 @@ def old_graph_sources(spec, src_order, factor):
 def test_sphere_and_ellipsoid_sources_are_unchanged(
         ball_solution, ball_interior, ellipsoid_solution, ellipsoid_interior):
     # the exterior ball's focal set is its center, which carries its one
-    # source; the other three keep their placement
+    # source; the interior ball centered on the pole keeps one zero charge
+    # outside it; the ellipsoids keep their placement
     assert np.array_equal(ball_solution.sources, [[0.0, 0.0, 0.0]])
-    assert np.array_equal(ball_interior.sources, old_graph_sources(
-        ball_interior.domain, 12, 1.0 / 0.35))
+    assert np.array_equal(ball_interior.sources, [[2.0, 0.0, 0.0]])
+    assert np.array_equal(ball_interior.charges, [0.0])
     spec = ellipsoid_solution.domain
     assert np.array_equal(ellipsoid_solution.sources,
                           _focal_sources(spec, 32))
@@ -194,8 +195,6 @@ def test_sphere_and_ellipsoid_sources_are_unchanged(
     assert np.array_equal(ellipsoid_interior.sources,
                           old_graph_sources(outer, 16, 1.0))
     for order in (40, 48):
-        assert _placement("sphere", order) \
-            == (3 * order // 4, 0.35, math.inf, order)
         assert _placement("ellipsoid", order) \
             == (2 * order // 3, 0.35, math.inf, order)
 
@@ -220,8 +219,6 @@ def test_exterior_sphere_is_one_charge_at_its_center(spec, c):
 # orders 16, 24, 32, 40, 48
 INF = math.inf
 PLACEMENT_TABLE = {
-    "sphere": [(12, 0.35, INF, 16), (18, 0.35, INF, 24), (24, 0.35, INF, 32),
-               (30, 0.35, INF, 40), (36, 0.35, INF, 48)],
     "ellipsoid": [(12, 0.35, INF, 16), (16, 0.35, INF, 24),
                   (21, 0.35, INF, 32), (26, 0.35, INF, 40),
                   (32, 0.35, INF, 48)],
@@ -300,7 +297,8 @@ def test_order_48_star_solve_memory_is_bounded(star_solution):
 
 def difference_tensor_field(sol, pts):
     """Reference (u, Du, D2u): kernel sums over the (N, M, 3) tensor of
-    differences x - y_j, plus the closed-form singular term."""
+    differences x - y_j, plus the closed-form singular term and the
+    constant."""
     d = pts[:, None, :] - sol.sources[None, :, :]
     r2 = np.einsum("nms,nms->nm", d, d)
     inv_r = 1.0 / np.sqrt(r2)
@@ -318,7 +316,7 @@ def difference_tensor_field(sol, pts):
             h[:, b, a] = hab
     s0 = sol.singular_coefficient
     r = np.linalg.norm(pts, axis=1)
-    u = u + s0 / r
+    u = u + s0 / r + sol.constant
     g = g - s0 * pts / r[:, None] ** 3
     h = h + s0 * (3.0 * pts[:, :, None] * pts[:, None, :] / r[:, None, None] ** 5
                   - np.eye(3)[None] / r[:, None, None] ** 3)
@@ -476,7 +474,68 @@ def test_nan_fit_fails_the_tolerance(monkeypatch):
 
     monkeypatch.setattr(harmonic, "_collocation_solve", nan_fit)
     with pytest.raises(SolverFailureError, match="misfit nan exceeds"):
+        solve_exterior(DomainSpec(kind="ellipsoid", axes=(2.0, 1.0, 1.0)))
+
+
+def test_nan_closed_form_fails_the_tolerance(monkeypatch):
+    # a sphere solves no system; its fit is measured from u at its nodes
+    def nan_charge(spec, problem, c, s0):
+        return np.zeros((1, 3)), np.array([math.nan]), 0.0
+
+    monkeypatch.setattr(harmonic, "_sphere_charges", nan_charge)
+    with pytest.raises(SolverFailureError,
+                       match="misfit nan on .* misfit nan exceeds"):
         solve_exterior(DomainSpec(kind="sphere", radius=1.0))
+
+
+def ball_green_function(pts, x0, radius, c, s0):
+    """(u, Du, D2u) of u = c + s0 (1/|x| - (R/|x0|)/|x - p*|), the interior
+    potential of the ball of radius R and center x0 != 0 with its pole at
+    the origin, where p* = x0 - R^2 x0/|x0|^2 is the Kelvin image of the
+    origin (Kellogg 1929)."""
+    x0 = np.asarray(x0, dtype=float)
+    dist = np.linalg.norm(x0)
+    image = x0 - radius ** 2 * x0 / dist ** 2
+    u, g, h = np.full(len(pts), float(c)), np.zeros((len(pts), 3)), 0.0
+    for y, q in ((np.zeros(3), s0), (image, -s0 * radius / dist)):
+        d = pts - y
+        r = np.linalg.norm(d, axis=1)
+        u = u + q / r
+        g = g - q * d / r[:, None] ** 3
+        h = h + q * (3.0 * d[:, :, None] * d[:, None, :]
+                     / r[:, None, None] ** 5
+                     - np.eye(3)[None] / r[:, None, None] ** 3)
+    return u, g, h
+
+
+@pytest.mark.parametrize("c", [1.0, 2.0])
+@pytest.mark.parametrize("center", [(0.5, 0.0, 0.0), (0.2, -0.1, 0.15)])
+def test_off_center_interior_sphere_is_the_green_function(tmp_path, center,
+                                                          c):
+    # one Kelvin image charge and the constant c are the exact potential;
+    # the ring fit failed both spheres at the default order
+    spec = DomainSpec(kind="sphere", radius=1.0, center=center)
+    sol = solve_interior(spec, c=c, d=1.0)
+    assert sol.check_misfit <= 1e-14
+    assert (len(sol.sources), sol.constant) == (1, c)
+    rng = np.random.default_rng(11)
+    dirs = rng.normal(size=(400, 3))
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    pts = np.asarray(center) + rng.uniform(0.0, 0.95, (400, 1)) * dirs
+    pts = pts[np.linalg.norm(pts, axis=1) > 0.05]
+    # s0 = d |dOmega| a_n = d R^2
+    ref = ball_green_function(pts, center, 1.0, c, 1.0)
+    st = sol.field(pts)
+    for got, want in zip((st.u, st.grad, st.hess), ref):
+        got, want = got.reshape(len(pts), -1), want.reshape(len(pts), -1)
+        scale = np.abs(want).max(axis=1)
+        assert np.all(np.abs(got - want).max(axis=1) <= 1e-13 * scale)
+    path, again = tmp_path / "sol.json", tmp_path / "again.json"
+    sol.save(path)
+    assert json.loads(path.read_text())["constant"] == c
+    HarmonicSolution.load(path).save(again)
+    assert again.read_bytes() == path.read_bytes()
+    assert symmetry_certificate(sol).granted is False
 
 
 # ---------------------------------------------------------------------------
@@ -497,8 +556,8 @@ def test_solution_round_trip(tmp_path, ellipsoid_solution):
 
 
 # the keys of a saved solution, every one of them required
-SOLUTION_KEYS = ("c", "charges", "checkMisfit", "conditionEstimate", "d",
-                 "domain", "fitResidual", "order", "problem",
+SOLUTION_KEYS = ("c", "charges", "checkMisfit", "conditionEstimate",
+                 "constant", "d", "domain", "fitResidual", "order", "problem",
                  "singularCoefficient", "sources")
 
 

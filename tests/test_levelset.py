@@ -204,7 +204,7 @@ def pierced_twice():
         problem="exterior", c=6.0, d=None,
         domain=DomainSpec(kind="sphere", radius=0.5),
         sources=np.array([[0.9, 0.0, 0.0]]),
-        charges=np.array([1.0]), singular_coefficient=0.0,
+        charges=np.array([1.0]), singular_coefficient=0.0, constant=0.0,
         fit_residual=0.0, order=12,
         condition_estimate=1.0, check_misfit=0.0)
 

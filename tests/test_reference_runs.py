@@ -81,7 +81,7 @@ def written_keys(kind, levels, reports):
     keys = {
         "solution": {
             "": {"problem", "c", "d", "domain", "sources", "charges",
-                 "singularCoefficient", "fitResidual", "order",
+                 "singularCoefficient", "constant", "fitResidual", "order",
                  "conditionEstimate", "checkMisfit"},
             "domain": domain},
         "criteria": {
