@@ -3,9 +3,10 @@ How a 2:1 ellipsoid fails every symmetry criterion
 ==================================================
 
 The same pipeline on the prolate ellipsoid with semi-axes (2, 1, 1).
-The exterior solve uses point sources on the focal segment, which gets the
-boundary misfit to ~1e-14, and the criteria battery then quantifies how far
-the domain is from the rigidity case.
+The exterior solve puts the equilibrium charge on the focal segment in
+closed form, a uniform density sampled at Gauss nodes with no fit, which
+gets the boundary misfit to ~1e-15, and the criteria battery then
+quantifies how far the domain is from the rigidity case.
 """
 
 import math

@@ -1,43 +1,35 @@
 """Harmonic potential solves by superposition of point-source kernels.
 
-Both boundary value problems are handled with the method of fundamental
-solutions: a least-squares fit of kernel charges 1/|x - y_j| against the
-boundary data, with the sources placed off the boundary so the resulting
-field is exactly harmonic (to machine precision) wherever it is evaluated,
-with analytic gradient and Hessian.
-
-For the exterior problem (u = c on the boundary, u -> 0 at infinity) the
-sources sit inside the domain: on the focal set of an ellipsoid, and on a
-contracted copy of a star's radial graph.  For the interior problem with
-a point singularity of strength d*|dOmega| at the origin, the singular
-term d |dOmega| a_n |x|^(2-n) is carried in closed form (never
-discretized) and only the bounded remainder v is fitted, with sources
-outside the domain.
-The singular term is evaluated as one more kernel sum, with the single
-charge d |dOmega| a_n at the origin and the points left uncentred, so that
+Every solution is a sum of kernel charges 1/|x - y_j| with the sources
+off the boundary, so the field is exactly harmonic (to machine precision)
+wherever it is evaluated, with analytic gradient and Hessian.  For the
+interior problem with a point singularity of strength d*|dOmega| at the
+origin, the singular term d |dOmega| a_n |x|^(2-n) is carried in closed
+form (never discretized) as one more kernel sum, with the single charge
+d |dOmega| a_n at the origin and the points left uncentred, so that
 r = |x| stays exact near the singularity.
 
-Spheres are solved in closed form, with no system (Kellogg 1929).  The
-exterior sphere of radius R and center x0 is the one charge c R at x0.
-The interior sphere, with s0 = d |dOmega| a_n, is u = c + s0/|x| minus
-the Kelvin image charge s0 R/|x0| at p* = x0 - R^2 x0/|x0|^2, the
-ball's Green's function; centered on the pole it is the constant
-c - s0/R plus s0/|x|.
+Quadrics are solved in closed form where one is known, with no system
+(Kellogg 1929).  Outside a sphere or an ellipsoid (u = c on the boundary,
+u -> 0 at infinity) u is the potential of the equilibrium charge Q = c /
+R_F(a1^2, a2^2, a3^2) on its focal set (_focal_charges): the center of a
+sphere, where Q = c R, or a segment or an elliptical disk.  Inside a
+sphere u is the ball's Green's function, one Kelvin image charge and a
+constant (_sphere_charges).
 
-A solve of an ellipsoid or a star is set by the domain, the problem and
-one order.  The source placement (described on _placement), the SVD
+Stars, for both problems, and interior ellipsoids are solved by the method
+of fundamental solutions: a least-squares fit of the charges against the
+boundary data at collocation nodes, with the sources inside the domain
+for the exterior problem and outside it for the bounded interior
+remainder.  The source placement (described on _placement), the SVD
 cutoff and the misfit tolerance all come from per-kind tables in this
-module.  Where sources sit on rings (stars, and interior ellipsoids), ring
-j of the g Gauss-Legendre rings carries min(2g, max(8, ceil(w g sin
-theta_j))) sources, with w = inf (2g each) and the order's own grid as
-collocation nodes for ellipsoids, and w = 2.5 on nodes of order g + 8 for
-stars.
+module.
 
 Every solve measures its check misfit, max |u - c|/c on an independent
 boundary grid of order n + 8, next to the fit residual at the collocation
-nodes (for a sphere, the order's own grid), and fails unless both meet
-the tolerance: the fit residual alone can hide a wrong solution (Barnett
-& Betcke, J. Comput. Phys. 227, 2008).
+nodes (for a closed form, the order's own grid), and fails unless both
+meet the tolerance: the fit residual alone can hide a wrong solution
+(Barnett & Betcke, J. Comput. Phys. 227, 2008).
 
 Kernel sums are evaluated in BLAS form.  Points and sources are first
 centred on the domain center; the squared distances then come from one
@@ -45,9 +37,8 @@ matrix product of augmented rows, r^2 = [x, |x|^2, 1] . [-2y, 1, |y|^2]^T,
 and u and Du from products of 1/r and 1/r^3 with the charges and their
 first moments q y.  The Hessian is one product of 1/r^5 with the moments
 [q, q y, q y y], never a tensor of differences x - y.  Points are taken in
-row chunks of at most 65,536 point-source pairs, so the temporaries are a few
-(chunk, M) arrays of 512 KiB that stay in L2 cache however many points are
-evaluated.  The collocation matrix is built by the same routine.
+row chunks of _CHUNK_PAIRS point-source pairs, so the temporaries stay in
+L2 cache.  The collocation matrix is built by the same routine.
 """
 
 from __future__ import annotations
@@ -101,9 +92,9 @@ class HarmonicSolution:
     outside the closed ball, rather than none: an empty (0, 3) source array
     would be written as [] and read back with shape (0,), and a kernel sum
     over no sources has no row chunk.  ``condition_estimate`` is that of
-    the weighted collocation matrix, and 1.0 for a sphere, where no system
-    is solved.  ``check_misfit`` is max |u - c|/c on the boundary grid of
-    order + 8.
+    the weighted collocation matrix, and 1.0 for every closed form (a
+    sphere, an exterior ellipsoid), where no system is solved.
+    ``check_misfit`` is max |u - c|/c on the boundary grid of order + 8.
 
     A saved solution is the JSON object of every public field under its
     _camel name (singularCoefficient, fitResidual, conditionEstimate,
@@ -312,9 +303,9 @@ def _kernel_sums(x, y, q, want):
 # ---------------------------------------------------------------------------
 
 def _placement(kind, order):
-    """(source grid order g, contraction, ring width, node order) of an
-    ellipsoid or a star at this order; spheres place no sources
-    (_sphere_charges).
+    """(source grid order g, contraction, ring width, node order) of a
+    star or an interior ellipsoid at this order; the closed forms place no
+    fitted sources (_focal_charges, _sphere_charges).
 
     Sources sit on the g Gauss-Legendre rings in theta of the radial graph
     contracted by this factor, or for the interior remainder dilated by its
@@ -322,10 +313,7 @@ def _placement(kind, order):
     dilation).  Ring j carries min(2g, max(8, ceil(w g sin theta_j)))
     equally spaced phi for ring width w; at w = inf every ring has 2g, the
     directions of angular_grid(g).  The boundary data are collocated on the
-    angular grid of the node order.  Exterior ellipsoids put their sources
-    on the focal set instead (_focal_sources), which the analytic
-    continuation of the exterior potential requires: a contracted copy of
-    an elongated ellipsoid does not enclose it, and the fit stalls.
+    angular grid of the node order.
 
     Interior ellipsoids take 0.35 and full rings of g = max(12, 2n/3) on
     the nodes of the order.  Stars take one rule at every order, from a
@@ -343,45 +331,63 @@ def _placement(kind, order):
     return max(12, (2 * order) // 3), 0.35, math.inf, order
 
 
-def _focal_sources(spec, n_src):
-    """The exterior sources of an ellipsoid: nodes on its focal set, n_src
-    of them on a segment, about n_src^2 / 2 on a disk, and the one center
-    of a round ellipsoid.
+def _carlson_rf(x, y, z):
+    """Carlson's symmetric elliptic integral R_F(x, y, z) of x, y, z >= 0,
+    at most one of them zero, by duplication (Carlson, Numer. Algorithms
+    10, 1995): each step keeps R_F and moves x, y and z a quarter of the way
+    together.  Within 1e-3 of their mean A, the fifth-order series in
+    X = 1 - x/A, ... errs by less than 1e-18.  A NaN stops the steps.
+    """
+    v = np.array([x, y, z], dtype=float)
+    while np.abs(1.0 - v / v.mean(axis=0)).max() >= 1e-3:
+        s = np.sqrt(v)
+        v = (v + s[0] * s[1] + s[1] * s[2] + s[2] * s[0]) / 4.0
+    a = v.mean(axis=0)
+    dx, dy, dz = 1.0 - v / a
+    e2, e3 = dx * dy - dz * dz, dx * dy * dz
+    return (1.0 - e2 / 10 + e3 / 14 + e2 * e2 / 24 - 3 * e2 * e3 / 44) / np.sqrt(a)
 
-    With semi-axes sorted a1 >= a2 >= a3 the focal set is the elliptical disk
-    with semi-axes sqrt(a1^2 - a3^2), sqrt(a2^2 - a3^2) in the plane of the
-    two largest axes; it degenerates to a segment for prolate shapes and to
-    the center for equal axes, where one charge c R is the exact exterior
-    potential c R / |x - x0| (Kellogg 1929; Fairweather & Karageorghis,
-    Adv. Comput. Math. 9, 1998, on source placement).
+
+def _focal_charges(spec, c, order):
+    """(sources, charges) of the exact exterior potential of a sphere or an
+    ellipsoid with u = c on it: the equilibrium charge Q = c / R_F(a1^2,
+    a2^2, a3^2) on its focal set (Kellogg 1929, ch. VII).
+
+    With semi-axes sorted a1 >= a2 >= a3, alpha = sqrt(a1^2 - a3^2) and
+    beta = sqrt(a2^2 - a3^2), the focal set is the degenerate confocal
+    ellipsoid.  Equal axes put Q at the center (c R for a sphere).  At
+    beta = 0 the segment [-alpha, alpha] carries the uniform density
+    Q / (2 alpha): Q w_i / 2 at order + 8 Gauss nodes alpha x_i.  Else the
+    elliptical disk of semi-axes alpha, beta carries Q / (2 pi alpha beta
+    sqrt(1 - rho^2)), rho^2 = x^2/alpha^2 + y^2/beta^2; with rho = sin t
+    the rim singularity cancels, and order - 4 Gauss rings t_j in
+    [0, pi/2] carry Q w_j sin t_j each, split equally over max(8,
+    ceil(5 (order + 8) sin t_j)) equally spaced phi.
     """
     center = np.asarray(spec.center, dtype=float)
-    axes = np.asarray(spec.axes)
+    axes = np.asarray(spec.axes or (spec.radius,) * 3, dtype=float)
     idx = np.argsort(axes)[::-1]
     a1, a2, a3 = axes[idx]
-    alpha = math.sqrt(max(a1 ** 2 - a3 ** 2, 0.0))
-    beta = math.sqrt(max(a2 ** 2 - a3 ** 2, 0.0))
+    q = c / float(_carlson_rf(a1 * a1, a2 * a2, a3 * a3))
+    alpha, beta = (math.sqrt(a * a - a3 * a3) for a in (a1, a2))
     if alpha < 1e-9 * a1:
-        return center[None, :]
+        return center[None, :], np.array([q])
     if beta < 1e-9 * a1:
-        x, _ = leggauss(n_src)
-        local = np.column_stack([alpha * x, np.zeros(n_src), np.zeros(n_src)])
+        x, w = leggauss(order + 8)
+        local = [alpha * x, np.zeros_like(x), np.zeros_like(x)]
+        charges = q * w / 2.0
     else:
-        # disk charge density behaves like 1/sqrt(R^2 - rho^2); cluster the
-        # radial nodes at the rim accordingly
-        nr = max(6, n_src // 2)
-        nphi = 2 * nr
-        xr, _ = leggauss(nr)
-        rr = np.sqrt(0.5 * (xr + 1.0))
-        ph = 2.0 * np.pi * (np.arange(nphi) + 0.5) / nphi
-        R, P = np.meshgrid(rr, ph, indexing="ij")
-        local = np.column_stack([alpha * (R * np.cos(P)).ravel(),
-                                 beta * (R * np.sin(P)).ravel(),
-                                 np.zeros(nr * nphi)])
-    world = np.zeros_like(local)
-    for k in range(3):
-        world[:, idx[k]] = local[:, k]
-    return world + center
+        x, w = leggauss(order - 4)
+        t = np.pi / 4 * (x + 1.0)
+        count = np.maximum(8, np.ceil(5 * (order + 8) * np.sin(t))).astype(int)
+        rho = np.repeat(np.sin(t), count)
+        ph = np.concatenate([2.0 * np.pi * np.arange(n) / n for n in count])
+        local = [alpha * rho * np.cos(ph), beta * rho * np.sin(ph),
+                 np.zeros_like(ph)]
+        charges = np.repeat(q * np.pi / 4 * w * np.sin(t) / count, count)
+    # local[k] lies along axis idx[k]
+    sources = np.column_stack([local[k] for k in np.argsort(idx)])
+    return sources + center, charges
 
 
 def _graph_points(spec, grid_order, factor, ring=math.inf):
@@ -414,20 +420,16 @@ def _collocation_solve(quad, sources, center, rhs):
     return charges, fit, cond
 
 
-def _sphere_charges(spec, problem, c, s0):
-    """(sources, charges, constant) of the exact potential of a sphere of
-    radius R and center x0 (Kellogg 1929).
-
-    The exterior potential is the charge c R at x0.  The interior one,
-    u = c + s0/|x| - (s0 R/|x0|) / |x - p*|, is the Green's function of the
+def _sphere_charges(spec, c, s0):
+    """(sources, charges, constant) of the exact interior potential of a
+    sphere of radius R and center x0 (Kellogg 1929):
+    u = c + s0/|x| - (s0 R/|x0|) / |x - p*|, the Green's function of the
     ball with its pole at the origin and the image at the Kelvin point
     p* = x0 - R^2 x0/|x0|^2; at x0 = 0 the image goes to infinity and
     leaves the constant c - s0/R, with one zero charge at x0 + (2R, 0, 0).
     """
     x0 = np.asarray(spec.center, dtype=float)
     R = spec.radius
-    if problem == "exterior":
-        return x0[None, :], np.array([c * R], dtype=float), 0.0
     dist = float(np.linalg.norm(x0))
     if dist == 0.0:
         return (x0 + [2.0 * R, 0.0, 0.0])[None, :], np.zeros(1), c - s0 / R
@@ -436,27 +438,25 @@ def _sphere_charges(spec, problem, c, s0):
 
 
 def _solve(spec, order, problem, c, d):
-    """The closed-form sphere or the collocation solve of either problem; d
-    is None for the exterior."""
+    """The closed form of a quadric or the collocation solve of either
+    problem; d is None for the exterior."""
     if not 0 < c < math.inf:
         raise ValueError("boundary value c must be positive and finite")
     order = DEFAULT_ORDER[spec.kind] if order is None else order
-    if spec.kind == "sphere":
+    s0, constant, fit, cond = 0.0, 0.0, None, 1.0
+    if problem == "exterior" and spec.kind != "star":
         quad = build_quadrature(spec, order)
-        # the area of the order's own boundary grid
-        s0 = 0.0 if problem == "exterior" else d * quad.area * A_N
-        sources, charges, constant = _sphere_charges(spec, problem, c, s0)
-        fit, cond = None, 1.0       # no system: the fit is measured below
+        sources, charges = _focal_charges(spec, c, order)
+    elif spec.kind == "sphere":
+        quad = build_quadrature(spec, order)
+        s0 = d * quad.area * A_N    # the area of the order's own grid
+        sources, charges, constant = _sphere_charges(spec, c, s0)
     else:
         src_order, factor, ring, node_order = _placement(spec.kind, order)
         quad = build_quadrature(spec, node_order)
-        constant = 0.0
         if problem == "exterior":
-            s0 = 0.0
             rhs = np.full(len(quad.nodes), float(c))
-            sources = (_graph_points(spec, src_order, factor, ring)
-                       if spec.kind == "star"
-                       else _focal_sources(spec, order + 8))
+            sources = _graph_points(spec, src_order, factor, ring)
         else:
             # the area of the order's own boundary grid
             area = (quad if node_order == order
@@ -486,7 +486,7 @@ def _solve(spec, order, problem, c, d):
                            check_misfit=math.nan)   # measured below
     pts = _graph_points(spec, order + 8, 1.0)
     if fit is None:
-        # a closed form is fitted at its nodes in the same u call
+        # a closed form (no system) is fitted at its nodes in the same u call
         pts = np.vstack([quad.nodes, pts])
     u = sol.field(pts, want="u", check_region=False).u
     if fit is None:

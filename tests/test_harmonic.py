@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import re
@@ -17,7 +18,8 @@ from capsym import HarmonicSolution
 from capsym.errors import ConfigError
 from capsym.geometry import angular_grid, build_quadrature, unit_directions
 from capsym.levelset import surface_integral
-from capsym.harmonic import (_CHUNK_PAIRS, _focal_sources,
+from capsym.criteria import capacity
+from capsym.harmonic import (_CHUNK_PAIRS, _carlson_rf,
                              _graph_points, _inverse_distance, _kernel_sums,
                              _placement, _point_rows, _source_rows)
 
@@ -123,17 +125,25 @@ def test_star_domain_reaches_tolerance():
 
 
 def test_oblate_and_triaxial_sources():
-    # focal set degenerates to a disk instead of a segment
-    sol = solve_exterior(DomainSpec(kind="ellipsoid", axes=(1.4, 1.2, 1.0)))
-    assert sol.fit_residual < 1e-7
-    assert sol.check_misfit < 1e-7
-    # the oblate fit meets the tolerance at the nodes (9.2e-10), but its
-    # check misfit (4.3e-3) does not, so the solve fails loudly
+    # the equilibrium charge on the focal disk is set, not fitted: the
+    # triaxial (3,2,1) in all six axis orders (at most 6.8e-9; least
+    # squares failed all six at every order up to 40), an oblate and a mild
+    # triaxial solve at order 24
+    for axes in [*sorted(set(itertools.permutations((3.0, 2.0, 1.0)))),
+                 (1.0, 1.0, 0.5), (2.0, 1.5, 1.0)]:
+        sol = solve_exterior(DomainSpec(kind="ellipsoid", axes=axes),
+                             order=24)
+        assert sol.check_misfit <= 1e-7, axes
+        assert (len(sol.sources), sol.condition_estimate) == (1955, 1.0)
+    # (3,3,1) is too flat for the rings of order 24 (3.3e-7) and passes at
+    # order 32 (3.4e-8)
+    spec = DomainSpec(kind="ellipsoid", axes=(3.0, 3.0, 1.0))
     with pytest.raises(SolverFailureError,
-                       match=r"exterior check misfit 4\.\d+e-03 on the grid "
+                       match=r"exterior check misfit 3\.\d+e-07 on the grid "
                              r"of order 32 or boundary misfit \S+ exceeds "
                              r"tolerance 1\.0e-07"):
-        solve_exterior(DomainSpec(kind="ellipsoid", axes=(1.0, 1.0, 0.5)))
+        solve_exterior(spec, order=24)
+    assert solve_exterior(spec, order=32).check_misfit <= 1e-7
 
 
 def ellipsoid_potential(points, axes):
@@ -152,24 +162,57 @@ def ellipsoid_potential(points, axes):
     return elliprf(a2[0] + lam, a2[1] + lam, a2[2] + lam) / elliprf(*a2)
 
 
-@pytest.mark.parametrize("axes", [(2.0, 1.0, 1.0), (1.0, 1.0, 0.5)],
-                         ids=["prolate", "oblate"])
-def test_check_misfit_matches_closed_form_ellipsoid(axes, monkeypatch):
+CLOSED_FORM_ELLIPSOIDS = {"prolate": (2.0, 1.0, 1.0),
+                          "oblate": (1.0, 1.0, 0.5),
+                          "triaxial": (3.0, 2.0, 1.0),
+                          "mild-triaxial": (2.0, 1.5, 1.0)}
+
+
+@pytest.fixture(scope="module", params=sorted(CLOSED_FORM_ELLIPSOIDS))
+def focal_solution(request):
+    axes = CLOSED_FORM_ELLIPSOIDS[request.param]
+    return solve_exterior(DomainSpec(kind="ellipsoid", axes=axes))
+
+
+def test_check_misfit_matches_closed_form_ellipsoid(focal_solution):
     # u - U is harmonic outside and vanishes at infinity, so its largest
-    # value sits on the boundary; sample it there and just outside.  The
-    # oblate check misfit misses the tolerance, so it is lifted here to
-    # compare that misfit with the closed form
-    monkeypatch.setitem(harmonic.DEFAULT_TOLERANCE_EXTERIOR, "ellipsoid", 1.0)
-    spec = DomainSpec(kind="ellipsoid", axes=axes)
-    sol = solve_exterior(spec)
+    # value sits on the boundary; sample it there and just outside
+    spec, sol = focal_solution.domain, focal_solution
     rng = np.random.default_rng(11)
     dirs = rng.normal(size=(2000, 3))
     dirs /= np.linalg.norm(dirs, axis=1)[:, None]
     r = spec.ray_exit_radius(dirs) * rng.choice([1.0, 1.001], 2000)
     pts = dirs * r[:, None]
     u = sol.field(pts, want="u", check_region=False).u
-    err = np.abs(u - ellipsoid_potential(pts, axes)).max()
+    err = np.abs(u - ellipsoid_potential(pts, spec.axes)).max()
     assert sol.check_misfit / 10 <= err <= 10 * sol.check_misfit
+
+
+def test_capacity_matches_closed_form_ellipsoid(focal_solution):
+    # 4 pi Q / c with the equilibrium charge Q = c / R_F(a^2, b^2, c^2)
+    exact = 4.0 * math.pi / elliprf(*np.square(focal_solution.domain.axes))
+    assert abs(capacity(focal_solution) / exact - 1.0) <= 1e-9
+
+
+def test_exterior_quadrics_solve_no_system(monkeypatch):
+    def no_system(quad, sources, center, rhs):
+        raise AssertionError("an exterior quadric reached least squares")
+
+    monkeypatch.setattr(harmonic, "_collocation_solve", no_system)
+    for spec in [DomainSpec(kind="sphere", radius=1.0),
+                 DomainSpec(kind="sphere", radius=2.5, center=(0.3, 0, 0)),
+                 DomainSpec(kind="ellipsoid", axes=(1.5, 1.5, 1.5)),
+                 *(DomainSpec(kind="ellipsoid", axes=axes)
+                   for axes in CLOSED_FORM_ELLIPSOIDS.values())]:
+        assert solve_exterior(spec).condition_estimate == 1.0
+
+
+def test_carlson_rf_matches_scipy():
+    x, y, z = np.random.default_rng(3).uniform(0.01, 20.0, (3, 2000))
+    got = _carlson_rf(x, y, z)
+    assert np.abs(got / elliprf(x, y, z) - 1.0).max() <= 2e-15
+    for v in (0.01, 1.0, 4.0, 20.0):
+        assert abs(_carlson_rf(v, v, v) * math.sqrt(v) - 1.0) <= 2e-16
 
 
 def old_graph_sources(spec, src_order, factor):
@@ -182,13 +225,20 @@ def test_sphere_and_ellipsoid_sources_are_unchanged(
         ball_solution, ball_interior, ellipsoid_solution, ellipsoid_interior):
     # the exterior ball's focal set is its center, which carries its one
     # source; the interior ball centered on the pole keeps one zero charge
-    # outside it; the ellipsoids keep their placement
+    # outside it; the interior ellipsoid keeps its placement
     assert np.array_equal(ball_solution.sources, [[0.0, 0.0, 0.0]])
     assert np.array_equal(ball_interior.sources, [[2.0, 0.0, 0.0]])
     assert np.array_equal(ball_interior.charges, [0.0])
+    # the prolate's 32 charges are the uniform density Q / (2 alpha) on its
+    # focal segment, Q w_i / 2 at the Gauss nodes alpha x_i
     spec = ellipsoid_solution.domain
-    assert np.array_equal(ellipsoid_solution.sources,
-                          _focal_sources(spec, 32))
+    x, w = np.polynomial.legendre.leggauss(32)
+    alpha = math.sqrt(3.0)
+    assert_allclose(ellipsoid_solution.sources,
+                    np.column_stack([alpha * x, np.zeros((32, 2))]),
+                    rtol=0, atol=1e-15)
+    assert_allclose(ellipsoid_solution.charges,
+                    w / (2.0 * elliprf(4.0, 1.0, 1.0)), rtol=1e-15)
     mu = ((1.0 / 0.35) ** 2 - 1.0) * min(spec.axes) ** 2
     outer = DomainSpec(kind="ellipsoid",
                        axes=tuple(math.sqrt(a * a + mu) for a in spec.axes))
@@ -467,25 +517,29 @@ def test_non_finite_c_and_d_rejected_before_solving(solve, named):
         solve(DomainSpec(kind="sphere", radius=1.0))
 
 
-def test_nan_fit_fails_the_tolerance(monkeypatch):
+def test_nan_fit_fails_the_tolerance(monkeypatch, star_solution):
     # NaN > tol is False, so the gate must ask for fit <= tol instead
     def nan_fit(quad, sources, center, rhs):
         return np.zeros(len(sources)), math.nan, 1.0
 
     monkeypatch.setattr(harmonic, "_collocation_solve", nan_fit)
     with pytest.raises(SolverFailureError, match="misfit nan exceeds"):
-        solve_exterior(DomainSpec(kind="ellipsoid", axes=(2.0, 1.0, 1.0)))
+        solve_exterior(star_solution.domain)
 
 
-def test_nan_closed_form_fails_the_tolerance(monkeypatch):
-    # a sphere solves no system; its fit is measured from u at its nodes
-    def nan_charge(spec, problem, c, s0):
-        return np.zeros((1, 3)), np.array([math.nan]), 0.0
-
-    monkeypatch.setattr(harmonic, "_sphere_charges", nan_charge)
+@pytest.mark.parametrize("patched, solve, closed_form", [
+    ("_focal_charges", solve_exterior,
+     (np.zeros((1, 3)), np.array([math.nan]))),
+    ("_sphere_charges", solve_interior,
+     (np.zeros((1, 3)), np.array([math.nan]), 0.0)),
+], ids=["exterior", "interior"])
+def test_nan_closed_form_fails_the_tolerance(monkeypatch, patched, solve,
+                                              closed_form):
+    # a closed form solves no system; its fit is measured from u at its nodes
+    monkeypatch.setattr(harmonic, patched, lambda *args: closed_form)
     with pytest.raises(SolverFailureError,
                        match="misfit nan on .* misfit nan exceeds"):
-        solve_exterior(DomainSpec(kind="sphere", radius=1.0))
+        solve(DomainSpec(kind="sphere", radius=1.0))
 
 
 def ball_green_function(pts, x0, radius, c, s0):
