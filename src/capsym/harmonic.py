@@ -1,44 +1,34 @@
 """Harmonic potential solves by superposition of point-source kernels.
 
-Every solution is a sum of kernel charges 1/|x - y_j| with the sources
-off the boundary, so the field is exactly harmonic (to machine precision)
-wherever it is evaluated, with analytic gradient and Hessian.  For the
-interior problem with a point singularity of strength d*|dOmega| at the
-origin, the singular term d |dOmega| a_n |x|^(2-n) is carried in closed
-form (never discretized) as one more kernel sum, with the single charge
-d |dOmega| a_n at the origin and the points left uncentred, so that
-r = |x| stays exact near the singularity.
+Every solution is a sum of kernel charges q_j / |x - y_j| with the sources
+off the boundary, plus a constant, so the field is exactly harmonic
+wherever it is evaluated, with analytic gradient and Hessian.  The pole
+d |dOmega| a_n |x|^(2-n) of the interior problem is exact, never
+discretized: one more charge, at the origin, in the same sum.
 
-Quadrics are solved in closed form where one is known, with no system
-(Kellogg 1929).  Outside a sphere or an ellipsoid (u = c on the boundary,
-u -> 0 at infinity) u is the potential of the equilibrium charge Q = c /
-R_F(a1^2, a2^2, a3^2) on its focal set (_focal_charges): the center of a
-sphere, where Q = c R, or a segment or an elliptical disk.  Inside a
-sphere u is the ball's Green's function, one Kelvin image charge and a
-constant (_sphere_charges).
+Quadrics are solved in closed form where one is known (Kellogg 1929):
+outside a sphere or an ellipsoid by the equilibrium charge Q = c /
+R_F(a1^2, a2^2, a3^2) on its focal set (_focal_charges), inside a sphere
+by the ball's Green's function, one Kelvin image charge and a constant
+(_sphere_charges).  Stars, for both problems, and interior ellipsoids are
+solved by the method of fundamental solutions: a least-squares fit of the
+charges to the boundary data at collocation nodes, with the sources inside
+the domain for the exterior problem and outside it for the interior one
+(_placement).
 
-Stars, for both problems, and interior ellipsoids are solved by the method
-of fundamental solutions: a least-squares fit of the charges against the
-boundary data at collocation nodes, with the sources inside the domain
-for the exterior problem and outside it for the bounded interior
-remainder.  The source placement (described on _placement), the SVD
-cutoff and the misfit tolerance all come from per-kind tables in this
-module.
+Every solve measures the fit at its nodes (for a closed form, the order's
+own grid) and its check misfit, max |u - c|/c on an independent grid of
+order n + 8, in one u call, and fails unless both meet the per-kind
+tolerance: the fit alone can hide a wrong solution (Barnett & Betcke,
+J. Comput. Phys. 227, 2008).
 
-Every solve measures its check misfit, max |u - c|/c on an independent
-boundary grid of order n + 8, next to the fit residual at the collocation
-nodes (for a closed form, the order's own grid), and fails unless both
-meet the tolerance: the fit residual alone can hide a wrong solution
-(Barnett & Betcke, J. Comput. Phys. 227, 2008).
-
-Kernel sums are evaluated in BLAS form.  Points and sources are first
-centred on the domain center; the squared distances then come from one
-matrix product of augmented rows, r^2 = [x, |x|^2, 1] . [-2y, 1, |y|^2]^T,
-and u and Du from products of 1/r and 1/r^3 with the charges and their
-first moments q y.  The Hessian is one product of 1/r^5 with the moments
-[q, q y, q y y], never a tensor of differences x - y.  Points are taken in
-row chunks of _CHUNK_PAIRS point-source pairs, so the temporaries stay in
-L2 cache.  The collocation matrix is built by the same routine.
+Kernel sums are evaluated in BLAS form.  The squared distances come from
+one matrix product of augmented rows, r^2 = [x, |x|^2, 1] . [-2y, 1,
+|y|^2]^T, and u and Du from products of 1/r and 1/r^3 with the charges and
+their first moments q y.  The Hessian is one product of 1/r^5 with the
+moments [q, q y, q y y], never a tensor of differences x - y.  Points are
+taken in row chunks of _CHUNK_PAIRS point-source pairs, so the temporaries
+stay in L2 cache.  The collocation matrix is built by the same routine.
 """
 
 from __future__ import annotations
@@ -85,22 +75,22 @@ class HarmonicSolution:
     """Solver state: kernel sources and charges plus problem constants.
 
     For the interior problem ``singular_coefficient`` is d*|dOmega|*a_n, the
-    closed-form coefficient of |x|^(2-n); it is zero for exterior solutions.
-    ``constant`` is added to u everywhere: c for an interior sphere off the
-    pole, c - d*|dOmega|*a_n/R for one centered on it, and 0 for every
-    other solution.  The centered interior sphere keeps one zero charge,
-    outside the closed ball, rather than none: an empty (0, 3) source array
-    would be written as [] and read back with shape (0,), and a kernel sum
-    over no sources has no row chunk.  ``condition_estimate`` is that of
-    the weighted collocation matrix, and 1.0 for every closed form (a
-    sphere, an exterior ellipsoid), where no system is solved.
+    coefficient of |x|^(2-n): field adds it to ``sources`` as the charge at
+    the origin.  It is zero for exterior solutions.  ``constant`` is added
+    to u everywhere: c for an interior sphere off the pole, c -
+    d*|dOmega|*a_n/R for one centered on it, and 0 for every other
+    solution.  That centered sphere keeps one zero charge outside the ball,
+    because an empty source array is saved as [], which reads back with
+    shape (0,), not (0, 3).  ``condition_estimate`` is that of the weighted
+    collocation matrix, and 1.0 for every closed form.
     ``check_misfit`` is max |u - c|/c on the boundary grid of order + 8.
 
     A saved solution is the JSON object of every public field under its
     _camel name (singularCoefficient, fitResidual, conditionEstimate,
     checkMisfit, ...), with the domain in its own keys; a file lacking one
     of them or carrying another key is an error, and so are sources not of
-    shape (M, 3), charges not of shape (M,) and an order below MIN_ORDER.
+    shape (M, 3), charges not of shape (M,), an order below MIN_ORDER and a
+    problem, c or d that solve_exterior or solve_interior would refuse.
     """
 
     problem: str                  # "exterior" | "interior"
@@ -129,19 +119,13 @@ class HarmonicSolution:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if check_region:
             self._check_region(pts)
-        center = np.asarray(self.domain.center)
-        parts = _kernel_sums(pts - center, self.sources - center,
-                             self.charges, want)
+        sources, charges = self.sources, self.charges
         if self.singular_coefficient != 0.0:
-            # one charge at the origin, not centred, so r = |x| stays exact
-            singular = _kernel_sums(pts, np.zeros((1, 3)),
-                                    np.array([self.singular_coefficient]), want)
-            parts = [None if p is None else p + s
-                     for p, s in zip(parts, singular)]
-        u, g, h = parts
-        if self.constant != 0.0:
-            u += self.constant
-        return FieldStates(points=pts, u=u, grad=g, hess=h)
+            # the pole is one more charge, at the origin
+            sources = np.vstack([sources, np.zeros((1, 3))])
+            charges = np.append(charges, self.singular_coefficient)
+        u, g, h = _kernel_sums(pts, sources, charges, want)
+        return FieldStates(points=pts, u=u + self.constant, grad=g, hess=h)
 
     def _check_region(self, pts):
         if self.problem == "exterior":
@@ -159,8 +143,8 @@ class HarmonicSolution:
             raise OutOfRegionError(
                 f"point {bad.tolist()} lies outside the closed domain; "
                 "the interior solution is only valid inside")
-        r = np.linalg.norm(pts, axis=1)
-        if np.any(r == 0.0):
+        # |x|^2 as the kernel sum forms it for the pole's 1/r
+        if np.any(np.einsum("ij,ij->i", pts, pts) == 0.0):
             raise OutOfRegionError("interior solution is singular at the origin")
 
     # -- serialization ------------------------------------------------------
@@ -175,14 +159,21 @@ class HarmonicSolution:
                 for name, reader in _SOLUTION_READERS.items()}
         read = _read_object(data, where, keys, tuple(keys))
         read = {name: read[_camel(name)] for name in _SOLUTION_READERS}
-        if read["order"] < MIN_ORDER:
-            raise ConfigError(f"'order' in {where} must be at least "
-                              f"{MIN_ORDER}: {read['order']}")
-        m = read["sources"].shape[:1]
-        for key, shape in (("sources", (*m, 3)), ("charges", m)):
-            if read[key].shape != shape:
-                raise ConfigError(f"{key!r} in {where} must have shape "
-                                  f"{shape}: {read[key].shape}")
+        m, d = read["sources"].shape[:1], read["d"]
+        exterior = read["problem"] == "exterior"
+        for key, ok, rule in (   # the rules of solve_exterior, solve_interior
+                ("problem", exterior or read["problem"] == "interior",
+                 "be 'exterior' or 'interior'"),
+                ("c", 0 < read["c"] < math.inf, "be positive and finite"),
+                ("d", d is None if exterior else 0 < (d or 0) < math.inf,
+                 "be null for an exterior solution, else positive and finite"),
+                ("order", read["order"] >= MIN_ORDER, f"be at least {MIN_ORDER}"),
+                ("sources", read["sources"].shape == (*m, 3),
+                 f"have shape {(*m, 3)}"),
+                ("charges", read["charges"].shape == m, f"have shape {m}")):
+            if not ok:
+                shown = getattr(read[key], "shape", read[key])
+                raise ConfigError(f"{key!r} in {where} must {rule}: {shown!r}")
         read["domain"] = DomainSpec.from_json_dict(read["domain"],
                                                    f"domain of {where}")
         return cls(**read)
@@ -239,9 +230,9 @@ def _inverse_distance(x_rows, y_rows):
     _point_rows(x) and y_rows = _source_rows(y).
 
     r^2 = |x|^2 + |y|^2 - 2 x.y^T is one matrix product of the point rows
-    with the source rows and is turned into 1/r in place.  Callers centre
-    x and y on the domain first, which keeps |x|^2 + |y|^2 small next to
-    r^2 and so limits cancellation.
+    with the source rows and is turned into 1/r in place.  x and y are not
+    centred on the domain, which contains the origin, and the pole's row
+    [0, 0, 0, 1, 0] gives r^2 = |x|^2 exactly.
     """
     w = x_rows @ y_rows
     np.sqrt(w, out=w)
@@ -304,8 +295,8 @@ def _kernel_sums(x, y, q, want):
 
 def _placement(kind, order):
     """(source grid order g, contraction, ring width, node order) of a
-    star or an interior ellipsoid at this order; the closed forms place no
-    fitted sources (_focal_charges, _sphere_charges).
+    star or an interior ellipsoid at this order; a closed form reads only
+    the node order, the order itself (_focal_charges, _sphere_charges).
 
     Sources sit on the g Gauss-Legendre rings in theta of the radial graph
     contracted by this factor, or for the interior remainder dilated by its
@@ -408,16 +399,15 @@ def _graph_points(spec, grid_order, factor, ring=math.inf):
 # solves
 # ---------------------------------------------------------------------------
 
-def _collocation_solve(quad, sources, center, rhs):
-    center = np.asarray(center)
-    A = _inverse_distance(_point_rows(quad.nodes - center),
-                          _source_rows(sources - center))
+def _collocation_solve(quad, sources, rhs):
+    """(charges, condition estimate) of the weighted least-squares fit of
+    the sources' kernels to rhs at the nodes of quad."""
+    A = _inverse_distance(_point_rows(quad.nodes), _source_rows(sources))
     sw = np.sqrt(quad.weights)
     A *= sw[:, None]    # weighted in place: the solve holds one matrix
     charges, _, rank, sv = np.linalg.lstsq(A, rhs * sw, rcond=_RCOND)
     cond = float(sv[0] / sv[min(rank, len(sv)) - 1]) if len(sv) else math.inf
-    fit = float(np.abs((A @ charges) / sw - rhs).max())
-    return charges, fit, cond
+    return charges, cond
 
 
 def _sphere_charges(spec, c, s0):
@@ -443,38 +433,30 @@ def _solve(spec, order, problem, c, d):
     if not 0 < c < math.inf:
         raise ValueError("boundary value c must be positive and finite")
     order = DEFAULT_ORDER[spec.kind] if order is None else order
-    s0, constant, fit, cond = 0.0, 0.0, None, 1.0
+    src_order, factor, ring, node_order = _placement(spec.kind, order)
+    quad = build_quadrature(spec, node_order)
+    # the pole's charge, from the area of the order's own boundary grid
+    s0 = 0.0 if d is None else d * (
+        quad if node_order == order else build_quadrature(spec, order)
+    ).area * A_N
+    constant, cond = 0.0, 1.0
     if problem == "exterior" and spec.kind != "star":
-        quad = build_quadrature(spec, order)
         sources, charges = _focal_charges(spec, c, order)
     elif spec.kind == "sphere":
-        quad = build_quadrature(spec, order)
-        s0 = d * quad.area * A_N    # the area of the order's own grid
         sources, charges, constant = _sphere_charges(spec, c, s0)
     else:
-        src_order, factor, ring, node_order = _placement(spec.kind, order)
-        quad = build_quadrature(spec, node_order)
-        if problem == "exterior":
-            rhs = np.full(len(quad.nodes), float(c))
-            sources = _graph_points(spec, src_order, factor, ring)
+        if spec.kind == "star":   # contracted outside, dilated inside
+            scale = factor if problem == "exterior" else 1.0 / factor
+            sources = _graph_points(spec, src_order, scale, ring)
         else:
-            # the area of the order's own boundary grid
-            area = (quad if node_order == order
-                    else build_quadrature(spec, order)).area
-            s0 = d * area * A_N
-            rhs = c - s0 / np.linalg.norm(quad.nodes, axis=1)
-            dilation = 1.0 / factor
-            if spec.kind == "ellipsoid":
-                # on a larger confocal ellipsoid
-                mu = (dilation ** 2 - 1.0) * min(spec.axes) ** 2
-                outer = DomainSpec(kind="ellipsoid", center=spec.center,
-                                   axes=tuple(math.sqrt(a * a + mu)
-                                              for a in spec.axes))
-                sources = _graph_points(outer, src_order, 1.0, ring)
-            else:
-                sources = _graph_points(spec, src_order, dilation, ring)
-        charges, fit, cond = _collocation_solve(quad, sources, spec.center,
-                                                rhs)
+            # on the confocal ellipsoid of the dilation 1/factor
+            mu = ((1.0 / factor) ** 2 - 1.0) * min(spec.axes) ** 2
+            outer = DomainSpec(kind="ellipsoid", center=spec.center,
+                               axes=tuple(math.sqrt(a * a + mu)
+                                          for a in spec.axes))
+            sources = _graph_points(outer, src_order, 1.0, ring)
+        rhs = c - s0 / np.linalg.norm(quad.nodes, axis=1)
+        charges, cond = _collocation_solve(quad, sources, rhs)
     tol = (DEFAULT_TOLERANCE_EXTERIOR if problem == "exterior"
            else DEFAULT_TOLERANCE_INTERIOR)[spec.kind]
     sol = HarmonicSolution(problem=problem, c=float(c),
@@ -484,15 +466,11 @@ def _solve(spec, order, problem, c, d):
                            fit_residual=math.nan, order=order,
                            condition_estimate=cond,
                            check_misfit=math.nan)   # measured below
-    pts = _graph_points(spec, order + 8, 1.0)
-    if fit is None:
-        # a closed form (no system) is fitted at its nodes in the same u call
-        pts = np.vstack([quad.nodes, pts])
-    u = sol.field(pts, want="u", check_region=False).u
-    if fit is None:
-        fit = float(np.abs(u[:len(quad.nodes)] - c).max())
-        u = u[len(quad.nodes):]
-    check = float(np.abs(u - c).max() / c)
+    # the fit at the nodes and the check misfit, from one u call
+    pts = np.vstack([quad.nodes, _graph_points(spec, order + 8, 1.0)])
+    u = sol.field(pts, want="u", check_region=False).u - c
+    fit = float(np.abs(u[:len(quad.nodes)]).max())
+    check = float(np.abs(u[len(quad.nodes):]).max() / c)
     if not (fit <= tol and check <= tol):  # a NaN misfit fails too
         raise SolverFailureError(
             f"{problem} check misfit {check:.3e} on the grid of order "

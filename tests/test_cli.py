@@ -522,8 +522,15 @@ def test_solution_value_of_the_wrong_type_is_named(tmp_path, capsys,
     ("charges", lambda m: [0.0] * 287, "must have shape ({m},): (287,)"),
     ("sources", lambda m: [[0.5, 0.0]] * m,
      "must have shape ({m}, 3): ({m}, 2)"),
-    ("order", lambda m: -3, "must be at least 6: -3")],
-    ids=["charges-287", "sources-2-columns", "order-negative"])
+    ("order", lambda m: -3, "must be at least 6: -3"),
+    ("problem", lambda m: "sideways",
+     "must be 'exterior' or 'interior': 'sideways'"),
+    ("c", lambda m: -1, "must be positive and finite: -1.0"),
+    ("c", lambda m: math.nan, "must be positive and finite: nan"),
+    ("d", lambda m: 2.0,
+     "must be null for an exterior solution, else positive and finite: 2.0")],
+    ids=["charges-287", "sources-2-columns", "order-negative",
+         "problem-sideways", "c-negative", "c-nan", "d-on-exterior"])
 def test_solution_value_out_of_shape_or_range_is_named(tmp_path, capsys,
                                                        saved_solutions, key,
                                                        value, named):

@@ -117,11 +117,18 @@ def test_invalid_boundary_value():
         solve_exterior(DomainSpec(kind="sphere", radius=1.0), c=-1.0)
 
 
-def test_star_domain_reaches_tolerance():
+def test_star_domain_reaches_tolerance(star_solution):
     spec = DomainSpec(kind="star", mean_radius=1.0,
                       terms=((2, 2, 0.12), (3, -1, 0.08), (1, 0, 0.05)))
     sol = solve_exterior(spec)
     assert sol.fit_residual < 1e-7
+    # the bench star off its center, where the kernel sums are not centred
+    # on it, fits as well as centred (check misfit 2.85e-9 both)
+    spec = DomainSpec(kind="star", mean_radius=1.0, center=(0.4, 0.2, 0.0),
+                      terms=star_solution.domain.terms)
+    sol = solve_exterior(spec)
+    assert sol.fit_residual < 1e-7
+    assert sol.check_misfit <= 1.01 * star_solution.check_misfit
 
 
 def test_oblate_and_triaxial_sources():
@@ -162,16 +169,20 @@ def ellipsoid_potential(points, axes):
     return elliprf(a2[0] + lam, a2[1] + lam, a2[2] + lam) / elliprf(*a2)
 
 
-CLOSED_FORM_ELLIPSOIDS = {"prolate": (2.0, 1.0, 1.0),
-                          "oblate": (1.0, 1.0, 0.5),
-                          "triaxial": (3.0, 2.0, 1.0),
-                          "mild-triaxial": (2.0, 1.5, 1.0)}
+# axes and center of each ellipsoid
+CLOSED_FORM_ELLIPSOIDS = {"prolate": ((2.0, 1.0, 1.0), (0.0, 0.0, 0.0)),
+                          "prolate-off-center": ((2.0, 1.0, 1.0),
+                                                 (1.5, 0.0, 0.0)),
+                          "oblate": ((1.0, 1.0, 0.5), (0.0, 0.0, 0.0)),
+                          "triaxial": ((3.0, 2.0, 1.0), (0.0, 0.0, 0.0)),
+                          "mild-triaxial": ((2.0, 1.5, 1.0), (0.0, 0.0, 0.0))}
 
 
 @pytest.fixture(scope="module", params=sorted(CLOSED_FORM_ELLIPSOIDS))
 def focal_solution(request):
-    axes = CLOSED_FORM_ELLIPSOIDS[request.param]
-    return solve_exterior(DomainSpec(kind="ellipsoid", axes=axes))
+    axes, center = CLOSED_FORM_ELLIPSOIDS[request.param]
+    return solve_exterior(DomainSpec(kind="ellipsoid", axes=axes,
+                                     center=center))
 
 
 def test_check_misfit_matches_closed_form_ellipsoid(focal_solution):
@@ -184,7 +195,7 @@ def test_check_misfit_matches_closed_form_ellipsoid(focal_solution):
     r = spec.ray_exit_radius(dirs) * rng.choice([1.0, 1.001], 2000)
     pts = dirs * r[:, None]
     u = sol.field(pts, want="u", check_region=False).u
-    err = np.abs(u - ellipsoid_potential(pts, spec.axes)).max()
+    err = np.abs(u - ellipsoid_potential(pts - spec.center, spec.axes)).max()
     assert sol.check_misfit / 10 <= err <= 10 * sol.check_misfit
 
 
@@ -195,15 +206,15 @@ def test_capacity_matches_closed_form_ellipsoid(focal_solution):
 
 
 def test_exterior_quadrics_solve_no_system(monkeypatch):
-    def no_system(quad, sources, center, rhs):
+    def no_system(quad, sources, rhs):
         raise AssertionError("an exterior quadric reached least squares")
 
     monkeypatch.setattr(harmonic, "_collocation_solve", no_system)
     for spec in [DomainSpec(kind="sphere", radius=1.0),
                  DomainSpec(kind="sphere", radius=2.5, center=(0.3, 0, 0)),
                  DomainSpec(kind="ellipsoid", axes=(1.5, 1.5, 1.5)),
-                 *(DomainSpec(kind="ellipsoid", axes=axes)
-                   for axes in CLOSED_FORM_ELLIPSOIDS.values())]:
+                 *(DomainSpec(kind="ellipsoid", axes=axes, center=center)
+                   for axes, center in CLOSED_FORM_ELLIPSOIDS.values())]:
         assert solve_exterior(spec).condition_estimate == 1.0
 
 
@@ -410,24 +421,50 @@ def closed_form_singular_term(sol, pts):
     return u, g, h
 
 
-@pytest.mark.parametrize("name", ["ball_interior", "ellipsoid_interior"])
+@pytest.fixture(scope="module")
+def off_center_ball_interior():
+    return solve_interior(DomainSpec(kind="sphere", radius=1.0,
+                                     center=(0.5, 0.0, 0.0)), c=1.0, d=1.0)
+
+
+@pytest.mark.parametrize("name", ["ball_interior", "ellipsoid_interior",
+                                  "off_center_ball_interior"])
 def test_singular_term_matches_closed_form(name, request):
     sol = request.getfixturevalue(name)
-    center = np.asarray(sol.domain.center)
     dirs = np.random.default_rng(7).normal(size=(64, 3))
     dirs /= np.linalg.norm(dirs, axis=1)[:, None]
     for r in np.logspace(-4, 0, 9):
         pts = r * dirs
-        fitted = _kernel_sums(pts - center, sol.sources - center, sol.charges,
-                              "hess")
+        fitted = _kernel_sums(pts, sol.sources, sol.charges, "hess")
         singular = closed_form_singular_term(sol, pts)
         for k, want in enumerate(("u", "grad", "hess")):
             st = sol.field(pts, want=want, check_region=False)
             got = (st.u, st.grad, st.hess)[k].reshape(len(pts), -1)
-            ref = (fitted[k] + singular[k]).reshape(len(pts), -1)
+            ref = (fitted[k] + singular[k]
+                   + (sol.constant if k == 0 else 0.0)).reshape(len(pts), -1)
             scale = np.abs(ref).max(axis=1)
             assert np.all(np.abs(got - ref).max(axis=1) <= 1e-13 * scale), \
                 (want, r)
+
+
+@pytest.mark.parametrize("name", [
+    "ball_solution", "ball_interior", "star_solution", "ellipsoid_interior"])
+def test_field_makes_one_kernel_sum(name, request, monkeypatch):
+    # the interior pole is one more charge in the same sum, not a second one
+    sol = request.getfixturevalue(name)
+    calls = []
+
+    def counted(*args):
+        calls.append(len(args[1]))
+        return _kernel_sums(*args)
+
+    monkeypatch.setattr(harmonic, "_kernel_sums", counted)
+    scale = 2.0 if sol.problem == "exterior" else 0.5
+    pts = scale * build_quadrature(sol.domain, 8).nodes
+    for want in ("u", "grad", "hess"):
+        calls.clear()
+        sol.field(pts, want=want, check_region=False)
+        assert calls == [len(sol.sources) + (sol.problem == "interior")]
 
 
 def test_hessian_evaluation_memory_is_bounded(star_solution):
@@ -456,11 +493,9 @@ def test_collocation_matrix_matches_direct_inverse_distance(name, request):
     else:
         sol = request.getfixturevalue(name)
         spec, order, sources = sol.domain, sol.order, sol.sources
-    center = np.asarray(spec.center)
-    x = build_quadrature(spec, order).nodes - center
-    y = sources - center
-    got = _inverse_distance(_point_rows(x), _source_rows(y))
-    ref = 1.0 / np.linalg.norm(x[:, None] - y[None], axis=2)
+    x = build_quadrature(spec, order).nodes
+    got = _inverse_distance(_point_rows(x), _source_rows(sources))
+    ref = 1.0 / np.linalg.norm(x[:, None] - sources[None], axis=2)
     assert np.abs(got / ref - 1.0).max() <= 1e-14
 
 
@@ -517,29 +552,24 @@ def test_non_finite_c_and_d_rejected_before_solving(solve, named):
         solve(DomainSpec(kind="sphere", radius=1.0))
 
 
-def test_nan_fit_fails_the_tolerance(monkeypatch, star_solution):
-    # NaN > tol is False, so the gate must ask for fit <= tol instead
-    def nan_fit(quad, sources, center, rhs):
-        return np.zeros(len(sources)), math.nan, 1.0
-
-    monkeypatch.setattr(harmonic, "_collocation_solve", nan_fit)
-    with pytest.raises(SolverFailureError, match="misfit nan exceeds"):
-        solve_exterior(star_solution.domain)
-
-
-@pytest.mark.parametrize("patched, solve, closed_form", [
-    ("_focal_charges", solve_exterior,
-     (np.zeros((1, 3)), np.array([math.nan]))),
-    ("_sphere_charges", solve_interior,
-     (np.zeros((1, 3)), np.array([math.nan]), 0.0)),
-], ids=["exterior", "interior"])
+@pytest.mark.parametrize("patched, solve, spec, returned", [
+    ("_focal_charges", solve_exterior, DomainSpec(kind="sphere", radius=1.0),
+     lambda *args: (np.zeros((1, 3)), np.array([math.nan]))),
+    ("_sphere_charges", solve_interior, DomainSpec(kind="sphere", radius=1.0),
+     lambda *args: (np.zeros((1, 3)), np.array([math.nan]), 0.0)),
+    ("_collocation_solve", solve_exterior,
+     DomainSpec(kind="star", mean_radius=1.0,
+                terms=((2, 0, 0.1), (3, 1, 0.05))),
+     lambda quad, sources, rhs: (np.full(len(sources), math.nan), 1.0)),
+], ids=["exterior", "interior", "star"])
 def test_nan_closed_form_fails_the_tolerance(monkeypatch, patched, solve,
-                                              closed_form):
-    # a closed form solves no system; its fit is measured from u at its nodes
-    monkeypatch.setattr(harmonic, patched, lambda *args: closed_form)
+                                              spec, returned):
+    # NaN > tol is False, so the gate must ask for fit <= tol instead; the
+    # fit of every solve is measured from u at its nodes
+    monkeypatch.setattr(harmonic, patched, returned)
     with pytest.raises(SolverFailureError,
                        match="misfit nan on .* misfit nan exceeds"):
-        solve(DomainSpec(kind="sphere", radius=1.0))
+        solve(spec)
 
 
 def ball_green_function(pts, x0, radius, c, s0):
