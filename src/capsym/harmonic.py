@@ -12,9 +12,9 @@ R_F(a1^2, a2^2, a3^2) on its focal set (_focal_charges), inside a sphere
 by the ball's Green's function, one Kelvin image charge and a constant
 (_sphere_charges).  Stars, for both problems, and interior ellipsoids are
 solved by the method of fundamental solutions: a least-squares fit of the
-charges to the boundary data at collocation nodes, with the sources inside
-the domain for the exterior problem and outside it for the interior one
-(_placement).
+charges to the boundary data at collocation nodes, with the sources on one
+rule of rings on the radial graph, contracted inside the domain for the
+exterior problem and dilated outside it for the interior one (_placement).
 
 Every solve measures the fit at its nodes (for a closed form, the order's
 own grid) and its check misfit, max |u - c|/c on an independent grid of
@@ -293,33 +293,30 @@ def _kernel_sums(x, y, q, want):
 # source placement
 # ---------------------------------------------------------------------------
 
-def _placement(kind, order):
-    """(source grid order g, contraction, ring width, node order) of a
-    star or an interior ellipsoid at this order; a closed form reads only
-    the node order, the order itself (_focal_charges, _sphere_charges).
+def _placement(order):
+    """(source grid order g, contraction, ring width, node order) of every
+    collocation solve at this order; a closed form (_focal_charges,
+    _sphere_charges) is measured on the grid of the order itself.
 
     Sources sit on the g Gauss-Legendre rings in theta of the radial graph
     contracted by this factor, or for the interior remainder dilated by its
-    inverse (an interior ellipsoid uses the confocal ellipsoid of that
-    dilation).  Ring j carries min(2g, max(8, ceil(w g sin theta_j)))
+    inverse.  Ring j carries min(2g, max(8, ceil(w g sin theta_j)))
     equally spaced phi for ring width w; at w = inf every ring has 2g, the
     directions of angular_grid(g).  The boundary data are collocated on the
     angular grid of the node order.
 
-    Interior ellipsoids take 0.35 and full rings of g = max(12, 2n/3) on
-    the nodes of the order.  Stars take one rule at every order, from a
-    table of check misfit against solve time on four stars at orders 32,
-    40 and 48 (CHANGES.md): 0.5 on rings of g = n/4 + 14, narrowed to
-    width 2.5 and collocated on the grid of order g + 8.  Full rings of
-    order 5n/8 at 0.35 have a lower rank at the SVD cutoff (509 of 800
-    sources at order 32) and a 2.4 to 46 times higher check misfit in more
-    time.  Order 32 takes 730 sources on 1,800 nodes, and MIN_ORDER = 6
-    takes g = 15 (346 sources) on the 1,058 nodes of order 23.
+    One rule serves every order, from a table of check misfit against
+    solve time on four stars at orders 32, 40 and 48 (CHANGES.md): 0.5 on
+    rings of g = n/4 + 14, narrowed to width 2.5 and collocated on the grid
+    of order g + 8.  Full rings of order 5n/8 at 0.35 have a lower rank at
+    the SVD cutoff (509 of 800 sources at order 32) and a 2.4 to 46 times
+    higher check misfit in more time.  Order 32 takes 730 sources on 1,800
+    nodes, and MIN_ORDER = 6 takes g = 15 (346 sources) on the 1,058 nodes
+    of order 23.  Inside the ellipsoid (2,1,1) at order 24 the rule fits 56
+    times better than full rings on its confocal ellipsoid (1.4e-7, 7.8e-6).
     """
-    if kind == "star":
-        grid = order // 4 + 14
-        return grid, 0.5, 2.5, grid + 8
-    return max(12, (2 * order) // 3), 0.35, math.inf, order
+    grid = order // 4 + 14
+    return grid, 0.5, 2.5, grid + 8
 
 
 def _carlson_rf(x, y, z):
@@ -433,28 +430,21 @@ def _solve(spec, order, problem, c, d):
     if not 0 < c < math.inf:
         raise ValueError("boundary value c must be positive and finite")
     order = DEFAULT_ORDER[spec.kind] if order is None else order
-    src_order, factor, ring, node_order = _placement(spec.kind, order)
-    quad = build_quadrature(spec, node_order)
+    closed = spec.kind == "sphere" or (problem == "exterior"
+                                       and spec.kind != "star")
+    src_order, factor, ring, node_order = _placement(order)
+    quad = build_quadrature(spec, order if closed else node_order)
     # the pole's charge, from the area of the order's own boundary grid
     s0 = 0.0 if d is None else d * (
-        quad if node_order == order else build_quadrature(spec, order)
-    ).area * A_N
+        quad if closed else build_quadrature(spec, order)).area * A_N
     constant, cond = 0.0, 1.0
-    if problem == "exterior" and spec.kind != "star":
+    if closed and problem == "exterior":
         sources, charges = _focal_charges(spec, c, order)
-    elif spec.kind == "sphere":
+    elif closed:
         sources, charges, constant = _sphere_charges(spec, c, s0)
-    else:
-        if spec.kind == "star":   # contracted outside, dilated inside
-            scale = factor if problem == "exterior" else 1.0 / factor
-            sources = _graph_points(spec, src_order, scale, ring)
-        else:
-            # on the confocal ellipsoid of the dilation 1/factor
-            mu = ((1.0 / factor) ** 2 - 1.0) * min(spec.axes) ** 2
-            outer = DomainSpec(kind="ellipsoid", center=spec.center,
-                               axes=tuple(math.sqrt(a * a + mu)
-                                          for a in spec.axes))
-            sources = _graph_points(outer, src_order, 1.0, ring)
+    else:   # contracted outside, dilated inside
+        scale = factor if problem == "exterior" else 1.0 / factor
+        sources = _graph_points(spec, src_order, scale, ring)
         rhs = c - s0 / np.linalg.norm(quad.nodes, axis=1)
         charges, cond = _collocation_solve(quad, sources, rhs)
     tol = (DEFAULT_TOLERANCE_EXTERIOR if problem == "exterior"

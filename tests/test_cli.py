@@ -112,9 +112,9 @@ def test_interior_level_at_the_boundary_value_is_accepted(tmp_path):
 
 
 def test_interior_boundary_level_with_an_inexact_fit(tmp_path):
-    # the interior ellipsoid fits u = c only to ~1e-5, so on some rays u
-    # stays above c up to the boundary: the level c must still be found,
-    # by the criteria and by an identity whose lower level is c
+    # the interior ellipsoid fits u = c only to 1.4e-7, so on 588 of its
+    # 1,152 rays u stays above c up to the boundary: the level c must still
+    # be found, by the criteria and by an identity whose lower level is c
     cfg = write_config(tmp_path / "run.json", {
         "domain": {"kind": "ellipsoid", "axes": [2.0, 1.0, 1.0]},
         "problem": {"kind": "interior", "c": 2.0, "d": 1.0},

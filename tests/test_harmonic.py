@@ -16,7 +16,7 @@ from scipy.special import elliprf
 
 from capsym import HarmonicSolution
 from capsym.errors import ConfigError
-from capsym.geometry import angular_grid, build_quadrature, unit_directions
+from capsym.geometry import build_quadrature
 from capsym.levelset import surface_integral
 from capsym.criteria import capacity
 from capsym.harmonic import (_CHUNK_PAIRS, _carlson_rf,
@@ -151,6 +151,19 @@ def test_oblate_and_triaxial_sources():
                              r"tolerance 1\.0e-07"):
         solve_exterior(spec, order=24)
     assert solve_exterior(spec, order=32).check_misfit <= 1e-7
+    # inside, the star rule fits the oblate (2.0e-6) and the mild triaxial
+    # (6.4e-7), which failed on confocal rings at order 24; (3,2,1) still
+    # misses the gate 1e-5 (1.1e-4)
+    for axes in [(1.0, 1.0, 0.5), (2.0, 1.5, 1.0)]:
+        sol = solve_interior(DomainSpec(kind="ellipsoid", axes=axes),
+                             order=24)
+        assert sol.check_misfit <= 1e-5, axes
+    with pytest.raises(SolverFailureError,
+                       match=r"interior check misfit \S+ on the grid of "
+                             r"order 32 or boundary misfit \S+ exceeds "
+                             r"tolerance 1\.0e-05"):
+        solve_interior(DomainSpec(kind="ellipsoid", axes=(3.0, 2.0, 1.0)),
+                       order=24)
 
 
 def ellipsoid_potential(points, axes):
@@ -226,17 +239,11 @@ def test_carlson_rf_matches_scipy():
         assert abs(_carlson_rf(v, v, v) * math.sqrt(v) - 1.0) <= 2e-16
 
 
-def old_graph_sources(spec, src_order, factor):
-    th, ph, _ = angular_grid(src_order)
-    return (np.asarray(spec.center)
-            + factor * spec.rho(th, ph)[:, None] * unit_directions(th, ph))
-
-
 def test_sphere_and_ellipsoid_sources_are_unchanged(
         ball_solution, ball_interior, ellipsoid_solution, ellipsoid_interior):
     # the exterior ball's focal set is its center, which carries its one
     # source; the interior ball centered on the pole keeps one zero charge
-    # outside it; the interior ellipsoid keeps its placement
+    # outside it; the interior ellipsoid takes the star rule
     assert np.array_equal(ball_solution.sources, [[0.0, 0.0, 0.0]])
     assert np.array_equal(ball_interior.sources, [[2.0, 0.0, 0.0]])
     assert np.array_equal(ball_interior.charges, [0.0])
@@ -250,14 +257,12 @@ def test_sphere_and_ellipsoid_sources_are_unchanged(
                     rtol=0, atol=1e-15)
     assert_allclose(ellipsoid_solution.charges,
                     w / (2.0 * elliprf(4.0, 1.0, 1.0)), rtol=1e-15)
-    mu = ((1.0 / 0.35) ** 2 - 1.0) * min(spec.axes) ** 2
-    outer = DomainSpec(kind="ellipsoid",
-                       axes=tuple(math.sqrt(a * a + mu) for a in spec.axes))
+    # the rings of order 20 on the graph dilated by 2 fit 56 times better
+    # than the confocal rings before (check misfit 1.4e-7 against 7.8e-6)
+    assert len(ellipsoid_interior.sources) == 608
     assert np.array_equal(ellipsoid_interior.sources,
-                          old_graph_sources(outer, 16, 1.0))
-    for order in (40, 48):
-        assert _placement("ellipsoid", order) \
-            == (2 * order // 3, 0.35, math.inf, order)
+                          _graph_points(spec, 20, 2.0, 2.5))
+    assert ellipsoid_interior.check_misfit <= 1e-6
 
 
 @pytest.mark.parametrize("spec, c", [
@@ -276,13 +281,9 @@ def test_exterior_sphere_is_one_charge_at_its_center(spec, c):
     assert sol.condition_estimate == 1.0
 
 
-# (source grid order, contraction, ring width, node order) per kind at
-# orders 16, 24, 32, 40, 48
-INF = math.inf
+# (source grid order, contraction, ring width, node order) at orders 16,
+# 24, 32, 40, 48: one rule for stars and interior ellipsoids
 PLACEMENT_TABLE = {
-    "ellipsoid": [(12, 0.35, INF, 16), (16, 0.35, INF, 24),
-                  (21, 0.35, INF, 32), (26, 0.35, INF, 40),
-                  (32, 0.35, INF, 48)],
     "star": [(18, 0.5, 2.5, 26), (20, 0.5, 2.5, 28), (22, 0.5, 2.5, 30),
              (24, 0.5, 2.5, 32), (26, 0.5, 2.5, 34)],
 }
@@ -290,7 +291,7 @@ PLACEMENT_TABLE = {
 
 @pytest.mark.parametrize("kind", sorted(PLACEMENT_TABLE))
 def test_placement_table_is_pinned(kind):
-    assert [_placement(kind, order) for order in (16, 24, 32, 40, 48)] \
+    assert [_placement(order) for order in (16, 24, 32, 40, 48)] \
         == PLACEMENT_TABLE[kind]
 
 
@@ -304,7 +305,7 @@ def test_order_32_star_placement_fits_no_worse_than_before(solve,
     # the placement before: full rings of order 5n/8 at contraction 0.35,
     # collocated on the grid of order n
     monkeypatch.setattr(harmonic, "_placement",
-                        lambda kind, order: (20, 0.35, math.inf, 32))
+                        lambda order: (20, 0.35, math.inf, 32))
     old = solve(spec, order=32)
     assert (len(new.sources), len(old.sources)) == (730, 800)
     assert new.check_misfit <= old.check_misfit
@@ -319,7 +320,7 @@ def test_order_40_star_placement_fits_no_worse_than_before(solve,
     new = solve(spec, order=40)
     # the placement before: full rings of order 5n/8 at contraction 0.35
     monkeypatch.setattr(harmonic, "_placement",
-                        lambda kind, order: (25, 0.35, math.inf, order))
+                        lambda order: (25, 0.35, math.inf, order))
     old = solve(spec, order=40)
     assert len(new.sources) < len(old.sources)
     assert new.check_misfit <= old.check_misfit
@@ -333,7 +334,7 @@ def test_order_48_star_narrow_rings_fit_no_worse_than_full_rings(
     # the placement before: full rings of order n/4 + 14 at contraction
     # 0.5, collocated on the grid of order n
     monkeypatch.setattr(harmonic, "_placement",
-                        lambda kind, order: (26, 0.5, math.inf, order))
+                        lambda order: (26, 0.5, math.inf, order))
     old = solve_exterior(spec, order=48)
     assert (len(new.sources), len(old.sources)) == (1012, 1352)
     assert new.check_misfit <= 1.1 * old.check_misfit
@@ -489,7 +490,7 @@ def test_collocation_matrix_matches_direct_inverse_distance(name, request):
     if name == "star_48":
         spec = request.getfixturevalue("star_solution").domain
         order = 48
-        sources = _graph_points(spec, *_placement("star", order)[:3])
+        sources = _graph_points(spec, *_placement(order)[:3])
     else:
         sol = request.getfixturevalue(name)
         spec, order, sources = sol.domain, sol.order, sol.sources
