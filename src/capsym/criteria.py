@@ -3,17 +3,22 @@ operationalizes the rigidity conclusion (constant P-function, round level
 sets, and the pointwise equality H/(n-1) = |Du|/((n-2) u)).
 
 Each check returns a CriterionReport with lhs/rhs oriented so that
-margin = rhs - lhs >= 0 means "condition satisfied".  Verdicts come with a
-quadrature/solver error estimate: margins below -error report "violated",
-anything not worse than -error reports "satisfied" with an equality flag
-whenever |margin| <= error, so roundoff near the radial equality cases can
-never produce a false violation.  Reports serialize to JSON with the stable
-field names criterionId/lhs/rhs/margin/errorEstimate/verdict/witnesses.
+margin = rhs - lhs >= 0 means "condition satisfied".  Every verdict comes
+with one error rule, applied by _report: the error estimate is
+max(own, max(1e-11, 50 fit) scale), where own is the check's own
+quadrature error or floor, fit the solution's fit residual and scale the
+size of the check's value relative to u (c^2 for T1.1, 4|rhs| for C1.3,
+1 elsewhere).  Margins below -error report "violated", anything not worse
+than -error reports "satisfied" with an equality flag whenever
+|margin| <= error, so roundoff near the radial equality cases can never
+produce a false violation; a check whose hypothesis fails reports
+"hypothesis-not-met".  Reports serialize to JSON with the stable field
+names criterionId/lhs/rhs/margin/errorEstimate/verdict/witnesses.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.random import default_rng
@@ -69,20 +74,22 @@ class CriterionReport:
                               for k, v in sorted(self.witnesses.items())]}
 
 
-def _report(criterion_id, lhs, rhs, error, witnesses=None):
+def _report(sol, criterion_id, lhs, rhs, own, witnesses, scale=1.0,
+            hypothesis=True):
+    """The CriterionReport of margin = rhs - lhs on the solution sol, its
+    error by the module's rule from the check's ``own`` error and ``scale``.
+    A false ``hypothesis`` sets the verdict "hypothesis-not-met"."""
+    error = max(own, max(1e-11, 50.0 * sol.fit_residual) * scale)
     margin = rhs - lhs
-    verdict = ("inconclusive" if not np.isfinite(margin)
+    verdict = ("hypothesis-not-met" if not hypothesis
+               else "inconclusive" if not np.isfinite(margin)
                else "violated" if margin < -error else "satisfied")
-    w = dict(witnesses or {})
+    w = dict(witnesses)
     w["equality"] = bool(np.isfinite(margin) and abs(margin) <= error)
     return CriterionReport(criterion_id=criterion_id, lhs=float(lhs),
                            rhs=float(rhs), margin=float(margin),
                            error_estimate=float(error), verdict=verdict,
                            witnesses=w)
-
-
-def _solver_error_floor(sol):
-    return max(1e-11, 50.0 * sol.fit_residual)
 
 
 # ---------------------------------------------------------------------------
@@ -145,9 +152,9 @@ def check_T11(sol, c):
     # angular error bar: 4 |I - I'| with I' the integral at order + 8
     ref = extract_level_set(sol, c, order=sol.order + 8)
     err = 4.0 * abs(lhs - surface_integral(ref, gap_flux(ref)))
-    # lhs scales as c^2 when u is scaled, and so does its error floor
-    err = max(err, _solver_error_floor(sol) * sol.c ** 2)
-    return _report("T1.1-integral", lhs, 0.0, err, {"level": c})
+    # lhs scales as c^2 when u is scaled, and so does its solver floor
+    return _report(sol, "T1.1-integral", lhs, 0.0, err, {"level": c},
+                   scale=sol.c ** 2)
 
 
 def check_C12(sol):
@@ -177,10 +184,9 @@ def check_C12(sol):
     refined, _ = exterior_integral(sol.order + 8)
     lhs = scale / integral
     angular = 4.0 * abs(integral - refined)
-    err = max((angular + quad_err) / integral * abs(lhs),
-              _solver_error_floor(sol))
+    err = (angular + quad_err) / integral * abs(lhs)
     rhs = 2.0 * (_N - 1) / (_N - 2)
-    return _report("C1.2-global", lhs, rhs, err,
+    return _report(sol, "C1.2-global", lhs, rhs, err,
                    {"phiTop": phi_top, "phiIntegral": integral})
 
 
@@ -194,10 +200,9 @@ def check_C13(sol):
     lhs = ratio * total_mean_curv
     cap = capacity(sol)
     rhs = cap / (_N - 2)
-    err = max(1e-9 * abs(rhs), 4.0 * _solver_error_floor(sol) * abs(rhs))
-    return _report("C1.3-capacity", lhs, rhs, err,
+    return _report(sol, "C1.3-capacity", lhs, rhs, 1e-9 * abs(rhs),
                    {"gradientRatio": ratio, "totalMeanCurvature": total_mean_curv,
-                    "capacity": cap})
+                    "capacity": cap}, scale=4.0 * abs(rhs))
 
 
 def check_pointwise(sol, c):
@@ -207,8 +212,8 @@ def check_pointwise(sol, c):
     ls = extract_level_set(sol, c)
     gap = _equality_gap(ls)          # lhs - rhs per node
     worst = int(np.argmax(gap))
-    err = max(_solver_error_floor(sol), 1e-10 * float(np.abs(gap).max() + 1))
-    return _report("C1.4-pointwise", float(gap.max()), 0.0, err,
+    return _report(sol, "C1.4-pointwise", float(gap.max()), 0.0,
+                   1e-10 * float(np.abs(gap).max() + 1),
                    {"level": c, "worstNode": worst,
                     "worstPoint": ls.nodes[worst],
                     "nodeCount": len(gap)})
@@ -224,8 +229,8 @@ def check_C17(sol):
     rhs = area_ratio * (m1 ** 2 / m2) * (m3 / m1 ** 3) ** (_N / (2.0 * (_N - 1)))
     h_over = b.mean_curv / (_N - 1)
     worst = int(np.argmin(h_over))
-    err = max(_solver_error_floor(sol), 1e-9 * abs(rhs))
-    return _report("C1.7-interior-pointwise", rhs, float(h_over.min()), err,
+    return _report(sol, "C1.7-interior-pointwise", rhs, float(h_over.min()),
+                   1e-9 * abs(rhs),
                    {"worstNode": worst, "worstPoint": b.nodes[worst],
                     "gradMoments": [m1, m2, m3], "areaRatio": area_ratio})
 
@@ -262,11 +267,8 @@ def check_neumann(sol, c=None):
         # oriented so margin >= 0 means sup H/(n-1) >= area ratio
         lhs = float((_SPHERE_AREA / ls.area) ** (1.0 / (_N - 1)))
         rhs = float(h_over.max())
-    err = max(_solver_error_floor(sol), 1e-10)
-    report = _report(cid, lhs, rhs, err, witnesses)
-    if witnesses["gradientSpread"] > NEUMANN_SPREAD_THRESHOLD:
-        report = replace(report, verdict="hypothesis-not-met")
-    return report
+    return _report(sol, cid, lhs, rhs, 1e-10, witnesses, hypothesis=not (
+        witnesses["gradientSpread"] > NEUMANN_SPREAD_THRESHOLD))
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +292,6 @@ def check_T16(sol):
     lhs_value = h_term / m1 ** 2
     area_ratio = (_SPHERE_AREA / b.area) ** (1.0 / (_N - 1))
     rhs_value = area_ratio * (m3 / m1 ** 3) ** (_N / (2.0 * (_N - 1)))
-    err = max(_solver_error_floor(sol), 1e-9 * abs(rhs_value))
     witnesses = {
         "c1": normalization_c1(sol),
         "c2": normalization_c2(sol),
@@ -298,8 +299,8 @@ def check_T16(sol):
         "fluxRatio": m1 / sol.d,
     }
     # condition is lhs_value >= rhs_value; orient margin accordingly
-    return _report("T1.6-interior-integral", rhs_value, lhs_value, err,
-                   witnesses)
+    return _report(sol, "T1.6-interior-integral", rhs_value, lhs_value,
+                   1e-9 * abs(rhs_value), witnesses)
 
 
 def normalization_c1(sol):
@@ -331,10 +332,9 @@ def check_T19(sol, a, b):
     gap_b = _equality_gap(ls_b)          # want <= 0 at every node
     # single margin: the worst violation across both levels
     margin = float(min(gap_a.min(), -gap_b.max()))
-    err = max(_solver_error_floor(sol), 1e-10)
     witnesses = {"levelA": a, "levelB": b, "minGapA": float(gap_a.min()),
                  "maxGapB": float(gap_b.max())}
-    return _report("T1.9-two-boundary", -margin, 0.0, err, witnesses)
+    return _report(sol, "T1.9-two-boundary", -margin, 0.0, 1e-10, witnesses)
 
 
 # ---------------------------------------------------------------------------
