@@ -27,9 +27,11 @@ keys (mean_radius, max_degree), the ones it is read with.
 Exit code 0 means the run completed; criterion verdicts live in the
 reports, not the exit code.  Reports are written deterministically (sorted
 keys, repr floats, no timestamps), so identical configs produce
-byte-identical output, but only on one machine at one BLAS thread count:
-at another thread count the bench star's numbers differ by roundoff, up to
-about 4e-13 relative.
+byte-identical output, but only on one machine at one BLAS thread count.
+At 2 threads instead of 1 the bench star's charges differ by 6.6e-7 of
+the largest, and its fitResidual and every errorEstimate by 4.0e-7
+relative; its verdicts, equality flags, certificate and node witnesses
+stay the same.
 """
 
 from __future__ import annotations
@@ -85,6 +87,8 @@ class RunConfig:
         self.problem_kind = problem.get("kind", "exterior")
         if self.problem_kind not in ("exterior", "interior"):
             raise ConfigError(f"unknown problem kind {self.problem_kind!r}")
+        if self.problem_kind == "exterior" and "d" in problem:
+            raise ConfigError("'d' in problem is for the interior problem only")
         self.c = problem.get("c", 1.0)
         self.d = problem.get("d", 1.0) if self.problem_kind == "interior" else None
         if not 0 < self.c < math.inf:

@@ -75,10 +75,16 @@ class CriterionReport:
 
 
 def _report(sol, criterion_id, lhs, rhs, own, witnesses, scale=1.0,
-            hypothesis=True):
+            hypothesis=True, worst=None):
     """The CriterionReport of margin = rhs - lhs on the solution sol, its
     error by the module's rule from the check's ``own`` error and ``scale``.
-    A false ``hypothesis`` sets the verdict "hypothesis-not-met"."""
+    A false ``hypothesis`` sets the verdict "hypothesis-not-met".
+
+    ``worst`` = (values, nodes) adds the node witnesses worstNode and
+    worstPoint: the lowest index among the nodes whose value lies within
+    the error estimate of the largest, so that values equal up to roundoff
+    (mirror-image nodes, or every node of a ball) name the same node on
+    every machine and BLAS thread count."""
     error = max(own, max(1e-11, 50.0 * sol.fit_residual) * scale)
     margin = rhs - lhs
     verdict = ("hypothesis-not-met" if not hypothesis
@@ -86,6 +92,10 @@ def _report(sol, criterion_id, lhs, rhs, own, witnesses, scale=1.0,
                else "violated" if margin < -error else "satisfied")
     w = dict(witnesses)
     w["equality"] = bool(np.isfinite(margin) and abs(margin) <= error)
+    if worst is not None:
+        values, nodes = worst
+        i = int(np.argmax(values >= values.max() - error))
+        w.update(worstNode=i, worstPoint=nodes[i])
     return CriterionReport(criterion_id=criterion_id, lhs=float(lhs),
                            rhs=float(rhs), margin=float(margin),
                            error_estimate=float(error), verdict=verdict,
@@ -211,12 +221,9 @@ def check_pointwise(sol, c):
     select_criteria(sol.problem, ["C1.4-pointwise"])
     ls = extract_level_set(sol, c)
     gap = _equality_gap(ls)          # lhs - rhs per node
-    worst = int(np.argmax(gap))
     return _report(sol, "C1.4-pointwise", float(gap.max()), 0.0,
                    1e-10 * float(np.abs(gap).max() + 1),
-                   {"level": c, "worstNode": worst,
-                    "worstPoint": ls.nodes[worst],
-                    "nodeCount": len(gap)})
+                   {"level": c, "nodeCount": len(gap)}, worst=(gap, ls.nodes))
 
 
 def check_C17(sol):
@@ -228,11 +235,10 @@ def check_C17(sol):
     area_ratio = (_SPHERE_AREA / b.area) ** (1.0 / (_N - 1))
     rhs = area_ratio * (m1 ** 2 / m2) * (m3 / m1 ** 3) ** (_N / (2.0 * (_N - 1)))
     h_over = b.mean_curv / (_N - 1)
-    worst = int(np.argmin(h_over))
     return _report(sol, "C1.7-interior-pointwise", rhs, float(h_over.min()),
                    1e-9 * abs(rhs),
-                   {"worstNode": worst, "worstPoint": b.nodes[worst],
-                    "gradMoments": [m1, m2, m3], "areaRatio": area_ratio})
+                   {"gradMoments": [m1, m2, m3], "areaRatio": area_ratio},
+                   worst=(-h_over, b.nodes))
 
 
 def check_neumann(sol, c=None):

@@ -450,6 +450,9 @@ def test_solution_must_match_config(tmp_path, capsys, saved_solutions,
     # named before anything is solved
     ({"domain": BALL_DOMAIN, "seed": -1},
      "'seed' in config must be non-negative: -1"),
+    # d is the interior flux density, never dropped from an exterior problem
+    ({"domain": BALL_DOMAIN, "problem": {"kind": "exterior", "d": 5}},
+     "'d' in problem is for the interior problem only"),
 ], ids=["domain-field", "identity-a", "identity-t", "top-key", "solver-key",
         "problem-key", "identity-key", "not-an-object", "infinite-level",
         "repeated-level", "levels-type", "criteria-type", "axes-type",
@@ -459,7 +462,7 @@ def test_solution_must_match_config(tmp_path, capsys, saved_solutions,
         "c-nan", "radius-inf", "identity-a-nan", "identity-b-nan",
         "identity-a-inf", "identity-t-nan", "terms-fraction",
         "criteria-string", "criteria-object", "levels-object",
-        "identities-object", "seed-negative"])
+        "identities-object", "seed-negative", "exterior-d"])
 def test_malformed_config_names_the_field(tmp_path, capsys, data, named):
     cfg = write_config(tmp_path / "run.json", data)
     rc = main(["solve", "--config", cfg, "--out", str(tmp_path / "out")])
@@ -628,6 +631,8 @@ SHOWN = str(HUGE)[:40] + "..."
      "'axes' in --domain is not a number: 'x'"),
     (None, ["--domain", "sphere:1", "--problem", "interior:c=2,c=3"],
      "'c' is repeated in --problem"),
+    (None, ["--domain", "sphere:1", "--problem", "exterior:c=1,d=5"],
+     "'d' in problem is for the interior problem only"),
 ], ids=["domain-max-degree", "domain-centre", "sphere-axes",
         "solution-key", "radius-string", "c-bool", "levels-string-bool",
         "levels-bool", "center-string", "identity-a-string",
@@ -636,7 +641,7 @@ SHOWN = str(HUGE)[:40] + "..."
         "solution-domain-kind",
         "shifted_log", "levels-empty", "problem-c-string",
         "problem-c-no-value", "sphere-radius-string", "ellipsoid-axis-string",
-        "problem-c-repeated"])
+        "problem-c-repeated", "problem-exterior-d"])
 def test_every_reader_names_the_bad_key(tmp_path, capsys, saved_solutions,
                                         config, argv, named):
     # one rule for every JSON object and shorthand: exit 2 with the key named

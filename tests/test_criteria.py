@@ -13,6 +13,7 @@ from capsym import (DomainSpec, HarmonicSolution, IrregularLevelSetError,
                     normalization_c2, p_function_spread, run_battery,
                     solve_exterior, solve_interior, surface_integral,
                     symmetry_certificate)
+from capsym.criteria import select_criteria
 
 
 @pytest.fixture(scope="module")
@@ -357,6 +358,52 @@ def test_pointwise_implies_integral(ball_solution):
     assert pw.verdict == "satisfied"
     assert integ.verdict == "satisfied"
     assert integ.lhs <= pw.lhs * 4 * math.pi * 1.1 + 1e-12
+
+
+@pytest.fixture(scope="module")
+def ball_at_c_2():
+    return solve_exterior(DomainSpec(kind="sphere", radius=1.0), c=2.0)
+
+
+# criterion -> (the scale of its value that the solver floor multiplies,
+# its own fixed floor), each read from its report r and boundary value c
+ERROR_RULES = {
+    "T1.1-integral": (lambda r, c: c ** 2, lambda r: 0.0),
+    "C1.2-global": (lambda r, c: 1.0, lambda r: 0.0),
+    "C1.3-capacity": (lambda r, c: 4 * abs(r.rhs), lambda r: 1e-9 * abs(r.rhs)),
+    "C1.4-pointwise": (lambda r, c: 1.0, lambda r: 1e-10 * (abs(r.lhs) + 1)),
+    "T1.5-neumann": (lambda r, c: 1.0, lambda r: 1e-10),
+    "T1.6-interior-integral": (lambda r, c: 1.0, lambda r: 1e-9 * abs(r.lhs)),
+    "C1.7-interior-pointwise": (lambda r, c: 1.0, lambda r: 1e-9 * abs(r.lhs)),
+    "T1.8-interior-neumann": (lambda r, c: 1.0, lambda r: 1e-10),
+    "T1.9-two-boundary": (lambda r, c: 1.0, lambda r: 1e-10),
+}
+
+
+@pytest.mark.parametrize("name", ["ball_solution", "ellipsoid_solution",
+                                  "ball_interior", "ellipsoid_interior",
+                                  "ball_at_c_2"])
+def test_error_estimate_covers_the_solver_floor_and_its_own(request, name):
+    # a fit of 1e-6 puts every error bar at least at 50 fit times the scale
+    # of its value, and no bar below the check's own floor
+    sol = request.getfixturevalue(name)
+    fit = 1e-6
+    reports = run_battery(dataclasses.replace(sol, fit_residual=fit))
+    assert len(reports) == len(select_criteria(sol.problem))
+    for r in reports:
+        scale, own = ERROR_RULES[r.criterion_id]
+        assert r.error_estimate >= 50 * fit * scale(r, sol.c), r.criterion_id
+        assert r.error_estimate >= own(r), r.criterion_id
+
+
+@pytest.mark.parametrize("name, check", [
+    ("ball_solution", lambda sol: check_pointwise(sol, 0.5)),
+    ("ball_interior", check_C17)], ids=["C1.4", "C1.7"])
+def test_node_witness_of_a_ball_is_its_first_node(request, name, check):
+    # every node of a ball ties up to roundoff, and the witness is the
+    # lowest index within the error estimate of the extreme
+    report = check(request.getfixturevalue(name))
+    assert report.witnesses["worstNode"] == 0
 
 
 def test_battery_rejects_incompatible_criteria(ball_solution, ball_interior):

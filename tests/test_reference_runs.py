@@ -12,7 +12,11 @@ default levels, and the keys of every JSON object each run writes.
 
 import json
 import math
+import os
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
 from capsym import HarmonicSolution, levelset
@@ -191,3 +195,47 @@ def test_reference_run_outcomes(tmp_path, monkeypatch, run):
             (out / "identities.json").read_text())["identityChecks"]
         assert math.exp(identity["a"]) == pytest.approx(levels[0], rel=1e-15)
         assert math.exp(identity["b"]) == pytest.approx(levels[-1], rel=1e-15)
+
+
+THREADS_PROBE = """
+import sys
+from capsym.cli import main
+raise SystemExit(main(["check", "--domain", "@" + sys.argv[1],
+                       "--out", sys.argv[2]]))
+"""
+
+
+def test_star_check_at_one_and_two_blas_threads(tmp_path):
+    # another BLAS thread count moves the star's charges by roundoff of its
+    # order-32 solve (condition 1.2e11); every outcome stays the same, and
+    # so do the node witnesses, each the lowest index within the error
+    # estimate of the extreme; the two runs take turns, so at most two BLAS
+    # threads run at once
+    import capsym
+    src = os.path.dirname(os.path.dirname(capsym.__file__))
+    star = tmp_path / "star.json"
+    star.write_text(json.dumps(BENCH_STAR))
+    runs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        out = tmp_path / threads
+        subprocess.run([sys.executable, "-c", THREADS_PROBE, str(star),
+                        str(out)], env=env, check=True,
+                       stdout=subprocess.DEVNULL)
+        runs.append(json.loads((out / "criteria.json").read_text()))
+    one, two = runs
+    for key in ("granted", "failingMetric"):
+        assert one["certificate"][key] == two["certificate"][key]
+    assert len(one["criteria"]) == len(two["criteria"]) == 6
+    for a, b in zip(one["criteria"], two["criteria"]):
+        wa = {w["name"]: w["value"] for w in a["witnesses"]}
+        wb = {w["name"]: w["value"] for w in b["witnesses"]}
+        assert (a["criterionId"], a["verdict"], wa["equality"],
+                wa.get("worstNode")) == (b["criterionId"], b["verdict"],
+                                         wb["equality"], wb.get("worstNode"))
+        for key in ("lhs", "rhs", "margin"):
+            assert abs(a[key] - b[key]) <= a["errorEstimate"], key
+        if "worstPoint" in wa:
+            np.testing.assert_allclose(wa["worstPoint"], wb["worstPoint"],
+                                       rtol=0, atol=1e-9)
