@@ -47,7 +47,8 @@ import numpy as np
 
 from . import criteria as crit
 from .errors import CapsymError, ConfigError
-from .geometry import DomainSpec, _integer, _json_value, _number, _read_object
+from .geometry import (DomainSpec, _integer, _json_value, _load_json, _number,
+                       _read_object)
 from .harmonic import (HarmonicSolution, decay_report, solve_exterior,
                        solve_interior)
 from .identities import WeightSpec, bochner_sides, weighted_identity_check
@@ -149,8 +150,7 @@ class RunConfig:
     def from_path(cls, path):
         if not os.path.exists(path):
             raise ConfigError(f"config file not found: {path}")
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls(json.load(fh))
+        return cls(_load_json(path))
 
     def solve(self):
         if self.problem_kind == "exterior":
@@ -177,8 +177,7 @@ def _parse_domain_shorthand(text):
                 "axes": [_shorthand_number("--domain", "axes", v)
                          for v in rest.split(",")]}
     if text.startswith("@"):
-        with open(text[1:], "r", encoding="utf-8") as fh:
-            return json.load(fh)
+        return _load_json(text[1:])
     raise ConfigError(f"cannot parse domain shorthand {text!r} "
                       "(use sphere:R, ellipsoid:A,B,C, or @file.json)")
 

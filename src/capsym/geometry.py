@@ -168,6 +168,16 @@ def _number(value):
     return float(value)
 
 
+def _load_json(path):
+    """The JSON value in the file at ``path``; a file that is not JSON is a
+    ConfigError naming it, with the parser's line and column."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path} is not valid JSON: {exc}") from None
+
+
 # an error shows at most this many characters of the bad value's JSON
 _SHOWN_CHARS = 40
 

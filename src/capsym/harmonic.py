@@ -43,8 +43,8 @@ from numpy.polynomial.legendre import leggauss
 from .errors import (ConfigError, InsufficientSamplesError,
                      OutOfRegionError, SolverFailureError)
 from .geometry import (MIN_ORDER, DomainSpec, _camel, _integer, _json_fields,
-                       _number, _read_object, angular_grid, build_quadrature,
-                       unit_directions, unit_sphere_area)
+                       _load_json, _number, _read_object, angular_grid,
+                       build_quadrature, unit_directions, unit_sphere_area)
 
 N_DIM = 3
 A_N = 1.0 / ((N_DIM - 2) * unit_sphere_area(N_DIM))   # 1/(4 pi)
@@ -184,8 +184,7 @@ class HarmonicSolution:
 
     @classmethod
     def load(cls, path):
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json_dict(json.load(fh), f"solution {path}")
+        return cls.from_json_dict(_load_json(path), f"solution {path}")
 
 
 # the reader of each field of a saved solution (None: as is); the file's

@@ -13,6 +13,7 @@ from capsym import (DomainSpec, HarmonicSolution, IrregularLevelSetError,
                     normalization_c2, p_function_spread, run_battery,
                     solve_exterior, solve_interior, surface_integral,
                     symmetry_certificate)
+from capsym import criteria
 from capsym.criteria import select_criteria
 
 
@@ -96,6 +97,92 @@ def test_T11_ball_equality(ball_solution):
         assert rep.verdict == "satisfied"
         assert rep.witnesses["equality"]
         assert abs(rep.lhs) < 1e-6
+
+
+@pytest.mark.parametrize("degree", [0, 2])
+def test_angular_tail_of_a_resolved_integrand_is_roundoff(ball_solution,
+                                                          degree):
+    # z^degree on the ball's level set is resolved far below order 16, so
+    # its tail is the roundoff of the weights, whose radii are solved to
+    # about 1e-14 r
+    ls = extract_level_set(ball_solution, 0.5)
+    values = (ls.nodes[:, 2] / ls.radii) ** degree
+    size = surface_integral(ls, np.abs(values))
+    assert criteria._angular_tail(ls, values, 16) <= criteria._PLATEAU * size
+
+
+@pytest.mark.parametrize("values", [
+    lambda x, y, z: np.real((x + 1j * y) ** 13),   # ring mode m = 13
+    lambda x, y, z: np.polynomial.legendre.legval(z, [0] * 14 + [1])],
+    ids=["fourier-13", "legendre-14"])
+def test_angular_tail_near_the_order_is_off_the_plateau(ball_solution,
+                                                        values):
+    # a degree 12 .. 16 term is in the tail read at order 16, and each part
+    # of the tail sees its own kind of term
+    ls = extract_level_set(ball_solution, 0.5)
+    f = values(*(ls.nodes / ls.radii[:, None]).T)
+    size = surface_integral(ls, np.abs(f))
+    assert criteria._angular_tail(ls, f, 16) > 1e-3 * size
+
+
+# domain, solution order and the orders at which T1.1 reads its levels
+T11_TAIL_CASES = {
+    "ball": (DomainSpec(kind="sphere", radius=1.0), None, (16,)),
+    "bench-star": (DomainSpec(kind="star", mean_radius=1.0,
+                              terms=((2, 0, 0.1), (3, 1, 0.05))),
+                   48, (24, 32, 40)),
+    "star-4-2": (DomainSpec(kind="star", mean_radius=1.0,
+                            terms=((4, -3, 0.1), (2, 1, -0.08))),
+                 48, (32, 40)),
+    "ellipsoid": (DomainSpec(kind="ellipsoid", axes=(2.0, 1.0, 1.0)), None,
+                  (24, 32)),
+}
+# the (level, order) pairs whose angular tail is off its roundoff plateau,
+# so that T1.1 extracts the level again at order + 8
+T11_REFINED = {
+    "ball": [],
+    "bench-star": [(0.9, 24), (0.9, 32), (0.9, 40)],
+    "star-4-2": [(0.9, 32), (0.9, 40)],
+    "ellipsoid": [(0.25, 24), (0.5, 24), (0.5, 32), (0.9, 24), (0.9, 32)],
+}
+
+
+@pytest.mark.parametrize("name", list(T11_TAIL_CASES))
+def test_T11_tail_covers_the_angular_error_where_it_skips_order_plus_8(
+        monkeypatch, name):
+    # where T1.1 takes its angular tail as its error, without the order + 8
+    # pass, the tail is at least |I(n) - I(64)|
+    domain, order, orders = T11_TAIL_CASES[name]
+    sol = solve_exterior(domain, order=order)
+    tails, solved, refined = [], [], []
+    tail_of, extract = criteria._angular_tail, levelset._extract
+
+    def recorded(*args):
+        tails.append(tail_of(*args))
+        return tails[-1]
+
+    def counted(s, c, n):
+        solved.append((c, n))
+        return extract(s, c, n)
+
+    monkeypatch.setattr(criteria, "_angular_tail", recorded)
+    monkeypatch.setattr(levelset, "_extract", counted)
+    exact = {}
+    for level in (0.25, 0.5, 0.9):
+        ref = extract_level_set(sol, level, order=64)
+        exact[level] = surface_integral(ref, ref.u_grad ** 2
+                                        * criteria._equality_gap(ref))
+    for n in orders:
+        # the solution read at order n, its levels sharing one scan
+        at_n = dataclasses.replace(sol, order=n)
+        for level in (0.25, 0.5, 0.9):
+            solved.clear()
+            rep = check_T11(at_n, level)
+            if (level, n + 8) in solved:
+                refined.append((level, n))
+            else:
+                assert tails[-1] >= abs(rep.lhs - exact[level]), (level, n)
+    assert sorted(refined) == T11_REFINED[name]
 
 
 def test_C12_ball_is_equality_case(ball_solution):

@@ -35,10 +35,12 @@ ASYMMETRIC = ["violated", "violated", "violated", "violated",
               "hypothesis-not-met", "violated"]
 
 
-def exterior_solves(order):
-    """The default exterior levels at the solve order, and the middle one
-    again at order + 8 for T1.1's error bar."""
-    return [(0.25, order), (0.5, order), (0.5, order + 8), (0.75, order)]
+def exterior_solves(order, refined=False):
+    """The default exterior levels at the solve order, and, when T1.1's
+    angular spectrum is off its roundoff plateau (``refined``), the middle
+    one again at order + 8 for T1.1's error bar."""
+    return sorted([(0.25, order), (0.5, order), (0.75, order)]
+                  + [(0.5, order + 8)] * refined)
 
 
 def interior_solves(order):
@@ -50,14 +52,15 @@ def interior_solves(order):
 REFERENCE_RUNS = {
     "ball-report": (["report", "--domain", "sphere:1"],
                     EXTERIOR, EQUALITY, [True] * 6, True, None,
-                    exterior_solves(16), 20),
+                    exterior_solves(16), 12),
     "interior-ball-report": (
         ["report", "--domain", "sphere:1", "--problem", "interior:c=1,d=1"],
         INTERIOR, ["satisfied"] * 4, [True] * 4, True, None,
         interior_solves(16), 10),
     "ellipsoid-report": (["report", "--domain", "ellipsoid:2,1,1"],
                          EXTERIOR, ASYMMETRIC, [False] * 6, False,
-                         "pFunctionSpread", exterior_solves(24), 22),
+                         "pFunctionSpread",
+                         exterior_solves(24, refined=True), 22),
     "interior-ellipsoid-report": (
         ["report", "--domain", "ellipsoid:2,1,1",
          "--problem", "interior:c=1,d=1"],
@@ -65,7 +68,7 @@ REFERENCE_RUNS = {
         [False] * 4, False, "pFunctionSpread", interior_solves(24), 12),
     "star-check": (["check", "--domain", "@{star}"],
                    EXTERIOR, ASYMMETRIC, [False] * 6, False,
-                   "pFunctionSpread", exterior_solves(32), 21),
+                   "pFunctionSpread", exterior_solves(32), 13),
 }
 
 
