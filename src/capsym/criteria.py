@@ -164,8 +164,8 @@ def _angular_tail(ls, values, order):
     the integral: the larger of the Legendre coefficients of degrees
     3n/4 .. n-1 of the phi-average, each |a_k| times 4 pi, and the
     Fourier coefficients |m| >= 3n/4 of each theta ring, the largest |c_m|
-    of a ring times the ring's weight, summed over rings.  The order-n
-    Gauss rule gives the a_k exactly below degree n."""
+    of a ring times the ring's weight, summed over rings.  The degrees stop
+    at n - 1, the highest whose a_k the order-n Gauss rule resolves."""
     top = 3 * order // 4
     rings = (ls.weights * values).reshape(order, 2 * order)
     vander = (legvander(leggauss(order)[0], order - 1)[:, top:]

@@ -39,8 +39,8 @@ def exterior_solves(order, refined=False):
     """The default exterior levels at the solve order, and, when T1.1's
     angular spectrum is off its roundoff plateau (``refined``), the middle
     one again at order + 8 for T1.1's error bar."""
-    return sorted([(0.25, order), (0.5, order), (0.75, order)]
-                  + [(0.5, order + 8)] * refined)
+    solves = [(0.25, order), (0.5, order), (0.75, order)]
+    return sorted(solves + [(0.5, order + 8)]) if refined else solves
 
 
 def interior_solves(order):
