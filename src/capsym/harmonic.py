@@ -15,6 +15,9 @@ solved by the method of fundamental solutions: a least-squares fit of the
 charges to the boundary data at collocation nodes, with the sources on one
 rule of rings on the radial graph, contracted inside the domain for the
 exterior problem and dilated outside it for the interior one (_placement).
+The fit is solved on its mirror-invariant subspace (Allgower et al., SIAM
+J. Numer. Anal. 29, 1992): a row per node orbit and a column per source
+orbit under the origin's coordinate-plane reflections that keep both.
 
 Every solve measures the fit at its nodes (for a closed form, the order's
 own grid) and its check misfit, max |u - c|/c on an independent grid of
@@ -82,7 +85,7 @@ class HarmonicSolution:
     solution.  That centered sphere keeps one zero charge outside the ball,
     because an empty source array is saved as [], which reads back with
     shape (0,), not (0, 3).  ``condition_estimate`` is that of the weighted
-    collocation matrix, and 1.0 for every closed form.
+    mirror-invariant collocation system solved, 1.0 for every closed form.
     ``check_misfit`` is max |u - c|/c on the boundary grid of order + 8.
 
     A saved solution is the JSON object of every public field under its
@@ -395,15 +398,55 @@ def _graph_points(spec, grid_order, factor, ring=math.inf):
 # solves
 # ---------------------------------------------------------------------------
 
+def _mirror(f, k):
+    """p with row p[i] of f the image of row i (a point, then its values)
+    under x_k -> -x_k to 1e-12 of each column's largest magnitude, or None.
+    Rows are paired by sorting on coordinates rounded to 1e-6 of theirs,
+    far below the spacing of nodes or sources; a pair that the rounding
+    splits fails the match, which only loses the mirror."""
+    scale = np.abs(f).max(axis=0)
+    g = f * np.where(np.arange(f.shape[1]) == k, -1.0, 1.0)
+    a, b = (np.lexsort(np.round(x[:, :N_DIM] / scale[:N_DIM] * 1e6).T)
+            for x in (f, g))
+    p = a[np.argsort(b)]
+    return p if np.all(np.abs(f[p] - g) <= 1e-12 * scale) else None
+
+
+def _mirror_orbits(*sets):
+    """(first member, orbit of each row, orbit size) of each set under the
+    reflections through the origin's coordinate planes that _mirror finds
+    for every set."""
+    firsts = [np.arange(len(f)) for f in sets]
+    for k in range(N_DIM):
+        maps = [_mirror(f, k) for f in sets]
+        if all(p is not None for p in maps):   # commuting involutions
+            firsts = [np.minimum(i, i[p]) for i, p in zip(firsts, maps)]
+    return [np.unique(i, return_inverse=True, return_counts=True)
+            for i in firsts]
+
+
 def _collocation_solve(quad, sources, rhs):
     """(charges, condition estimate) of the weighted least-squares fit of
-    the sources' kernels to rhs at the nodes of quad."""
-    A = _inverse_distance(_point_rows(quad.nodes), _source_rows(sources))
-    sw = np.sqrt(quad.weights)
+    the sources' kernels to rhs at the nodes of quad: a row per node orbit,
+    at its first node and weighted by the root of its total weight, and a
+    column per orbit of s sources, their kernels summed over root s, whose
+    coefficient over root s is each one's charge.  The singular values are
+    the full matrix's on the invariant subspace, which holds rhs and, by
+    Perron-Frobenius, the largest: cutoff and solution are the full fit's."""
+    w = quad.weights
+    (rows, row_of, _), (_, col_of, size) = _mirror_orbits(
+        np.column_stack([quad.nodes, w, rhs]), sources)
+    A = _inverse_distance(_point_rows(quad.nodes[rows]),
+                          _source_rows(sources))
+    if len(size) < len(sources):   # sum each orbit's columns
+        order = np.argsort(col_of, kind="stable")
+        A = np.add.reduceat(A[:, order], np.cumsum(size) - size, axis=1)
+        A /= np.sqrt(size)
+    sw = np.sqrt(np.bincount(row_of, weights=w))
     A *= sw[:, None]    # weighted in place: the solve holds one matrix
-    charges, _, rank, sv = np.linalg.lstsq(A, rhs * sw, rcond=_RCOND)
+    coef, _, rank, sv = np.linalg.lstsq(A, rhs[rows] * sw, rcond=_RCOND)
     cond = float(sv[0] / sv[min(rank, len(sv)) - 1]) if len(sv) else math.inf
-    return charges, cond
+    return (coef / np.sqrt(size))[col_of], cond
 
 
 def _sphere_charges(spec, c, s0):

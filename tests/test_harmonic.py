@@ -45,11 +45,16 @@ def ellipsoid_interior():
                           c=1.0, d=1.0)
 
 
+BENCH_STAR = DomainSpec(kind="star", mean_radius=1.0,
+                        terms=((2, 0, 0.1), (3, 1, 0.05)))
+# a star without mirrors through the origin's coordinate planes
+MIRROR_FREE_STAR = DomainSpec(kind="star", mean_radius=1.0,
+                              terms=((4, -3, 0.1), (2, 1, -0.08)))
+
+
 @pytest.fixture(scope="module")
 def star_solution():
-    spec = DomainSpec(kind="star", mean_radius=1.0,
-                      terms=((2, 0, 0.1), (3, 1, 0.05)))
-    return solve_exterior(spec)
+    return solve_exterior(BENCH_STAR)
 
 
 def random_exterior_points(spec, count, seed=0, r_max=20.0):
@@ -328,29 +333,116 @@ def test_order_40_star_placement_fits_no_worse_than_before(solve,
 
 def test_order_48_star_narrow_rings_fit_no_worse_than_full_rings(
         monkeypatch):
-    spec = DomainSpec(kind="star", mean_radius=1.0,
-                      terms=((4, -3, 0.1), (2, 1, -0.08)))
-    new = solve_exterior(spec, order=48)
+    new = solve_exterior(MIRROR_FREE_STAR, order=48)
     # the placement before: full rings of order n/4 + 14 at contraction
     # 0.5, collocated on the grid of order n
     monkeypatch.setattr(harmonic, "_placement",
                         lambda order: (26, 0.5, math.inf, order))
-    old = solve_exterior(spec, order=48)
+    old = solve_exterior(MIRROR_FREE_STAR, order=48)
     assert (len(new.sources), len(old.sources)) == (1012, 1352)
     assert new.check_misfit <= 1.1 * old.check_misfit
 
 
-def test_order_48_star_solve_memory_is_bounded(star_solution):
+def solve_peak_bytes(spec, order):
     tracemalloc.start()
     try:
-        sol = solve_exterior(star_solution.domain, order=48)
-        peak = tracemalloc.get_traced_memory()[1]
+        sol = solve_exterior(spec, order=order)
+        return sol, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the weighted 2,312 x 1,012 collocation matrix is 17.9 MiB; the
-    # full rings before (4,608 x 1,352) needed 47.5 MiB for it alone
+
+
+def test_order_48_star_solve_memory_is_bounded():
+    # a star without mirrors solves the full system: the weighted 2,312 x
+    # 1,012 collocation matrix is 17.9 MiB; the full rings before (4,608 x
+    # 1,352) needed 47.5 MiB for it alone
+    sol, peak = solve_peak_bytes(MIRROR_FREE_STAR, 48)
     assert len(sol.sources) == 1012
     assert peak < 24 * 2 ** 20
+
+
+def test_order_48_folded_star_solve_memory_is_bounded(star_solution):
+    # the bench star's y and z mirrors leave 595 node rows of 1,012 kernel
+    # columns (4.6 MiB) and their sum over 264 source orbits: 10.6 MiB in
+    # all
+    sol, peak = solve_peak_bytes(star_solution.domain, 48)
+    assert len(sol.sources) == 1012
+    assert peak < 12 * 2 ** 20
+
+
+def full_weighted_solve(quad, sources, rhs):
+    """The reference of _collocation_solve: one lstsq on the full weighted
+    collocation matrix."""
+    A = _inverse_distance(_point_rows(quad.nodes), _source_rows(sources))
+    sw = np.sqrt(quad.weights)
+    charges, _, rank, sv = np.linalg.lstsq(A * sw[:, None], rhs * sw,
+                                           rcond=harmonic._RCOND)
+    return charges, float(sv[0] / sv[rank - 1])
+
+
+@pytest.mark.parametrize("solve, spec, order", [
+    (solve_exterior, BENCH_STAR, 32), (solve_exterior, BENCH_STAR, 48),
+    (solve_interior, DomainSpec(kind="ellipsoid", axes=(2.0, 1.0, 1.0)), 24),
+], ids=["star-32", "star-48", "interior-ellipsoid"])
+def test_folded_solve_matches_the_full_system(solve, spec, order,
+                                             monkeypatch):
+    folded = solve(spec, order=order)
+    monkeypatch.setattr(harmonic, "_collocation_solve", full_weighted_solve)
+    full = solve(spec, order=order)
+    assert abs(folded.check_misfit / full.check_misfit - 1.0) <= 0.01
+    # mirror-invariant charges on the same sources; their spread is that
+    # of one BLAS thread against two (1e-4 of max |q|, ROADMAP item 8)
+    assert np.abs(folded.charges - full.charges).max() \
+        <= 1e-4 * np.abs(full.charges).max()
+    q, q_full = folded.charges.sum(), full.charges.sum()
+    if solve is solve_exterior:   # 4 pi sum q is the capacity
+        assert abs(q / q_full - 1.0) <= 1e-12
+    else:   # the remainder's sum q, 0.114, cancels in sum |q| = 43
+        assert abs(q - q_full) <= 1e-8 * np.abs(full.charges).sum()
+    assert folded.condition_estimate <= full.condition_estimate
+
+
+def collocation_system(spec, order):
+    """(quad, sources, rhs) of an exterior star solve at this order."""
+    grid, factor, ring, node_order = _placement(order)
+    quad = build_quadrature(spec, node_order)
+    sources = _graph_points(spec, grid, factor, ring)
+    return quad, sources, np.ones(len(quad.nodes))
+
+
+def test_mirror_images_carry_equal_charges(star_solution):
+    y, q = star_solution.sources, star_solution.charges
+    pairs = 0
+    for k in (1, 2):    # the bench star's mirrors: y -> -y and z -> -z
+        image = y * np.where(np.arange(3) == k, -1.0, 1.0)
+        j = np.argmin(np.linalg.norm(image[:, None] - y[None], axis=2), axis=1)
+        assert np.abs(y[j] - image).max() <= 1e-14
+        assert np.array_equal(q[j], q)
+        pairs += np.count_nonzero(j != np.arange(len(y)))
+    assert pairs > len(y)
+
+
+def test_mirror_free_star_solves_the_full_system():
+    quad, sources, rhs = collocation_system(MIRROR_FREE_STAR, 32)
+    assert all(harmonic._mirror(sources, k) is None for k in range(3))
+    charges, cond = harmonic._collocation_solve(quad, sources, rhs)
+    full_charges, full_cond = full_weighted_solve(quad, sources, rhs)
+    assert np.array_equal(charges, full_charges) and cond == full_cond
+
+
+@pytest.mark.parametrize("column", [0, 3], ids=["position", "weight"])
+def test_a_mirror_image_moved_by_1e_9_drops_the_mirror(column):
+    quad, sources, rhs = collocation_system(BENCH_STAR, 32)
+    f = np.column_stack([quad.nodes, quad.weights, rhs])
+    found = [k for k in range(3) if harmonic._mirror(f, k) is not None]
+    assert found == [1, 2]
+    p = harmonic._mirror(f, 1)
+    i = int(np.argmax(p != np.arange(len(p))))
+    f[p[i], column] += 1e-9 * np.abs(f[:, column]).max()
+    # the moved node is also the z-image of another node
+    assert all(harmonic._mirror(f, k) is None for k in range(3))
+    for _, orbit, _ in harmonic._mirror_orbits(f, sources):
+        assert np.array_equal(orbit, np.arange(len(orbit)))
 
 
 # ---------------------------------------------------------------------------
