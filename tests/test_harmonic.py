@@ -390,8 +390,8 @@ def test_folded_solve_matches_the_full_system(solve, spec, order,
     monkeypatch.setattr(harmonic, "_collocation_solve", full_weighted_solve)
     full = solve(spec, order=order)
     assert abs(folded.check_misfit / full.check_misfit - 1.0) <= 0.01
-    # mirror-invariant charges on the same sources; their spread is that
-    # of one BLAS thread against two (1e-4 of max |q|, ROADMAP item 8)
+    # the same charges to the roundoff of a condition near 1e12: they
+    # differ by 2.0e-6 of max |q| at order 32 and 2.7e-5 at order 48
     assert np.abs(folded.charges - full.charges).max() \
         <= 1e-4 * np.abs(full.charges).max()
     q, q_full = folded.charges.sum(), full.charges.sum()
@@ -439,7 +439,7 @@ def test_a_mirror_image_moved_by_1e_9_drops_the_mirror(column):
     p = harmonic._mirror(f, 1)
     i = int(np.argmax(p != np.arange(len(p))))
     f[p[i], column] += 1e-9 * np.abs(f[:, column]).max()
-    # the moved node is also the z-image of another node
+    # the moved node's z-image loses its partner too, so both mirrors go
     assert all(harmonic._mirror(f, k) is None for k in range(3))
     for _, orbit, _ in harmonic._mirror_orbits(f, sources):
         assert np.array_equal(orbit, np.arange(len(orbit)))
