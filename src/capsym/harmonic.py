@@ -401,12 +401,12 @@ def _graph_points(spec, grid_order, factor, ring=math.inf):
 def _mirror(f, k):
     """p with row p[i] of f the image of row i (a point, then its values)
     under x_k -> -x_k to 1e-12 of each column's largest magnitude, or None.
-    Rows are paired by sorting on coordinates rounded to 1e-6 of theirs,
-    far below the spacing of nodes or sources; a pair that the rounding
-    splits fails the match, which only loses the mirror."""
+    Rows are paired by sorting on coordinates rounded to 1e-6 of the
+    largest, far below the spacing of nodes or sources; a pair that the
+    rounding splits fails the match, which only loses the mirror."""
     scale = np.abs(f).max(axis=0)
     g = f * np.where(np.arange(f.shape[1]) == k, -1.0, 1.0)
-    a, b = (np.lexsort(np.round(x[:, :N_DIM] / scale[:N_DIM] * 1e6).T)
+    a, b = (np.lexsort(np.round(x[:, :N_DIM] * (1e6 / scale[:N_DIM].max())).T)
             for x in (f, g))
     p = a[np.argsort(b)]
     return p if np.all(np.abs(f[p] - g) <= 1e-12 * scale) else None
