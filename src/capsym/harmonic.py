@@ -402,8 +402,8 @@ def _mirror(f, k):
     """p with row p[i] of f the image of row i (a point, then its values)
     under x_k -> -x_k to 1e-12 of each column's largest magnitude, or None.
     Rows are paired by sorting on coordinates rounded to 1e-6 of the
-    largest, far below the spacing of nodes or sources; a pair that the
-    rounding splits fails the match, which only loses the mirror."""
+    largest one, far below the spacing of nodes or sources; a pair that
+    the rounding splits fails the match, which only loses the mirror."""
     scale = np.abs(f).max(axis=0)
     g = f * np.where(np.arange(f.shape[1]) == k, -1.0, 1.0)
     a, b = (np.lexsort(np.round(x[:, :N_DIM] * (1e6 / scale[:N_DIM].max())).T)
@@ -419,7 +419,7 @@ def _mirror_orbits(*sets):
     firsts = [np.arange(len(f)) for f in sets]
     for k in range(N_DIM):
         maps = [_mirror(f, k) for f in sets]
-        if all(p is not None for p in maps):   # commuting involutions
+        if all(p is not None for p in maps):   # they commute: one pass each
             firsts = [np.minimum(i, i[p]) for i, p in zip(firsts, maps)]
     return [np.unique(i, return_inverse=True, return_counts=True)
             for i in firsts]
