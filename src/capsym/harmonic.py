@@ -18,6 +18,11 @@ exterior problem and dilated outside it for the interior one (_placement).
 The fit is solved on its mirror-invariant subspace (Allgower et al., SIAM
 J. Numer. Anal. 29, 1992): a row per node orbit and a column per source
 orbit under the origin's coordinate-plane reflections that keep both.
+The reflections that keep the charges (HarmonicSolution.mirrors) leave u
+unchanged, so the evaluations on grids fold the same way: the check
+grid, the direction averages of decay_report and the rays and nodes of
+capsym.levelset are evaluated at one point per orbit, by the solve's own
+orbit routine (_mirror_orbits), and the values copied to the orbit.
 
 Every solve measures the fit at its nodes (for a closed form, the order's
 own grid) and its check misfit, max |u - c|/c on an independent grid of
@@ -39,6 +44,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -122,13 +128,24 @@ class HarmonicSolution:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if check_region:
             self._check_region(pts)
-        sources, charges = self.sources, self.charges
-        if self.singular_coefficient != 0.0:
-            # the pole is one more charge, at the origin
-            sources = np.vstack([sources, np.zeros((1, 3))])
-            charges = np.append(charges, self.singular_coefficient)
-        u, g, h = _kernel_sums(pts, sources, charges, want)
+        u, g, h = _kernel_sums(pts, *self._all_charges(), want)
         return FieldStates(points=pts, u=u + self.constant, grad=g, hess=h)
+
+    @cached_property
+    def mirrors(self):
+        """The axes k whose reflection x_k -> -x_k maps the charges, the
+        pole included, onto themselves, as _mirror matches them: u is even
+        under each of them."""
+        f = np.column_stack(self._all_charges())
+        return tuple(k for k in range(N_DIM) if _mirror(f, k) is not None)
+
+    def _all_charges(self):
+        """(sources, charges) with the pole as one more charge, at the
+        origin, when it is there."""
+        if self.singular_coefficient == 0.0:
+            return self.sources, self.charges
+        return (np.vstack([self.sources, np.zeros((1, 3))]),
+                np.append(self.charges, self.singular_coefficient))
 
     def _check_region(self, pts):
         if self.problem == "exterior":
@@ -403,26 +420,38 @@ def _mirror(f, k):
     under x_k -> -x_k to 1e-12 of each column's largest magnitude, or None.
     Rows are paired by sorting on coordinates rounded to 1e-6 of the
     largest one, far below the spacing of nodes or sources; a pair that
-    the rounding splits fails the match, which only loses the mirror."""
+    the rounding splits fails the match, which only loses the mirror.  A
+    set whose coordinates are all 0 is rounded at unit scale."""
     scale = np.abs(f).max(axis=0)
     g = f * np.where(np.arange(f.shape[1]) == k, -1.0, 1.0)
-    a, b = (np.lexsort(np.round(x[:, :N_DIM] * (1e6 / scale[:N_DIM].max())).T)
-            for x in (f, g))
+    unit = 1e6 / (scale[:N_DIM].max() or 1.0)
+    a, b = (np.lexsort(np.round(x[:, :N_DIM] * unit).T) for x in (f, g))
     p = a[np.argsort(b)]
     return p if np.all(np.abs(f[p] - g) <= 1e-12 * scale) else None
 
 
-def _mirror_orbits(*sets):
-    """(first member, orbit of each row, orbit size) of each set under the
-    reflections through the origin's coordinate planes that _mirror finds
-    for every set."""
+def _mirror_orbits(*sets, axes=range(N_DIM)):
+    """(first member, orbit of each row, orbit size, signs of each row) of
+    each set under the reflections x_k -> -x_k, k in axes, that _mirror
+    finds for every set.  A row's signs (+-1 per axis) are the reflection
+    that maps its orbit's first member onto it: a field even under the
+    reflections has there the first member's u, Du times the signs and
+    D2u times the signs on both its rows and its columns."""
     firsts = [np.arange(len(f)) for f in sets]
-    for k in range(N_DIM):
+    signs = [np.ones((len(f), N_DIM)) for f in sets]
+    for k in axes:
         maps = [_mirror(f, k) for f in sets]
-        if all(p is not None for p in maps):   # they commute: one pass each
-            firsts = [np.minimum(i, i[p]) for i, p in zip(firsts, maps)]
-    return [np.unique(i, return_inverse=True, return_counts=True)
-            for i in firsts]
+        if any(p is None for p in maps):
+            continue
+        flip = np.where(np.arange(N_DIM) == k, -1.0, 1.0)
+        for i, (first, sign, p) in enumerate(zip(firsts, signs, maps)):
+            # they commute: row j's orbit joins that of its image p[j],
+            # whose first member reaches j through p[j] and then k
+            moved = first[p] < first
+            firsts[i] = np.where(moved, first[p], first)
+            signs[i] = np.where(moved[:, None], sign[p] * flip, sign)
+    return [(*np.unique(i, return_inverse=True, return_counts=True), s)
+            for i, s in zip(firsts, signs)]
 
 
 def _collocation_solve(quad, sources, rhs):
@@ -434,7 +463,7 @@ def _collocation_solve(quad, sources, rhs):
     the full matrix's on the invariant subspace, which holds rhs and, by
     Perron-Frobenius, the largest: cutoff and solution are the full fit's."""
     w = quad.weights
-    (rows, row_of, _), (_, col_of, size) = _mirror_orbits(
+    (rows, row_of, _, _), (_, col_of, size, _) = _mirror_orbits(
         np.column_stack([quad.nodes, w, rhs]), sources)
     A = _inverse_distance(_point_rows(quad.nodes[rows]),
                           _source_rows(sources))
@@ -498,9 +527,11 @@ def _solve(spec, order, problem, c, d):
                            fit_residual=math.nan, order=order,
                            condition_estimate=cond,
                            check_misfit=math.nan)   # measured below
-    # the fit at the nodes and the check misfit, from one u call
+    # the fit at the nodes and the check misfit, from one u call at a
+    # point per orbit of the solution's mirrors
     pts = np.vstack([quad.nodes, _graph_points(spec, order + 8, 1.0)])
-    u = sol.field(pts, want="u", check_region=False).u - c
+    [(rows, row_of, _, _)] = _mirror_orbits(pts, axes=sol.mirrors)
+    u = sol.field(pts[rows], want="u", check_region=False).u[row_of] - c
     fit = float(np.abs(u[:len(quad.nodes)]).max())
     check = float(np.abs(u[len(quad.nodes):]).max() / c)
     if not (fit <= tol and check <= tol):  # a NaN misfit fails too
@@ -575,10 +606,13 @@ def decay_report(sol, radii):
                          f"{r_enc:.3g}")
     th, ph, W = angular_grid(_DECAY_ORDER)
     om = unit_directions(th, ph)
-    Wn = W / W.sum()
+    # u, |Du| and |D2u| are even under the mirrors: one direction per
+    # orbit, weighted by the orbit's total
+    [(rows, row_of, _, _)] = _mirror_orbits(om, axes=sol.mirrors)
+    Wn = np.bincount(row_of, weights=W / W.sum())
     avgs = []   # direction averages of u, |Du| and |D2u| per radius
     for r in radii:
-        st = sol.field(r * om, want="hess", check_region=False)
+        st = sol.field(r * om[rows], want="hess", check_region=False)
         avgs.append([Wn @ st.u, Wn @ np.linalg.norm(st.grad, axis=1),
                      Wn @ np.linalg.norm(st.hess, axis=(1, 2))])
     slopes = [float(np.polyfit(np.log(radii), np.log(v), 1)[0])

@@ -45,11 +45,21 @@ supplies per point.  dF is 0 where F is formed without cancellation; the
 identity's |hess_g f|_g^2 is formed by cancellation and is exactly 0 on a
 radial field, where its computed value is all roundoff.
 
+The field is even under the solution's mirrors (HarmonicSolution.mirrors,
+the coordinate-plane reflections that keep its charges), so it is
+evaluated on one ray per orbit of the rays under them: the scan, the
+bracket and Newton run on the first ray of each orbit, _level_set copies
+the node data to the orbit's other rays, Du and the normals with the
+reflection's signs, and _ray_volume weights each first ray by its orbit's
+total.  _boundary evaluates Du at one node per orbit the same way.  With
+no mirror every ray is its own orbit.
+
 Only this module uses a solution's cache: per order, the angular weights,
-directions and boundary exit radii and the scan's march (its radius and u
-columns, grown column by column); the boundary LevelSet (_boundary); and
-every LevelSet that extract_level_set returns, per (level, order).  Every
-cached array is read-only.
+directions and boundary exit radii, the orbits of the rays and the scan's
+march on their first rays (its radius and u columns, grown column by
+column); the boundary LevelSet (_boundary); and every LevelSet that
+extract_level_set returns, per (level, order).  Every cached array is
+read-only.
 """
 
 from __future__ import annotations
@@ -63,6 +73,7 @@ from .errors import (IrregularLevelSetError, LevelRangeError,
                      NonStarShapedLevelSetError)
 from .geometry import (SurfaceQuadrature, angular_grid, build_quadrature,
                        safeguarded_newton, unit_directions)
+from .harmonic import _mirror_orbits
 
 REGULARITY_THRESHOLD = 1e-8
 _SCAN_PER_DECADE = 16
@@ -125,14 +136,20 @@ def _frozen(*values):
 
 def _order_entry(sol, order):
     """The cache entry of ``order``: angular weights, unit directions and
-    boundary exit radii, computed once per solution, then the radius and u
-    columns of the scan's march, which _scan grows."""
+    boundary exit radii, computed once per solution; the orbits of the
+    rays [om, r_exit] under the solution's mirrors (_mirror_orbits: the
+    first ray of each orbit, the orbit of each ray and the signs that map
+    its first ray onto it); then the radius and u columns of the scan's
+    march on the first rays, which _scan grows."""
     entry = sol._levelset_cache.get(order)
     if entry is None:
         theta, phi, W = angular_grid(order)
         om = unit_directions(theta, phi)
         r_exit = sol.domain.ray_exit_radius(om)
-        entry = sol._levelset_cache[order] = (*_frozen(W, om, r_exit), [], [])
+        [(rows, row_of, _, signs)] = _mirror_orbits(
+            np.column_stack([om, r_exit]), axes=sol.mirrors)
+        entry = sol._levelset_cache[order] = (
+            *_frozen(W, om, r_exit, rows, row_of, signs), [], [])
     return entry
 
 
@@ -148,7 +165,10 @@ def _boundary(sol):
     ls = sol._levelset_cache.get("boundary")
     if ls is None:
         quad = build_quadrature(sol.domain, sol.order)
-        grad = sol.field(quad.nodes, want="grad", check_region=False).grad
+        [(rows, row_of, _, signs)] = _mirror_orbits(quad.nodes,
+                                                    axes=sol.mirrors)
+        grad = sol.field(quad.nodes[rows], want="grad",
+                         check_region=False).grad[row_of] * signs
         ls = sol._levelset_cache["boundary"] = LevelSet(
             **vars(quad), level=sol.c, u_grad=np.linalg.norm(grad, axis=1),
             radii=np.linalg.norm(quad.nodes, axis=1), grad=grad)
@@ -180,7 +200,8 @@ def _scan(sol, order, c):
     end.  Columns come in increasing r.
     """
     check_level_range(sol.problem, sol.c, [c])
-    _, om, r_exit, radii, vals = _order_entry(sol, order)
+    _, om, r_exit, rows, *_, radii, vals = _order_entry(sol, order)
+    om, r_exit = om[rows], r_exit[rows]
     # the exterior scan steps outward (sign 1), the interior one inward
     # (sign -1), so [:, ::sign] puts the interior columns in increasing r
     sign = 1 if sol.problem == "exterior" else -1
@@ -244,30 +265,36 @@ def _solve_radii(sol, om, c, lo, hi, u_lo, u_hi):
     return radii
 
 
-def _level_set(sol, c, r, om, W):
-    nodes = r[:, None] * om
-    st = sol.field(nodes, want="hess", check_region=False)
+def _level_set(sol, c, r, order):
+    """The LevelSet {u = c} from its radii r on the first ray of each
+    orbit: the field and the node data on those rays, copied to the other
+    rays of each orbit, with the signs on Du and the normals."""
+    W, om, _, rows, row_of, signs = _order_entry(sol, order)[:6]
+    st = sol.field(r[:, None] * om[rows], want="hess", check_region=False)
     gn = np.linalg.norm(st.grad, axis=1)
     normals = -st.grad / gn[:, None]
-    cos = np.einsum("ns,ns->n", normals, om)
+    cos = np.einsum("ns,ns->n", normals, om[rows])
     if np.any(cos <= 0.01):
         raise NonStarShapedLevelSetError(
             f"level set {c} is nearly tangent to a ray (min cos "
             f"{cos.min():.3e}); radial-graph weights are unreliable")
-    weights = W * r ** 2 / cos
+    weights = W[rows] * r ** 2 / cos
     H = level_set_mean_curvature(st.grad, st.hess)
-    return LevelSet(level=c, nodes=nodes, weights=weights,
-                    normals=normals, u_grad=gn, mean_curv=H, radii=r,
-                    grad=st.grad)
+    r = r[row_of]
+    return LevelSet(level=c, nodes=r[:, None] * om, weights=weights[row_of],
+                    normals=normals[row_of] * signs, u_grad=gn[row_of],
+                    mean_curv=H[row_of], radii=r,
+                    grad=st.grad[row_of] * signs)
 
 
 def _extract(sol, c, order):
-    """The LevelSet {u = c} at ``order``: a scan, then Newton on every ray."""
-    W, om = _rays(sol, order)[:2]
+    """The LevelSet {u = c} at ``order``: a scan, then Newton on the first
+    ray of every orbit."""
+    _, om, _, rows = _order_entry(sol, order)[:4]
     # the stacked scan arrays are released before the level is solved
     bracket = _bracket(*_scan(sol, order, c), c)
-    r = _solve_radii(sol, om, c, *bracket)
-    return _level_set(sol, c, r, om, W)
+    r = _solve_radii(sol, om[rows], c, *bracket)
+    return _level_set(sol, c, r, order)
 
 
 def extract_level_set(sol, c, order=None):
@@ -303,11 +330,14 @@ def surface_integral(ls, integrand):
 def _ray_volume(sol, density, want, r_in, r_out, order, scale):
     """int F dmu over {r_in < r < r_out} on every ray, as (value, error).
 
-    ``density`` maps the FieldStates of one node column (one point per ray,
-    evaluated with ``want``) to the pair (F, dF) there, with dF an estimate
-    of the roundoff of F at each point (0 where F is formed without
-    cancellation); r_in holds one radius per ray of the angular grid at
-    ``order``, r_out one per ray or is inf.  Panels are
+    ``density`` maps the FieldStates of one node column (one point per
+    orbit of rays, evaluated with ``want``) to the pair (F, dF) there, with
+    dF an estimate of the roundoff of F at each point (0 where F is formed
+    without cancellation); F is even under the solution's mirrors, as
+    every density of |Du|, u and contractions of D2u is.  r_in holds one
+    radius per ray of the angular grid at ``order``, r_out one per ray or
+    is inf, and only the first ray of each orbit is read: level-set radii
+    are equal on an orbit, exit radii to roundoff.  Panels are
     nested G7/K15 rules in a parameter s on [0, 1] shared by all rays: in
     log r, r = r_in (r_out/r_in)^s with dmu = r^3 log(r_out/r_in) ds dOmega,
     or out to infinity in t = r_in/r = s with dmu = r_in^3 t^-4 dt dOmega.
@@ -317,7 +347,9 @@ def _ray_volume(sol, density, want, r_in, r_out, order, scale):
     error is at most _RAY_TOL times ``scale``; at _MAX_PANELS panels the
     error is returned as it is.
     """
-    W, om = _rays(sol, order)[:2]
+    W, om, _, rows, row_of = _order_entry(sol, order)[:5]
+    W, om = np.bincount(row_of, weights=W), om[rows]   # orbit totals
+    r_in, r_out = r_in[rows], np.broadcast_to(r_out, r_in.shape)[rows]
     if np.all(np.isinf(r_out)):
         def radius_and_measure(s):
             return r_in / s, r_in ** 3 / s ** 4

@@ -6,7 +6,9 @@ runs every entry of REFERENCE_RUNS (tests/test_reference_runs.py) into
 OUT/<run>/.  To check that a change leaves every reported number as it was,
 run it once with PYTHONPATH at each checkout's src and compare the two
 trees with ``diff -r``: the reports are written deterministically, so equal
-numbers mean byte-identical files.
+numbers mean byte-identical files.  ``python3 tools/tree_diff.py A B``
+counts the numbers that moved per file, with the largest relative move,
+and lists every other value that changed.
 """
 
 import json

@@ -3,6 +3,7 @@ import json
 import math
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -441,8 +442,20 @@ def test_a_mirror_image_moved_by_1e_9_drops_the_mirror(column):
     f[p[i], column] += 1e-9 * np.abs(f[:, column]).max()
     # the moved node's z-image loses its partner too, so both mirrors go
     assert all(harmonic._mirror(f, k) is None for k in range(3))
-    for _, orbit, _ in harmonic._mirror_orbits(f, sources):
+    for _, orbit, _, _ in harmonic._mirror_orbits(f, sources):
         assert np.array_equal(orbit, np.arange(len(orbit)))
+
+
+def test_a_point_at_the_origin_keeps_every_mirror():
+    # the exterior unit ball's one charge sits at the origin: its
+    # coordinates are all 0, which the match must not divide by
+    f = np.array([[0.0, 0.0, 0.0, 4.0 * math.pi]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k in range(3):
+            assert np.array_equal(harmonic._mirror(f, k), [0])
+        ball = solve_exterior(DomainSpec(kind="sphere", radius=1.0))
+        assert ball.mirrors == (0, 1, 2)
 
 
 # ---------------------------------------------------------------------------

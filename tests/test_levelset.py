@@ -15,6 +15,7 @@ from capsym import (DomainSpec, FieldStates, HarmonicSolution,
                     solve_exterior, solve_interior,
                     surface_integral, unit_directions,
                     weighted_identity_check)
+from capsym.conformal import level_set_mean_curvature
 from radial_oracle import RadialGeometry, radial_solution
 
 BENCH_STAR = DomainSpec(kind="star", mean_radius=1.0,
@@ -359,7 +360,7 @@ def test_march_columns_are_read_only(ball_solution, interior_ball):
     for sol, level in ((fresh(ball_solution), 0.25),
                        (fresh(interior_ball), 3.0)):
         extract_level_set(sol, level)
-        radii, vals = levelset._order_entry(sol, sol.order)[3:]
+        radii, vals = levelset._order_entry(sol, sol.order)[-2:]
         assert len(radii) == len(vals) >= 8
         for column in (*radii, *vals):
             assert not column.flags.writeable
@@ -414,6 +415,73 @@ def test_unconverged_rays_raise_named_error(monkeypatch, ellipsoid_solution):
     with pytest.raises(IrregularLevelSetError,
                        match="level set 0.8 did not converge"):
         extract_level_set(fresh(ellipsoid_solution), 0.8)
+
+
+# ---------------------------------------------------------------------------
+# mirror orbits
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("c", [0.9, 0.5, 0.25])
+def test_folded_level_sets_match_a_direct_evaluation(star_solution, c):
+    # the field is evaluated on one ray per orbit of the bench star's y and
+    # z mirrors and copied with the reflection's signs; on the plane x = 0
+    # (phi = pi/2 and 3 pi/2) om_x is +-1e-16 but Du_x is not roundoff, so
+    # signs taken from the coordinates would be wrong there
+    sol = fresh(star_solution)
+    ls = extract_level_set(sol, c)
+    assert sol.mirrors == (1, 2)
+    assert len(levelset._order_entry(sol, sol.order)[3]) == 528
+    st = sol.field(ls.nodes, want="hess", check_region=False)
+    assert np.abs(st.u - c).max() <= 1e-12 * c
+    on_plane = np.abs(ls.nodes[:, 0]) <= 1e-12
+    scale = np.abs(st.grad).max()
+    assert on_plane.sum() == 64
+    assert np.abs(ls.grad[on_plane, 0]).max() > 1e-3 * scale
+    assert np.abs(ls.grad - st.grad).max() <= 1e-13 * scale
+    assert np.abs(ls.grad[on_plane] - st.grad[on_plane]).max() <= 1e-13 * scale
+    assert_allclose(ls.u_grad, st.grad_norm, rtol=1e-13)
+    # the mean curvature reads D2u at every node, off-diagonal signs too
+    H = level_set_mean_curvature(st.grad, st.hess)
+    assert np.abs(ls.mean_curv - H).max() <= 1e-12 * np.abs(H).max()
+
+
+def test_mirror_nodes_carry_bitwise_equal_data(star_solution):
+    ls = extract_level_set(fresh(star_solution), 0.5)
+    for k in (1, 2):
+        flip = np.where(np.arange(3) == k, -1.0, 1.0)
+        image = ls.nodes * flip
+        j = np.argmin(np.linalg.norm(image[:, None] - ls.nodes[None], axis=2),
+                      axis=1)
+        assert np.abs(ls.nodes[j] - image).max() <= 1e-14
+        # a node on the mirror plane is its own image, with Du_k roundoff
+        moved = j != np.arange(len(j))
+        assert np.count_nonzero(moved) > len(j) // 2
+        for key in ("u_grad", "weights", "mean_curv", "radii"):
+            assert np.array_equal(getattr(ls, key)[j], getattr(ls, key))
+        for key in ("grad", "normals"):
+            value = getattr(ls, key)
+            assert np.array_equal(value[j[moved]], value[moved] * flip)
+
+
+def test_mirror_free_level_set_is_a_direct_evaluation():
+    # centred off the origin the bench star keeps no mirror: every ray is
+    # its own orbit, and the level set is the field at its nodes bit for bit
+    spec = DomainSpec(kind="star", mean_radius=1.0,
+                      terms=((2, 0, 0.1), (3, 1, 0.05)),
+                      center=(0.4, 0.2, 0.1))
+    sol = solve_exterior(spec)
+    assert sol.mirrors == ()
+    ls = extract_level_set(sol, 0.5)
+    st = sol.field(ls.nodes, want="hess", check_region=False)
+    W, om = levelset._rays(sol, sol.order)[:2]
+    assert np.array_equal(ls.nodes, ls.radii[:, None] * om)
+    assert np.array_equal(ls.grad, st.grad)
+    assert np.array_equal(ls.u_grad, np.linalg.norm(st.grad, axis=1))
+    assert np.array_equal(ls.normals, -st.grad / ls.u_grad[:, None])
+    assert np.array_equal(ls.mean_curv,
+                          level_set_mean_curvature(st.grad, st.hess))
+    cos = np.einsum("ns,ns->n", ls.normals, om)
+    assert np.array_equal(ls.weights, W * ls.radii ** 2 / cos)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Level sets, criteria and identities see a solution only through the field
 protocol: ``field(points, want, check_region)``, ``problem``, ``c``, ``d``,
-``domain``, ``order``, the error floor's ``fit_residual`` and the cache
+``domain``, ``order``, the error floor's ``fit_residual``, the axes
+``mirrors`` whose reflections leave u unchanged and the cache
 ``_levelset_cache``.
 
 An exact field that offers nothing else, the closed-form potential of a
@@ -32,6 +33,7 @@ class ExactBall:
 
     __slots__ = ("problem", "c", "d", "domain", "order", "fit_residual",
                  "_levelset_cache")
+    mirrors = (0, 1, 2)
 
     def __init__(self, problem, r0, c, d=None, order=16):
         self.problem, self.c, self.d, self.order = problem, c, d, order
