@@ -324,7 +324,7 @@ def _decay_stage(args, config, sol):
     if args.radii is not None:
         lo, hi, count = args.radii
     else:
-        r_hi = config.domain.bounding_radii()[1]
+        r_hi = config.domain.bounding_radii[1]
         lo, hi, count = max(10.0, 3 * r_hi), max(100.0, 30 * r_hi), 8
     report = decay_report(sol, np.geomspace(lo, hi, count))
     path = os.path.join(args.out, "decay.json")

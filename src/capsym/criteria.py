@@ -25,12 +25,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss, legvander
+from numpy.polynomial.legendre import legvander
 from numpy.random import default_rng
 
 from .conformal import p_function
 from .errors import CapsymError, IrregularLevelSetError
-from .geometry import _json_fields, _json_value, unit_sphere_area
+from .geometry import (_json_fields, _json_value, gauss_legendre,
+                       unit_sphere_area)
 from .identities import interior_flux_cubed_limit
 from .levelset import (_boundary, _ray_volume, _rays, extract_level_set,
                        surface_integral)
@@ -168,7 +169,7 @@ def _angular_tail(ls, values, order):
     at n - 1, the highest whose a_k the order-n Gauss rule resolves."""
     top = 3 * order // 4
     rings = (ls.weights * values).reshape(order, 2 * order)
-    vander = (legvander(leggauss(order)[0], order - 1)[:, top:]
+    vander = (legvander(gauss_legendre(order)[0], order - 1)[:, top:]
               * (2 * np.arange(top, order) + 1))
     phase = np.pi / order * np.outer(np.arange(2 * order),
                                      np.arange(top, order + 1))
@@ -415,10 +416,10 @@ def sample_region_points(sol, count=200, seed=0):
     r_exit = sol.domain.ray_exit_radius(dirs)
     t = rng.uniform(0.0, 1.0, count)
     if sol.problem == "exterior":
-        r_max = _SAMPLE_RADIUS_FACTOR * sol.domain.bounding_radii()[1]
+        r_max = _SAMPLE_RADIUS_FACTOR * sol.domain.bounding_radii[1]
         radii = r_exit * (1 + 1e-6) * (r_max / (r_exit * (1 + 1e-6))) ** t
     else:
-        r_min = 0.05 * sol.domain.bounding_radii()[0]
+        r_min = 0.05 * sol.domain.bounding_radii[0]
         radii = r_min * (r_exit * (1 - 1e-6) / r_min) ** t
     return dirs * radii[:, None]
 

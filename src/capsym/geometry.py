@@ -4,8 +4,10 @@ outward normals and mean curvature.
 Surfaces are radial graphs rho(theta, phi) over the unit sphere around the
 domain center.  Quadrature is tensor Gauss-Legendre in cos(theta) times
 trapezoid in phi, which integrates spherical harmonics up to the grid degree
-exactly.  Mean curvature is the sum of principal curvatures with respect to
-the outward normal, so a sphere of radius r has H = (n-1)/r = 2/r.
+exactly; the Gauss-Legendre rule of each order is built once and shared
+(gauss_legendre), so its arrays are read-only.  Mean curvature is the sum
+of principal curvatures with respect to the outward normal, so a sphere of
+radius r has H = (n-1)/r = 2/r.
 
 Star surfaces are sums of real orthonormal spherical harmonics, evaluated
 in numpy from the stable three-term degree recurrence of the normalized
@@ -19,6 +21,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import InitVar, dataclass, fields
+from functools import cached_property, lru_cache
 from numbers import Real
 
 import numpy as np
@@ -394,8 +397,10 @@ class DomainSpec:
         ph = np.arctan2(p[:, 1], p[:, 0])
         return d <= self.rho(th, ph) * (1 + tol)
 
+    @cached_property
     def bounding_radii(self):
-        """(min, max) of |x| over the boundary, radii measured from the origin."""
+        """(min, max) of |x| over the boundary, radii measured from the
+        origin, computed once per domain."""
         th, ph, _ = angular_grid(32)
         r = self.rho(th, ph)
         pts = np.asarray(self.center) + r[:, None] * unit_directions(th, ph)
@@ -462,6 +467,16 @@ def _ellipsoid_rho(theta, phi, axes):
 # angular grids and surface quadrature
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
+def gauss_legendre(order):
+    """(nodes, weights) of numpy's order-point Gauss-Legendre rule on
+    [-1, 1], built once per order and read-only: a write raises ValueError."""
+    rule = leggauss(order)
+    for a in rule:
+        a.flags.writeable = False
+    return rule
+
+
 def angular_grid(order):
     """Gauss-Legendre x trapezoid grid over the unit sphere directions.
 
@@ -470,7 +485,7 @@ def angular_grid(order):
     """
     if order < MIN_ORDER:
         raise ValueError(f"order must be at least {MIN_ORDER}")
-    x, w = leggauss(order)
+    x, w = gauss_legendre(order)
     nphi = 2 * order
     phi = 2.0 * np.pi * np.arange(nphi) / nphi
     th = np.arccos(x)

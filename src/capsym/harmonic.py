@@ -47,13 +47,13 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .errors import (ConfigError, InsufficientSamplesError,
                      OutOfRegionError, SolverFailureError)
 from .geometry import (MIN_ORDER, DomainSpec, _camel, _integer, _json_fields,
                        _load_json, _number, _read_object, angular_grid,
-                       build_quadrature, unit_directions, unit_sphere_area)
+                       build_quadrature, gauss_legendre, unit_directions,
+                       unit_sphere_area)
 
 N_DIM = 3
 A_N = 1.0 / ((N_DIM - 2) * unit_sphere_area(N_DIM))   # 1/(4 pi)
@@ -137,7 +137,7 @@ class HarmonicSolution:
         pole included, onto themselves, as _mirror matches them: u is even
         under each of them."""
         f = np.column_stack(self._all_charges())
-        return tuple(k for k in range(N_DIM) if _mirror(f, k) is not None)
+        return tuple(k for k, p in enumerate(_mirror(f)) if p is not None)
 
     def _all_charges(self):
         """(sources, charges) with the pole as one more charge, at the
@@ -380,11 +380,11 @@ def _focal_charges(spec, c, order):
     if alpha < 1e-9 * a1:
         return center[None, :], np.array([q])
     if beta < 1e-9 * a1:
-        x, w = leggauss(order + 8)
+        x, w = gauss_legendre(order + 8)
         local = [alpha * x, np.zeros_like(x), np.zeros_like(x)]
         charges = q * w / 2.0
     else:
-        x, w = leggauss(order - 4)
+        x, w = gauss_legendre(order - 4)
         t = np.pi / 4 * (x + 1.0)
         count = np.maximum(8, np.ceil(5 * (order + 8) * np.sin(t))).astype(int)
         rho = np.repeat(np.sin(t), count)
@@ -401,7 +401,7 @@ def _graph_points(spec, grid_order, factor, ring=math.inf):
     """The radial graph scaled by factor about the center, on the
     Gauss-Legendre rings of grid_order of width ring (see _placement):
     sources, or at factor 1 and full width boundary points."""
-    x, _ = leggauss(grid_order)
+    x, _ = gauss_legendre(grid_order)
     th = np.arccos(x)
     width = np.minimum(2 * grid_order, np.maximum(
         8, np.ceil(ring * grid_order * np.sin(th)))).astype(int)
@@ -415,19 +415,38 @@ def _graph_points(spec, grid_order, factor, ring=math.inf):
 # solves
 # ---------------------------------------------------------------------------
 
-def _mirror(f, k):
-    """p with row p[i] of f the image of row i (a point, then its values)
-    under x_k -> -x_k to 1e-12 of each column's largest magnitude, or None.
+_KEY_OFFSET = 1 << 20
+_KEY_SHIFTS = np.array([0, 21, 42])
+
+
+def _mirror(f, axes=range(N_DIM)):
+    """For each k in axes, p with row p[i] of f the image of row i (a
+    point, then its values) under x_k -> -x_k to 1e-12 of each column's
+    largest magnitude, or None.
+
     Rows are paired by sorting on coordinates rounded to 1e-6 of the
     largest one, far below the spacing of nodes or sources; a pair that
     the rounding splits fails the match, which only loses the mirror.  A
-    set whose coordinates are all 0 is rounded at unit scale."""
-    scale = np.abs(f).max(axis=0)
-    g = f * np.where(np.arange(f.shape[1]) == k, -1.0, 1.0)
+    set whose coordinates are all 0 is rounded at unit scale.  The rounded
+    z, y and x, at most 10^6 in magnitude, are offset by _KEY_OFFSET = 2^20
+    into disjoint 21-bit fields of one int64 key, z highest: the keys order
+    rows as a lexsort on (z, y, x) does, and a stable argsort keeps equal
+    rows in index order as the lexsort does, so every pair is the
+    lexsort's.  Rounding is odd, so an image's key only negates field k,
+    and the sort of f's own keys serves every axis."""
+    scale = np.abs(f).max(axis=0, initial=0.0)
     unit = 1e6 / (scale[:N_DIM].max() or 1.0)
-    a, b = (np.lexsort(np.round(x[:, :N_DIM] * unit).T) for x in (f, g))
-    p = a[np.argsort(b)]
-    return p if np.all(np.abs(f[p] - g) <= 1e-12 * scale) else None
+    ints = np.round(f[:, :N_DIM] * unit).astype(np.int64)
+    key = ((ints + _KEY_OFFSET) << _KEY_SHIFTS).sum(axis=1)
+    a = np.argsort(key, kind="stable")
+    maps = []
+    for k in axes:
+        b = np.argsort(key - ints[:, k] * (2 << _KEY_SHIFTS[k]), kind="stable")
+        p = np.empty_like(a)
+        p[b] = a    # row b[i] of the image set pairs with row a[i] of f
+        g = f * np.where(np.arange(f.shape[1]) == k, -1.0, 1.0)
+        maps.append(p if np.all(np.abs(f[p] - g) <= 1e-12 * scale) else None)
+    return maps
 
 
 def _mirror_orbits(*sets, axes=range(N_DIM)):
@@ -439,8 +458,8 @@ def _mirror_orbits(*sets, axes=range(N_DIM)):
     D2u times the signs on both its rows and its columns."""
     firsts = [np.arange(len(f)) for f in sets]
     signs = [np.ones((len(f), N_DIM)) for f in sets]
-    for k in axes:
-        maps = [_mirror(f, k) for f in sets]
+    per_axis = zip(*(_mirror(f, axes) for f in sets)) if axes else ()
+    for k, maps in zip(axes, per_axis):
         if any(p is None for p in maps):
             continue
         flip = np.where(np.arange(N_DIM) == k, -1.0, 1.0)
@@ -600,7 +619,7 @@ def decay_report(sol, radii):
         raise InsufficientSamplesError("need at least 4 radii for a decay fit")
     if not (np.all(np.isfinite(radii)) and np.all(np.diff(radii) > 0)):
         raise ValueError("radii must be finite and strictly increasing")
-    r_enc = sol.domain.bounding_radii()[1]
+    r_enc = sol.domain.bounding_radii[1]
     if radii[0] < 2.0 * r_enc:
         raise ValueError(f"radii must start at >= twice the enclosing radius "
                          f"{r_enc:.3g}")

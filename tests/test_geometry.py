@@ -7,8 +7,11 @@ from numpy.testing import assert_allclose
 
 from capsym import (DomainSpec, InvalidDomainError, build_quadrature,
                     surface_integral, unit_sphere_area)
-from capsym.geometry import (DEFAULT_MAX_DEGREE, angular_grid, real_sph_harm,
-                             unit_directions)
+from numpy.polynomial.legendre import leggauss
+
+from capsym import geometry
+from capsym.geometry import (DEFAULT_MAX_DEGREE, angular_grid, gauss_legendre,
+                             real_sph_harm, unit_directions)
 from radial_oracle import RadialGeometry, radial_solution
 
 
@@ -26,6 +29,37 @@ def star_spec():
 # ---------------------------------------------------------------------------
 # quadrature
 # ---------------------------------------------------------------------------
+
+def test_gauss_rule_is_numpys_built_once_and_read_only():
+    for n in range(1, 65):
+        rule = gauss_legendre(n)
+        assert gauss_legendre(n) is rule
+        for got, ref in zip(rule, leggauss(n)):
+            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes(), n
+            with pytest.raises(ValueError):
+                got[0] = 0.0
+
+
+@pytest.mark.parametrize("spec", [
+    DomainSpec(kind="sphere", radius=1.5, center=(0.2, 0.0, 0.1)),
+    DomainSpec(kind="ellipsoid", axes=(2.0, 1.0, 1.0)), star_spec()],
+    ids=["sphere", "ellipsoid", "star"])
+def test_bounding_radii_are_built_once_per_domain(spec, monkeypatch):
+    th, ph, _ = angular_grid(32)
+    d = np.linalg.norm(np.asarray(spec.center)
+                       + spec.rho(th, ph)[:, None] * unit_directions(th, ph),
+                       axis=1)
+    calls = []
+
+    def counted(order):
+        calls.append(order)
+        return angular_grid(order)
+
+    monkeypatch.setattr(geometry, "angular_grid", counted)
+    assert spec.bounding_radii == (float(d.min()), float(d.max()))
+    assert spec.bounding_radii is spec.bounding_radii
+    assert calls == [32]
+
 
 def test_sphere_area_is_exact():
     quad = build_quadrature(DomainSpec(kind="sphere", radius=1.0), order=16)

@@ -425,7 +425,7 @@ def test_mirror_images_carry_equal_charges(star_solution):
 
 def test_mirror_free_star_solves_the_full_system():
     quad, sources, rhs = collocation_system(MIRROR_FREE_STAR, 32)
-    assert all(harmonic._mirror(sources, k) is None for k in range(3))
+    assert all(p is None for p in harmonic._mirror(sources))
     charges, cond = harmonic._collocation_solve(quad, sources, rhs)
     full_charges, full_cond = full_weighted_solve(quad, sources, rhs)
     assert np.array_equal(charges, full_charges) and cond == full_cond
@@ -435,13 +435,13 @@ def test_mirror_free_star_solves_the_full_system():
 def test_a_mirror_image_moved_by_1e_9_drops_the_mirror(column):
     quad, sources, rhs = collocation_system(BENCH_STAR, 32)
     f = np.column_stack([quad.nodes, quad.weights, rhs])
-    found = [k for k in range(3) if harmonic._mirror(f, k) is not None]
-    assert found == [1, 2]
-    p = harmonic._mirror(f, 1)
+    maps = harmonic._mirror(f)
+    assert [k for k, p in enumerate(maps) if p is not None] == [1, 2]
+    p = maps[1]
     i = int(np.argmax(p != np.arange(len(p))))
     f[p[i], column] += 1e-9 * np.abs(f[:, column]).max()
     # the moved node's z-image loses its partner too, so both mirrors go
-    assert all(harmonic._mirror(f, k) is None for k in range(3))
+    assert all(p is None for p in harmonic._mirror(f))
     for _, orbit, _, _ in harmonic._mirror_orbits(f, sources):
         assert np.array_equal(orbit, np.arange(len(orbit)))
 
@@ -452,10 +452,69 @@ def test_a_point_at_the_origin_keeps_every_mirror():
     f = np.array([[0.0, 0.0, 0.0, 4.0 * math.pi]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for k in range(3):
-            assert np.array_equal(harmonic._mirror(f, k), [0])
+        for p in harmonic._mirror(f):
+            assert np.array_equal(p, [0])
         ball = solve_exterior(DomainSpec(kind="sphere", radius=1.0))
         assert ball.mirrors == (0, 1, 2)
+
+
+def lexsort_mirror(f, k):
+    """The matcher that _mirror's one integer sort replaced, two 3-key
+    lexsorts on the rounded coordinates, kept as its reference."""
+    scale = np.abs(f).max(axis=0)
+    g = f * np.where(np.arange(f.shape[1]) == k, -1.0, 1.0)
+    unit = 1e6 / (scale[:3].max() or 1.0)
+    a, b = (np.lexsort(np.round(x[:, :3] * unit).T) for x in (f, g))
+    p = a[np.argsort(b)]
+    return p if np.all(np.abs(f[p] - g) <= 1e-12 * scale) else None
+
+
+def matcher_set(name):
+    """A set of rows (a point, then its values) that the solves match."""
+    if name.startswith(("nodes", "sources", "check")):
+        order = int(name.split("-")[1])
+        if name.startswith("check"):
+            return _graph_points(BENCH_STAR, order + 8, 1.0)
+        quad, sources, rhs = collocation_system(BENCH_STAR, order)
+        return (np.column_stack([quad.nodes, quad.weights, rhs])
+                if name.startswith("nodes") else sources)
+    if name == "focal-211":
+        spec = DomainSpec(kind="ellipsoid", axes=(2.0, 1.0, 1.0))
+        return np.column_stack(harmonic._focal_charges(spec, 1.0, 24))
+    if name == "zeros":
+        return np.zeros((6, 4))
+    rng = np.random.default_rng(3)
+    # keys that would collide if the fields were 20 bits wide, the first
+    # row ahead of the second's image under y -> -y
+    pts = np.vstack([[[-0.048576, -1e-6, 0.5], [1.0, 0.0, 0.5],
+                      [-0.048576, 1e-6, 0.5]],
+                     rng.uniform(-1.0, 1.0, size=(40, 3))])
+    for k in range(3):   # with every mirror image
+        pts = np.vstack([pts, pts * np.where(np.arange(3) == k, -1.0, 1.0)])
+    if name == "ties":   # each row twice, shuffled
+        return rng.permutation(np.vstack([pts, pts]))
+    # the corners round to +-10^6, the edge of the key's bit fields
+    corners = np.array(list(itertools.product((-1.0, 1.0), repeat=3)))
+    return np.vstack([corners, pts])
+
+
+@pytest.mark.parametrize("name", [
+    "nodes-32", "nodes-40", "nodes-48", "sources-32", "sources-40",
+    "sources-48", "check-32", "check-40", "check-48", "focal-211", "zeros",
+    "ties", "field-edge"])
+def test_mirror_pairs_rows_as_the_lexsort_did(name):
+    f = matcher_set(name)
+    maps = harmonic._mirror(f)
+    for k, p in enumerate(maps):
+        ref = lexsort_mirror(f, k)
+        assert (p is None) == (ref is None), k
+        assert p is None or np.array_equal(p, ref), k
+    found = [k for k, p in enumerate(maps) if p is not None]
+    if name == "field-edge":
+        assert np.abs(np.round(f * 1e6)).max() == 1e6
+    # none of these sets is matched by chance: the star keeps y and z,
+    # the rest every axis
+    assert found == ([1, 2] if name[-2:] in ("32", "40", "48") else [0, 1, 2])
 
 
 # ---------------------------------------------------------------------------
