@@ -133,10 +133,11 @@ class HarmonicSolution:
 
     @cached_property
     def mirrors(self):
-        """The axes k whose reflection x_k -> -x_k maps the charges, the
-        pole included, onto themselves, as _mirror matches them: u is even
-        under each of them."""
+        """The axes k whose reflection x_k -> -x_k maps the nonzero
+        charges, the pole included, onto themselves, as _mirror matches
+        them: u is even under each of them."""
         f = np.column_stack(self._all_charges())
+        f = f[f[:, N_DIM] != 0.0]
         return tuple(k for k, p in enumerate(_mirror(f)) if p is not None)
 
     def _all_charges(self):

@@ -4,6 +4,7 @@ import math
 import re
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -444,6 +445,20 @@ def test_a_mirror_image_moved_by_1e_9_drops_the_mirror(column):
     assert all(p is None for p in harmonic._mirror(f))
     for _, orbit, _, _ in harmonic._mirror_orbits(f, sources):
         assert np.array_equal(orbit, np.arange(len(orbit)))
+
+
+def test_the_interior_ball_keeps_every_mirror(ball_interior):
+    # its one zero charge at (2, 0, 0) does not count; the pole does
+    assert ball_interior.mirrors == (0, 1, 2)
+    # and with no pole no charge is left: u is constant
+    assert replace(ball_interior, singular_coefficient=0.0).mirrors \
+        == (0, 1, 2)
+    assert solve_interior(DomainSpec(kind="sphere", radius=1.0)).mirrors \
+        == (0, 1, 2)
+    # off its center the Kelvin image on the x axis keeps y and z only
+    off = solve_interior(DomainSpec(kind="sphere", radius=1.0,
+                                    center=(0.3, 0.0, 0.0)))
+    assert off.mirrors == (1, 2)
 
 
 def test_a_point_at_the_origin_keeps_every_mirror():
