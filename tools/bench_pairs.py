@@ -5,15 +5,17 @@
 
 runs ``bench/run.py --workload W --seed s --seconds S --trace 0`` in
 BASE_CHECKOUT and in the checkout that holds this script, one pair per
-seed s = S0 .. S0 + N - 1 (defaults: all workloads, 10 pairs, 5 s, seed
-1), alternating which side runs first: the base in even pairs, the change
-in odd ones.  For each workload and end-to-end metric of this checkout's
-BENCHMARK.json it prints each side's median and quartiles, the ratio of
-the change's median to the base's, and the pairs the change wins, that
-is, reads better than the base in the same pair (ties count for
-neither).  Last it prints each side's failed operations and incorrect
-runs.  The output is a report only: the exit status is 0 whatever it
-reads, and 1 only when a run prints no summary line.
+seed s = S0 .. S0 + N - 1 and workload (defaults: every workload of
+BENCHMARK.json, 10 pairs, 5 s, seed 1), alternating which side runs
+first: the base in even pairs, the change in odd ones.  Each workload
+runs on its own, so the two runs of a pair are seconds apart.  For each
+workload and end-to-end metric of this checkout's BENCHMARK.json it
+prints each side's median and quartiles, the ratio of the change's median
+to the base's, and the pairs the change wins, that is, reads better than
+the base in the same pair (ties count for neither).  Last it prints each
+side's failed operations and incorrect runs.  The output is a report
+only: the exit status is 0 whatever it reads, and 1 only when a run
+prints no summary line.
 """
 
 from __future__ import annotations
@@ -41,12 +43,6 @@ def _run(checkout, workload, seed, seconds):
     return json.loads(lines[-1])
 
 
-def _values(summary, workload):
-    """{(workload, metric): value}; a one-workload run names no workload."""
-    return {tuple(key.split("/")) if "/" in key else (workload, key):
-            entry["value"] for key, entry in summary["metrics"].items()}
-
-
 def _spread(values):
     """median [q1, q3]; one value is its own quartiles."""
     if len(values) < 2:
@@ -55,32 +51,33 @@ def _spread(values):
     return f"{median:.4g} [{q1:.4g}, {q3:.4g}]"
 
 
-def summarise(pairs, workload, end_to_end):
-    """The report lines of pairs of (base summary, change summary), for the
-    end-to-end metrics of BENCHMARK.json (name, unit, better)."""
-    runs = [[_values(s, workload) for s in pair] for pair in pairs]
+def summarise(pairs, end_to_end):
+    """The report lines of {workload: pairs of (base summary, change
+    summary)}, for the end-to-end metrics of BENCHMARK.json."""
     lines = []
-    for key in dict.fromkeys(k for pair in runs for side in pair for k in side):
-        entry = next((e for e in end_to_end if e["name"] == key[1]), None)
-        paired = [(b[key], c[key]) for b, c in runs if key in b and key in c]
-        if entry is None or not paired:
-            continue
-        base, change = zip(*paired)
-        sign = 1.0 if entry["better"] == "lower" else -1.0
-        wins = sum(sign * (b - c) > 0 for b, c in paired)
-        ratio = (f"{statistics.median(change) / statistics.median(base):.3f}"
-                 if statistics.median(base) else "n/a")
-        lines.append(f"{key[0]} {key[1]} ({entry['unit']}, {entry['better']} "
-                     f"is better): base {_spread(base)}, change "
-                     f"{_spread(change)}, ratio {ratio}, change wins "
-                     f"{wins} of {len(paired)}")
+    for workload, runs in pairs.items():
+        for entry in end_to_end:
+            key = entry["name"]
+            paired = [(b["metrics"][key]["value"], c["metrics"][key]["value"])
+                      for b, c in runs
+                      if key in b["metrics"] and key in c["metrics"]]
+            if not paired:
+                continue
+            base, change = zip(*paired)
+            sign = 1.0 if entry["better"] == "lower" else -1.0
+            wins = sum(sign * (b - c) > 0 for b, c in paired)
+            ratio = statistics.median(change) / statistics.median(base)
+            lines.append(f"{workload} {key} ({entry['unit']}, "
+                         f"{entry['better']} is better): base {_spread(base)}"
+                         f", change {_spread(change)}, ratio {ratio:.3f}, "
+                         f"change wins {wins} of {len(paired)}")
     for side, name in enumerate(("base", "change")):
-        summaries = [pair[side] for pair in pairs]
+        runs = [pair[side] for each in pairs.values() for pair in each]
         lines.append(
-            f"{name}: {sum(s['failed'] for s in summaries)} of "
-            f"{sum(s['attempted'] for s in summaries)} operations failed, "
-            f"{sum(not s['correct'] for s in summaries)} of {len(summaries)} "
-            "runs incorrect")
+            f"{name}: {sum(s['failed'] for s in runs)} of "
+            f"{sum(s['attempted'] for s in runs)} operations failed, "
+            f"{sum(not s['correct'] for s in runs)} of {len(runs)} runs "
+            "incorrect")
     return lines
 
 
@@ -93,18 +90,20 @@ def main(argv=None):
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args(argv)
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
-        end_to_end = json.load(fh)["end_to_end"]
-    pairs = []
+        bench = json.load(fh)
+    names = ([w["name"] for w in bench["workloads"]]
+             if args.workload == "all" else [args.workload])
+    pairs = {name: [] for name in names}
     for i in range(args.pairs):
-        seed = args.seed + i
         sides = [(args.base, 0), (ROOT, 1)]
-        pair = [None, None]
-        for checkout, side in sides if i % 2 == 0 else sides[::-1]:
-            pair[side] = _run(checkout, args.workload, seed, args.seconds)
-        pairs.append(pair)
+        for name in names:
+            pair = [None, None]
+            for checkout, side in sides if i % 2 == 0 else sides[::-1]:
+                pair[side] = _run(checkout, name, args.seed + i, args.seconds)
+            pairs[name].append(pair)
     print(f"{args.pairs} pairs, seeds {args.seed}..{args.seed + args.pairs - 1}"
           f", {args.seconds:g} s per run; base {os.path.abspath(args.base)}")
-    print("\n".join(summarise(pairs, args.workload, end_to_end)))
+    print("\n".join(summarise(pairs, bench["end_to_end"])))
     return 0
 
 
