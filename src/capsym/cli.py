@@ -42,6 +42,7 @@ import json
 import math
 import os
 import sys
+from functools import lru_cache
 
 import numpy as np
 
@@ -358,7 +359,9 @@ def _radii_triple(text):
     return lo, hi, count
 
 
+@lru_cache(maxsize=None)
 def build_parser():
+    """The capsym argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="capsym",
         description="Potential solves, capacity, conformal identities, and "

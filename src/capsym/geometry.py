@@ -109,14 +109,9 @@ def real_sph_harm(l, m, theta, phi):
     """
     theta, phi = np.broadcast_arrays(np.asarray(theta, dtype=float),
                                      np.asarray(phi, dtype=float))
-    k, root2 = abs(m), math.sqrt(2.0)
+    k = abs(m)
     # the phi factor and its phi-derivative divided by k
-    if m > 0:
-        trig, trig_p = root2 * np.cos(k * phi), -root2 * np.sin(k * phi)
-    elif m < 0:
-        trig, trig_p = root2 * np.sin(k * phi), root2 * np.cos(k * phi)
-    else:
-        trig, trig_p = np.ones_like(phi), np.zeros_like(phi)
+    trig, trig_p = _phi_factor(m, phi), -np.sign(m) * _phi_factor(-m, phi)
     x, s = np.cos(theta), np.sin(theta)
     p = {j: _legendre(l, j, x, s) for j in range(k - 2, k + 3)}
     d = {j: 0.5 * (_ladder(l, j) * p[j + 1] - _ladder(l, j - 1) * p[j - 1])
@@ -124,6 +119,14 @@ def real_sph_harm(l, m, theta, phi):
     d_tt = 0.5 * (_ladder(l, k) * d[k + 1] - _ladder(l, k - 1) * d[k - 1])
     return (p[k] * trig, d[k] * trig, k * p[k] * trig_p, d_tt * trig,
             k * d[k] * trig_p, -k * k * p[k] * trig)
+
+
+def _phi_factor(m, phi):
+    """The phi factor of the real harmonic of order m: sqrt(2) cos(m phi),
+    1 or sqrt(2) sin(|m| phi) for m > 0, m = 0 and m < 0."""
+    if m == 0:
+        return np.ones_like(phi)
+    return math.sqrt(2.0) * (np.cos if m > 0 else np.sin)(abs(m) * phi)
 
 
 def _ladder(l, k):
@@ -314,8 +317,19 @@ class DomainSpec:
     # -- radial graph -------------------------------------------------------
 
     def rho(self, theta, phi):
-        """Radial graph rho(theta, phi) about the center."""
-        return self.rho_derivatives(theta, phi)[0]
+        """Radial graph rho(theta, phi) about the center: the value of
+        rho_derivatives, a star's from one Legendre recurrence and one phi
+        factor per term."""
+        if self.kind != "star":
+            return self.rho_derivatives(theta, phi)[0]
+        theta, phi = np.broadcast_arrays(np.asarray(theta, dtype=float),
+                                         np.asarray(phi, dtype=float))
+        x, s = np.cos(theta), np.sin(theta)
+        vals = np.full_like(x, self.mean_radius)
+        for (l, m, c) in self.terms:
+            y = _legendre(l, abs(m), x, s) * _phi_factor(m, phi)
+            vals = vals + c * y
+        return vals
 
     def rho_derivatives(self, theta, phi):
         """rho and its angular derivatives (r, r_t, r_p, r_tt, r_tp, r_pp)."""

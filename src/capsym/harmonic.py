@@ -34,9 +34,10 @@ Kernel sums are evaluated in BLAS form.  The squared distances come from
 one matrix product of augmented rows, r^2 = [x, |x|^2, 1] . [-2y, 1,
 |y|^2]^T, and u and Du from products of 1/r and 1/r^3 with the charges and
 their first moments q y.  The Hessian is one product of 1/r^5 with the
-moments [q, q y, q y y], never a tensor of differences x - y.  Points are
-taken in row chunks of _CHUNK_PAIRS point-source pairs, so the temporaries
-stay in L2 cache.  The collocation matrix is built by the same routine.
+moments [q, q y, q y y], never a tensor of differences x - y, and a
+solution builds its source rows and moments once.  Points are taken in row
+chunks of _CHUNK_PAIRS point-source pairs, so the temporaries stay in L2
+cache.  The collocation matrix is built by the same routine.
 """
 
 from __future__ import annotations
@@ -128,8 +129,14 @@ class HarmonicSolution:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if check_region:
             self._check_region(pts)
-        u, g, h = _kernel_sums(pts, *self._all_charges(), want)
+        u, g, h = _kernel_sums(pts, self._kernel_charges, want)
         return FieldStates(points=pts, u=u + self.constant, grad=g, hess=h)
+
+    @cached_property
+    def _kernel_charges(self):
+        """The charges, the pole included, as _kernel_sums takes them
+        (_charge_moments), built once per solution."""
+        return _charge_moments(*self._all_charges())
 
     @cached_property
     def mirrors(self):
@@ -260,8 +267,19 @@ def _inverse_distance(x_rows, y_rows):
     return w
 
 
-def _kernel_sums(x, y, q, want):
-    """u = sum_j q_j / |x - y_j| with its gradient and Hessian.
+def _charge_moments(y, q):
+    """The charges q at the sources y as _kernel_sums takes them: the
+    source rows (_source_rows), q, and the moments [q, q y] and [q, q y,
+    q y y], the last in the upper-triangle order of _TRIU."""
+    qy = q[:, None] * y
+    m1 = np.column_stack([q, qy])
+    m2 = np.column_stack([m1, qy[:, _TRIU[0]] * y[:, _TRIU[1]]])
+    return _source_rows(y), q, m1, m2
+
+
+def _kernel_sums(x, charges, want):
+    """u = sum_j q_j / |x - y_j| with its gradient and Hessian, for the
+    charges q at y given as _charge_moments(y, q).
 
     want is "u", "grad" or "hess"; the parts not asked for are None.  With
     d = x - y, the sums are reduced to products of powers of 1/r with
@@ -274,16 +292,13 @@ def _kernel_sums(x, y, q, want):
     Rows of x are taken in chunks of about _CHUNK_PAIRS pairs; the point
     rows are built once and sliced per chunk.
     """
-    x_rows, y_rows = _point_rows(x), _source_rows(y)
-    if want != "u":
-        qy = q[:, None] * y
-        m1 = np.column_stack([q, qy])
-        m2 = np.column_stack([m1, qy[:, _TRIU[0]] * y[:, _TRIU[1]]])
+    y_rows, q, m1, m2 = charges
+    x_rows = _point_rows(x)
     n = len(x)
     u = np.empty(n)
     g = np.empty((n, 3)) if want != "u" else None
     h = np.empty((n, 3, 3)) if want == "hess" else None
-    rows = max(1, _CHUNK_PAIRS // len(y))
+    rows = max(1, _CHUNK_PAIRS // len(q))
     for lo in range(0, n, rows):
         sl = slice(lo, lo + rows)
         xc = x[sl]
@@ -470,8 +485,13 @@ def _mirror_orbits(*sets, axes=range(N_DIM)):
             moved = first[p] < first
             firsts[i] = np.where(moved, first[p], first)
             signs[i] = np.where(moved[:, None], sign[p] * flip, sign)
-    return [(*np.unique(i, return_inverse=True, return_counts=True), s)
-            for i, s in zip(firsts, signs)]
+    orbits = []
+    for first, sign in zip(firsts, signs):
+        # a first member is the least index of its orbit and its own first
+        own = first == np.arange(len(first))
+        orbit = (np.cumsum(own) - 1)[first]
+        orbits.append((np.flatnonzero(own), orbit, np.bincount(orbit), sign))
+    return orbits
 
 
 def _collocation_solve(quad, sources, rhs):

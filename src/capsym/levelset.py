@@ -38,10 +38,11 @@ raises IrregularLevelSetError naming the level when it is built.
 A volume integral over a slab {a < u < b}, by coarea a sum over levels,
 needs no level between a and b: the slab is r_b(omega) < r < r_a(omega) on
 every ray, and _ray_volume integrates along the rays with G7/K15 panels
-(QUADPACK qk15; Piessens et al. 1983).  Its error is |K15 - G7| summed over
-rays and panels, in the units of the integral, but at least a roundoff
-floor: qk15's 50 eps |F| plus the roundoff estimate dF that the density
-supplies per point.  dF is 0 where F is formed without cancellation; the
+(QUADPACK qk15; Piessens et al. 1983), a panel's 15 node columns in one
+field call, or in groups of at most _PANEL_POINTS points.  Its error is
+|K15 - G7| summed over rays and panels, in the units of the integral, but
+at least a roundoff floor: qk15's 50 eps |F| plus the roundoff estimate dF
+that the density supplies per point.  dF is 0 where F is formed without cancellation; the
 identity's |hess_g f|_g^2 is formed by cancellation and is exactly 0 on a
 radial field, where its computed value is all roundoff.
 
@@ -104,6 +105,9 @@ _G7_WEIGHTS[1::2] = np.concatenate([_WG[:-1], _WG[::-1]])
 # caller's scale, or until it holds _MAX_PANELS panels
 _RAY_TOL = 1e-9
 _MAX_PANELS = 32
+# the most points of a _ray_volume field call, in whole node columns, so
+# that the memory of refined mirror-free grids stays bounded
+_PANEL_POINTS = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -330,18 +334,18 @@ def surface_integral(ls, integrand):
 def _ray_volume(sol, density, want, r_in, r_out, order, scale):
     """int F dmu over {r_in < r < r_out} on every ray, as (value, error).
 
-    ``density`` maps the FieldStates of one node column (one point per
-    orbit of rays, evaluated with ``want``) to the pair (F, dF) there, with
-    dF an estimate of the roundoff of F at each point (0 where F is formed
-    without cancellation); F is even under the solution's mirrors, as
-    every density of |Du|, u and contractions of D2u is.  r_in holds one
-    radius per ray of the angular grid at ``order``, r_out one per ray or
-    is inf, and only the first ray of each orbit is read: level-set radii
-    are equal on an orbit, exit radii to roundoff.  Panels are
-    nested G7/K15 rules in a parameter s on [0, 1] shared by all rays: in
-    log r, r = r_in (r_out/r_in)^s with dmu = r^3 log(r_out/r_in) ds dOmega,
-    or out to infinity in t = r_in/r = s with dmu = r_in^3 t^-4 dt dOmega.
-    A panel's error is |K15 - G7| summed over rays, at least the roundoff
+    ``density`` maps the FieldStates of stacked node columns (one point
+    per orbit of rays and node, evaluated with ``want``), elementwise, to
+    the pair (F, dF) there, with dF an estimate of the roundoff of F at
+    each point (0 where F is formed without cancellation); F is even under
+    the solution's mirrors, as every density of |Du|, u and contractions of
+    D2u is.  r_in holds one radius per ray of the angular grid at
+    ``order``, r_out one per ray or is inf, and only the first ray of each
+    orbit is read: level-set radii are equal on an orbit, exit radii to
+    roundoff.  Panels are nested G7/K15 rules in a parameter s on [0, 1]
+    shared by all rays: in log r, r = r_in (r_out/r_in)^s with dmu = r^3
+    log(r_out/r_in) ds dOmega, or out to infinity in t = r_in/r = s with
+    dmu = r_in^3 t^-4 dt dOmega.  A panel's error is |K15 - G7| summed over rays, at least the roundoff
     floor: 50 eps times K15 of |F| (the floor of QUADPACK qk15) plus K15 of
     dF.  The panel with the largest error is bisected until the summed
     error is at most _RAY_TOL times ``scale``; at _MAX_PANELS panels the
@@ -352,25 +356,29 @@ def _ray_volume(sol, density, want, r_in, r_out, order, scale):
     r_in, r_out = r_in[rows], np.broadcast_to(r_out, r_in.shape)[rows]
     if np.all(np.isinf(r_out)):
         def radius_and_measure(s):
-            return r_in / s, r_in ** 3 / s ** 4
+            return r_in / s, r_in ** 3 / s ** 4 * W
     else:
         log_ratio = np.log(r_out / r_in)
 
         def radius_and_measure(s):
             r = r_in * np.exp(s * log_ratio)
-            return r, r ** 3 * log_ratio
+            return r, r ** 3 * log_ratio * W
+
+    # node columns per field call: all 15 unless that exceeds _PANEL_POINTS
+    step = max(1, _PANEL_POINTS // len(r_in))
 
     def panel(lo, hi):
         half = 0.5 * (hi - lo)
         f = np.empty((len(_GK15_NODES), len(r_in)))
-        df = np.zeros_like(f)
-        # one field call per node column: density takes one point per ray
-        for k, x in enumerate(_GK15_NODES):
-            r, measure = radius_and_measure(lo + half * (1.0 + x))
-            st = sol.field(r[:, None] * om, want=want, check_region=False)
-            f[k], df[k] = density(st)
-            f[k] *= W * measure
-            df[k] *= W * measure
+        df = np.empty_like(f)
+        for k in range(0, len(_GK15_NODES), step):
+            s = lo + half * (1.0 + _GK15_NODES[k:k + step])
+            r, measure = radius_and_measure(s[:, None])
+            st = sol.field((r[:, :, None] * om).reshape(-1, 3), want=want,
+                           check_region=False)
+            F, dF = np.broadcast_arrays(*density(st))
+            f[k:k + step] = F.reshape(r.shape) * measure
+            df[k:k + step] = dF.reshape(r.shape) * measure
         k15, g7 = half * (_K15_WEIGHTS @ f), half * (_G7_WEIGHTS @ f)
         roundoff = (50.0 * np.finfo(float).eps * half
                     * np.sum(_K15_WEIGHTS @ np.abs(f))

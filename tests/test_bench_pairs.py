@@ -12,11 +12,11 @@ END_TO_END = [{"name": "wall_s", "unit": "s", "better": "lower"},
               {"name": "peak_rss_mb", "unit": "MB", "better": "lower"}]
 
 
-def summary_line(wall, rss, failed=0):
+def summary_line(wall, rss, failed=0, attempted=4):
     """A last line of a one-workload bench/run.py run."""
     metrics = {} if failed else {"wall_s": {"value": wall, "unit": "s"},
                                  "peak_rss_mb": {"value": rss, "unit": "MB"}}
-    return json.dumps({"correct": not failed, "attempted": 4,
+    return json.dumps({"correct": not failed, "attempted": attempted,
                        "failed": failed, "metrics": metrics})
 
 
@@ -38,8 +38,10 @@ def test_counts_wins_and_quartiles_per_metric(bench_pairs):
                    (summary_line(0.041, 54.0), summary_line(0.030, 54.0)),
                    (summary_line(0.030, 54.0),
                     summary_line(0.031, 54.0, failed=1))])
-    star = canned([(summary_line(0.12, 60.0), summary_line(0.11, 60.0))])
-    # the failed run has no metrics: its pair is left out of every row
+    star = canned([(summary_line(0.12, 60.0, attempted=40),
+                    summary_line(0.11, 60.0, attempted=43))])
+    # the failed run has no metrics: its pair is left out of every metric
+    # row, but its operations count
     assert bench_pairs.summarise({"ball-report": ball, "star-check": star},
                                  END_TO_END) == [
         "ball-report wall_s (s, lower is better): base 0.036 [0.0345, "
@@ -47,12 +49,27 @@ def test_counts_wins_and_quartiles_per_metric(bench_pairs):
         "3 of 3",
         "ball-report peak_rss_mb (MB, lower is better): base 54 [54, 54.05], "
         "change 54 [54, 54.1], ratio 1.000, change wins 0 of 3",
+        "ball-report operations attempted per run: base 4 [4, 4], change 4 "
+        "[4, 4]",
         "star-check wall_s (s, lower is better): base 0.12 [0.12, 0.12], "
         "change 0.11 [0.11, 0.11], ratio 0.917, change wins 1 of 1",
         "star-check peak_rss_mb (MB, lower is better): base 60 [60, 60], "
         "change 60 [60, 60], ratio 1.000, change wins 0 of 1",
-        "base: 0 of 20 operations failed, 0 of 5 runs incorrect",
-        "change: 1 of 20 operations failed, 1 of 5 runs incorrect"]
+        "star-check operations attempted per run: base 40 [40, 40], change "
+        "43 [43, 43]",
+        "base: 0 of 56 operations failed, 0 of 5 runs incorrect",
+        "change: 1 of 59 operations failed, 1 of 5 runs incorrect"]
+
+
+def test_attempted_operations_are_summarised_per_side(bench_pairs):
+    # star-solve's peak memory reads about 83-95 MB in a run of few passes
+    # and 112.5 MB in one of more: the counts show which runs compare
+    runs = canned([(summary_line(0.17, 112.5, attempted=a),
+                    summary_line(0.16, 83.3, attempted=b))
+                   for a, b in ((30, 12), (31, 11), (29, 12), (30, 13))])
+    lines = bench_pairs.summarise({"star-solve": runs}, END_TO_END)
+    assert lines[2] == ("star-solve operations attempted per run: base 30 "
+                        "[29.75, 30.25], change 12 [11.75, 12.25]")
 
 
 def test_pairs_alternate_which_side_runs_first(bench_pairs, monkeypatch,

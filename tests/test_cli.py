@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from capsym import cli
 from capsym.cli import ConfigError, RunConfig, main
 
 
@@ -235,6 +236,29 @@ def test_decay_command(tmp_path):
     assert abs(data["fittedExponent"] + 1.0) < 1e-6
     assert abs(data["gradientExponent"] + 2.0) < 1e-6
     assert abs(data["hessianExponent"] + 3.0) < 1e-6
+
+
+def test_one_parser_parses_each_call_afresh(monkeypatch, capsys):
+    # the parser is built once per process; the second call keeps nothing
+    # of the first one's subcommand or options
+    seen = []
+
+    def stop(args):
+        seen.append(vars(args))
+        raise ConfigError("stopped after parsing")
+
+    monkeypatch.setattr(cli, "_config_from_args", stop)
+    assert main(["capacity", "--domain", "sphere:1", "--level", "0.3",
+                 "--out", "a"]) == 2
+    assert main(["decay", "--domain", "sphere:2", "--radii", "10:100:8"]) == 2
+    assert cli.build_parser() is cli.build_parser()
+    common = {"config": None, "problem": None, "solution": None}
+    assert seen == [
+        {**common, "command": "capacity", "domain": "sphere:1", "level": 0.3,
+         "out": "a"},
+        {**common, "command": "decay", "domain": "sphere:2",
+         "radii": (10.0, 100.0, 8), "out": "capsym-out"}]
+    assert capsys.readouterr().err.count("stopped after parsing") == 2
 
 
 def test_report_pipeline_and_determinism(tmp_path):

@@ -396,7 +396,7 @@ def test_star_rho_matches_rho_derivatives():
     theta, phi, _ = angular_grid(24)
     rho = spec.rho(theta, phi)
     assert rho.shape == theta.shape
-    assert np.abs(rho - spec.rho_derivatives(theta, phi)[0]).max() <= 1e-15
+    assert np.array_equal(rho, spec.rho_derivatives(theta, phi)[0])
 
 
 # ---------------------------------------------------------------------------

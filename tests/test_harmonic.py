@@ -21,7 +21,7 @@ from capsym.errors import ConfigError
 from capsym.geometry import build_quadrature
 from capsym.levelset import surface_integral
 from capsym.criteria import capacity
-from capsym.harmonic import (_CHUNK_PAIRS, _carlson_rf,
+from capsym.harmonic import (_CHUNK_PAIRS, _carlson_rf, _charge_moments,
                              _graph_points, _inverse_distance, _kernel_sums,
                              _placement, _point_rows, _source_rows)
 
@@ -532,6 +532,57 @@ def test_mirror_pairs_rows_as_the_lexsort_did(name):
     assert found == ([1, 2] if name[-2:] in ("32", "40", "48") else [0, 1, 2])
 
 
+def unique_mirror_orbits(*sets, axes=range(3)):
+    """_mirror_orbits as it was before it read the orbits off the first
+    members without a second sort: np.unique on them, kept as its
+    reference."""
+    firsts = [np.arange(len(f)) for f in sets]
+    signs = [np.ones((len(f), 3)) for f in sets]
+    per_axis = zip(*(harmonic._mirror(f, axes) for f in sets)) if axes else ()
+    for k, maps in zip(axes, per_axis):
+        if any(p is None for p in maps):
+            continue
+        flip = np.where(np.arange(3) == k, -1.0, 1.0)
+        for i, (first, sign, p) in enumerate(zip(firsts, signs, maps)):
+            moved = first[p] < first
+            firsts[i] = np.where(moved, first[p], first)
+            signs[i] = np.where(moved[:, None], sign[p] * flip, sign)
+    return [(*np.unique(i, return_inverse=True, return_counts=True), s)
+            for i, s in zip(firsts, signs)]
+
+
+def orbit_sets(name):
+    """(sets, axes) that the solves fold: the bench star's nodes with their
+    weights and rhs and its sources, its check grid of order + 8, the
+    ball's fit-plus-check set, and a mirror-free star's nodes and sources."""
+    if name.startswith(("star", "free")):
+        spec = BENCH_STAR if name.startswith("star") else MIRROR_FREE_STAR
+        quad, sources, rhs = collocation_system(spec, int(name[-2:]))
+        return (np.column_stack([quad.nodes, quad.weights, rhs]),
+                sources), range(3)
+    if name.startswith("check"):
+        return (_graph_points(BENCH_STAR, int(name[-2:]) + 8, 1.0),), (1, 2)
+    ball = DomainSpec(kind="sphere", radius=1.0)
+    return (np.vstack([build_quadrature(ball, 16).nodes,
+                       _graph_points(ball, 24, 1.0)]),), (0, 1, 2)
+
+
+@pytest.mark.parametrize("name", ["star-32", "star-48", "check-32",
+                                  "check-48", "ball", "free-32"])
+def test_orbits_are_those_of_a_second_sort(name):
+    sets, axes = orbit_sets(name)
+    got = harmonic._mirror_orbits(*sets, axes=axes)
+    ref = unique_mirror_orbits(*sets, axes=axes)
+    for orbits, ref_orbits in zip(got, ref, strict=True):
+        for a, b in zip(orbits, ref_orbits, strict=True):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+    sizes = [size for _, _, size, _ in got]
+    if name.startswith("free"):
+        assert all(np.all(size == 1) for size in sizes)
+    else:   # every set here folds
+        assert all(len(size) < size.sum() for size in sizes)
+
+
 # ---------------------------------------------------------------------------
 # kernel evaluation
 # ---------------------------------------------------------------------------
@@ -615,7 +666,8 @@ def test_singular_term_matches_closed_form(name, request):
     dirs /= np.linalg.norm(dirs, axis=1)[:, None]
     for r in np.logspace(-4, 0, 9):
         pts = r * dirs
-        fitted = _kernel_sums(pts, sol.sources, sol.charges, "hess")
+        fitted = _kernel_sums(pts, _charge_moments(sol.sources, sol.charges),
+                              "hess")
         singular = closed_form_singular_term(sol, pts)
         for k, want in enumerate(("u", "grad", "hess")):
             st = sol.field(pts, want=want, check_region=False)
@@ -635,7 +687,7 @@ def test_field_makes_one_kernel_sum(name, request, monkeypatch):
     calls = []
 
     def counted(*args):
-        calls.append(len(args[1]))
+        calls.append(len(args[1][1]))     # the charges
         return _kernel_sums(*args)
 
     monkeypatch.setattr(harmonic, "_kernel_sums", counted)

@@ -1,5 +1,6 @@
 import collections
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -623,7 +624,7 @@ def test_ray_volume_stops_at_one_panel_on_the_ball(
     # the ball's identity volume term is roundoff noise far below the scale
     # (its exact value is 0): a stopping rule relative to the integral
     # itself would bisect to the cap; relative to the caller's scale one
-    # panel, 15 node columns, suffices
+    # panel, its 15 node columns in one field call, suffices
     field = count_field_calls(monkeypatch)
     calls = []
     ray_volume = levelset._ray_volume
@@ -637,13 +638,68 @@ def test_ray_volume_stops_at_one_panel_on_the_ball(
     monkeypatch.setattr(criteria, "_ray_volume", counted)
     monkeypatch.setattr(identities, "_ray_volume", counted)
     check_C12(fresh(ball_solution))
-    assert calls == [15, 15]        # at the order and at order + 8
+    assert calls == [1, 1]          # at the order and at order + 8
     for sol, a, b in ((ball_solution, 0.25, 0.75), (interior_ball, 1.5, 3.0)):
         calls.clear()
         res = weighted_identity_check(fresh(sol), WeightSpec.linear(),
                                       math.log(a), math.log(b))
-        assert calls == [15]
+        assert calls == [1]
         assert abs(res.lhs) < 1e-20 * res.scale
+
+
+def hessian_squared(st):
+    return np.einsum("nab,nab->n", st.hess, st.hess), 0.0
+
+
+@pytest.mark.parametrize("name", ["ball_solution", "ellipsoid_solution",
+                                  "star_solution"])
+def test_a_batched_panel_equals_one_call_per_node_column(
+        monkeypatch, request, name):
+    # a panel's 15 node columns in one field call give the integrals of one
+    # call per column (a budget below one column) to roundoff: C1.2's
+    # integral out to infinity and |D2u|^2 between two level sets
+    sol = request.getfixturevalue(name)
+    r_b, r_a = (extract_level_set(sol, c).radii for c in (0.75, 0.25))
+
+    def volumes():
+        return [exterior_volume(sol, flux_to_the_fourth_over_u),
+                levelset._ray_volume(sol, hessian_squared, "hess", r_b, r_a,
+                                     sol.order, 1.0)]
+
+    batched = volumes()
+    monkeypatch.setattr(levelset, "_PANEL_POINTS", 1)
+    for (value, err), (ref, ref_err) in zip(batched, volumes()):
+        assert abs(value - ref) <= 1e-15 * abs(ref)
+        assert abs(err - ref_err) <= 1e-3 * ref_err
+
+
+def test_ray_volume_memory_is_bounded_without_mirrors(monkeypatch):
+    # the bench star off the origin has no mirror: at order 48 a panel's
+    # 15 node columns hold 69,120 points, which _PANEL_POINTS splits into
+    # one call per column; one call on all of them peaks at 32.9 MiB for
+    # the identity's volume term, one column at a time at 4.3 MiB
+    sol = solve_exterior(DomainSpec(kind="star", mean_radius=1.0,
+                                    terms=BENCH_STAR.terms,
+                                    center=(0.4, 0.2, 0.1)), order=48)
+    assert sol.mirrors == () and len(levelset._rays(sol, 48)[0]) == 4608
+    peaks = []
+    ray_volume = levelset._ray_volume
+
+    def traced(*args):
+        tracemalloc.start()
+        try:
+            return ray_volume(*args)
+        finally:
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+
+    monkeypatch.setattr(identities, "_ray_volume", traced)
+    monkeypatch.setattr(levelset, "_ray_volume", traced)
+    weighted_identity_check(sol, WeightSpec.linear(), math.log(0.25),
+                            math.log(0.75))
+    exterior_volume(sol, flux_to_the_fourth_over_u)   # C1.2's at the order
+    assert peaks[0] < 8 * 2 ** 20
+    assert peaks[1] < 9 * 2 ** 20
 
 
 def test_gauss_nodes_are_every_second_kronrod_node():

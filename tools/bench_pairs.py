@@ -12,8 +12,10 @@ runs on its own, so the two runs of a pair are seconds apart.  For each
 workload and end-to-end metric of this checkout's BENCHMARK.json it
 prints each side's median and quartiles, the ratio of the change's median
 to the base's, and the pairs the change wins, that is, reads better than
-the base in the same pair (ties count for neither).  Last it prints each
-side's failed operations and incorrect runs.  The output is a report
+the base in the same pair (ties count for neither), then each side's
+median and quartiles of the operations a run attempted: a run of more
+passes can read another peak memory or median time for that alone.  Last
+it prints each side's failed operations and incorrect runs.  The output is a report
 only: the exit status is 0 whatever it reads, and 1 only when a run
 prints no summary line.
 """
@@ -71,6 +73,10 @@ def summarise(pairs, end_to_end):
                          f"{entry['better']} is better): base {_spread(base)}"
                          f", change {_spread(change)}, ratio {ratio:.3f}, "
                          f"change wins {wins} of {len(paired)}")
+        base, change = ([pair[side]["attempted"] for pair in runs]
+                        for side in (0, 1))
+        lines.append(f"{workload} operations attempted per run: base "
+                     f"{_spread(base)}, change {_spread(change)}")
     for side, name in enumerate(("base", "change")):
         runs = [pair[side] for each in pairs.values() for pair in each]
         lines.append(
