@@ -28,10 +28,11 @@ Exit code 0 means the run completed; criterion verdicts live in the
 reports, not the exit code.  Reports are written deterministically (sorted
 keys, repr floats, no timestamps), so identical configs produce
 byte-identical output, but only on one machine at one BLAS thread count.
-At 2 threads instead of 1 the bench star's charges differ by 6.6e-7 of
-the largest, and its fitResidual and every errorEstimate by 4.0e-7
-relative; its verdicts, equality flags, certificate and node witnesses
-stay the same.
+At 2 OpenBLAS threads instead of 1 the bench star's charges differ by
+5.4e-7 of the largest, its fitResidual by 8.0e-7 relative and every
+errorEstimate by at most 8.0e-7 relative; the identity residuals stay at
+roundoff (relResidual 7e-17 and 2e-16), and its verdicts, equality flags,
+certificate and node witnesses stay the same.
 """
 
 from __future__ import annotations

@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -537,7 +537,10 @@ def _sphere_charges(spec, c, s0):
 
 def _solve(spec, order, problem, c, d):
     """The closed form of a quadric or the collocation solve of either
-    problem; d is None for the exterior."""
+    problem; d is None for the exterior.  One HarmonicSolution is built:
+    its fit and check misfit are measured through it and then recorded on
+    it, so the mirrors and kernel charges cached while measuring serve
+    every later evaluation."""
     if not 0 < c < math.inf:
         raise ValueError("boundary value c must be positive and finite")
     order = DEFAULT_ORDER[spec.kind] if order is None else order
@@ -580,7 +583,9 @@ def _solve(spec, order, problem, c, d):
             f"{order + 8} or boundary misfit {fit:.3e} exceeds tolerance "
             f"{tol:.1e} (condition estimate {cond:.3e}); raise the order "
             "(solver.order)")
-    return replace(sol, fit_residual=fit, check_misfit=check)
+    object.__setattr__(sol, "fit_residual", fit)
+    object.__setattr__(sol, "check_misfit", check)
+    return sol
 
 
 def solve_exterior(spec, c=1.0, order=None):
@@ -630,8 +635,9 @@ def decay_report(sol, radii):
 
     Samples are averaged over directions with a symmetric sphere rule before
     fitting, which cancels the leading multipole contamination of the
-    averages.  Radii must be finite, strictly increasing, at least 4, and
-    start beyond twice the enclosing radius of the domain.
+    averages; one field call takes the samples at every radius.  Radii
+    must be finite, strictly increasing, at least 4, and start beyond
+    twice the enclosing radius of the domain.
     """
     if sol.problem != "exterior":
         raise ValueError("decay fits are defined for exterior solutions only")
@@ -647,16 +653,15 @@ def decay_report(sol, radii):
     th, ph, W = angular_grid(_DECAY_ORDER)
     om = unit_directions(th, ph)
     # u, |Du| and |D2u| are even under the mirrors: one direction per
-    # orbit, weighted by the orbit's total
+    # orbit, weighted by the orbit's total, and every radius in one call
     [(rows, row_of, _, _)] = _mirror_orbits(om, axes=sol.mirrors)
     Wn = np.bincount(row_of, weights=W / W.sum())
-    avgs = []   # direction averages of u, |Du| and |D2u| per radius
-    for r in radii:
-        st = sol.field(r * om[rows], want="hess", check_region=False)
-        avgs.append([Wn @ st.u, Wn @ np.linalg.norm(st.grad, axis=1),
-                     Wn @ np.linalg.norm(st.hess, axis=(1, 2))])
-    slopes = [float(np.polyfit(np.log(radii), np.log(v), 1)[0])
-              for v in np.transpose(avgs)]
+    st = sol.field((radii[:, None, None] * om[rows]).reshape(-1, N_DIM),
+                   want="hess", check_region=False)
+    # the direction averages of u, |Du| and |D2u| per radius
+    norms = [st.u, st.grad_norm, np.linalg.norm(st.hess, axis=(1, 2))]
+    avgs = np.reshape(norms, (3, len(radii), -1)) @ Wn
+    slopes = [float(np.polyfit(np.log(radii), np.log(v), 1)[0]) for v in avgs]
     return DecayReport(fitted_exponent=slopes[0], gradient_exponent=slopes[1],
                        hessian_exponent=slopes[2],
                        sample_radii=tuple(map(float, radii)))

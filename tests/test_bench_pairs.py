@@ -93,3 +93,19 @@ def test_pairs_alternate_which_side_runs_first(bench_pairs, monkeypatch,
     out = capsys.readouterr().out
     assert out.count("wall_s (s, lower is better)") == len(names)
     assert "change wins 2 of 2" in out
+
+
+def test_quartiles_are_inclusive_and_one_value_is_its_own(bench_pairs):
+    assert bench_pairs.quartiles([0.041, 0.033, 0.036]) == pytest.approx(
+        (0.0345, 0.036, 0.0385))
+    assert bench_pairs.quartiles([54.0]) == (54.0, 54.0, 54.0)
+
+
+def test_run_bench_reads_the_last_line(bench_pairs, tmp_path):
+    (tmp_path / "bench").mkdir()
+    run = tmp_path / "bench" / "run.py"
+    run.write_text("print('progress')\nprint('{\"correct\": true}')\n")
+    assert bench_pairs.run_bench(tmp_path, "--seed", "3") == {"correct": True}
+    run.write_text("")
+    with pytest.raises(SystemExit, match="--seed 3 in .* printed nothing"):
+        bench_pairs.run_bench(tmp_path, "--seed", "3")

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from capsym import cli
+from capsym import cli, harmonic
 from capsym.cli import ConfigError, RunConfig, main
 
 
@@ -359,6 +359,32 @@ def test_report_parses_once_loads_once_never_solves(tmp_path, monkeypatch):
                  str(tmp_path / "s" / "solution.json"),
                  "--out", str(tmp_path / "out")]) == 0
     assert calls == {"config": 1, "load": 1, "solve": 0}
+
+
+@pytest.mark.parametrize("problem, matches", [("exterior", 6),
+                                              ("interior:c=1,d=1", 4)])
+def test_a_report_matches_its_charges_once(tmp_path, monkeypatch, problem,
+                                           matches):
+    # every stage evaluates the solve's own solution: its one nonzero
+    # charge (the ball's center or the interior pole) is matched once and
+    # its moments are built once
+    rows, moments = [], []
+    mirror, charge_moments = harmonic._mirror, harmonic._charge_moments
+
+    def counted_mirror(f, *args):
+        rows.append(len(f))
+        return mirror(f, *args)
+
+    def counted_moments(y, q):
+        moments.append(len(q))
+        return charge_moments(y, q)
+
+    monkeypatch.setattr(harmonic, "_mirror", counted_mirror)
+    monkeypatch.setattr(harmonic, "_charge_moments", counted_moments)
+    assert main(["report", "--domain", "sphere:1", "--problem", problem,
+                 "--out", str(tmp_path / "out")]) == 0
+    assert len(rows) == matches and rows.count(1) == 1
+    assert len(moments) == 1
 
 
 @pytest.fixture(scope="module")

@@ -7,20 +7,9 @@ from numpy.testing import assert_allclose
 from capsym import (CriticalPointError, DomainSpec, dsigma_g_weight,
                     extract_level_set, hess_f_conformal,
                     level_set_mean_curvature, mean_curvature_conformal,
-                    p_function, solve_exterior, solve_interior,
-                    surface_integral)
+                    p_function, solve_interior, surface_integral)
 from capsym.geometry import build_quadrature
 from conformal_oracle import quasi_einstein_residual, scalar_curvature
-
-
-@pytest.fixture(scope="module")
-def ball_solution():
-    return solve_exterior(DomainSpec(kind="sphere", radius=1.0))
-
-
-@pytest.fixture(scope="module")
-def ellipsoid_solution():
-    return solve_exterior(DomainSpec(kind="ellipsoid", axes=(2.0, 1.0, 1.0)))
 
 
 def sample_points(sol, count, seed=0):

@@ -17,33 +17,6 @@ from capsym import criteria
 from capsym.criteria import select_criteria
 
 
-@pytest.fixture(scope="module")
-def ball_solution():
-    return solve_exterior(DomainSpec(kind="sphere", radius=1.0))
-
-
-@pytest.fixture(scope="module")
-def ellipsoid_solution():
-    return solve_exterior(DomainSpec(kind="ellipsoid", axes=(2.0, 1.0, 1.0)))
-
-
-@pytest.fixture(scope="module")
-def star_solution():
-    return solve_exterior(DomainSpec(kind="star", mean_radius=1.0,
-                                     terms=((2, 0, 0.1), (3, 1, 0.05))))
-
-
-@pytest.fixture(scope="module")
-def ball_interior():
-    return solve_interior(DomainSpec(kind="sphere", radius=1.0), c=1.0, d=1.0)
-
-
-@pytest.fixture(scope="module")
-def ellipsoid_interior():
-    return solve_interior(DomainSpec(kind="ellipsoid", axes=(2.0, 1.0, 1.0)),
-                          c=1.0, d=1.0)
-
-
 # ---------------------------------------------------------------------------
 # capacity
 # ---------------------------------------------------------------------------

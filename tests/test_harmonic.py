@@ -18,7 +18,7 @@ from scipy.special import elliprf
 
 from capsym import HarmonicSolution
 from capsym.errors import ConfigError
-from capsym.geometry import build_quadrature
+from capsym.geometry import angular_grid, build_quadrature, unit_directions
 from capsym.levelset import surface_integral
 from capsym.criteria import capacity
 from capsym.harmonic import (_CHUNK_PAIRS, _carlson_rf, _charge_moments,
@@ -26,37 +26,11 @@ from capsym.harmonic import (_CHUNK_PAIRS, _carlson_rf, _charge_moments,
                              _placement, _point_rows, _source_rows)
 
 
-@pytest.fixture(scope="module")
-def ball_solution():
-    return solve_exterior(DomainSpec(kind="sphere", radius=1.0))
-
-
-@pytest.fixture(scope="module")
-def ellipsoid_solution():
-    return solve_exterior(DomainSpec(kind="ellipsoid", axes=(2.0, 1.0, 1.0)))
-
-
-@pytest.fixture(scope="module")
-def ball_interior():
-    return solve_interior(DomainSpec(kind="sphere", radius=1.0), c=1.0, d=1.0)
-
-
-@pytest.fixture(scope="module")
-def ellipsoid_interior():
-    return solve_interior(DomainSpec(kind="ellipsoid", axes=(2.0, 1.0, 1.0)),
-                          c=1.0, d=1.0)
-
-
 BENCH_STAR = DomainSpec(kind="star", mean_radius=1.0,
                         terms=((2, 0, 0.1), (3, 1, 0.05)))
 # a star without mirrors through the origin's coordinate planes
 MIRROR_FREE_STAR = DomainSpec(kind="star", mean_radius=1.0,
                               terms=((4, -3, 0.1), (2, 1, -0.08)))
-
-
-@pytest.fixture(scope="module")
-def star_solution():
-    return solve_exterior(BENCH_STAR)
 
 
 def random_exterior_points(spec, count, seed=0, r_max=20.0):
@@ -459,6 +433,17 @@ def test_the_interior_ball_keeps_every_mirror(ball_interior):
     off = solve_interior(DomainSpec(kind="sphere", radius=1.0,
                                     center=(0.3, 0.0, 0.0)))
     assert off.mirrors == (1, 2)
+
+
+@pytest.mark.parametrize("solve, spec", [
+    (solve_exterior, DomainSpec(kind="sphere", radius=1.0)),
+    (solve_exterior, BENCH_STAR),
+    (solve_interior, DomainSpec(kind="ellipsoid", axes=(2.0, 1.0, 1.0)))],
+    ids=["ball", "star", "interior-ellipsoid"])
+def test_a_solve_returns_the_solution_it_measured(solve, spec):
+    # the check misfit's u call cached the mirrors and the kernel charges
+    # on the returned solution, not on a copy left behind
+    assert {"mirrors", "_kernel_charges"} <= vars(solve(spec)).keys()
 
 
 def test_a_point_at_the_origin_keeps_every_mirror():
@@ -924,6 +909,41 @@ def test_ellipsoid_decay_exponents(ellipsoid_solution):
     assert abs(rep.fitted_exponent + 1.0) < 1e-3
     assert abs(rep.gradient_exponent + 2.0) < 1e-3
     assert abs(rep.hessian_exponent + 3.0) < 1e-3
+
+
+def per_radius_decay(sol, radii):
+    """The exponents of decay_report as one field call per radius gave
+    them."""
+    th, ph, W = angular_grid(harmonic._DECAY_ORDER)
+    om = unit_directions(th, ph)
+    [(rows, row_of, _, _)] = harmonic._mirror_orbits(om, axes=sol.mirrors)
+    Wn = np.bincount(row_of, weights=W / W.sum())
+    avgs = []
+    for r in radii:
+        st = sol.field(r * om[rows], want="hess", check_region=False)
+        avgs.append([Wn @ st.u, Wn @ np.linalg.norm(st.grad, axis=1),
+                     Wn @ np.linalg.norm(st.hess, axis=(1, 2))])
+    return [np.polyfit(np.log(radii), np.log(v), 1)[0]
+            for v in np.transpose(avgs)]
+
+
+@pytest.mark.parametrize("name", ["ball_solution", "star_solution"])
+def test_decay_report_makes_one_field_call(name, request, monkeypatch):
+    sol = request.getfixturevalue(name)
+    radii = np.geomspace(10.0, 100.0, 8)
+    ref = per_radius_decay(sol, radii)
+    calls = []
+    field = HarmonicSolution.field
+
+    def counted(self, points, *args, **kwargs):
+        calls.append(len(points))
+        return field(self, points, *args, **kwargs)
+
+    monkeypatch.setattr(HarmonicSolution, "field", counted)
+    rep = decay_report(sol, radii)
+    assert len(calls) == 1
+    assert_allclose([rep.fitted_exponent, rep.gradient_exponent,
+                     rep.hessian_exponent], ref, rtol=1e-13, atol=0.0)
 
 
 def test_decay_preconditions(ball_solution, ball_interior):

@@ -5,33 +5,12 @@ import pytest
 from numpy.polynomial.legendre import leggauss
 from numpy.testing import assert_allclose
 
-from capsym import (DomainSpec, FieldStates, WeightSpec, bochner_sides,
-                    dsigma_g_weight, extract_level_set, hess_f_conformal,
-                    identities, interior_flux_cubed_limit, p_function,
-                    solve_exterior, solve_interior, weighted_identity_check)
+from capsym import (FieldStates, WeightSpec, bochner_sides, dsigma_g_weight,
+                    extract_level_set, hess_f_conformal, identities,
+                    interior_flux_cubed_limit, p_function,
+                    weighted_identity_check)
 from conformal_oracle import (quasi_einstein_residual, ricci_conformal,
                               scalar_curvature)
-
-
-@pytest.fixture(scope="module")
-def ball_solution():
-    return solve_exterior(DomainSpec(kind="sphere", radius=1.0))
-
-
-@pytest.fixture(scope="module")
-def ellipsoid_solution():
-    return solve_exterior(DomainSpec(kind="ellipsoid", axes=(2.0, 1.0, 1.0)))
-
-
-@pytest.fixture(scope="module")
-def ball_interior():
-    return solve_interior(DomainSpec(kind="sphere", radius=1.0), c=1.0, d=1.0)
-
-
-@pytest.fixture(scope="module")
-def ellipsoid_interior():
-    return solve_interior(DomainSpec(kind="ellipsoid", axes=(2.0, 1.0, 1.0)),
-                          c=1.0, d=1.0)
 
 
 def sample_points(sol, count, seed=0):

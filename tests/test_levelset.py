@@ -23,32 +23,6 @@ BENCH_STAR = DomainSpec(kind="star", mean_radius=1.0,
                         terms=((2, 0, 0.1), (3, 1, 0.05)))
 
 
-@pytest.fixture(scope="module")
-def ball_solution():
-    return solve_exterior(DomainSpec(kind="sphere", radius=1.0))
-
-
-@pytest.fixture(scope="module")
-def ellipsoid_solution():
-    return solve_exterior(DomainSpec(kind="ellipsoid", axes=(2.0, 1.0, 1.0)))
-
-
-@pytest.fixture(scope="module")
-def star_solution():
-    return solve_exterior(BENCH_STAR)
-
-
-@pytest.fixture(scope="module")
-def interior_ball():
-    return solve_interior(DomainSpec(kind="sphere", radius=1.0), c=1.0, d=1.0)
-
-
-@pytest.fixture(scope="module")
-def ellipsoid_interior():
-    return solve_interior(DomainSpec(kind="ellipsoid", axes=(2.0, 1.0, 1.0)),
-                          c=1.0, d=1.0)
-
-
 def fresh(sol):
     """The same solution with an empty level-set cache."""
     return HarmonicSolution.from_json_dict(sol.to_json_dict())
@@ -197,12 +171,12 @@ def test_level_range_errors(ball_solution):
                                 math.log(0.25), math.log(1.5))
 
 
-def test_interior_level_range(interior_ball):
+def test_interior_level_range(ball_interior):
     # the boundary value c is the lowest interior level; inf is not a level
-    assert np.allclose(extract_level_set(interior_ball, 1.0).radii, 1.0)
+    assert np.allclose(extract_level_set(ball_interior, 1.0).radii, 1.0)
     for level in (0.5, math.inf):
         with pytest.raises(LevelRangeError, match="interior levels"):
-            extract_level_set(interior_ball, level)
+            extract_level_set(ball_interior, level)
 
 
 def pierced_twice():
@@ -234,7 +208,7 @@ def test_non_star_shaped_level_reported():
 AGREEMENT_CASES = [("ball_solution", (1.0, 0.5, 0.002)),
                    ("ellipsoid_solution", (1.0 - 1e-9, 0.8, 0.1)),
                    ("star_solution", (0.9, 0.5, 0.05)),
-                   ("interior_ball", (1.0, 1.5, 4.0, 40.0))]
+                   ("ball_interior", (1.0, 1.5, 4.0, 40.0))]
 
 
 @pytest.mark.parametrize("name,levels", AGREEMENT_CASES)
@@ -249,12 +223,12 @@ def test_agrees_with_reference_extractor(request, name, levels):
 
 
 def test_boundary_level_set_meets_the_regularity_threshold(monkeypatch,
-                                                           interior_ball):
+                                                           ball_interior):
     # |Du| = d = 1 on the interior unit ball's boundary: with the threshold
     # at 2 the boundary LevelSet is irregular, named and not cached, and
     # the battery embeds the error
     monkeypatch.setattr(levelset, "REGULARITY_THRESHOLD", 2.0)
-    sol = fresh(interior_ball)
+    sol = fresh(ball_interior)
     with pytest.raises(IrregularLevelSetError,
                        match="level set 1.0 fails the regularity threshold"):
         levelset._boundary(sol)
@@ -298,7 +272,7 @@ def test_rays_computed_once_per_order(monkeypatch, star_solution):
 
 @pytest.mark.parametrize("name,level", [
     *(("ball_solution", c) for c in (1.0, 0.75, 0.5, 0.25, 0.002)),
-    *(("interior_ball", c) for c in (1.5, 3.0, 40.0))])
+    *(("ball_interior", c) for c in (1.5, 3.0, 40.0))])
 def test_scan_marches_once_to_the_level(monkeypatch, request, name, level):
     # u = 1/r on both unit-ball solutions, so {u = level} is the sphere of
     # radius 1/level; one march from 1e-5 off the boundary at 16 columns
@@ -327,7 +301,7 @@ def test_levels_share_one_march(monkeypatch, ball_solution):
 
 @pytest.mark.parametrize("name,levels", [
     ("star_solution", (0.75, 0.5, 0.25)),
-    ("interior_ball", (1.5, 2.0, 3.0, 40.0))])
+    ("ball_interior", (1.5, 2.0, 3.0, 40.0))])
 def test_shared_march_gives_the_level_sets_of_fresh_solutions(request, name,
                                                               levels):
     # bit for bit: a level reads the same columns whichever level computed
@@ -357,9 +331,9 @@ def test_non_star_shaped_level_reported_from_the_shared_march(monkeypatch,
         assert calls["u"] == 8
 
 
-def test_march_columns_are_read_only(ball_solution, interior_ball):
+def test_march_columns_are_read_only(ball_solution, ball_interior):
     for sol, level in ((fresh(ball_solution), 0.25),
-                       (fresh(interior_ball), 3.0)):
+                       (fresh(ball_interior), 3.0)):
         extract_level_set(sol, level)
         radii, vals = levelset._order_entry(sol, sol.order)[-2:]
         assert len(radii) == len(vals) >= 8
@@ -620,7 +594,7 @@ def test_ray_volume_bisects_to_the_tolerance_and_reports_the_cap(
 
 
 def test_ray_volume_stops_at_one_panel_on_the_ball(
-        monkeypatch, ball_solution, interior_ball):
+        monkeypatch, ball_solution, ball_interior):
     # the ball's identity volume term is roundoff noise far below the scale
     # (its exact value is 0): a stopping rule relative to the integral
     # itself would bisect to the cap; relative to the caller's scale one
@@ -639,7 +613,7 @@ def test_ray_volume_stops_at_one_panel_on_the_ball(
     monkeypatch.setattr(identities, "_ray_volume", counted)
     check_C12(fresh(ball_solution))
     assert calls == [1, 1]          # at the order and at order + 8
-    for sol, a, b in ((ball_solution, 0.25, 0.75), (interior_ball, 1.5, 3.0)):
+    for sol, a, b in ((ball_solution, 0.25, 0.75), (ball_interior, 1.5, 3.0)):
         calls.clear()
         res = weighted_identity_check(fresh(sol), WeightSpec.linear(),
                                       math.log(a), math.log(b))

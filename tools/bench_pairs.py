@@ -32,10 +32,8 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def _run(checkout, workload, seed, seconds):
-    """The summary (last stdout line) of one untraced bench/run.py run."""
-    args = ["--workload", workload, "--seed", str(seed),
-            "--seconds", str(seconds), "--trace", "0"]
+def run_bench(checkout, *args):
+    """The summary (last stdout line) of one bench/run.py run in checkout."""
     proc = subprocess.run([sys.executable, "bench/run.py", *args],
                           cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
@@ -45,11 +43,23 @@ def _run(checkout, workload, seed, seconds):
     return json.loads(lines[-1])
 
 
-def _spread(values):
-    """median [q1, q3]; one value is its own quartiles."""
+def quartiles(values):
+    """(q1, median, q3) of values, statistics.quantiles(..., n=4,
+    method="inclusive"); one value is its own quartiles."""
     if len(values) < 2:
-        return f"{values[0]:.4g} [{values[0]:.4g}, {values[0]:.4g}]"
-    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+        return values[0], values[0], values[0]
+    return tuple(statistics.quantiles(values, n=4, method="inclusive"))
+
+
+def _run(checkout, workload, seed, seconds):
+    """The summary of one untraced run of a workload."""
+    return run_bench(checkout, "--workload", workload, "--seed", str(seed),
+                     "--seconds", str(seconds), "--trace", "0")
+
+
+def _spread(values):
+    """median [q1, q3]."""
+    q1, median, q3 = quartiles(values)
     return f"{median:.4g} [{q1:.4g}, {q3:.4g}]"
 
 

@@ -15,11 +15,12 @@ from __future__ import annotations
 
 import json
 import os
-import statistics
 import subprocess
 import sys
 
 import numpy as np
+
+from bench_pairs import quartiles, run_bench
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SEEDS = (1, 2, 3, 4, 5)
@@ -36,19 +37,8 @@ def _git(*args):
 
 
 def _bench(*args):
-    """The summary (last stdout line) of one bench/run.py run."""
-    proc = subprocess.run([sys.executable, "bench/run.py", *args], cwd=ROOT,
-                          capture_output=True, text=True)
-    lines = proc.stdout.strip().splitlines()
-    if not lines:
-        raise SystemExit(f"bench/run.py {' '.join(args)} printed nothing:\n"
-                         f"{proc.stderr}")
-    return {"args": list(args), **json.loads(lines[-1])}
-
-
-def _spread(values):
-    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return {"median": median, "q1": q1, "q3": q3}
+    """One bench/run.py run of this checkout: its args and summary."""
+    return {"args": list(args), **run_bench(ROOT, *args)}
 
 
 def _machine():
@@ -69,9 +59,10 @@ def main(argv=None):
     for key, entry in runs[0]["metrics"].items():
         workload, metric = key.split("/")
         if metric in END_TO_END:
-            values = [run["metrics"][key]["value"] for run in runs]
+            q1, median, q3 = quartiles(
+                [run["metrics"][key]["value"] for run in runs])
             end_to_end.setdefault(workload, {})[metric] = {
-                **_spread(values), "unit": entry["unit"]}
+                "median": median, "q1": q1, "q3": q3, "unit": entry["unit"]}
     record = {
         "commit": _git("rev-parse", "HEAD"),
         "uncommitted": _git("status", "--porcelain", "--", "src", "bench"),
