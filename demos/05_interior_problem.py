@@ -9,8 +9,6 @@ with c = d r0/(n-2) the solution is exactly d r0^2/r, so the Neumann data
 |Du| is the constant d.
 """
 
-import numpy as np
-
 from capsym import (DomainSpec, check_T16, check_neumann, normalization_c1,
                     normalization_c2, solve_interior, surface_integral)
 from capsym.geometry import build_quadrature

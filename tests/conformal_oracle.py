@@ -14,6 +14,8 @@ whose trace gives R_g/(n-1) = |grad f|_g^2/(n-2).  Ric_g is computed here
 from (u, Du, D2u) alone; hess_g f is the tensor that hess_f_conformal
 returns, so the quasi-Einstein residual checks that tensor against an
 independent derivation.  Shapes follow capsym.conformal, at n = 3.
+sample_points draws the points outside a domain where the conformal tests
+evaluate a solution.
 """
 
 from __future__ import annotations
@@ -69,3 +71,13 @@ def scalar_curvature(u, grad, hess):
     u."""
     trace = np.trace(ricci_conformal(u, grad, hess), axis1=-2, axis2=-1)
     return np.asarray(u, dtype=float) ** (-2.0 / (_N - 2)) * trace
+
+
+def sample_points(sol, count, seed=0):
+    """``count`` points outside the domain of ``sol``, on random rays from
+    the origin, at 1.05 to 3 times the radius where each ray leaves it."""
+    rng = np.random.default_rng(seed)
+    dirs = rng.normal(size=(count, 3))
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    r_exit = np.atleast_1d(sol.domain.ray_exit_radius(dirs))
+    return dirs * (r_exit * rng.uniform(1.05, 3.0, count))[:, None]

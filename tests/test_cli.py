@@ -14,8 +14,11 @@ def write_config(path, data):
     return str(path)
 
 
+BALL_DOMAIN = {"kind": "sphere", "radius": 1.0}
+BENCH_STAR = {"kind": "star", "mean_radius": 1.0,
+              "terms": [[2, 0, 0.1], [3, 1, 0.05]]}
 BALL_CONFIG = {
-    "domain": {"kind": "sphere", "radius": 1.0},
+    "domain": BALL_DOMAIN,
     "problem": {"kind": "exterior", "c": 1.0},
     "levels": [0.25, 0.5, 0.75],
     "identities": [{"weight": "linear", "a": math.log(0.25),
@@ -36,8 +39,8 @@ def test_solve_writes_solution(tmp_path, capsys):
 
 
 def test_solver_order_is_the_only_solver_setting():
-    assert RunConfig({"domain": BALL_CONFIG["domain"]}).order is None
-    assert RunConfig({"domain": BALL_CONFIG["domain"],
+    assert RunConfig({"domain": BALL_DOMAIN}).order is None
+    assert RunConfig({"domain": BALL_DOMAIN,
                       "solver": {"order": 24.0}}).order == 24
 
 
@@ -45,7 +48,7 @@ def test_solver_order_is_the_only_solver_setting():
     ("source_order", 12), ("source_factor", 0.5), ("rcond", 1e-14),
     ("tolerance", 1.0)])
 def test_placement_solver_keys_are_rejected(tmp_path, capsys, key, value):
-    data = {"domain": BALL_CONFIG["domain"], "solver": {key: value}}
+    data = {"domain": BALL_DOMAIN, "solver": {key: value}}
     named = f"unknown key {key!r} in solver"
     with pytest.raises(ConfigError, match=named):
         RunConfig(data)
@@ -80,7 +83,7 @@ def test_missing_config_names_path(tmp_path, capsys):
 
 def test_interior_d_must_be_positive(tmp_path, capsys):
     cfg = write_config(tmp_path / "run.json", {
-        "domain": {"kind": "sphere", "radius": 1.0},
+        "domain": BALL_DOMAIN,
         "problem": {"kind": "interior", "c": 1.0, "d": -1.0},
     })
     rc = main(["solve", "--config", cfg, "--out", str(tmp_path / "out")])
@@ -90,7 +93,7 @@ def test_interior_d_must_be_positive(tmp_path, capsys):
 
 def test_levels_validated_against_problem(tmp_path, capsys):
     cfg = write_config(tmp_path / "run.json", {
-        "domain": {"kind": "sphere", "radius": 1.0},
+        "domain": BALL_DOMAIN,
         "problem": {"kind": "exterior", "c": 1.0},
         "levels": [1.5],
     })
@@ -101,7 +104,7 @@ def test_levels_validated_against_problem(tmp_path, capsys):
 def test_interior_level_at_the_boundary_value_is_accepted(tmp_path):
     # the level range is the library's: an interior u takes the value c
     cfg = write_config(tmp_path / "run.json", {
-        "domain": {"kind": "sphere", "radius": 1.0},
+        "domain": BALL_DOMAIN,
         "problem": {"kind": "interior", "c": 1.0, "d": 1.0},
         "levels": [1.0, 2.0],
     })
@@ -134,7 +137,7 @@ def test_interior_boundary_level_with_an_inexact_fit(tmp_path):
 
 def test_interior_criteria_rejected_for_exterior_run(tmp_path, capsys):
     cfg = write_config(tmp_path / "run.json", {
-        "domain": {"kind": "sphere", "radius": 1.0},
+        "domain": BALL_DOMAIN,
         "problem": {"kind": "exterior", "c": 1.0},
         "criteria": ["T1.6-interior-integral"],
     })
@@ -145,7 +148,7 @@ def test_interior_criteria_rejected_for_exterior_run(tmp_path, capsys):
 
 def test_shifted_log_t_guard(tmp_path, capsys):
     cfg = write_config(tmp_path / "run.json", {
-        "domain": {"kind": "sphere", "radius": 1.0},
+        "domain": BALL_DOMAIN,
         "problem": {"kind": "exterior", "c": 1.0},
         "identities": [{"weight": "shifted-log", "t": 0.5,
                         "a": math.log(0.25), "b": math.log(0.75)}],
@@ -175,7 +178,7 @@ def test_battery_takes_the_middle_level_by_value(tmp_path):
     # levels keep the order given; the battery's middle level is their
     # median, not the entry in the middle position
     cfg = write_config(tmp_path / "run.json", {
-        "domain": {"kind": "sphere", "radius": 1.0},
+        "domain": BALL_DOMAIN,
         "levels": [0.75, 0.25, 0.5],
     })
     out = tmp_path / "out"
@@ -191,7 +194,7 @@ def test_battery_takes_the_middle_level_by_value(tmp_path):
 
 def test_check_empty_criteria_certificate_only(tmp_path):
     cfg = write_config(tmp_path / "run.json", {
-        "domain": {"kind": "sphere", "radius": 1.0},
+        "domain": BALL_DOMAIN,
         "problem": {"kind": "exterior", "c": 1.0},
         "criteria": [],
     })
@@ -294,7 +297,6 @@ def test_solution_round_trip_through_cli(tmp_path):
 
 REPORT_FILES = ("solution.json", "criteria.json", "identities.json",
                 "identity_terms.csv", "capacity.json", "decay.json")
-BALL_DOMAIN = {"kind": "sphere", "radius": 1.0}
 INTERIOR_BALL = {"domain": BALL_DOMAIN,
                  "problem": {"kind": "interior", "c": 1.0, "d": 1.0}}
 
@@ -337,52 +339,31 @@ def test_report_keeps_the_given_solution(tmp_path):
     assert (out / "solution.json").read_bytes() == sol.read_bytes()
 
 
-def test_report_parses_once_loads_once_never_solves(tmp_path, monkeypatch):
+def test_report_parses_once_loads_once_never_solves(tmp_path, spy):
     from capsym import HarmonicSolution
-    from capsym.cli import RunConfig
     cfg = write_config(tmp_path / "run.json", BALL_CONFIG)
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "s")]) == 0
-    calls = {"config": 0, "load": 0, "solve": 0}
-
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
-    monkeypatch.setattr(RunConfig, "__init__",
-                        counted("config", RunConfig.__init__))
-    monkeypatch.setattr(RunConfig, "solve", counted("solve", RunConfig.solve))
-    monkeypatch.setattr(HarmonicSolution, "load",
-                        staticmethod(counted("load", HarmonicSolution.load)))
+    calls = {"config": spy("__init__", RunConfig),
+             "load": spy("load", HarmonicSolution),
+             "solve": spy("solve", RunConfig)}
     assert main(["report", "--config", cfg, "--solution",
                  str(tmp_path / "s" / "solution.json"),
                  "--out", str(tmp_path / "out")]) == 0
-    assert calls == {"config": 1, "load": 1, "solve": 0}
+    assert {name: len(made) for name, made in calls.items()} == {
+        "config": 1, "load": 1, "solve": 0}
 
 
 @pytest.mark.parametrize("problem, matches", [("exterior", 6),
                                               ("interior:c=1,d=1", 4)])
-def test_a_report_matches_its_charges_once(tmp_path, monkeypatch, problem,
-                                           matches):
+def test_a_report_matches_its_charges_once(tmp_path, spy, problem, matches):
     # every stage evaluates the solve's own solution: its one nonzero
     # charge (the ball's center or the interior pole) is matched once and
     # its moments are built once
-    rows, moments = [], []
-    mirror, charge_moments = harmonic._mirror, harmonic._charge_moments
-
-    def counted_mirror(f, *args):
-        rows.append(len(f))
-        return mirror(f, *args)
-
-    def counted_moments(y, q):
-        moments.append(len(q))
-        return charge_moments(y, q)
-
-    monkeypatch.setattr(harmonic, "_mirror", counted_mirror)
-    monkeypatch.setattr(harmonic, "_charge_moments", counted_moments)
+    mirrored = spy("_mirror", harmonic)
+    moments = spy("_charge_moments", harmonic)
     assert main(["report", "--domain", "sphere:1", "--problem", problem,
                  "--out", str(tmp_path / "out")]) == 0
+    rows = [len(call.args[0]) for call in mirrored]
     assert len(rows) == matches and rows.count(1) == 1
     assert len(moments) == 1
 
@@ -611,8 +592,6 @@ def test_solution_missing_a_key_is_named(tmp_path, capsys):
     assert not out.exists()
 
 
-BENCH_STAR = {"kind": "star", "mean_radius": 1.0,
-              "terms": [[2, 0, 0.1], [3, 1, 0.05]]}
 HUGE = 10 ** 400   # a JSON integer too large for a float
 # the error of a file holding {'domain': 1}
 NOT_JSON_NAMED = ("not.json is not valid JSON: Expecting property name "
@@ -788,26 +767,17 @@ def test_identity_level_one_ulp_above_c_is_the_level_c():
     assert math.exp(cfg.identity_checks[0][2]) > 3.0
 
 
-def test_interior_report_solves_each_level_once(tmp_path, monkeypatch):
+def test_interior_report_solves_each_level_once(tmp_path, solved):
     # the identity's upper level exp(log 3) = 3.0000000000000004 shares the
     # cache entry of the level 3.0 that T1.9 and the certificate solved
-    from capsym import levelset
-    solved = []
-    extract = levelset._extract
-
-    def counted(sol, c, order):
-        solved.append((sol, c))
-        return extract(sol, c, order)
-
-    monkeypatch.setattr(levelset, "_extract", counted)
     out = tmp_path / "out"
     assert main(["report", "--domain", "sphere:1",
                  "--problem", "interior:c=1,d=1", "--out", str(out)]) == 0
     # the cache holds one LevelSet per extracted (level, order), besides
     # the boundary, which is not solved
-    cached = [ls for key, ls in solved[0][0]._levelset_cache.items()
+    cached = [ls for key, ls in solved[0].args[0]._levelset_cache.items()
               if isinstance(key, tuple)]
-    assert sorted(c for _, c in solved) == [1.5, 2.0, 3.0]
+    assert sorted(call.args[1] for call in solved) == [1.5, 2.0, 3.0]
     assert sorted(ls.level for ls in cached) == [1.5, 2.0, 3.0]
     # the radial case: both sides of the identity vanish to roundoff
     [check] = json.loads((out / "identities.json").read_text())["identityChecks"]
@@ -815,27 +785,15 @@ def test_interior_report_solves_each_level_once(tmp_path, monkeypatch):
 
 
 @pytest.fixture
-def solved(monkeypatch):
-    """The (level, order) of every level set extracted, in order."""
+def solved(spy):
+    """Every levelset._extract call, its args (solution, level, order)."""
     from capsym import levelset
-    solved = []
-    extract = levelset._extract
-
-    def counted(sol, c, order):
-        solved.append((c, order))
-        return extract(sol, c, order)
-
-    monkeypatch.setattr(levelset, "_extract", counted)
-    return solved
-
-
-BENCH_STAR_DOMAIN = {"kind": "star", "mean_radius": 1.0,
-                     "terms": [[2, 0, 0.1], [3, 1, 0.05]]}
+    return spy("_extract", levelset)
 
 
 @pytest.mark.parametrize("command, domain, order", [
-    ("report", {"kind": "sphere", "radius": 1.0}, 16),
-    ("check", BENCH_STAR_DOMAIN, 32),
+    ("report", BALL_DOMAIN, 16),
+    ("check", BENCH_STAR, 32),
 ], ids=["ball-report", "star-check"])
 def test_exterior_run_solves_three_level_sets(tmp_path, solved, command,
                                               domain, order):
@@ -844,16 +802,17 @@ def test_exterior_run_solves_three_level_sets(tmp_path, solved, command,
     # plateau, so T1.1 does not refine c/2 at order + 8
     cfg = write_config(tmp_path / "run.json", {"domain": domain})
     assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 0
-    assert sorted(solved) == [(0.25, order), (0.5, order), (0.75, order)]
+    assert sorted(call.args[1:] for call in solved) == [
+        (0.25, order), (0.5, order), (0.75, order)]
 
 
 def test_capacity_run_solves_only_its_level(tmp_path, solved):
     # capacity checks its level's flux against the boundary's, so on the
     # bench star it extracts the level c/2 alone
-    cfg = write_config(tmp_path / "run.json", {"domain": BENCH_STAR_DOMAIN})
+    cfg = write_config(tmp_path / "run.json", {"domain": BENCH_STAR})
     assert main(["capacity", "--config", cfg,
                  "--out", str(tmp_path / "o")]) == 0
-    assert solved == [(0.5, 32)]
+    assert [call.args[1:] for call in solved] == [(0.5, 32)]
 
 
 IMPORT_PROBE = """
@@ -883,8 +842,7 @@ def test_cli_runs_on_numpy_alone_and_imports_nothing_late(tmp_path):
     import capsym
     src = os.path.dirname(os.path.dirname(capsym.__file__))
     star = tmp_path / "star.json"
-    star.write_text(json.dumps({"kind": "star", "mean_radius": 1.0,
-                                "terms": [[2, 0, 0.1], [3, 1, 0.05]]}))
+    star.write_text(json.dumps(BENCH_STAR))
     env = dict(os.environ, PYTHONPATH=src)
     subprocess.run([sys.executable, "-c", IMPORT_PROBE, str(star),
                     str(tmp_path)], env=env, check=True,

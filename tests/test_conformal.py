@@ -1,23 +1,14 @@
-import math
-
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from capsym import (CriticalPointError, DomainSpec, dsigma_g_weight,
                     extract_level_set, hess_f_conformal,
-                    level_set_mean_curvature, mean_curvature_conformal,
-                    p_function, solve_interior, surface_integral)
+                    mean_curvature_conformal, p_function, solve_interior,
+                    surface_integral)
 from capsym.geometry import build_quadrature
-from conformal_oracle import quasi_einstein_residual, scalar_curvature
-
-
-def sample_points(sol, count, seed=0):
-    rng = np.random.default_rng(seed)
-    dirs = rng.normal(size=(count, 3))
-    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-    r_exit = np.atleast_1d(sol.domain.ray_exit_radius(dirs))
-    return dirs * (r_exit * rng.uniform(1.05, 3.0, count))[:, None]
+from conformal_oracle import (quasi_einstein_residual, sample_points,
+                              scalar_curvature)
 
 
 # ---------------------------------------------------------------------------

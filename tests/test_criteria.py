@@ -122,24 +122,14 @@ T11_REFINED = {
 
 @pytest.mark.parametrize("name", list(T11_TAIL_CASES))
 def test_T11_tail_covers_the_angular_error_where_it_skips_order_plus_8(
-        monkeypatch, name):
+        spy, name):
     # where T1.1 takes its angular tail as its error, without the order + 8
     # pass, the tail is at least |I(n) - I(64)|
     domain, order, orders = T11_TAIL_CASES[name]
     sol = solve_exterior(domain, order=order)
-    tails, solved, refined = [], [], []
-    tail_of, extract = criteria._angular_tail, levelset._extract
-
-    def recorded(*args):
-        tails.append(tail_of(*args))
-        return tails[-1]
-
-    def counted(s, c, n):
-        solved.append((c, n))
-        return extract(s, c, n)
-
-    monkeypatch.setattr(criteria, "_angular_tail", recorded)
-    monkeypatch.setattr(levelset, "_extract", counted)
+    refined = []
+    tails = spy("_angular_tail", criteria)
+    solved = spy("_extract", levelset)
     exact = {}
     for level in (0.25, 0.5, 0.9):
         ref = extract_level_set(sol, level, order=64)
@@ -151,10 +141,11 @@ def test_T11_tail_covers_the_angular_error_where_it_skips_order_plus_8(
         for level in (0.25, 0.5, 0.9):
             solved.clear()
             rep = check_T11(at_n, level)
-            if (level, n + 8) in solved:
+            if (level, n + 8) in [call.args[1:] for call in solved]:
                 refined.append((level, n))
             else:
-                assert tails[-1] >= abs(rep.lhs - exact[level]), (level, n)
+                assert tails[-1].result >= abs(rep.lhs - exact[level]), \
+                    (level, n)
     assert sorted(refined) == T11_REFINED[name]
 
 
@@ -532,33 +523,27 @@ def test_battery_embeds_named_errors_and_propagates_bugs(ball_solution,
         run_battery(ball_solution, criteria=["C1.3-capacity"])
 
 
-def test_interior_battery_builds_boundary_data_once(ball_interior,
-                                                    monkeypatch):
+def test_interior_battery_builds_boundary_data_once(ball_interior, spy):
     # the boundary is one read-only LevelSet, from one build_quadrature
     # call and one field call per solution, at one node per mirror orbit
     sol = HarmonicSolution.from_json_dict(ball_interior.to_json_dict())
-    quads, boundary_fields = [], []
-    build, field = levelset.build_quadrature, HarmonicSolution.field
+    builds = spy("build_quadrature", levelset)
+    fields = spy("field", HarmonicSolution)
 
-    def counting_build(spec, order):
-        quads.append(build(spec, order))
-        return quads[-1]
+    def boundary_fields():
+        nodes = [call.result.nodes for call in builds]
+        return [call for call in fields
+                if any((call.arg("points")[:, None] == n).all(axis=2)
+                       .any(axis=1).all() for n in nodes)]
 
-    def counting_field(self, points, *args, **kwargs):
-        if any((points[:, None] == quad.nodes).all(axis=2).any(axis=1).all()
-               for quad in quads):
-            boundary_fields.append(points)
-        return field(self, points, *args, **kwargs)
-
-    monkeypatch.setattr(levelset, "build_quadrature", counting_build)
-    monkeypatch.setattr(HarmonicSolution, "field", counting_field)
     run_battery(sol)
-    assert (len(quads), len(boundary_fields)) == (1, 1)
+    assert (len(builds), len(boundary_fields())) == (1, 1)
     run_battery(sol)
-    assert (len(quads), len(boundary_fields)) == (1, 1)
+    assert (len(builds), len(boundary_fields())) == (1, 1)
     boundary = levelset._boundary(sol)
     assert isinstance(boundary, levelset.LevelSet)
-    assert boundary.nodes is quads[0].nodes and boundary.level == sol.c
+    assert (boundary.nodes is builds[0].result.nodes
+            and boundary.level == sol.c)
     for key in ("nodes", "weights", "normals", "mean_curv", "u_grad", "radii",
                 "grad"):
         assert not getattr(boundary, key).flags.writeable

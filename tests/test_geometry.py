@@ -44,21 +44,15 @@ def test_gauss_rule_is_numpys_built_once_and_read_only():
     DomainSpec(kind="sphere", radius=1.5, center=(0.2, 0.0, 0.1)),
     DomainSpec(kind="ellipsoid", axes=(2.0, 1.0, 1.0)), star_spec()],
     ids=["sphere", "ellipsoid", "star"])
-def test_bounding_radii_are_built_once_per_domain(spec, monkeypatch):
+def test_bounding_radii_are_built_once_per_domain(spec, spy):
     th, ph, _ = angular_grid(32)
     d = np.linalg.norm(np.asarray(spec.center)
                        + spec.rho(th, ph)[:, None] * unit_directions(th, ph),
                        axis=1)
-    calls = []
-
-    def counted(order):
-        calls.append(order)
-        return angular_grid(order)
-
-    monkeypatch.setattr(geometry, "angular_grid", counted)
+    calls = spy("angular_grid", geometry)
     assert spec.bounding_radii == (float(d.min()), float(d.max()))
     assert spec.bounding_radii is spec.bounding_radii
-    assert calls == [32]
+    assert [call.args for call in calls] == [(32,)]
 
 
 def test_sphere_area_is_exact():
@@ -369,22 +363,18 @@ def bisection_exit_radius(spec, omega, steps=80):
     (((2, 0, 0.1), (3, 1, 0.05)), (0.0, 0.0, 0.0), 2),      # the bench star
     (star_spec().terms, (0.2, -0.1, 0.15), 8),
     (star_spec().terms, (0.0, 0.0, 0.3), 8)], ids=["bench", "off", "axis"])
-def test_star_ray_exit_matches_bisection(monkeypatch, terms, center,
+def test_star_ray_exit_matches_bisection(monkeypatch, spy, terms, center,
                                          max_calls):
     spec = DomainSpec(kind="star", mean_radius=1.0, terms=terms, center=center)
-    calls = []
-    for name in ("rho", "rho_derivatives"):
-        def counted(self, theta, phi, _f=getattr(DomainSpec, name)):
-            calls.append(len(np.atleast_1d(theta)))
-            return _f(self, theta, phi)
-        monkeypatch.setattr(DomainSpec, name, counted)
+    rho, derivatives = (spy(name, DomainSpec)
+                        for name in ("rho", "rho_derivatives"))
     th, ph, _ = angular_grid(16)
     omega = np.vstack([unit_directions(th, ph),
                        [[0, 0, 1.0], [0, 0, -1.0], [1.0, 0, 0]]])
     r = spec.ray_exit_radius(omega)
     # with the center at the origin one Newton step is exact, and a second
     # evaluation confirms it
-    assert len(calls) <= max_calls
+    assert len(rho + derivatives) <= max_calls
     monkeypatch.undo()
     assert np.abs(r / bisection_exit_radius(spec, omega) - 1).max() <= 1e-14
 

@@ -666,22 +666,17 @@ def test_singular_term_matches_closed_form(name, request):
 
 @pytest.mark.parametrize("name", [
     "ball_solution", "ball_interior", "star_solution", "ellipsoid_interior"])
-def test_field_makes_one_kernel_sum(name, request, monkeypatch):
+def test_field_makes_one_kernel_sum(name, request, spy):
     # the interior pole is one more charge in the same sum, not a second one
     sol = request.getfixturevalue(name)
-    calls = []
-
-    def counted(*args):
-        calls.append(len(args[1][1]))     # the charges
-        return _kernel_sums(*args)
-
-    monkeypatch.setattr(harmonic, "_kernel_sums", counted)
+    calls = spy("_kernel_sums", harmonic)
     scale = 2.0 if sol.problem == "exterior" else 0.5
     pts = scale * build_quadrature(sol.domain, 8).nodes
     for want in ("u", "grad", "hess"):
         calls.clear()
         sol.field(pts, want=want, check_region=False)
-        assert calls == [len(sol.sources) + (sol.problem == "interior")]
+        assert [len(call.args[1][1]) for call in calls] == [  # the charges
+            len(sol.sources) + (sol.problem == "interior")]
 
 
 def test_hessian_evaluation_memory_is_bounded(star_solution):
@@ -928,18 +923,11 @@ def per_radius_decay(sol, radii):
 
 
 @pytest.mark.parametrize("name", ["ball_solution", "star_solution"])
-def test_decay_report_makes_one_field_call(name, request, monkeypatch):
+def test_decay_report_makes_one_field_call(name, request, spy):
     sol = request.getfixturevalue(name)
     radii = np.geomspace(10.0, 100.0, 8)
     ref = per_radius_decay(sol, radii)
-    calls = []
-    field = HarmonicSolution.field
-
-    def counted(self, points, *args, **kwargs):
-        calls.append(len(points))
-        return field(self, points, *args, **kwargs)
-
-    monkeypatch.setattr(HarmonicSolution, "field", counted)
+    calls = spy("field", HarmonicSolution)
     rep = decay_report(sol, radii)
     assert len(calls) == 1
     assert_allclose([rep.fitted_exponent, rep.gradient_exponent,

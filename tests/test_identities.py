@@ -10,15 +10,7 @@ from capsym import (FieldStates, WeightSpec, bochner_sides, dsigma_g_weight,
                     interior_flux_cubed_limit, p_function,
                     weighted_identity_check)
 from conformal_oracle import (quasi_einstein_residual, ricci_conformal,
-                              scalar_curvature)
-
-
-def sample_points(sol, count, seed=0):
-    rng = np.random.default_rng(seed)
-    dirs = rng.normal(size=(count, 3))
-    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-    r_exit = np.atleast_1d(sol.domain.ray_exit_radius(dirs))
-    return dirs * (r_exit * rng.uniform(1.05, 3.0, count))[:, None]
+                              sample_points, scalar_curvature)
 
 
 def bochner_residuals(u, grad, hess):

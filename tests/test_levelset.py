@@ -72,17 +72,9 @@ def reference_radii(sol, c, order=None):
     return r
 
 
-def count_field_calls(monkeypatch):
-    """Count HarmonicSolution.field calls by ``want`` from now on."""
-    calls = collections.Counter()
-    field = HarmonicSolution.field
-
-    def counted(self, points, want="hess", check_region=True):
-        calls[want] += 1
-        return field(self, points, want=want, check_region=check_region)
-
-    monkeypatch.setattr(HarmonicSolution, "field", counted)
-    return calls
+def field_wants(calls):
+    """Spied HarmonicSolution.field calls, counted by ``want``."""
+    return collections.Counter(call.arg("want") for call in calls)
 
 
 def phi_oracle_ball(c, n=3, r0=1.0):
@@ -255,16 +247,9 @@ def test_repeat_extraction_is_cached_and_read_only(ball_solution):
         assert not array.flags.writeable
 
 
-def test_rays_computed_once_per_order(monkeypatch, star_solution):
+def test_rays_computed_once_per_order(spy, star_solution):
     sol = fresh(star_solution)
-    calls = []
-    ray_exit = DomainSpec.ray_exit_radius
-
-    def counted(self, omega):
-        calls.append(len(omega))
-        return ray_exit(self, omega)
-
-    monkeypatch.setattr(DomainSpec, "ray_exit_radius", counted)
+    calls = spy("ray_exit_radius", DomainSpec)
     extract_level_set(sol, 0.5, order=16)
     extract_level_set(sol, 0.7, order=16)
     assert len(calls) == 1
@@ -273,30 +258,30 @@ def test_rays_computed_once_per_order(monkeypatch, star_solution):
 @pytest.mark.parametrize("name,level", [
     *(("ball_solution", c) for c in (1.0, 0.75, 0.5, 0.25, 0.002)),
     *(("ball_interior", c) for c in (1.5, 3.0, 40.0))])
-def test_scan_marches_once_to_the_level(monkeypatch, request, name, level):
+def test_scan_marches_once_to_the_level(spy, request, name, level):
     # u = 1/r on both unit-ball solutions, so {u = level} is the sphere of
     # radius 1/level; one march from 1e-5 off the boundary at 16 columns
     # per decade reaches it, with at least 8 columns and the column past it
     sol = fresh(request.getfixturevalue(name))
-    calls = count_field_calls(monkeypatch)
+    calls = spy("field", HarmonicSolution)
     ls = extract_level_set(sol, level)
     assert_allclose(ls.radii, 1.0 / level, rtol=1e-12)
     r_start = 1.0 - 1e-5 if sol.problem == "exterior" else 1.0 + 1e-5
     decades = abs(math.log10(level * r_start))
-    assert calls["u"] <= max(8, math.ceil(16 * decades) + 2)
+    assert field_wants(calls)["u"] <= max(8, math.ceil(16 * decades) + 2)
 
 
-def test_levels_share_one_march(monkeypatch, ball_solution):
+def test_levels_share_one_march(spy, ball_solution):
     # the farthest level's march computes every column the nearer ones read
     sol = fresh(ball_solution)
-    calls = count_field_calls(monkeypatch)
+    calls = spy("field", HarmonicSolution)
     extract_level_set(sol, 0.25)
-    alone = calls["u"]
+    alone = field_wants(calls)["u"]
     sol = fresh(ball_solution)
     calls.clear()
     for level in (0.5, 0.25, 0.75):
         extract_level_set(sol, level)
-    assert calls["u"] == alone == 11
+    assert field_wants(calls)["u"] == alone == 11
 
 
 @pytest.mark.parametrize("name,levels", [
@@ -318,17 +303,16 @@ def test_shared_march_gives_the_level_sets_of_fresh_solutions(request, name,
 
 
 @pytest.mark.parametrize("levels", [(3.0, 4.0), (4.0, 3.0)])
-def test_non_star_shaped_level_reported_from_the_shared_march(monkeypatch,
-                                                              levels):
+def test_non_star_shaped_level_reported_from_the_shared_march(spy, levels):
     # the second level reads every column from the first one's march and
     # still sees the two crossings on the +x ray
     sol = pierced_twice()
-    calls = count_field_calls(monkeypatch)
+    calls = spy("field", HarmonicSolution)
     for c in levels:
         with pytest.raises(NonStarShapedLevelSetError, match="changes sign 2"):
             extract_level_set(sol, c)
         # the first level marches 8 columns, the second computes none
-        assert calls["u"] == 8
+        assert field_wants(calls)["u"] == 8
 
 
 def test_march_columns_are_read_only(ball_solution, ball_interior):
@@ -355,10 +339,11 @@ NEWTON_CASES = [*((name, c) for c in (0.5, 0.002)
 
 @pytest.mark.parametrize("name, c", NEWTON_CASES,
                          ids=[f"{c}-{name}" for name, c in NEWTON_CASES])
-def test_newton_gradient_calls_per_level(monkeypatch, request, name, c):
+def test_newton_gradient_calls_per_level(spy, request, name, c):
     sol = fresh(request.getfixturevalue(name))
-    calls = count_field_calls(monkeypatch)
+    made = spy("field", HarmonicSolution)
     extract_level_set(sol, c)
+    calls = field_wants(made)
     assert 1 <= calls["grad"] <= 6
     assert calls["hess"] == 1
     if name == "ball_solution":
@@ -594,19 +579,20 @@ def test_ray_volume_bisects_to_the_tolerance_and_reports_the_cap(
 
 
 def test_ray_volume_stops_at_one_panel_on_the_ball(
-        monkeypatch, ball_solution, ball_interior):
+        monkeypatch, spy, ball_solution, ball_interior):
     # the ball's identity volume term is roundoff noise far below the scale
     # (its exact value is 0): a stopping rule relative to the integral
     # itself would bisect to the cap; relative to the caller's scale one
     # panel, its 15 node columns in one field call, suffices
-    field = count_field_calls(monkeypatch)
+    field = spy("field", HarmonicSolution)
     calls = []
     ray_volume = levelset._ray_volume
 
     def counted(*args):
-        before = sum(field.values())
+        # the field calls made inside each _ray_volume call
+        before = len(field)
         result = ray_volume(*args)
-        calls.append(sum(field.values()) - before)
+        calls.append(len(field) - before)
         return result
 
     monkeypatch.setattr(criteria, "_ray_volume", counted)
@@ -716,22 +702,15 @@ def hessian_density_on_level(sol, weight):
 
 @pytest.mark.parametrize("name", ["ball_solution", "ellipsoid_solution",
                                   "star_solution"])
-def test_kronrod_coarea_matches_32_gauss_levels(monkeypatch, request, name):
+def test_kronrod_coarea_matches_32_gauss_levels(spy, request, name):
     # C1.2's int_0^1 Phi and the weighted identity's volume term along the
     # rays, each against the 32-level coarea rule: they agree to 1e-12
     # relative (up to roundoff of the identity's scale, where the volume
     # term is roundoff itself) and within the returned error
     sol = fresh(request.getfixturevalue(name))
-    returned = []
-    ray_volume = levelset._ray_volume
-
-    def kept(*args):
-        returned.append(ray_volume(*args))
-        return returned[-1]
-
-    monkeypatch.setattr(criteria, "_ray_volume", kept)
+    returned = spy("_ray_volume", criteria)
     report = check_C12(sol)
-    phi_integral, err = returned[0]     # at the order; then order + 8
+    phi_integral, err = returned[0].result     # at the order; then order + 8
     assert report.witnesses["phiIntegral"] == phi_integral
     ref = gauss_legendre_coarea(sol, lambda ls: ls.u_grad ** 4 / ls.level,
                                 0.0, sol.c)

@@ -154,30 +154,18 @@ def json_keys(out):
 
 
 @pytest.mark.parametrize("run", list(REFERENCE_RUNS))
-def test_reference_run_outcomes(tmp_path, monkeypatch, run):
+def test_reference_run_outcomes(tmp_path, spy, run):
     (args, ids, verdicts, equality, granted, failing,
      solves, u_calls) = REFERENCE_RUNS[run]
-    solved, wants = [], []
-    extract = levelset._extract
-    field = HarmonicSolution.field
-
-    def counted(sol, c, order):
-        solved.append((c, order))
-        return extract(sol, c, order)
-
-    def counted_field(self, points, want="hess", check_region=True):
-        wants.append(want)
-        return field(self, points, want=want, check_region=check_region)
-
-    monkeypatch.setattr(levelset, "_extract", counted)
-    monkeypatch.setattr(HarmonicSolution, "field", counted_field)
+    solved = spy("_extract", levelset)
+    fields = spy("field", HarmonicSolution)
     star = tmp_path / "star.json"
     star.write_text(json.dumps(BENCH_STAR))
     out = tmp_path / "out"
     args = [a.format(star=star) for a in args] + ["--out", str(out)]
     assert main(args) == 0
-    assert sorted(solved) == solves
-    assert wants.count("u") == u_calls
+    assert sorted(call.args[1:] for call in solved) == solves
+    assert [call.arg("want") for call in fields].count("u") == u_calls
     assert json_keys(out) == WRITTEN_KEYS[run]
     report = json.loads((out / "criteria.json").read_text())
     rows = report["criteria"]
