@@ -33,8 +33,8 @@ from .errors import CapsymError, IrregularLevelSetError
 from .geometry import (_json_fields, _json_value, gauss_legendre,
                        unit_sphere_area)
 from .identities import interior_flux_cubed_limit
-from .levelset import (_boundary, _ray_volume, _rays, extract_level_set,
-                       surface_integral)
+from .levelset import (_boundary, _order_entry, _ray_volume,
+                       extract_level_set, surface_integral)
 
 _N = 3
 _SPHERE_AREA = unit_sphere_area(_N)
@@ -225,8 +225,8 @@ def check_C12(sol):
     scale = sol.c * phi_top
 
     def exterior_integral(order):
-        return _ray_volume(sol, density, "grad", _rays(sol, order)[2], np.inf,
-                           order, scale)
+        return _ray_volume(sol, density, "grad", _order_entry(sol, order)[2],
+                           np.inf, order, scale)
 
     integral, quad_err = exterior_integral(sol.order)
     refined, _ = exterior_integral(sol.order + 8)

@@ -518,13 +518,12 @@ class SurfaceQuadrature:
     """Quadrature-ready discretization of a closed surface.
 
     nodes carry the area measure in ``weights`` (sum equals the surface
-    area), unit ``normals`` (outward from build_quadrature), and
-    ``mean_curv`` = sum of the principal curvatures about those normals.
+    area) and ``mean_curv`` = sum of the principal curvatures about the
+    unit normal (outward from build_quadrature).
     """
 
     nodes: np.ndarray
     weights: np.ndarray
-    normals: np.ndarray
     mean_curv: np.ndarray
 
     @property
@@ -580,5 +579,4 @@ def build_quadrature(spec, order):
 
     nodes = np.asarray(spec.center) + rho[:, None] * om
     weights = W * dA / st
-    return SurfaceQuadrature(nodes=nodes, weights=weights, normals=nu,
-                             mean_curv=H)
+    return SurfaceQuadrature(nodes=nodes, weights=weights, mean_curv=H)

@@ -30,10 +30,10 @@ Surface weights use the solid-angle projection dsigma = r^2 dOmega / <nu, omega>
 with nu = -Du/|Du|, so no numerical differentiation of the extracted graph is
 ever needed; mean curvature comes from the solution's analytic Hessian via
 H = D2u(nu, nu)/|Du|.  The boundary {u = c} is a LevelSet too (_boundary),
-on the domain's own rule: weights, outward normals and curvature from
-geometry.build_quadrature, Du from one gradient evaluation.  Every LevelSet
-is regular by construction: one with min |Du| <= REGULARITY_THRESHOLD
-raises IrregularLevelSetError naming the level when it is built.
+on the domain's own rule: weights and curvature about the outward normal
+from geometry.build_quadrature, Du from one gradient evaluation.  Every
+LevelSet is regular by construction: one with min |Du| at most
+REGULARITY_THRESHOLD raises IrregularLevelSetError naming the level.
 
 A volume integral over a slab {a < u < b}, by coarea a sum over levels,
 needs no level between a and b: the slab is r_b(omega) < r < r_a(omega) on
@@ -50,10 +50,10 @@ The field is even under the solution's mirrors (HarmonicSolution.mirrors,
 the coordinate-plane reflections that keep its charges), so it is
 evaluated on one ray per orbit of the rays under them: the scan, the
 bracket and Newton run on the first ray of each orbit, _level_set copies
-the node data to the orbit's other rays, Du and the normals with the
-reflection's signs, and _ray_volume weights each first ray by its orbit's
-total.  _boundary evaluates Du at one node per orbit the same way.  With
-no mirror every ray is its own orbit.
+the node data to the orbit's other rays, Du with the reflection's signs,
+and _ray_volume weights each first ray by its orbit's total.  _boundary
+evaluates Du at one node per orbit the same way.  With no mirror every ray
+is its own orbit.
 
 Only this module uses a solution's cache: per order, the angular weights,
 directions and boundary exit radii, the orbits of the rays and the scan's
@@ -113,8 +113,8 @@ _PANEL_POINTS = 1 << 13
 @dataclass(frozen=True)
 class LevelSet(SurfaceQuadrature):
     """A surface quadrature of {u = level} with the field at its nodes.
-    Normals are -Du/|Du| on extracted level sets and the geometric outward
-    normal on the boundary; mean_curv is taken about them."""
+    mean_curv is taken about the normal -Du/|Du| on extracted level sets
+    and about the geometric outward normal on the boundary."""
 
     level: float
     u_grad: np.ndarray           # |Du| per node
@@ -155,12 +155,6 @@ def _order_entry(sol, order):
         entry = sol._levelset_cache[order] = (
             *_frozen(W, om, r_exit, rows, row_of, signs), [], [])
     return entry
-
-
-def _rays(sol, order):
-    """Angular weights, unit directions and boundary exit radii at
-    ``order``, computed once per solution."""
-    return _order_entry(sol, order)[:3]
 
 
 def _boundary(sol):
@@ -272,7 +266,7 @@ def _solve_radii(sol, om, c, lo, hi, u_lo, u_hi):
 def _level_set(sol, c, r, order):
     """The LevelSet {u = c} from its radii r on the first ray of each
     orbit: the field and the node data on those rays, copied to the other
-    rays of each orbit, with the signs on Du and the normals."""
+    rays of each orbit, with the signs on Du."""
     W, om, _, rows, row_of, signs = _order_entry(sol, order)[:6]
     st = sol.field(r[:, None] * om[rows], want="hess", check_region=False)
     gn = np.linalg.norm(st.grad, axis=1)
@@ -286,8 +280,7 @@ def _level_set(sol, c, r, order):
     H = level_set_mean_curvature(st.grad, st.hess)
     r = r[row_of]
     return LevelSet(level=c, nodes=r[:, None] * om, weights=weights[row_of],
-                    normals=normals[row_of] * signs, u_grad=gn[row_of],
-                    mean_curv=H[row_of], radii=r,
+                    u_grad=gn[row_of], mean_curv=H[row_of], radii=r,
                     grad=st.grad[row_of] * signs)
 
 

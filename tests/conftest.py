@@ -17,6 +17,7 @@ import inspect
 
 import pytest
 
+from bench_star import BENCH_STAR
 from capsym import DomainSpec, solve_exterior, solve_interior
 
 
@@ -66,8 +67,7 @@ def ellipsoid_solution():
 
 @pytest.fixture(scope="module")
 def star_solution():
-    return solve_exterior(DomainSpec(kind="star", mean_radius=1.0,
-                                     terms=((2, 0, 0.1), (3, 1, 0.05))))
+    return solve_exterior(BENCH_STAR)
 
 
 @pytest.fixture(scope="module")

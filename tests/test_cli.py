@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from bench_star import BENCH_STAR_JSON as BENCH_STAR
 from capsym import cli, harmonic
 from capsym.cli import ConfigError, RunConfig, main
 
@@ -15,8 +16,6 @@ def write_config(path, data):
 
 
 BALL_DOMAIN = {"kind": "sphere", "radius": 1.0}
-BENCH_STAR = {"kind": "star", "mean_radius": 1.0,
-              "terms": [[2, 0, 0.1], [3, 1, 0.05]]}
 BALL_CONFIG = {
     "domain": BALL_DOMAIN,
     "problem": {"kind": "exterior", "c": 1.0},
@@ -702,6 +701,12 @@ def test_every_reader_names_the_bad_key(tmp_path, capsys, saved_solutions,
     assert rc == 2
     assert named in capsys.readouterr().err
     assert not out.exists()
+    if config is not None and named.endswith(" in domain"):
+        # a bad domain read from a --domain file is named alike
+        (tmp_path / "domain.json").write_text(json.dumps(config["domain"]))
+        domain = "@" + str(tmp_path / "domain.json")
+        assert main(["check", "--domain", domain, "--out", str(out)]) == 2
+        assert named in capsys.readouterr().err
 
 
 def test_empty_identities_run_no_identity_check(tmp_path):
@@ -819,17 +824,28 @@ IMPORT_PROBE = """
 import json, sys
 import capsym.cli
 loaded = set(sys.modules)
-star, out = sys.argv[1], sys.argv[2]
-assert capsym.cli.main(["report", "--domain", "sphere:1",
-                        "--out", out + "/ball"]) == 0
-assert capsym.cli.main(["check", "--domain", "@" + star,
-                        "--out", out + "/star"]) == 0
+for i, argv in enumerate(json.loads(sys.argv[1])):
+    assert capsym.cli.main([*argv, "--out", f"out{i}"]) == 0, argv
 top = lambda names: sorted(m for m in names
                            if m.split(".")[0] in ("numpy", "scipy"))
-with open(out + "/modules.json", "w") as fh:
+with open("modules.json", "w") as fh:
     json.dump({"scipy": [m for m in top(loaded) if m.startswith("scipy")],
                "new": top(set(sys.modules) - loaded)}, fh)
 """
+INTERIOR = ["--problem", "interior:c=1,d=1"]
+# runs that reach every charge rule: the ball's closed forms, the Kelvin
+# image of a pole off the ball's center, the star rings, the interior
+# oblate's dilated rings, the focal segment of (2,1,1), the disk of (3,2,1)
+PROBE_RUNS = [
+    ["report", "--domain", "sphere:1"],
+    ["report", "--domain", "sphere:1", *INTERIOR],
+    ["check", "--domain", "@star.json"],
+    ["solve", "--domain", "@off-center.json", *INTERIOR],
+    ["solve", "--domain", "ellipsoid:1,1,0.5", *INTERIOR],
+    ["capacity", "--domain", "ellipsoid:2,1,1"],
+    ["capacity", "--domain", "@off-center-ell.json"],
+    ["capacity", "--domain", "ellipsoid:3,2,1"],
+]
 
 
 def test_cli_runs_on_numpy_alone_and_imports_nothing_late(tmp_path):
@@ -841,11 +857,15 @@ def test_cli_runs_on_numpy_alone_and_imports_nothing_late(tmp_path):
 
     import capsym
     src = os.path.dirname(os.path.dirname(capsym.__file__))
-    star = tmp_path / "star.json"
-    star.write_text(json.dumps(BENCH_STAR))
+    for name, domain in [
+            ("star", BENCH_STAR),
+            ("off-center", {**BALL_DOMAIN, "center": [0.5, 0, 0]}),
+            ("off-center-ell", {"kind": "ellipsoid", "axes": [2, 1, 1],
+                                "center": [1.5, 0, 0]})]:
+        (tmp_path / f"{name}.json").write_text(json.dumps(domain))
     env = dict(os.environ, PYTHONPATH=src)
-    subprocess.run([sys.executable, "-c", IMPORT_PROBE, str(star),
-                    str(tmp_path)], env=env, check=True,
-                   stdout=subprocess.DEVNULL)
+    subprocess.run([sys.executable, "-c", IMPORT_PROBE,
+                    json.dumps(PROBE_RUNS)], cwd=tmp_path, env=env,
+                   check=True, stdout=subprocess.DEVNULL)
     modules = json.loads((tmp_path / "modules.json").read_text())
     assert modules == {"scipy": [], "new": []}

@@ -13,6 +13,7 @@ from numpy.testing import assert_allclose
 from capsym import (DomainSpec, InsufficientSamplesError, OutOfRegionError,
                     SolverFailureError, decay_report, harmonic,
                     solve_exterior, solve_interior, symmetry_certificate)
+from bench_star import BENCH_STAR
 from radial_oracle import RadialGeometry, radial_solution
 from scipy.special import elliprf
 
@@ -26,8 +27,6 @@ from capsym.harmonic import (_CHUNK_PAIRS, _carlson_rf, _charge_moments,
                              _placement, _point_rows, _source_rows)
 
 
-BENCH_STAR = DomainSpec(kind="star", mean_radius=1.0,
-                        terms=((2, 0, 0.1), (3, 1, 0.05)))
 # a star without mirrors through the origin's coordinate planes
 MIRROR_FREE_STAR = DomainSpec(kind="star", mean_radius=1.0,
                               terms=((4, -3, 0.1), (2, 1, -0.08)))
@@ -133,11 +132,10 @@ def test_oblate_and_triaxial_sources():
         solve_exterior(spec, order=24)
     assert solve_exterior(spec, order=32).check_misfit <= 1e-7
     # inside, the star rule fits the oblate (2.0e-6) and the mild triaxial
-    # (6.4e-7), which failed on confocal rings at order 24; (3,2,1) still
-    # misses the gate 1e-5 (1.1e-4)
+    # (6.4e-7) at the default order, where confocal rings failed; (3,2,1)
+    # still misses the gate 1e-5 at order 24 (1.1e-4)
     for axes in [(1.0, 1.0, 0.5), (2.0, 1.5, 1.0)]:
-        sol = solve_interior(DomainSpec(kind="ellipsoid", axes=axes),
-                             order=24)
+        sol = solve_interior(DomainSpec(kind="ellipsoid", axes=axes))
         assert sol.check_misfit <= 1e-5, axes
     with pytest.raises(SolverFailureError,
                        match=r"interior check misfit \S+ on the grid of "
@@ -196,7 +194,7 @@ def test_check_misfit_matches_closed_form_ellipsoid(focal_solution):
 def test_capacity_matches_closed_form_ellipsoid(focal_solution):
     # 4 pi Q / c with the equilibrium charge Q = c / R_F(a^2, b^2, c^2)
     exact = 4.0 * math.pi / elliprf(*np.square(focal_solution.domain.axes))
-    assert abs(capacity(focal_solution) / exact - 1.0) <= 1e-9
+    assert abs(capacity(focal_solution) / exact - 1.0) <= 1e-12
 
 
 def test_exterior_quadrics_solve_no_system(monkeypatch):
@@ -228,6 +226,7 @@ def test_sphere_and_ellipsoid_sources_are_unchanged(
     assert np.array_equal(ball_solution.sources, [[0.0, 0.0, 0.0]])
     assert np.array_equal(ball_interior.sources, [[2.0, 0.0, 0.0]])
     assert np.array_equal(ball_interior.charges, [0.0])
+    assert ball_interior.check_misfit <= 1e-14
     # the prolate's 32 charges are the uniform density Q / (2 alpha) on its
     # focal segment, Q w_i / 2 at the Gauss nodes alpha x_i
     spec = ellipsoid_solution.domain
@@ -769,9 +768,7 @@ def test_non_finite_c_and_d_rejected_before_solving(solve, named):
      lambda *args: (np.zeros((1, 3)), np.array([math.nan]))),
     ("_sphere_charges", solve_interior, DomainSpec(kind="sphere", radius=1.0),
      lambda *args: (np.zeros((1, 3)), np.array([math.nan]), 0.0)),
-    ("_collocation_solve", solve_exterior,
-     DomainSpec(kind="star", mean_radius=1.0,
-                terms=((2, 0, 0.1), (3, 1, 0.05))),
+    ("_collocation_solve", solve_exterior, BENCH_STAR,
      lambda quad, sources, rhs: (np.full(len(sources), math.nan), 1.0)),
 ], ids=["exterior", "interior", "star"])
 def test_nan_closed_form_fails_the_tolerance(monkeypatch, patched, solve,

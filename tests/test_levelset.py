@@ -17,10 +17,8 @@ from capsym import (DomainSpec, FieldStates, HarmonicSolution,
                     surface_integral, unit_directions,
                     weighted_identity_check)
 from capsym.conformal import level_set_mean_curvature
+from bench_star import BENCH_STAR
 from radial_oracle import RadialGeometry, radial_solution
-
-BENCH_STAR = DomainSpec(kind="star", mean_radius=1.0,
-                        terms=((2, 0, 0.1), (3, 1, 0.05)))
 
 
 def fresh(sol):
@@ -135,12 +133,6 @@ def test_extraction_consistency(ball_solution, ellipsoid_solution):
         assert np.abs(u - c).max() < 1e-10
 
 
-def test_normals_point_along_minus_gradient(ellipsoid_solution):
-    ls = extract_level_set(ellipsoid_solution, 0.5)
-    expected = -ls.grad / ls.u_grad[:, None]
-    assert np.abs(ls.normals - expected).max() < 1e-14
-
-
 def test_far_level_sets_round_off(ellipsoid_solution):
     # sphericity improves from the boundary outwards
     def sphericity(c):
@@ -236,14 +228,14 @@ def test_repeat_extraction_is_cached_and_read_only(ball_solution):
     assert extract_level_set(sol, 0.42, order=sol.order + 8) is not ls
     with pytest.raises(ValueError):
         ls.radii[0] = 1.0
-    for key in ("nodes", "weights", "normals", "u_grad", "mean_curv", "grad"):
+    for key in ("nodes", "weights", "u_grad", "mean_curv", "grad"):
         assert not getattr(ls, key).flags.writeable
     # so are the cached rays and the boundary LevelSet
     boundary = levelset._boundary(sol)
     assert levelset._boundary(sol) is boundary
-    for array in (*levelset._rays(sol, sol.order), boundary.nodes,
-                  boundary.weights, boundary.normals, boundary.mean_curv,
-                  boundary.u_grad, boundary.grad):
+    for array in (*levelset._order_entry(sol, sol.order)[:3], boundary.nodes,
+                  boundary.weights, boundary.mean_curv, boundary.u_grad,
+                  boundary.grad):
         assert not array.flags.writeable
 
 
@@ -418,29 +410,25 @@ def test_mirror_nodes_carry_bitwise_equal_data(star_solution):
         assert np.count_nonzero(moved) > len(j) // 2
         for key in ("u_grad", "weights", "mean_curv", "radii"):
             assert np.array_equal(getattr(ls, key)[j], getattr(ls, key))
-        for key in ("grad", "normals"):
-            value = getattr(ls, key)
-            assert np.array_equal(value[j[moved]], value[moved] * flip)
+        assert np.array_equal(ls.grad[j[moved]], ls.grad[moved] * flip)
 
 
 def test_mirror_free_level_set_is_a_direct_evaluation():
     # centred off the origin the bench star keeps no mirror: every ray is
     # its own orbit, and the level set is the field at its nodes bit for bit
-    spec = DomainSpec(kind="star", mean_radius=1.0,
-                      terms=((2, 0, 0.1), (3, 1, 0.05)),
+    spec = DomainSpec(kind="star", mean_radius=1.0, terms=BENCH_STAR.terms,
                       center=(0.4, 0.2, 0.1))
     sol = solve_exterior(spec)
     assert sol.mirrors == ()
     ls = extract_level_set(sol, 0.5)
     st = sol.field(ls.nodes, want="hess", check_region=False)
-    W, om = levelset._rays(sol, sol.order)[:2]
+    W, om = levelset._order_entry(sol, sol.order)[:2]
     assert np.array_equal(ls.nodes, ls.radii[:, None] * om)
     assert np.array_equal(ls.grad, st.grad)
     assert np.array_equal(ls.u_grad, np.linalg.norm(st.grad, axis=1))
-    assert np.array_equal(ls.normals, -st.grad / ls.u_grad[:, None])
     assert np.array_equal(ls.mean_curv,
                           level_set_mean_curvature(st.grad, st.hess))
-    cos = np.einsum("ns,ns->n", ls.normals, om)
+    cos = np.einsum("ns,ns->n", -st.grad / ls.u_grad[:, None], om)
     assert np.array_equal(ls.weights, W * ls.radii ** 2 / cos)
 
 
@@ -505,7 +493,7 @@ def flux_to_the_fourth_over_u(st):
 def exterior_volume(sol, density, want="grad", order=None, scale=1.0):
     """int F dmu over the exterior of the domain by _ray_volume."""
     order = order if order is not None else sol.order
-    r_exit = levelset._rays(sol, order)[2]
+    r_exit = levelset._order_entry(sol, order)[2]
     return levelset._ray_volume(sol, density, want, r_exit, np.inf, order,
                                 scale)
 
@@ -540,7 +528,7 @@ def test_coarea_ratio_closed_form_every_dimension():
 
 
 def test_coarea_zero_integrand(ball_solution):
-    r_in = levelset._rays(ball_solution, ball_solution.order)[2]
+    r_in = levelset._order_entry(ball_solution, ball_solution.order)[2]
     assert levelset._ray_volume(
         ball_solution, lambda st: (np.zeros(len(st.u)), 0.0), "u", r_in,
         2.0 * r_in, ball_solution.order, 1.0) == (0.0, 0.0)
@@ -550,7 +538,7 @@ def test_ray_volume_measures(ball_solution):
     # the shell 1 < r < 2 has volume 28 pi/3 (panels in log r), and
     # int_{r > 1} r^-6 dmu = 4 pi/3 (panels in t = 1/r, integrand t^2)
     sol, order = ball_solution, ball_solution.order
-    r_in = levelset._rays(sol, order)[2]
+    r_in = levelset._order_entry(sol, order)[2]
     shell, err = levelset._ray_volume(
         sol, lambda st: (np.ones(len(st.u)), 0.0), "u", r_in, 2.0 * r_in,
         order, 1.0)
@@ -641,7 +629,7 @@ def test_ray_volume_memory_is_bounded_without_mirrors(monkeypatch):
     sol = solve_exterior(DomainSpec(kind="star", mean_radius=1.0,
                                     terms=BENCH_STAR.terms,
                                     center=(0.4, 0.2, 0.1)), order=48)
-    assert sol.mirrors == () and len(levelset._rays(sol, 48)[0]) == 4608
+    assert sol.mirrors == () and len(levelset._order_entry(sol, 48)[0]) == 4608
     peaks = []
     ray_volume = levelset._ray_volume
 

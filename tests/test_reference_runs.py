@@ -19,11 +19,9 @@ import sys
 import numpy as np
 import pytest
 
+from bench_star import BENCH_STAR_JSON as BENCH_STAR
 from capsym import HarmonicSolution, levelset
 from capsym.cli import main
-
-BENCH_STAR = {"kind": "star", "mean_radius": 1.0,
-              "terms": [[2, 0, 0.1], [3, 1, 0.05]]}
 
 EXTERIOR = ("T1.1-integral", "C1.2-global", "C1.3-capacity",
             "C1.4-pointwise", "T1.5-neumann", "T1.9-two-boundary")
