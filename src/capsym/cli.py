@@ -19,10 +19,10 @@ Every JSON object read (config, domain, problem, solver, identity check,
 solution) names a missing, unknown or mistyped key, and a number must be a
 JSON number, not a string or a bool.  An empty ``criteria`` or ``identities``
 list runs none of them; an empty ``levels`` is an error.  Every JSON object
-written (the reports and solution.json) goes through one writer,
-``geometry._json_value``: its keys are the camelCase names of the fields it
-holds (fit_residual -> fitResidual), and the domain keeps its own snake_case
-keys (mean_radius, max_degree), the ones it is read with.
+written goes through ``geometry._json_value``: its keys are the camelCase
+names of the fields it holds (fit_residual -> fitResidual), and the domain
+keeps the snake_case keys it is read with (mean_radius, max_degree).  The
+reports keep indent=1, and solution.json is one compact line.
 
 Exit code 0 means the run completed; criterion verdicts live in the
 reports, not the exit code.  Reports are written deterministically (sorted

@@ -207,8 +207,10 @@ class HarmonicSolution:
         return cls(**read)
 
     def save(self, path):
+        """to_json_dict() as one line of sorted keys and repr floats: no
+        indent, so that json's C encoder writes it, in one call."""
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_dict(), fh, sort_keys=True, indent=1)
+            fh.write(json.dumps(self.to_json_dict(), sort_keys=True) + "\n")
 
     @classmethod
     def load(cls, path):
@@ -501,16 +503,24 @@ def _collocation_solve(quad, sources, rhs):
     column per orbit of s sources, their kernels summed over root s, whose
     coefficient over root s is each one's charge.  The singular values are
     the full matrix's on the invariant subspace, which holds rhs and, by
-    Perron-Frobenius, the largest: cutoff and solution are the full fit's."""
+    Perron-Frobenius, the largest: cutoff and solution are the full fit's.
+    Column o is (root s / |G|) sum_g K(x, g y_o) over the images of its
+    first source y_o under the group G of the reflections that move some
+    source: |G| kernels per orbit, as many point-source pairs as the full
+    matrix when every orbit has |G| members, and never that matrix."""
     w = quad.weights
-    (rows, row_of, _, _), (_, col_of, size, _) = _mirror_orbits(
+    (rows, row_of, _, _), (firsts, col_of, size, sign) = _mirror_orbits(
         np.column_stack([quad.nodes, w, rhs]), sources)
-    A = _inverse_distance(_point_rows(quad.nodes[rows]),
-                          _source_rows(sources))
-    if len(size) < len(sources):   # sum each orbit's columns
-        order = np.argsort(col_of, kind="stable")
-        A = np.add.reduceat(A[:, order], np.cumsum(size) - size, axis=1)
-        A /= np.sqrt(size)
+    x_rows, y = _point_rows(quad.nodes[rows]), sources[firsts]
+    # G: every sign vector on the axes that some source flips, identity
+    # first; the identity alone without mirrors, where A is the full matrix
+    bits = (np.arange(2 ** N_DIM)[:, None] >> np.arange(N_DIM)) & 1
+    group = 1 - 2 * bits[np.all(bits <= np.any(sign < 0, axis=0), axis=1)]
+    A = _inverse_distance(x_rows, _source_rows(y * group[0]))
+    for g in group[1:]:
+        A += _inverse_distance(x_rows, _source_rows(y * g))
+    if len(group) > 1:
+        A *= np.sqrt(size) / len(group)
     sw = np.sqrt(np.bincount(row_of, weights=w))
     A *= sw[:, None]    # weighted in place: the solve holds one matrix
     coef, _, rank, sv = np.linalg.lstsq(A, rhs[rows] * sw, rcond=_RCOND)

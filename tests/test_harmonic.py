@@ -337,12 +337,13 @@ def test_order_48_star_solve_memory_is_bounded():
 
 
 def test_order_48_folded_star_solve_memory_is_bounded(star_solution):
-    # the bench star's y and z mirrors leave 595 node rows of 1,012 kernel
-    # columns (4.6 MiB) and their sum over 264 source orbits: 10.6 MiB in
-    # all
+    # the bench star's y and z mirrors leave 595 node rows and 264 source
+    # orbits: the folded matrix and the kernel block of one image of the
+    # orbits' first sources, 1.2 MiB each, set the peak of 2.7 MiB; the
+    # 595 x 1,012 matrix of every source, gathered and summed, took 10.6 MiB
     sol, peak = solve_peak_bytes(star_solution.domain, 48)
     assert len(sol.sources) == 1012
-    assert peak < 12 * 2 ** 20
+    assert peak < 4 * 2 ** 20
 
 
 def full_weighted_solve(quad, sources, rhs):
@@ -403,6 +404,55 @@ def test_mirror_free_star_solves_the_full_system():
     charges, cond = harmonic._collocation_solve(quad, sources, rhs)
     full_charges, full_cond = full_weighted_solve(quad, sources, rhs)
     assert np.array_equal(charges, full_charges) and cond == full_cond
+
+
+def orbit_summed_matrix(quad, sources, rhs):
+    """The reference of the weighted matrix of _collocation_solve: the
+    full kernel matrix at the first node of each node orbit, its columns
+    gathered by source orbit and summed by np.add.reduceat, each orbit's
+    sum over root s; with the orbit of each source and the orbit sizes."""
+    (rows, row_of, _, _), (_, col_of, size, _) = harmonic._mirror_orbits(
+        np.column_stack([quad.nodes, quad.weights, rhs]), sources)
+    A = _inverse_distance(_point_rows(quad.nodes[rows]),
+                          _source_rows(sources))
+    order = np.argsort(col_of, kind="stable")
+    A = np.add.reduceat(A[:, order], np.cumsum(size) - size, axis=1)
+    A /= np.sqrt(size)
+    A *= np.sqrt(np.bincount(row_of, weights=quad.weights))[:, None]
+    return A, col_of, size
+
+
+def assert_fold_matches_the_orbit_sums(system, spy):
+    """The matrix _collocation_solve hands to lstsq is the reference's to
+    1e-14 per entry; returns each source's orbit size."""
+    lstsq = spy("lstsq", np.linalg)
+    harmonic._collocation_solve(*system)
+    ref, col_of, size = orbit_summed_matrix(*system)
+    assert np.abs(lstsq[0].args[0] / ref - 1.0).max() <= 1e-14
+    return size[col_of]
+
+
+@pytest.mark.parametrize("solve, spec, order", [
+    (solve_exterior, BENCH_STAR, 32), (solve_exterior, BENCH_STAR, 48),
+    (solve_interior, DomainSpec(kind="ellipsoid", axes=(2.0, 1.0, 1.0)), 24),
+], ids=["star-32", "star-48", "interior-ellipsoid"])
+def test_folded_matrix_matches_the_orbit_sums(solve, spec, order, spy):
+    systems = spy("_collocation_solve", harmonic)
+    solve(spec, order=order)
+    assert_fold_matches_the_orbit_sums(systems[0].args, spy)
+
+
+def test_folded_matrix_matches_the_orbit_sums_of_sizes_1_2_4(spy):
+    # under the bench star's y and z mirrors, the source added on the x
+    # axis is its own orbit (size 1), the star's sources at phi = 0 and pi
+    # lie in the plane y = 0 and pair under z (size 2), and every other
+    # source has four images (size 4)
+    quad, sources, rhs = collocation_system(BENCH_STAR, 32)
+    sources = np.vstack([sources, [0.3, 0.0, 0.0]])
+    sizes = assert_fold_matches_the_orbit_sums((quad, sources, rhs), spy)
+    expected = np.where(np.abs(sources[:, 1]) <= 1e-12, 2, 4)
+    expected[-1] = 1
+    assert np.array_equal(sizes, expected) and set(sizes) == {1, 2, 4}
 
 
 @pytest.mark.parametrize("column", [0, 3], ids=["position", "weight"])
@@ -846,6 +896,22 @@ def test_solution_round_trip(tmp_path, ellipsoid_solution):
     assert np.array_equal(a.u, b.u)
     assert np.array_equal(a.grad, b.grad)
     assert np.array_equal(a.hess, b.hess)
+
+
+@pytest.mark.parametrize("name", [
+    "ball_solution", "ball_interior", "ellipsoid_solution", "star_solution"])
+def test_saved_solution_is_one_compact_line(tmp_path, name, request):
+    # the C encoder's one line; load -> save gives the same bytes, and
+    # every float reads back equal to its original
+    sol = request.getfixturevalue(name)
+    path, again = tmp_path / "sol.json", tmp_path / "again.json"
+    sol.save(path)
+    assert path.read_text() == json.dumps(sol.to_json_dict(),
+                                          sort_keys=True) + "\n"
+    loaded = HarmonicSolution.load(path)
+    assert loaded.to_json_dict() == sol.to_json_dict()
+    loaded.save(again)
+    assert again.read_bytes() == path.read_bytes()
 
 
 # the keys of a saved solution, every one of them required

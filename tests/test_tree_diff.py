@@ -68,3 +68,19 @@ def test_relative_change_of_special_values(tree_diff):
     assert tree_diff._relative_change(inf, inf) == 0.0
     assert tree_diff._relative_change(1.0, nan) == inf
     assert tree_diff._relative_change(0.0, -2.0) == 1.0
+
+
+def test_a_reformatted_file_is_layout_only(tree_diff, tmp_path):
+    for side in "ab":
+        write_tree(tmp_path / side, BASE, CSV)
+    report = tmp_path / "b" / "run" / "criteria.json"
+    report.write_text(json.dumps(BASE, indent=1) + "\n")
+    a, b = str(tmp_path / "a"), str(tmp_path / "b")
+    assert tree_diff.diff_trees(a, b) == [
+        "run/criteria.json: 0 numbers changed, layout only",
+        "run/terms.csv: 0 numbers changed"]
+    # a value other than a number that moved is listed, not layout
+    report.write_text(json.dumps(BASE).replace("violated", "satisfied"))
+    assert tree_diff.diff_trees(a, b)[:2] == [
+        "run/criteria.json: 0 numbers changed",
+        "  criteria[1].verdict: 'violated' -> 'satisfied'"]

@@ -10,13 +10,15 @@ that line it prints every other value that differs, with its place: a
 verdict, a flag, a name, an integer such as a node index, or a key or row
 found on one side only.  JSON
 files are compared value by value and CSV files cell by cell.  A file
-found in one tree only is named as such.  The output is a report only:
-the exit status is 0 whatever differs.
+whose bytes differ while no value does, say a reformatted one, is marked
+``layout only``.  A file found in one tree only is named as such.  The
+output is a report only: the exit status is 0 whatever differs.
 """
 
 from __future__ import annotations
 
 import csv
+import filecmp
 import json
 import math
 import os
@@ -109,11 +111,14 @@ def diff_trees(root_a, root_b):
         if rel not in files_a:
             lines.append(f"{rel}: only in {root_b}")
             continue
-        changed, (largest, where), others = compare_files(
-            os.path.join(root_a, rel), os.path.join(root_b, rel))
-        lines.append(f"{rel}: {changed} numbers changed" + (
-            f", largest relative change {largest:.1e} at {where}"
-            if changed else ""))
+        path_a, path_b = os.path.join(root_a, rel), os.path.join(root_b, rel)
+        changed, (largest, where), others = compare_files(path_a, path_b)
+        note = ""
+        if changed:
+            note = f", largest relative change {largest:.1e} at {where}"
+        elif not others and not filecmp.cmp(path_a, path_b, shallow=False):
+            note = ", layout only"
+        lines.append(f"{rel}: {changed} numbers changed{note}")
         lines.extend(f"  {place}: {va!r} -> {vb!r}"
                      for place, va, vb in others)
     return lines
